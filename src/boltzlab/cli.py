@@ -8,8 +8,8 @@ the failure diagnostic.  Identical config and seed reproduce identical CSV
 bytes (the manifest carries wall-clock timestamps and is exempt).
 
 Subcommands: run, verify, forward, linearize, reconstruct (each takes a
-config path), report (takes a run directory).  Flags --threads, --seed and
---out override the corresponding config fields.
+config path), report (takes a run directory).  Flags --seed and --out
+override the corresponding config fields.
 """
 
 import argparse
@@ -36,6 +36,10 @@ STAGE_ORDER = ("verify_geometry", "verify_collision", "forward",
                "linearize", "reconstruct")
 
 CHECKS_HEADER = "check,samples,max_residual,tolerance,status"
+
+# rel_delta above which `report` warns that the FD route and the direct
+# route disagree on a probe
+FD_CROSSCHECK_TOL = 0.1
 
 
 def _utc_now() -> str:
@@ -586,6 +590,7 @@ def build_report(run_dir: str) -> str:
     lines = [f"run {manifest.config_hash[:12]} seed={manifest.seed}",
              f"started {manifest.started}  finished {manifest.finished}", ""]
     n_fail = 0
+    warnings = []
     for st in manifest.stages:
         lines.append("stage %-17s %-8s %6.1fs" % (st["name"], st["status"],
                                                   st["runtime_s"]))
@@ -624,14 +629,35 @@ def build_report(run_dir: str) -> str:
         lines.append("reconstruction (%s route, %d probes):"
                      % (sm["route"], sm["n_probes"]))
         lines.append("  exponent winner: %s" % (sm["winner"],))
+        if sm["winner"] is None:
+            warnings.append("no exponent mode matches the extrapolated "
+                            "values (winner None)")
         for mode in rc.EXPONENT_MODES:
             worst = max(sm["mismatch"][mode])
             lines.append("  mode %-20s worst relative mismatch %.3g"
                          % (mode, worst))
         lines.append("")
-    lines.append("overall: %s" % ("FAIL (%d problem%s)" %
-                                  (n_fail, "s" if n_fail != 1 else "")
-                                  if n_fail else "all recorded checks pass"))
+    cross = os.path.join(run_dir, "fd_crosscheck.csv")
+    if os.path.exists(cross):
+        rows = np.loadtxt(cross, delimiter=",", skiprows=1, ndmin=2)
+        rel = rows[:, 4]
+        lines.append("fd_crosscheck.csv (%d probes): rel_delta %.3g to %.3g"
+                     % (rows.shape[0], rel.min(), rel.max()))
+        bad = rows[rel > FD_CROSSCHECK_TOL, 0].astype(int)
+        if bad.size:
+            warnings.append("FD and direct routes disagree by more than %g "
+                            "(rel_delta) on probe(s) %s" % (
+                                FD_CROSSCHECK_TOL,
+                                ", ".join(str(i) for i in bad)))
+        lines.append("")
+    for text in warnings:
+        lines.append("warning: " + text)
+    if n_fail:
+        lines.append("overall: FAIL (%d problem%s)"
+                     % (n_fail, "s" if n_fail != 1 else ""))
+    else:
+        lines.append("overall: all recorded checks pass, %d warning(s)"
+                     % len(warnings))
     text = "\n".join(lines) + "\n"
     with open(os.path.join(run_dir, "summary.txt"), "w") as fh:
         fh.write(text)
@@ -663,7 +689,6 @@ def main(argv=None) -> int:
             ("reconstruct", "mollified probe sweep and recovery tables")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("config", help="path to a JSON config")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
     p = sub.add_parser("report", help="summarize a completed run directory")
@@ -676,7 +701,6 @@ def main(argv=None) -> int:
             return 0
         cfg = load_config(args.config,
                           overrides={"seed": args.seed,
-                                     "threads": args.threads,
                                      "output_dir": args.out})
         if args.command != "run":
             cfg = _with_stages(cfg, SUBCOMMAND_STAGES[args.command])

@@ -4,7 +4,6 @@ Key schema (defaults in DEFAULTS; unknown keys are rejected):
 
   version        int, must equal CONFIG_VERSION
   seed           int >= 0, master seed recorded for reproducibility
-  threads        int >= 1
   output_dir     str, run artifacts land here
   domain         shape ("ball"|"box"), dim, radius / lo, hi
   kernel         family (see collision.KERNEL_FAMILIES), params
@@ -47,7 +46,6 @@ CONFIG_VERSION = 1
 DEFAULTS = {
     "version": CONFIG_VERSION,
     "seed": 0,
-    "threads": 1,
     "output_dir": "run_out",
     "domain": {"shape": "ball", "dim": 2, "radius": 1.0},
     # amplitude small enough for the contraction admissibility gate
@@ -101,8 +99,6 @@ def _validate(d: dict):
              f"(expected {CONFIG_VERSION})")
     _require(isinstance(d["seed"], int) and d["seed"] >= 0,
              "seed must be a nonnegative integer")
-    _require(isinstance(d["threads"], int) and d["threads"] >= 1,
-             "threads must be a positive integer")
     _require(isinstance(d["output_dir"], str) and d["output_dir"],
              "output_dir must be a nonempty string")
 
@@ -207,10 +203,6 @@ class ExperimentConfig:
         return self.data["seed"]
 
     @property
-    def threads(self) -> int:
-        return self.data["threads"]
-
-    @property
     def output_dir(self) -> str:
         return self.data["output_dir"]
 
@@ -284,8 +276,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse and validate a config file; overrides (seed, threads,
-    output_dir) are applied before validation."""
+    """Parse and validate a config file; overrides (seed, output_dir) are
+    applied before validation."""
     try:
         with open(path) as fh:
             raw = json.load(fh)

@@ -320,6 +320,9 @@ def _loss_term(spec, v_star, center_u, center_v, eta, nr, na, nw):
     upts, uw = _shifted_ball(center_u, eta, nr, na)
     fv = mollifier(vpts - center_v, eta) * mollifier(vpts - v_star, eta) * vw
     fu = mollifier(upts - center_u, eta) * uw
+    if not (np.any(fv) and np.any(fu)):
+        # every summand below is B * 0.0 = 0.0 (B is finite)
+        return 0.0
     total = 0.0
     for i in range(om.shape[0]):
         B = kernel_eval(spec, vpts[:, None, :], upts[None, :, :],

@@ -456,10 +456,13 @@ def attenuated_solve(sigma, f, g: BoundarySource | None, domain: Domain,
 ENGINES = ("auto", "sparse", "reference")
 
 # tile of the sparse collision stage: spatial rows x active velocity nodes;
-# small enough that a tile's _X_BLOCK * _V_BLOCK * NU * NW temporaries stay
-# in cache
+# small enough that a tile's _X_BLOCK * _V_BLOCK * NU * (omega classes)
+# temporaries stay in cache
 _X_BLOCK = 16
 _V_BLOCK = 16
+# (x, v) pairs per chunk of the line stage; a chunk's temporaries are
+# _PAIR_BLOCK * (chord order) values each
+_PAIR_BLOCK = 2048
 
 
 @dataclass
@@ -535,6 +538,25 @@ class _PicardTables:
         self.Vg = Vg
         self.shape = (NVa, NU, NW)
 
+        # omega and -omega give the same (u', v') pair: the sparse engine
+        # evaluates the gain once per antipodal class, at its first node,
+        # with the class's summed weights B * w_u * w_omega (any kernel; a
+        # rule without antipodes keeps singleton classes)
+        antipodal = np.max(np.abs(W[:, None, :] + W[None, :, :]), axis=-1) \
+            <= 1e-12
+        rep_of = np.arange(NW)
+        for m in range(NW):
+            hit = np.flatnonzero(antipodal[m, :m] & (rep_of[:m] == np.arange(m)))
+            if hit.size:
+                rep_of[m] = hit[0]
+        self.reps = np.unique(rep_of)
+        Bw = self.B.reshape(NVa, NU, NW) * \
+            (self.WU[:, None] * self.WW[None, :])[None, :, :]
+        self.Bw_fold = np.stack([Bw[:, :, rep_of == r].sum(axis=2)
+                                 for r in self.reps], axis=2)
+        # loss weights sum_omega B * w_u * w_omega, shape (NVa, NU)
+        self.Bw_loss = Bw.sum(axis=2)
+
         policy = opts.extension
         self.ub, self.ufr = grid.v_stencil(U, policy)
         if np.any(self.ub < 0):
@@ -551,20 +573,37 @@ class _PicardTables:
         ORD = np.ceil(length / (opts.chord_spacing * grid.h_x)).astype(np.int64) + 2
         self.ORD = np.clip(ORD, opts.chord_order_min, opts.chord_order_max)
         self.glx, self.glw, self.gloff = _gauss_tables(opts.chord_order_max)
+        # flat pair indices (x-major) sorted by chord order, and the
+        # (order, start, stop) run of each order in that sequence
+        flat = self.ORD.ravel()
+        self.pair_order = np.argsort(flat, kind="stable")
+        orders, starts = np.unique(flat[self.pair_order], return_index=True)
+        stops = np.append(starts[1:], flat.size)
+        self.order_groups = list(zip(orders.tolist(), starts.tolist(),
+                                     stops.tolist()))
 
     def stencil_operators(self):
         """CSR operators of the u, u' and v' velocity stencils.
 
         The stencils do not depend on x, so one set serves every spatial
-        row.  The u' and v' operators come cut into tiles of _V_BLOCK
-        velocity nodes: (slice of active v-nodes, u' rows, v' rows).
+        row.  The u' and v' operators hold the representative omega nodes
+        only (rows ordered v, u, representative) and come cut into tiles of
+        _V_BLOCK velocity nodes: (slice of active v-nodes, u' rows, v' rows).
         """
         NVa, NU, NW = self.shape
-        csr = lambda b, fr: _stencil_csr(b, fr, self.v_strides, self.grid.NVF)
-        Sup, Svp = csr(self.upb, self.upfr), csr(self.vpb, self.vpfr)
+        NR = self.reps.size
+
+        def csr(b, fr, reps=None):
+            if reps is not None:
+                b = b.reshape(NVa, NU, NW)[:, :, reps].ravel()
+                fr = [f.reshape(NVa, NU, NW)[:, :, reps].ravel() for f in fr]
+            return _stencil_csr(b, fr, self.v_strides, self.grid.NVF)
+
+        Sup = csr(self.upb, self.upfr, self.reps)
+        Svp = csr(self.vpb, self.vpfr, self.reps)
         tiles = []
         for j in range(0, NVa, _V_BLOCK):
-            r = slice(j * NU * NW, (j + _V_BLOCK) * NU * NW)
+            r = slice(j * NU * NR, (j + _V_BLOCK) * NU * NR)
             tiles.append((slice(j, j + _V_BLOCK), Sup[r], Svp[r]))
         return csr(self.ub, self.ufr), tiles
 
@@ -620,80 +659,84 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
     """Collision stage on tiles of (spatial rows, velocity nodes).
 
     The velocity stencils are applied as the CSR operators `ops` (see
-    _PicardTables.stencil_operators) to _X_BLOCK rows of G at once; the gain
-    and loss arithmetic is that of _collision_stage_np, value for value.
-    Needs F0 tables that do not depend on x.
+    _PicardTables.stencil_operators) to _X_BLOCK rows of G at once and
+    reduced in the (v, u, representative, row) layout the products come
+    in: the gain against the folded weights, the loss as
+    Hv * ((sum_omega B w) @ Hu).  Agrees with _collision_stage_np to
+    rounding.  Needs F0 tables that do not depend on x.
     """
     grid = tables.grid
     NVa, NU, NW = tables.shape
     Su, tiles = ops
     vact = grid.v_active_idx
-    Bw = tables.B.reshape(NVa, NU, NW) * \
-        (tables.WU[:, None] * tables.WW[None, :])[None, :, :]
-    F0UP = F0UP.reshape(NVa, NU, NW)
-    F0VP = F0VP.reshape(NVa, NU, NW)
+    reps = tables.reps
+    F0UP = F0UP.reshape(NVa, NU, NW)[:, :, reps, None]
+    F0VP = F0VP.reshape(NVa, NU, NW)[:, :, reps, None]
     Q = np.zeros((grid.NXF, grid.NVF))
     xact = grid.x_active_idx
     for start in range(0, xact.size, _X_BLOCK):
         rows = xact[start:start + _X_BLOCK]
-        Gb = G[rows]
-        GT = np.ascontiguousarray(Gb.T)
-        # row-major tiles, so np.sum reduces (u, omega) as the reference does
-        gather = lambda S: np.ascontiguousarray(
-            (S @ GT).T).reshape(rows.size, -1, NU, NW)
-        Hu = F0U + (Su @ GT).T
-        Hv = F0V + Gb[:, vact]
+        GT = np.ascontiguousarray(G[rows].T)
+        HuT = F0U[:, None] + Su @ GT
+        QT = -(F0V[:, None] + GT[vact]) * (tables.Bw_loss @ HuT)
+        shape = (-1, NU, reps.size, rows.size)
         for js, Sup, Svp in tiles:
-            gain = (F0UP[js] + gather(Sup)) * (F0VP[js] + gather(Svp))
-            loss = Hu[:, None, :, None] * Hv[:, js, None, None]
-            Q[rows[:, None], vact[js]] = np.sum(Bw[js] * (gain - loss),
-                                                axis=(2, 3))
+            # gain = (F0UP + G(u')) * (F0VP + G(v')), in place
+            gain = (Sup @ GT).reshape(shape)
+            gain += F0UP[js]
+            gvp = (Svp @ GT).reshape(shape)
+            gvp += F0VP[js]
+            gain *= gvp
+            QT[js] += np.einsum("vurx,vur->vx", gain, tables.Bw_fold[js])
+        Q[rows[:, None], vact] = QT.T
     return Q
 
 
 def _line_stage_np(Q, tables):
     """Characteristic-integral stage, shared by both engines.
 
-    Pairs (x node, v node) are grouped by chord quadrature order so the
-    gather stays vectorized; the locate is floor + clip, no node snapping.
+    Pairs (x node, v node) come grouped by chord quadrature order (see
+    _PicardTables) and each group is evaluated in chunks of _PAIR_BLOCK
+    pairs; the locate is floor + clip, no node snapping.
     """
     grid = tables.grid
-    Gout = np.zeros_like(Q)
     x_lo = np.array([ax[0] for ax in grid.x_axes])
     h = np.array([ax[1] - ax[0] for ax in grid.x_axes])
     nxs = [ax.size for ax in grid.x_axes]
     xstr = [int(np.prod(nxs[a + 1:])) for a in range(grid.dim)]
     NVF = grid.NVF
+    NVa = grid.v_active_idx.size
+    corner_strides = [s * NVF for s in xstr]
     Qflat = Q.ravel()
-    pidx, jidx = np.meshgrid(np.arange(grid.x_active_idx.size),
-                             np.arange(grid.v_active_idx.size), indexing="ij")
-    pidx, jidx = pidx.ravel(), jidx.ravel()
-    ORD = tables.ORD.ravel()
+    Gout = np.zeros(Q.size)
     TAU = tables.TAU.ravel()
-    for o in np.unique(ORD):
-        sel = ORD == o
-        pi, ji = pidx[sel], jidx[sel]
-        tau = TAU[sel]
-        xp = grid.x_nodes[grid.x_active_idx[pi]]
-        vj = grid.v_nodes[grid.v_active_idx[ji]]
+    for o, first, last in tables.order_groups:
         off = tables.gloff[o]
         gx = tables.glx[off:off + o]
         gw = tables.glw[off:off + o]
-        S = 0.5 * tau[:, None] * (1.0 + gx[None, :])
-        Wt = 0.5 * tau[:, None] * gw[None, :]
-        Y = xp[:, None, :] - S[..., None] * vj[:, None, :]
-        base = np.zeros(Y.shape[:2], dtype=np.int64)
-        fracs = []
-        for a in range(grid.dim):
-            f = (Y[..., a] - x_lo[a]) / h[a]
-            i = np.clip(np.floor(f).astype(np.int64), 0, nxs[a] - 2)
-            fracs.append(np.clip(f - i, 0.0, 1.0))
-            base += i * xstr[a]
-        base = base * NVF + grid.v_active_idx[ji][:, None]
-        qv = _interp_flat(Qflat, base, fracs, [s * NVF for s in xstr])
-        Gout[grid.x_active_idx[pi], grid.v_active_idx[ji]] = np.sum(Wt * qv,
-                                                                    axis=1)
-    return Gout
+        for start in range(first, last, _PAIR_BLOCK):
+            k = tables.pair_order[start:min(start + _PAIR_BLOCK, last)]
+            xi = grid.x_active_idx[k // NVa]
+            vi = grid.v_active_idx[k % NVa]
+            tau = TAU[k]
+            S = 0.5 * tau[:, None] * (1.0 + gx[None, :])
+            Wt = 0.5 * tau[:, None] * gw[None, :]
+            xp, vj = grid.x_nodes[xi], grid.v_nodes[vi]
+            base = np.zeros(S.shape, dtype=np.int64)
+            fracs = []
+            for a in range(grid.dim):
+                Y = xp[:, a, None] - S * vj[:, a, None]
+                f = (Y - x_lo[a]) / h[a]
+                i = np.clip(np.floor(f).astype(np.int64), 0, nxs[a] - 2)
+                fracs.append(np.clip(f - i, 0.0, 1.0))
+                base += i * xstr[a]
+            base = base * NVF + vi[:, None]
+            # _interp_flat's gather; every chord node lies in range
+            qv = np.zeros(S.shape)
+            for w, off in _corner_weights(fracs, corner_strides):
+                qv += w * Qflat[base + off]
+            Gout[xi * NVF + vi] = np.sum(Wt * qv, axis=1)
+    return Gout.reshape(Q.shape)
 
 
 def picard_solve(spec: KernelSpec, g: BoundarySource, grid: PhaseGrid,
@@ -850,35 +893,27 @@ def _sample_pde_residual(field: PhaseField, spec, tables, opts):
     V *= (rng.uniform(grid.v_min + 2 * grid.h_v, 0.9 * grid.R_v, n)
           / np.linalg.norm(V, axis=1))[:, None]
 
-    worst = 0.0
-    for i in range(n):
-        x, v = X[i], V[i]
-        speed = float(np.linalg.norm(v))
-        t = 0.5 * grid.h_x / speed
-        fp = field.eval(x + t * v, v)
-        fm = field.eval(x - t * v, v)
-        cd = (fp - fm) / (2.0 * t)
-        H = lambda P: field.eval(np.broadcast_to(x, P.shape), P)
-        qv = _point_Q(H, v, spec, tables)
-        worst = max(worst, abs(cd - qv))
-    return worst, n
+    # central difference along the characteristic, one step per point
+    t = 0.5 * grid.h_x / np.linalg.norm(V, axis=1)
+    cd = (field.eval(X + t[:, None] * V, V) -
+          field.eval(X - t[:, None] * V, V)) / (2.0 * t)
 
-
-def _point_Q(H, v, spec, tables):
-    """Collision integral at one velocity with the solve's own rule."""
-    u = tables.U[:, None, :]
-    om = tables.W[None, :, :]
+    # Q(F, F)(x, v) with the solve's own rule, all points at once
+    U, W = tables.U, tables.W
+    nu, nw, d = U.shape[0], W.shape[0], grid.dim
+    u = U[None, :, None, :]
+    om = W[None, None, :, :]
+    v = V[:, None, None, :]
     c = np.sum((u - v) * om, axis=-1, keepdims=True)
-    up = u - c * om
-    vp = v + c * om
-    nu, nw = tables.U.shape[0], tables.W.shape[0]
+    H = lambda P, k: field.eval(np.repeat(X, k, axis=0), P.reshape(-1, d))
+    Hup = H(u - c * om, nu * nw).reshape(n, nu, nw)
+    Hvp = H(v + c * om, nu * nw).reshape(n, nu, nw)
+    Hu = H(np.broadcast_to(U, (n, nu, d)), nu).reshape(n, nu, 1)
+    Hv = field.eval(X, V).reshape(n, 1, 1)
     B = kernel_eval(spec, v, u, om)
-    Hup = H(up.reshape(-1, v.size)).reshape(nu, nw)
-    Hvp = H(vp.reshape(-1, v.size)).reshape(nu, nw)
-    Hu = H(tables.U).reshape(nu, 1)
-    Hv = float(H(v.reshape(1, -1))[0])
     w = tables.WU[:, None] * tables.WW[None, :]
-    return float(np.sum(B * w * (Hup * Hvp - Hu * Hv)))
+    qv = np.sum(B * w * (Hup * Hvp - Hu * Hv), axis=(1, 2))
+    return float(np.max(np.abs(cd - qv))), n
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ def test_defaults_round_trip_identity():
 
 
 def test_hash_ignores_document_key_order():
-    a = config_from_dict({"version": 1, "seed": 3, "threads": 2})
-    b = config_from_dict({"threads": 2, "version": 1, "seed": 3})
+    a = config_from_dict({"version": 1, "seed": 3, "output_dir": "x"})
+    b = config_from_dict({"output_dir": "x", "version": 1, "seed": 3})
     assert a.hash() == b.hash()
     assert a.hash() != config_from_dict({"version": 1, "seed": 4}).hash()
 
@@ -95,8 +95,8 @@ def test_file_round_trip_and_overrides(tmp_path):
     assert cfg.seed == 5
 
     # None-valued overrides are "not given", not "set to null"
-    cfg = load_config(path, overrides={"seed": 9, "threads": None})
-    assert cfg.seed == 9 and cfg.threads == 1
+    cfg = load_config(path, overrides={"seed": 9, "output_dir": None})
+    assert cfg.seed == 9 and cfg.output_dir == "run_out"
 
     save_config(cfg, str(tmp_path / "back.json"))
     assert load_config(str(tmp_path / "back.json")).hash() == cfg.hash()
@@ -223,6 +223,46 @@ def test_report_aggregates_a_finished_run(tmp_path, capsys):
     assert summary.exists() and summary.read_text() == text
     with open(out / "manifest.json") as fh:
         assert "summary.txt" in json.load(fh)["files"]
+
+
+def test_report_warns_on_fd_crosscheck_and_missing_winner(tmp_path):
+    # hand-written run directory: one probe beyond the 0.1 rel_delta
+    # tolerance and no exponent winner give two warnings, not a failure
+    run = tmp_path / "run"
+    run.mkdir()
+    manifest = {"config_hash": "0" * 64, "seed": 0, "started": "s",
+                "finished": "f", "files": [],
+                "stages": [{"name": "reconstruct", "status": "ok",
+                            "runtime_s": 1.0, "files": [],
+                            "diagnostic": "", "info": {}}]}
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    summary = {"route": "direct", "n_probes": 2, "winner": None,
+               "mismatch": {"theorem_minus2": [0.5, 0.7],
+                            "proposition_minus_n": [0.5, 0.7]}}
+    (run / "reconstruct_summary.json").write_text(json.dumps(summary))
+    (run / "fd_crosscheck.csv").write_text(
+        "probe,eta,S_direct,S_fd,rel_delta\n"
+        "0,0.4,1.0,1.05,0.05\n"
+        "1,0.4,1.0,1.5,0.5\n")
+
+    text = build_report(str(run))
+    lines = text.splitlines()
+    assert "fd_crosscheck.csv (2 probes): rel_delta 0.05 to 0.5" in lines
+    warnings = [ln for ln in lines if ln.startswith("warning:")]
+    assert len(warnings) == 2
+    assert any("probe(s) 1" in ln for ln in warnings)
+    assert any("winner None" in ln for ln in warnings)
+    assert lines[-1] == "overall: all recorded checks pass, 2 warning(s)"
+
+    # within tolerance and with a winner: no warning
+    summary["winner"] = "theorem_minus2"
+    (run / "reconstruct_summary.json").write_text(json.dumps(summary))
+    (run / "fd_crosscheck.csv").write_text(
+        "probe,eta,S_direct,S_fd,rel_delta\n0,0.4,1.0,1.05,0.05\n")
+    text = build_report(str(run))
+    assert "warning:" not in text
+    assert text.splitlines()[-1] == \
+        "overall: all recorded checks pass, 0 warning(s)"
 
 
 def test_report_needs_a_manifest(tmp_path):

@@ -213,6 +213,22 @@ def test_loss_terms_are_bitwise_zero():
     assert res.S_eta == res.I1 + res.I2
 
 
+def test_loss_term_nonzero_for_overlapping_centres():
+    # the early return for disjoint supports must not hide a genuine loss
+    # integral: with the v-bump centre inside the v_star bump, a constant
+    # kernel gives -|S^1| * sum(f_v) * sum(f_u) on the same nodes
+    eta = 0.3
+    center_v = VS + np.array([0.5 * eta, 0.0])
+    value = rc._loss_term(CONST, VS, U0, center_v, eta, 8, 16, 16)
+    vpts, vw = rc._shifted_ball(VS, eta, 8, 16)
+    upts, uw = rc._shifted_ball(U0, eta, 8, 16)
+    fv = rc.mollifier(vpts - center_v, eta) * rc.mollifier(vpts - VS, eta) * vw
+    fu = rc.mollifier(upts - U0, eta) * uw
+    expected = -2.0 * math.pi * CONST.params["value"] * fv.sum() * fu.sum()
+    assert value < 0.0
+    assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
 def test_off_manifold_probe_value_is_exactly_zero():
     # orthogonality violated by a margin huge against eta: no scattering
     # direction can connect the bumps, so every quadrature summand is zero

@@ -8,7 +8,9 @@ from boltzlab.errors import (ConfigurationError, ConvergenceError, DomainError,
                              PreconditionError)
 from boltzlab.geometry import Domain, exit_times
 from boltzlab.solver import (BoundarySource, PhaseField, PhaseGrid,
-                             PicardOptions, apply_A, attenuated_solve,
+                             PicardOptions, _collision_stage_np,
+                             _collision_stage_sparse, _line_stage_np,
+                             _PicardTables, apply_A, attenuated_solve,
                              boundary_trace, field_to_csv, free_transport,
                              load_field, picard_solve, save_field,
                              source_solve, trace_to_csv)
@@ -291,6 +293,73 @@ def test_picard_engines_agree():
                           PicardOptions(engine="reference"))
     assert rn.engine == "sparse" and rr.engine == "reference"
     assert np.max(np.abs(Fn.values - Fr.values)) < 1e-15
+
+
+def test_sparse_collision_stage_matches_reference():
+    # one application of each stage on the same random state; the sparse
+    # stage folds antipodal omega nodes, so the rules below fold 7 -> 7
+    # (odd 2D order: no antipodes), 8 -> 4 with an omega-dependent kernel,
+    # and 8 -> 4 in 3D
+    ball3 = Domain("ball", dim=3, radius=1.0)
+    cases = [
+        (SMALL_KERNEL, PhaseGrid(DISK, 10, 10, R_v=2.0),
+         QuadratureRule.build(2, sphere_order=7, radial_order=3,
+                              angular_order=8, R_v=2.0), (0.6, 0.0), 7),
+        (KernelSpec("angular_bump", dim=2, params={"amplitude": 0.01}),
+         PhaseGrid(DISK, 10, 10, R_v=2.0), _small_rule(), (0.6, 0.0), 4),
+        (KernelSpec("constant", dim=3, params={"value": 0.01}),
+         PhaseGrid(ball3, 6, 6, R_v=2.0),
+         QuadratureRule.build(3, sphere_order=2, radial_order=2,
+                              angular_order=2, R_v=2.0), (0.6, 0.0, 0.0), 4),
+    ]
+    rng = np.random.default_rng(5)
+    for spec, grid, rule, center, n_classes in cases:
+        g = _bump_profile(3e-3, center=center)
+        tables = _PicardTables(spec, g, grid, rule, PicardOptions())
+        assert tables.reps.size == n_classes
+        F0 = tables.f0_tables_velocity_only(g)
+        G = 1e-3 * rng.standard_normal((grid.NXF, grid.NVF))
+        Qs = _collision_stage_sparse(G, tables, tables.stencil_operators(),
+                                     *F0)
+        Qr = _collision_stage_np(G, tables, *F0)
+        assert np.max(np.abs(Qr)) > 1e-9
+        assert np.max(np.abs(Qs - Qr)) < 1e-15
+
+
+def test_line_stage_matches_per_pair_chord_loop():
+    # independent evaluation: for each active (x, v), Gauss-Legendre over
+    # the backward chord [0, tau_-] of the bilinear interpolant of Q(., v)
+    grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
+    opts = PicardOptions()
+    g = _bump_profile(3e-3)
+    tables = _PicardTables(SMALL_KERNEL, g, grid, _small_rule(), opts)
+    Q = np.random.default_rng(6).standard_normal((grid.NXF, grid.NVF))
+    G = _line_stage_np(Q, tables)
+
+    lo = np.array([ax[0] for ax in grid.x_axes])
+    h = np.array([ax[1] - ax[0] for ax in grid.x_axes])
+    expected = np.zeros_like(Q)
+    for p in grid.x_active_idx:
+        x = grid.x_nodes[p]
+        for j in grid.v_active_idx:
+            v = grid.v_nodes[j]
+            tau = exit_times(DISK, x[None, :], v[None, :], sign=-1)[0]
+            order = int(np.clip(np.ceil(tau * np.linalg.norm(v) /
+                                        (opts.chord_spacing * grid.h_x)) + 2,
+                                opts.chord_order_min, opts.chord_order_max))
+            nodes, weights = np.polynomial.legendre.leggauss(order)
+            for s_hat, w in zip(nodes, weights):
+                y = x - 0.5 * tau * (1.0 + s_hat) * v
+                f = (y - lo) / h
+                i = np.clip(np.floor(f).astype(int), 0, grid.nx - 2)
+                t = np.clip(f - i, 0.0, 1.0)
+                Qv = Q[:, j].reshape(grid.nx, grid.nx)
+                q = ((1 - t[0]) * (1 - t[1]) * Qv[i[0], i[1]] +
+                     (1 - t[0]) * t[1] * Qv[i[0], i[1] + 1] +
+                     t[0] * (1 - t[1]) * Qv[i[0] + 1, i[1]] +
+                     t[0] * t[1] * Qv[i[0] + 1, i[1] + 1])
+                expected[p, j] += 0.5 * tau * w * q
+    assert np.max(np.abs(G - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_picard_general_boundary_data():

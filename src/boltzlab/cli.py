@@ -355,26 +355,6 @@ def _probe_value_fd(cfg: ExperimentConfig, spec, domain, grid, rule, opts,
             "eps2": eps2, "iterations": iters}
 
 
-def _winner_from_table(abthetas, etas, S_table, spec, rel_tol=0.05):
-    extrapolated = np.array([
-        float(np.polynomial.polynomial.polyfit(etas, row, len(etas) - 1)[0])
-        for row in S_table])
-    closed = {m: np.array([rc.closed_form_both(a, b, th, spec)[m]
-                           for a, b, th in abthetas])
-              for m in rc.EXPONENT_MODES}
-    mismatch = {m: np.abs(extrapolated - closed[m])
-                / np.maximum(np.abs(closed[m]), 1e-300)
-                for m in rc.EXPONENT_MODES}
-    per_probe = []
-    for i in range(len(abthetas)):
-        ok = [m for m in rc.EXPONENT_MODES if mismatch[m][i] < rel_tol]
-        per_probe.append(ok[0] if len(ok) == 1 else None)
-    first = per_probe[0]
-    winner = first if (first is not None
-                       and all(w == first for w in per_probe)) else None
-    return extrapolated, closed, mismatch, per_probe, winner
-
-
 def stage_reconstruct(cfg: ExperimentConfig, out: str):
     domain = cfg.build_domain()
     spec = cfg.build_kernel()
@@ -408,7 +388,7 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
                                                probe.u0, eta), eta)
                 S_table[i, j] = res["S_fd"]
                 fd_meta.append((i, eta, res))
-        extrap, closed, mismatch, per_probe, winner = _winner_from_table(
+        extrap, closed, mismatch, per_probe, winner = rc.exponent_verdict(
             abthetas, etas, S_table, spec)
         path = os.path.join(out, "probes_fd.csv")
         with open(path, "w", newline="") as fh:

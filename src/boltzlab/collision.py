@@ -138,29 +138,29 @@ def kernel_eval(spec: KernelSpec, v, u, omega):
     r = np.sqrt(np.sum(rel * rel, axis=-1))
     fam = spec.family
     p = spec.params
-    if fam == "constant":
-        base = np.broadcast_shapes(r.shape, np.shape(np.sum(np.asarray(omega), axis=-1)))
-        return np.full(base, float(p["value"]))
-    if fam == "omega_independent_poly":
-        out = np.zeros(r.shape)
-        for k, c in enumerate(p["coeffs"]):
-            if c != 0.0:
-                out = out + c * r**k
-        return np.broadcast_to(out, np.broadcast_shapes(out.shape, np.shape(np.sum(np.asarray(omega), axis=-1)))).copy()
-    if fam == "hard_potential_like":
-        # q0 == 1: no angular factor
-        out = p["amplitude"] * r ** p["gamma"]
-        return np.broadcast_to(out, np.broadcast_shapes(out.shape, np.shape(np.sum(np.asarray(omega), axis=-1)))).copy()
-    if fam == "gaussian_compact":
-        out = p["amplitude"] * _smooth_bump(r / p["support"])
-        return np.broadcast_to(out, np.broadcast_shapes(out.shape, np.shape(np.sum(np.asarray(omega), axis=-1)))).copy()
     if fam == "angular_bump":
         omega = np.asarray(omega, dtype=float)
         dot = np.sum(rel * omega, axis=-1)
         r_safe = np.where(r > 0, r, 1.0)
         c2 = np.where(r > 0, (dot / r_safe) ** 2, 0.0)
         return p["amplitude"] * _smooth_bump((c2 - p["center"]) / p["halfwidth"])
-    raise PreconditionError("unknown kernel family %r" % (fam,))
+    if fam == "constant":
+        out = np.full(r.shape, float(p["value"]))
+    elif fam == "omega_independent_poly":
+        out = np.zeros(r.shape)
+        for k, c in enumerate(p["coeffs"]):
+            if c != 0.0:
+                out = out + c * r**k
+    elif fam == "hard_potential_like":
+        # q0 == 1: no angular factor
+        out = p["amplitude"] * r ** p["gamma"]
+    elif fam == "gaussian_compact":
+        out = p["amplitude"] * _smooth_bump(r / p["support"])
+    else:
+        raise PreconditionError("unknown kernel family %r" % (fam,))
+    # the omega-independent families repeat over omega's leading axes
+    shape = np.broadcast_shapes(np.shape(out), np.shape(omega)[:-1])
+    return np.broadcast_to(out, shape).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,13 @@ class FDConvergence:
 
     @property
     def est_total(self) -> float:
+        """Sum of the three estimates above.
+
+        It has no term for the phase grid's discretisation error, so the
+        actual error can exceed it: the default config with seed and
+        probe_seed 102 and sample_seed 103 ends at 0.0197 against an
+        est_total of 0.0134.
+        """
         return self.est_trace + self.est_quad + self.est_rem
 
 

@@ -34,7 +34,8 @@ __all__ = [
     "bump_mass", "mollifier", "check_relations", "omega_pair",
     "probe_from_abtheta", "mollified_S", "closed_form_S", "closed_form_both",
     "recover_omega_independent_B", "monotonicity_P",
-    "monotonicity_certificate", "exponent_experiment", "experiment_to_csv",
+    "monotonicity_certificate", "exponent_verdict", "exponent_experiment",
+    "experiment_to_csv",
 ]
 
 RELATION_TOL = 1e-10
@@ -276,13 +277,20 @@ def _omega_windows(axis, half, nw):
     return np.concatenate(caps), np.concatenate(ws)
 
 
+# (v, u, omega) triples per block of omega nodes in _gain_term: each
+# full-product temporary of a block holds at most this many floats (2 MiB)
+_TRIPLE_BLOCK = 1 << 18
+
+
 def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
     """One gain-type integral: the primed pair must land in the bumps at
     (target_v, target_u) while v stays in the bump at v_star.
 
     Support analysis fixes the quadrature region: omega within computable
     windows around +-unit(v_star - target_v), u within 3 eta of the
-    collision partner, v within eta of v_star.
+    collision partner, v within eta of v_star.  Within it, the mollifiers
+    and the kernel are evaluated only on the (v, u, omega) triples whose
+    primed pair lands inside both target bumps.
     """
     d0 = float(np.linalg.norm(target_v - v_star))
     axis = (v_star - target_v) / d0
@@ -294,18 +302,41 @@ def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
     partner = target_u + target_v - v_star
     vpts, vw = _shifted_ball(v_star, eta, nr, na)
     upts, uw = _shifted_ball(partner, 3.0 * eta, nr, na)
-    bv = mollifier(vpts - v_star, eta) * vw
+    bvu = ((mollifier(vpts - v_star, eta) * vw)[:, None] * uw[None, :]).ravel()
 
+    # Why dropping pairs changes nothing but the order of summation: the
+    # bump exp(-1/(1 - r^2)) is exactly 0.0 once 1 - r^2 < 1.34e-3, where
+    # the exponent passes -745 and exp underflows, so every (v, u, omega)
+    # summand with v' or u' outside its target bump was exactly 0.0.
+    #
+    # With a = v - target_v, |v' - target_v|^2 = |a + c w|^2
+    # = (c + a.w)^2 + |a|^2 - (a.w)^2, so v' lies in the bump iff
+    # |c + a.w| < h = sqrt(eta^2 - |a|^2 + (a.w)^2).  Rounding moves that
+    # test by ~1e-12 eta^2, far inside the 1.34e-3 eta^2 where the bump is
+    # already 0.0.  The u' bump is then read off the mollifier itself.
+    nv, nu = vpts.shape[0], upts.shape[0]
+    diff = (upts[None, :, :] - vpts[:, None, :]).reshape(nv * nu, -1).T
+    a = vpts - target_v
+    a2 = np.sum(a * a, axis=1)
+    step = max(1, _TRIPLE_BLOCK // (nv * nu))
     total = 0.0
-    for i in range(om.shape[0]):
-        w = om[i]
-        c = (upts[None, :, :] - vpts[:, None, :]) @ w
-        vp = vpts[:, None, :] + c[..., None] * w
-        up = upts[None, :, :] - c[..., None] * w
-        f = mollifier(vp - target_v, eta) * mollifier(up - target_u, eta)
-        B = kernel_eval(spec, vpts[:, None, :], upts[None, :, :],
-                        w[None, None, :])
-        total += wom[i] * float(np.sum(f * B * (bv[:, None] * uw[None, :])))
+    for s in range(0, om.shape[0], step):
+        w = om[s:s + step]
+        c = w @ diff                                     # (omega, pair)
+        aw = w @ a.T                                     # (omega, v)
+        h = np.sqrt(np.maximum(eta * eta - a2 + aw * aw, 0.0))
+        t = c.reshape(-1, nv, nu) + aw[:, :, None]
+        np.abs(t, out=t)
+        q = np.flatnonzero(t < h[:, :, None])
+        k, p = np.divmod(q, nv * nu)
+        ck = c.ravel()[q][:, None] * w[k]
+        fu = mollifier(upts[p % nu] - ck - target_u, eta)
+        keep = np.flatnonzero(fu)
+        k, p, ck, fu = k[keep], p[keep], ck[keep], fu[keep]
+        iv, iu = np.divmod(p, nu)
+        f = mollifier(vpts[iv] + ck - target_v, eta) * fu
+        B = kernel_eval(spec, vpts[iv], upts[iu], w[k])
+        total += float(np.sum(f * B * bvu[p] * wom[s + k]))
     return total
 
 
@@ -595,44 +626,18 @@ class ExponentReport:
     rel_tol: float
 
 
-def _extrapolate_to_zero(etas, values):
-    # full-degree polynomial through the points, read off at eta = 0
-    coeffs = np.polynomial.polynomial.polyfit(etas, values, len(etas) - 1)
-    return float(coeffs[0])
+def exponent_verdict(abthetas, etas, S_table, spec: KernelSpec,
+                     rel_tol: float = 0.05):
+    """Extrapolate each probe's row of S_table to eta = 0 (the full-degree
+    polynomial through the points) and compare it with both closed forms.
 
-
-def exponent_experiment(abthetas, spec: KernelSpec,
-                        etas=(0.4, 0.2, 0.1), nr: int = 14, na: int = 28,
-                        nw: int = 32, rel_tol: float = 0.05) -> ExponentReport:
-    """Discriminate the two Jacobian-exponent conventions empirically.
-
-    For each data point (a, b, theta), tabulate S_eta along the shrinking
-    eta sequence, extrapolate to eta = 0, and compare against both closed
-    forms.  A convention wins at a probe when it alone matches within
-    rel_tol; the overall winner must win at every probe.  The raw table,
-    the log-log slopes, and the per-probe outcomes are all retained so the
-    evidence stays inspectable.
+    Returns (extrapolated, closed_forms, mismatch, winner_per_probe,
+    winner).  A convention wins at a probe when it alone matches within
+    rel_tol; the overall winner must win at every probe.
     """
-    etas = tuple(float(e) for e in etas)
-    if len(etas) < 2 or any(b >= a for a, b in zip(etas, etas[1:])):
-        raise PreconditionError("etas must be strictly decreasing")
-    S_table = np.empty((len(abthetas), len(etas)))
-    results = []
-    for i, (a, b, theta) in enumerate(abthetas):
-        per_eta = []
-        for j, eta in enumerate(etas):
-            res = mollified_S(Probe.from_abtheta(a, b, theta, eta), spec,
-                              nr=nr, na=na, nw=nw)
-            S_table[i, j] = res.S_eta
-            per_eta.append(res)
-        results.append(per_eta)
-
-    extrapolated = np.array([_extrapolate_to_zero(etas, row)
-                             for row in S_table])
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(S_table))
-    slopes = np.array([np.polyfit(np.log(etas), row, 1)[0] for row in logs])
-
+    extrapolated = np.array([
+        float(np.polynomial.polynomial.polyfit(etas, row, len(etas) - 1)[0])
+        for row in S_table])
     closed = {m: np.empty(len(abthetas)) for m in EXPONENT_MODES}
     for i, (a, b, theta) in enumerate(abthetas):
         both = closed_form_both(a, b, theta, spec)
@@ -649,6 +654,38 @@ def exponent_experiment(abthetas, spec: KernelSpec,
     first = winner_per_probe[0]
     winner = first if (first is not None
                        and all(w == first for w in winner_per_probe)) else None
+    return extrapolated, closed, mismatch, winner_per_probe, winner
+
+
+def exponent_experiment(abthetas, spec: KernelSpec,
+                        etas=(0.4, 0.2, 0.1), nr: int = 14, na: int = 28,
+                        nw: int = 32, rel_tol: float = 0.05) -> ExponentReport:
+    """Discriminate the two Jacobian-exponent conventions empirically.
+
+    For each data point (a, b, theta), tabulate S_eta along the shrinking
+    eta sequence, extrapolate to eta = 0, and compare against both closed
+    forms (exponent_verdict).  The raw table, the log-log slopes, and the
+    per-probe outcomes are all retained so the evidence stays inspectable.
+    """
+    etas = tuple(float(e) for e in etas)
+    if len(etas) < 2 or any(b >= a for a, b in zip(etas, etas[1:])):
+        raise PreconditionError("etas must be strictly decreasing")
+    S_table = np.empty((len(abthetas), len(etas)))
+    results = []
+    for i, (a, b, theta) in enumerate(abthetas):
+        per_eta = []
+        for j, eta in enumerate(etas):
+            res = mollified_S(Probe.from_abtheta(a, b, theta, eta), spec,
+                              nr=nr, na=na, nw=nw)
+            S_table[i, j] = res.S_eta
+            per_eta.append(res)
+        results.append(per_eta)
+
+    extrapolated, closed, mismatch, winner_per_probe, winner = \
+        exponent_verdict(abthetas, etas, S_table, spec, rel_tol)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(S_table))
+    slopes = np.array([np.polyfit(np.log(etas), row, 1)[0] for row in logs])
     return ExponentReport(
         abthetas=list(abthetas), etas=etas, S_table=S_table,
         extrapolated=extrapolated, slopes=slopes, closed_forms=closed,

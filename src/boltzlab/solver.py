@@ -883,10 +883,17 @@ def _sample_pde_residual(field: PhaseField, spec, tables, opts):
     grid = tables.grid
     rng = np.random.default_rng(opts.residual_seed)
     lo, hi = grid.domain.bounding_box()
+    # points keep 3 h_x clear of the boundary; where that reaches into the
+    # last tenth of the domain's depth (reached at the box centre) the draws
+    # would rarely or never pass, so those coarse grids use half the depth
+    margin = 3 * grid.h_x
+    depth = float(grid.domain.boundary_distance(0.5 * (lo + hi)))
+    if margin > 0.9 * depth:
+        margin = 0.5 * depth
     pts = []
     while len(pts) < n:
         cand = rng.uniform(lo, hi, size=(4 * n, grid.dim))
-        keep = grid.domain.boundary_distance(cand) > 3 * grid.h_x
+        keep = grid.domain.boundary_distance(cand) > margin
         pts.extend(cand[keep])
     X = np.array(pts[:n])
     V = rng.normal(size=(n, grid.dim))

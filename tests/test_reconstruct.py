@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from boltzlab import reconstruct as rc
-from boltzlab.collision import KernelSpec, QuadratureRule, post_collision
+from boltzlab.collision import (KernelSpec, QuadratureRule, kernel_eval,
+                                post_collision)
 from boltzlab.errors import ConfigurationError, PreconditionError
 
 CONST = KernelSpec(dim=2, family="constant", params={"value": 1.0})
@@ -296,6 +297,63 @@ def test_gain_terms_match_marginalized_oracle():
     ref2 = oracle_gain(u0, v0)
     assert abs(res.I1 - ref1) < 1e-3 * abs(ref1)
     assert abs(res.I2 - ref2) < 1e-3 * abs(ref2)
+
+
+def _gain_term_full_product(spec, v_star, target_v, target_u, eta, nr, na,
+                            nw):
+    # the per-omega loop over the full (v, u) product that _gain_term
+    # replaced, kept as its oracle: same windows, balls and weights
+    d0 = float(np.linalg.norm(target_v - v_star))
+    axis = (v_star - target_v) / d0
+    half = math.asin(min(1.0, eta / max(d0 - eta, 1e-12))) \
+        + math.asin(min(1.0, eta / d0))
+    half = min(math.pi / 2.0, 1.2 * half)
+    om, wom = rc._omega_windows(axis, half, nw)
+    partner = target_u + target_v - v_star
+    vpts, vw = rc._shifted_ball(v_star, eta, nr, na)
+    upts, uw = rc._shifted_ball(partner, 3.0 * eta, nr, na)
+    bv = rc.mollifier(vpts - v_star, eta) * vw
+    total = 0.0
+    for i in range(om.shape[0]):
+        w = om[i]
+        c = (upts[None, :, :] - vpts[:, None, :]) @ w
+        vp = vpts[:, None, :] + c[..., None] * w
+        up = upts[None, :, :] - c[..., None] * w
+        f = rc.mollifier(vp - target_v, eta) * rc.mollifier(up - target_u, eta)
+        B = kernel_eval(spec, vpts[:, None, :], upts[None, :, :],
+                        w[None, None, :])
+        total += wom[i] * float(np.sum(f * B * (bv[:, None] * uw[None, :])))
+    return total
+
+
+@pytest.mark.parametrize("case", ["2d_eta0.4", "2d_eta0.1", "angular_bump",
+                                  "3d", "off_manifold"])
+def test_gain_term_matches_full_product(case):
+    # dropping the pairs outside the bump support only reorders the sum
+    u0 = np.array([1.0, 2.0])
+    spec, eta, orders = CONST, 0.4, (10, 20, 20)
+    vs, v0 = VS, V0
+    if case == "2d_eta0.1":
+        eta = 0.1
+    elif case == "angular_bump":
+        # cos^2 between v0 - u0 and omega1 is 0.5, the centre of the bump
+        spec, u0, eta = KernelSpec(dim=2, family="angular_bump"), U0, 0.2
+    elif case == "3d":
+        spec, eta = KernelSpec(dim=3, family="constant"), 0.25
+        orders = (4, 6, 6)
+        vs, v0 = np.array([1.0, 0.0, 0.0]), np.zeros(3)
+        u0 = np.array([1.0, 2.0, 0.0])
+    elif case == "off_manifold":
+        u0, eta = np.array([2.0, 0.0]), 0.15
+    pairs = [(v0, u0), (u0, v0)] if case != "3d" else [(v0, u0)]
+    for tv, tu in pairs:
+        new = rc._gain_term(spec, vs, tv, tu, eta, *orders)
+        ref = _gain_term_full_product(spec, vs, tv, tu, eta, *orders)
+        if case == "off_manifold":
+            assert new == 0.0 and ref == 0.0
+        else:
+            assert ref > 0.0
+            assert abs(new - ref) <= 1e-13 * abs(ref)
 
 
 def test_gain_terms_swap_under_target_exchange():

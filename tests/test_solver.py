@@ -411,6 +411,21 @@ def test_picard_residuals():
     assert rep.residual_pde < 1e-3
 
 
+def test_picard_residual_sampling_on_coarse_grid_returns():
+    # 3 h_x = 1.2 exceeds the unit ball's depth of 1, so no point is 3 h_x
+    # from the boundary; the residual points are drawn at half the depth
+    ball3 = Domain("ball", dim=3, radius=1.0)
+    grid = PhaseGrid(ball3, 6, 6, R_v=2.0)
+    rule = QuadratureRule.build(3, sphere_order=2, radial_order=2,
+                                angular_order=2, R_v=2.0)
+    spec = KernelSpec("constant", dim=3, params={"value": 0.004})
+    F, rep = picard_solve(spec, _bump_profile(3e-3, center=(0.6, 0.0, 0.0)),
+                          grid, rule)
+    assert 3 * grid.h_x > 1.0
+    assert rep.converged and rep.residual_points == 64
+    assert np.isfinite(rep.residual_pde)
+
+
 def test_picard_smallness_and_admissibility_guards():
     grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
     rule = _small_rule()

@@ -134,19 +134,22 @@ def kernel_eval(spec: KernelSpec, v, u, omega):
     """Evaluate B(v, u, omega) with numpy broadcasting over leading axes."""
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
-    rel = v - u
-    r = np.sqrt(np.sum(rel * rel, axis=-1))
     fam = spec.family
     p = spec.params
+    if fam == "constant":
+        # no relative velocity needed, only the broadcast shape
+        shape = np.broadcast_shapes(v.shape, u.shape)[:-1]
+        shape = np.broadcast_shapes(shape, np.shape(omega)[:-1])
+        return np.full(shape, float(p["value"]))
+    rel = v - u
+    r = np.sqrt(np.sum(rel * rel, axis=-1))
     if fam == "angular_bump":
         omega = np.asarray(omega, dtype=float)
         dot = np.sum(rel * omega, axis=-1)
         r_safe = np.where(r > 0, r, 1.0)
         c2 = np.where(r > 0, (dot / r_safe) ** 2, 0.0)
         return p["amplitude"] * _smooth_bump((c2 - p["center"]) / p["halfwidth"])
-    if fam == "constant":
-        out = np.full(r.shape, float(p["value"]))
-    elif fam == "omega_independent_poly":
+    if fam == "omega_independent_poly":
         out = np.zeros(r.shape)
         for k, c in enumerate(p["coeffs"]):
             if c != 0.0:

@@ -184,16 +184,24 @@ class PhaseGrid:
         return base.astype(np.int64), fracs
 
 
-def _corner_weights(fracs, strides):
+def _corner_weights(fracs, strides, comps=None):
     """(weight, offset) of each corner of a multilinear stencil, in a fixed
-    corner order."""
+    corner order.
+
+    comps, when given, holds 1 - f for each f in fracs.  Without it each
+    corner forms its own, so the complements of a large stencil are never
+    all held at once.
+    """
+    def factor(a, c):
+        if c:
+            return fracs[a]
+        return comps[a] if comps is not None else 1.0 - fracs[a]
+
     for corner in itertools.product((0, 1), repeat=len(fracs)):
-        w = 1.0
-        off = 0
-        for a, c in enumerate(corner):
-            w = w * (fracs[a] if c else (1.0 - fracs[a]))
-            off += c * strides[a]
-        yield w, off
+        w = factor(0, corner[0])
+        for a in range(1, len(corner)):
+            w = w * factor(a, corner[a])
+        yield w, sum(c * s for c, s in zip(corner, strides))
 
 
 def _interp_flat(values_row: np.ndarray, base: np.ndarray, fracs, strides):
@@ -205,19 +213,26 @@ def _interp_flat(values_row: np.ndarray, base: np.ndarray, fracs, strides):
     return np.where(base < 0, 0.0, out)
 
 
-def _stencil_csr(base: np.ndarray, fracs, strides, ncols: int):
+def _stencil_csr(base: np.ndarray, fracs, strides, ncols: int, last=None):
     """The gather of _interp_flat as a CSR operator, one row per point.
 
     Each row stores its corners in _interp_flat's order, so applying the
     operator accumulates the same products in the same order; base = -1
-    points get an empty row.
+    points get no corners.  With `last` (one value per point) every row
+    ends with one more entry, in column ncols - 1, holding that value.
     """
-    keep = base >= 0
     pairs = list(_corner_weights(fracs, strides))
-    data = np.stack([w for w, _ in pairs], axis=-1)[keep]
-    cols = np.stack([base + off for _, off in pairs], axis=-1)[keep]
-    indptr = np.concatenate([[0], np.cumsum(keep * len(pairs))])
-    return sp.csr_matrix((data.ravel(), cols.ravel(), indptr),
+    data = [w for w, _ in pairs]
+    cols = [base + off for _, off in pairs]
+    mask = [base >= 0] * len(pairs)
+    if last is not None:
+        data.append(last)
+        cols.append(np.full(base.shape, ncols - 1))
+        mask.append(np.ones(base.shape, dtype=bool))
+    mask = np.stack(mask, axis=-1)
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=-1))])
+    return sp.csr_matrix((np.stack(data, axis=-1)[mask],
+                          np.stack(cols, axis=-1)[mask], indptr),
                          shape=(base.size, ncols))
 
 
@@ -511,7 +526,7 @@ def _contraction_ratio(deltas) -> float:
 class _PicardTables:
     """Per-solve precomputed quantities shared by both engines."""
 
-    def __init__(self, spec, g, grid, rule, opts):
+    def __init__(self, spec, grid, rule, opts):
         self.grid = grid
         self.opts = opts
         dim = grid.dim
@@ -565,16 +580,19 @@ class _PicardTables:
         self.vpb, self.vpfr = grid.v_stencil(self.VP, policy)
         self.v_strides = [grid.nv ** (dim - 1 - a) for a in range(dim)]
 
-        # exit times and chord quadrature orders for every active pair
+        # exit times and chord quadrature orders for every active pair,
+        # v-major (NVa, NXa) like the collision stage's output
         X = grid.x_nodes[xact]
-        self.TAU = exit_times(grid.domain, X[:, None, :], Vg[None, :, :], sign=-1)
+        self.TAU = exit_times(grid.domain, X[None, :, :], Vg[:, None, :],
+                              sign=-1)
         speed = np.linalg.norm(Vg, axis=1)
-        length = self.TAU * speed[None, :]
+        length = self.TAU * speed[:, None]
         ORD = np.ceil(length / (opts.chord_spacing * grid.h_x)).astype(np.int64) + 2
         self.ORD = np.clip(ORD, opts.chord_order_min, opts.chord_order_max)
         self.glx, self.glw, self.gloff = _gauss_tables(opts.chord_order_max)
-        # flat pair indices (x-major) sorted by chord order, and the
-        # (order, start, stop) run of each order in that sequence
+        # flat pair indices (v-major) sorted by chord order, so each order
+        # runs by (v, x), and the (order, start, stop) run of each order in
+        # that sequence
         flat = self.ORD.ravel()
         self.pair_order = np.argsort(flat, kind="stable")
         orders, starts = np.unique(flat[self.pair_order], return_index=True)
@@ -582,30 +600,36 @@ class _PicardTables:
         self.order_groups = list(zip(orders.tolist(), starts.tolist(),
                                      stops.tolist()))
 
-    def stencil_operators(self):
+    def stencil_operators(self, F0UP, F0VP):
         """CSR operators of the u, u' and v' velocity stencils.
 
         The stencils do not depend on x, so one set serves every spatial
-        row.  The u' and v' operators hold the representative omega nodes
-        only (rows ordered v, u, representative) and come cut into tiles of
+        row.  The operators take a state with one more row, of ones, at
+        index NVF.  Every u' and v' row ends with the transported data F0UP
+        or F0VP at its point, stored in column NVF after the corners, so a
+        product gives F0 + G at u' and v', with F0 added last as before.
+        The u' and v' operators hold the representative omega nodes only
+        (rows ordered v, u, representative) and come cut into tiles of
         _V_BLOCK velocity nodes: (slice of active v-nodes, u' rows, v' rows).
         """
         NVa, NU, NW = self.shape
         NR = self.reps.size
+        ncols = self.grid.NVF + 1
 
-        def csr(b, fr, reps=None):
-            if reps is not None:
-                b = b.reshape(NVa, NU, NW)[:, :, reps].ravel()
-                fr = [f.reshape(NVa, NU, NW)[:, :, reps].ravel() for f in fr]
-            return _stencil_csr(b, fr, self.v_strides, self.grid.NVF)
+        def rep_rows(a):
+            return a.reshape(NVa, NU, NW)[:, :, self.reps].ravel()
 
-        Sup = csr(self.upb, self.upfr, self.reps)
-        Svp = csr(self.vpb, self.vpfr, self.reps)
+        def csr(b, fr, f0):
+            return _stencil_csr(rep_rows(b), [rep_rows(f) for f in fr],
+                                self.v_strides, ncols, rep_rows(f0))
+
+        Sup = csr(self.upb, self.upfr, F0UP)
+        Svp = csr(self.vpb, self.vpfr, F0VP)
         tiles = []
         for j in range(0, NVa, _V_BLOCK):
             r = slice(j * NU * NR, (j + _V_BLOCK) * NU * NR)
             tiles.append((slice(j, j + _V_BLOCK), Sup[r], Svp[r]))
-        return csr(self.ub, self.ufr), tiles
+        return _stencil_csr(self.ub, self.ufr, self.v_strides, ncols), tiles
 
     def f0_tables_velocity_only(self, g):
         Xd = np.zeros((1, self.grid.dim))
@@ -633,11 +657,11 @@ class _PicardTables:
 
 def _collision_stage_np(G, tables, F0V, F0U, F0UP, F0VP, per_x_f0=None):
     """Reference collision stage: one spatial node at a time, the oracle the
-    sparse engine is checked against."""
+    sparse engine is checked against.  Returns Q v-major, (NVF, NXF)."""
     grid = tables.grid
     NVa, NU, NW = tables.shape
     strides = [grid.nv ** (grid.dim - 1 - a) for a in range(grid.dim)]
-    Q = np.zeros((grid.NXF, grid.NVF))
+    Q = np.zeros((grid.NVF, grid.NXF))
     wqm = (tables.WU[:, None] * tables.WW[None, :])[None, :, :]
     for pi, p in enumerate(grid.x_active_idx):
         if per_x_f0 is not None:
@@ -650,63 +674,73 @@ def _collision_stage_np(G, tables, F0V, F0U, F0UP, F0VP, per_x_f0=None):
         Hv = F0V + Gr[grid.v_active_idx]
         gain = (F0UP.reshape(NVa, NU, NW) + gup) * (F0VP.reshape(NVa, NU, NW) + gvp)
         loss = Hu[None, :, None] * Hv[:, None, None]
-        Q[p, grid.v_active_idx] = np.sum(
+        Q[grid.v_active_idx, p] = np.sum(
             tables.B.reshape(NVa, NU, NW) * wqm * (gain - loss), axis=(1, 2))
     return Q
 
 
-def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
+def _collision_stage_sparse(G, tables, ops, F0V, F0U, first_iterate=False):
     """Collision stage on tiles of (spatial rows, velocity nodes).
 
     The velocity stencils are applied as the CSR operators `ops` (see
-    _PicardTables.stencil_operators) to _X_BLOCK rows of G at once and
-    reduced in the (v, u, representative, row) layout the products come
-    in: the gain against the folded weights, the loss as
-    Hv * ((sum_omega B w) @ Hu).  Agrees with _collision_stage_np to
-    rounding.  Needs F0 tables that do not depend on x.
+    _PicardTables.stencil_operators, which carry F0 at u' and v') to
+    _X_BLOCK rows of G at once, as GT = [G[rows].T; 1], and reduced in the
+    (v, u, representative, row) layout the products come in: the gain
+    against the folded weights, the loss as Hv * ((sum_omega B w) @ Hu).
+    Returns Q v-major, (NVF, NXF), the layout the blocks come in.  Agrees
+    with _collision_stage_np to rounding.  Needs F0 tables that do not
+    depend on x.
+
+    first_iterate says G = 0.  With F0 independent of x, a block's result
+    then depends on its width only, so each width is evaluated once and
+    copied to the other blocks of that width.  (Widths are not merged: the
+    BLAS product of the loss term can round the last columns of a short
+    block differently in the last bit.)
     """
     grid = tables.grid
-    NVa, NU, NW = tables.shape
+    NVF = grid.NVF
+    NU = tables.shape[1]
     Su, tiles = ops
-    vact = grid.v_active_idx
-    reps = tables.reps
-    F0UP = F0UP.reshape(NVa, NU, NW)[:, :, reps, None]
-    F0VP = F0VP.reshape(NVa, NU, NW)[:, :, reps, None]
-    Q = np.zeros((grid.NXF, grid.NVF))
-    xact = grid.x_active_idx
+    vact, xact = grid.v_active_idx, grid.x_active_idx
+    Q = np.zeros((NVF, grid.NXF))
+    by_width = {}
     for start in range(0, xact.size, _X_BLOCK):
         rows = xact[start:start + _X_BLOCK]
-        GT = np.ascontiguousarray(G[rows].T)
-        HuT = F0U[:, None] + Su @ GT
-        QT = -(F0V[:, None] + GT[vact]) * (tables.Bw_loss @ HuT)
-        shape = (-1, NU, reps.size, rows.size)
-        for js, Sup, Svp in tiles:
-            # gain = (F0UP + G(u')) * (F0VP + G(v')), in place
-            gain = (Sup @ GT).reshape(shape)
-            gain += F0UP[js]
-            gvp = (Svp @ GT).reshape(shape)
-            gvp += F0VP[js]
-            gain *= gvp
-            QT[js] += np.einsum("vurx,vur->vx", gain, tables.Bw_fold[js])
-        Q[rows[:, None], vact] = QT.T
+        QT = by_width.get(rows.size)
+        if QT is None:
+            GT = np.empty((NVF + 1, rows.size))
+            GT[:NVF] = G[rows].T
+            GT[NVF] = 1.0
+            HuT = F0U[:, None] + Su @ GT
+            QT = -(F0V[:, None] + GT[vact]) * (tables.Bw_loss @ HuT)
+            shape = (-1, NU, tables.reps.size, rows.size)
+            for js, Sup, Svp in tiles:
+                # gain = (F0UP + G(u')) * (F0VP + G(v')), in place
+                gain = (Sup @ GT).reshape(shape)
+                gain *= (Svp @ GT).reshape(shape)
+                QT[js] += np.einsum("vurx,vur->vx", gain, tables.Bw_fold[js])
+            if first_iterate:
+                by_width[rows.size] = QT
+        Q[vact[:, None], rows] = QT
     return Q
 
 
 def _line_stage_np(Q, tables):
     """Characteristic-integral stage, shared by both engines.
 
-    Pairs (x node, v node) come grouped by chord quadrature order (see
-    _PicardTables) and each group is evaluated in chunks of _PAIR_BLOCK
-    pairs; the locate is floor + clip, no node snapping.
+    Q is v-major, (NVF, NXF); the result G is (NXF, NVF).  Pairs (x node,
+    v node) come grouped by chord quadrature order and, within an order,
+    by (v, x) (see _PicardTables), so a chunk gathers from few rows of Q;
+    each group is evaluated in chunks of _PAIR_BLOCK pairs.  The locate is
+    truncation + clip, no node snapping.
     """
     grid = tables.grid
     x_lo = np.array([ax[0] for ax in grid.x_axes])
     h = np.array([ax[1] - ax[0] for ax in grid.x_axes])
     nxs = [ax.size for ax in grid.x_axes]
     xstr = [int(np.prod(nxs[a + 1:])) for a in range(grid.dim)]
-    NVF = grid.NVF
-    NVa = grid.v_active_idx.size
-    corner_strides = [s * NVF for s in xstr]
+    NXF, NVF = grid.NXF, grid.NVF
+    NXa = grid.x_active_idx.size
     Qflat = Q.ravel()
     Gout = np.zeros(Q.size)
     TAU = tables.TAU.ravel()
@@ -716,27 +750,28 @@ def _line_stage_np(Q, tables):
         gw = tables.glw[off:off + o]
         for start in range(first, last, _PAIR_BLOCK):
             k = tables.pair_order[start:min(start + _PAIR_BLOCK, last)]
-            xi = grid.x_active_idx[k // NVa]
-            vi = grid.v_active_idx[k % NVa]
+            vi = grid.v_active_idx[k // NXa]
+            xi = grid.x_active_idx[k % NXa]
             tau = TAU[k]
             S = 0.5 * tau[:, None] * (1.0 + gx[None, :])
             Wt = 0.5 * tau[:, None] * gw[None, :]
             xp, vj = grid.x_nodes[xi], grid.v_nodes[vi]
-            base = np.zeros(S.shape, dtype=np.int64)
+            base = (vi * NXF)[:, None]
             fracs = []
             for a in range(grid.dim):
                 Y = xp[:, a, None] - S * vj[:, a, None]
                 f = (Y - x_lo[a]) / h[a]
-                i = np.clip(np.floor(f).astype(np.int64), 0, nxs[a] - 2)
+                # truncation equals floor wherever the clip leaves i alone
+                i = np.clip(f.astype(np.int64), 0, nxs[a] - 2)
                 fracs.append(np.clip(f - i, 0.0, 1.0))
-                base += i * xstr[a]
-            base = base * NVF + vi[:, None]
+                base = base + i * xstr[a]
             # _interp_flat's gather; every chord node lies in range
+            comps = [1.0 - f for f in fracs]
             qv = np.zeros(S.shape)
-            for w, off in _corner_weights(fracs, corner_strides):
+            for w, off in _corner_weights(fracs, xstr, comps):
                 qv += w * Qflat[base + off]
             Gout[xi * NVF + vi] = np.sum(Wt * qv, axis=1)
-    return Gout.reshape(Q.shape)
+    return Gout.reshape(NXF, NVF)
 
 
 def picard_solve(spec: KernelSpec, g: BoundarySource, grid: PhaseGrid,
@@ -782,11 +817,9 @@ def picard_solve(spec: KernelSpec, g: BoundarySource, grid: PhaseGrid,
                 % (rep.M_estimate, rep.threshold))
 
     F0 = free_transport(g, grid.domain, grid)
-    tables = _PicardTables(spec, g, grid, rule, opts)
-    ops = tables.stencil_operators() if engine == "sparse" else None
+    tables = _PicardTables(spec, grid, rule, opts)
 
     NVa = grid.v_active_idx.size
-    zeros_tab = None
     per_x_f0 = None
     if split:
         if g.velocity_only:
@@ -811,19 +844,20 @@ def picard_solve(spec: KernelSpec, g: BoundarySource, grid: PhaseGrid,
         F0G[grid.x_active_idx] = F0.eval(X, V).reshape(-1, grid.NVF)
         grid.fill_fringe(F0G)
         NU, NW = tables.shape[1], tables.shape[2]
-        zeros_tab = (np.zeros(NVa), np.zeros(NU), np.zeros(NVa * NU * NW),
-                     np.zeros(NVa * NU * NW))
-        F0V, F0U, F0UP, F0VP = zeros_tab
+        F0V, F0U, F0UP, F0VP = (np.zeros(NVa), np.zeros(NU),
+                                np.zeros(NVa * NU * NW), np.zeros(NVa * NU * NW))
+    ops = tables.stencil_operators(F0UP, F0VP) if engine == "sparse" else None
 
-    def _one_iteration(G):
+    def _one_iteration(G, first=False):
+        # under the split the first iterate starts from G = 0
         state = G if split else F0G + G
         if engine == "sparse":
-            Q = _collision_stage_sparse(state, tables, ops,
-                                        F0V, F0U, F0UP, F0VP)
+            Q = _collision_stage_sparse(state, tables, ops, F0V, F0U,
+                                        first_iterate=first and split)
         else:
             Q = _collision_stage_np(state, tables, F0V, F0U, F0UP, F0VP,
                                     per_x_f0=per_x_f0)
-        grid.fill_fringe(Q)
+        grid.fill_fringe(Q.T)
         Gn = _line_stage_np(Q, tables)
         grid.fill_fringe(Gn)
         return Gn
@@ -832,7 +866,7 @@ def picard_solve(spec: KernelSpec, g: BoundarySource, grid: PhaseGrid,
     deltas = []
     converged = False
     for k in range(1, opts.max_iter + 1):
-        Gn = _one_iteration(G)
+        Gn = _one_iteration(G, first=k == 1)
         delta = float(np.max(np.abs(Gn - G)))
         deltas.append(delta)
         G = Gn

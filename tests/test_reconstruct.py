@@ -272,8 +272,9 @@ def test_gain_terms_match_marginalized_oracle():
     PHI = phi2(XX, YY)
 
     def G(A, B):
-        mx = marginal((XX - A).ravel()).reshape(XX.shape)
-        my = marginal((YY - B).ravel()).reshape(YY.shape)
+        # XX - A varies along the first axis only, YY - B along the second
+        mx = marginal(X - A)[:, None]
+        my = marginal(X - B)[None, :]
         return float(np.sum(mx * my * PHI * WW))
 
     def oracle_gain(tv, tu):

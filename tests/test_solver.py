@@ -295,13 +295,13 @@ def test_picard_engines_agree():
     assert np.max(np.abs(Fn.values - Fr.values)) < 1e-15
 
 
-def test_sparse_collision_stage_matches_reference():
-    # one application of each stage on the same random state; the sparse
-    # stage folds antipodal omega nodes, so the rules below fold 7 -> 7
-    # (odd 2D order: no antipodes), 8 -> 4 with an omega-dependent kernel,
-    # and 8 -> 4 in 3D
+def _stage_cases():
+    # (spec, grid, rule, source centre, antipodal classes): the sparse stage
+    # folds antipodal omega nodes, so these rules fold 7 -> 7 (odd 2D
+    # order: no antipodes), 8 -> 4 with an omega-dependent kernel, and
+    # 8 -> 4 in 3D
     ball3 = Domain("ball", dim=3, radius=1.0)
-    cases = [
+    return [
         (SMALL_KERNEL, PhaseGrid(DISK, 10, 10, R_v=2.0),
          QuadratureRule.build(2, sphere_order=7, radial_order=3,
                               angular_order=8, R_v=2.0), (0.6, 0.0), 7),
@@ -312,18 +312,65 @@ def test_sparse_collision_stage_matches_reference():
          QuadratureRule.build(3, sphere_order=2, radial_order=2,
                               angular_order=2, R_v=2.0), (0.6, 0.0, 0.0), 4),
     ]
+
+
+def _stage_inputs(spec, grid, rule, center):
+    g = _bump_profile(3e-3, center=center)
+    tables = _PicardTables(spec, grid, rule, PicardOptions())
+    F0 = tables.f0_tables_velocity_only(g)
+    return tables, F0, tables.stencil_operators(*F0[2:])
+
+
+def test_sparse_collision_stage_matches_reference():
+    # one application of each stage on the same random state
     rng = np.random.default_rng(5)
-    for spec, grid, rule, center, n_classes in cases:
-        g = _bump_profile(3e-3, center=center)
-        tables = _PicardTables(spec, g, grid, rule, PicardOptions())
+    for spec, grid, rule, center, n_classes in _stage_cases():
+        tables, F0, ops = _stage_inputs(spec, grid, rule, center)
         assert tables.reps.size == n_classes
-        F0 = tables.f0_tables_velocity_only(g)
         G = 1e-3 * rng.standard_normal((grid.NXF, grid.NVF))
-        Qs = _collision_stage_sparse(G, tables, tables.stencil_operators(),
-                                     *F0)
+        Qs = _collision_stage_sparse(G, tables, ops, *F0[:2])
         Qr = _collision_stage_np(G, tables, *F0)
         assert np.max(np.abs(Qr)) > 1e-9
         assert np.max(np.abs(Qs - Qr)) < 1e-15
+
+
+def test_first_iterate_block_matches_full_stage():
+    # at G = 0 the first-iterate path reuses one block per block width;
+    # it must reproduce the full block loop bit for bit (the 10x10 disk
+    # has 60 active nodes, so its short last block is 12 rows wide)
+    cases = [c[:4] for c in _stage_cases()]
+    cases.append((KernelSpec("constant", dim=2, params={"value": 0.01}),
+                  PhaseGrid(DISK, 16, 16, R_v=2.0), _small_rule(), (0.3, 0.4)))
+    for spec, grid, rule, center in cases:
+        tables, F0, ops = _stage_inputs(spec, grid, rule, center)
+        G = np.zeros((grid.NXF, grid.NVF))
+        full = _collision_stage_sparse(G, tables, ops, *F0[:2])
+        first = _collision_stage_sparse(G, tables, ops, *F0[:2],
+                                        first_iterate=True)
+        assert np.max(np.abs(full)) > 1e-9
+        assert np.array_equal(first, full)
+        assert np.array_equal(np.signbit(first), np.signbit(full))
+
+
+def test_stencil_rows_end_with_f0_column():
+    # every u' and v' row stores its F0 value last, in column NVF, so the
+    # products with [G; 1] add F0 after the corners
+    spec, grid, rule, center, _ = _stage_cases()[1]
+    tables, F0, (Su, tiles) = _stage_inputs(spec, grid, rule, center)
+    NVa, NU, NW = tables.shape
+    NVF = grid.NVF
+    assert Su.shape == (NU, NVF + 1)
+    assert not np.any(Su.indices == NVF)
+    for js, Sup, Svp in tiles:
+        for S, f0 in ((Sup, F0[2]), (Svp, F0[3])):
+            expected = f0.reshape(NVa, NU, NW)[js][:, :, tables.reps].ravel()
+            assert S.shape == (expected.size, NVF + 1)
+            last = S.indptr[1:] - 1
+            assert np.all(last >= S.indptr[:-1])
+            assert np.all(S.indices[last] == NVF)
+            assert np.array_equal(S.data[last], expected)
+            # the corners all lie in the velocity columns
+            assert np.count_nonzero(S.indices == NVF) == expected.size
 
 
 def test_line_stage_matches_per_pair_chord_loop():
@@ -332,13 +379,13 @@ def test_line_stage_matches_per_pair_chord_loop():
     grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
     opts = PicardOptions()
     g = _bump_profile(3e-3)
-    tables = _PicardTables(SMALL_KERNEL, g, grid, _small_rule(), opts)
-    Q = np.random.default_rng(6).standard_normal((grid.NXF, grid.NVF))
+    tables = _PicardTables(SMALL_KERNEL, grid, _small_rule(), opts)
+    Q = np.random.default_rng(6).standard_normal((grid.NVF, grid.NXF))
     G = _line_stage_np(Q, tables)
 
     lo = np.array([ax[0] for ax in grid.x_axes])
     h = np.array([ax[1] - ax[0] for ax in grid.x_axes])
-    expected = np.zeros_like(Q)
+    expected = np.zeros_like(G)
     for p in grid.x_active_idx:
         x = grid.x_nodes[p]
         for j in grid.v_active_idx:
@@ -353,7 +400,7 @@ def test_line_stage_matches_per_pair_chord_loop():
                 f = (y - lo) / h
                 i = np.clip(np.floor(f).astype(int), 0, grid.nx - 2)
                 t = np.clip(f - i, 0.0, 1.0)
-                Qv = Q[:, j].reshape(grid.nx, grid.nx)
+                Qv = Q[j].reshape(grid.nx, grid.nx)
                 q = ((1 - t[0]) * (1 - t[1]) * Qv[i[0], i[1]] +
                      (1 - t[0]) * t[1] * Qv[i[0], i[1] + 1] +
                      t[0] * (1 - t[1]) * Qv[i[0] + 1, i[1]] +

@@ -9,8 +9,7 @@ from .geometry import Domain, exit_time, exit_times
 from .collision import (KernelSpec, QuadratureRule, kernel_eval,
                         post_collision, pre_collision)
 from .solver import (BoundarySource, PhaseField, PhaseGrid, PicardOptions,
-                     apply_A, attenuated_solve, boundary_trace,
-                     free_transport, picard_solve, source_solve)
+                     apply_A, boundary_trace, free_transport, picard_solve)
 from .linearize import (LinearizationConfig, SecondOrderSource,
                         first_linearization, second_order_source,
                         w_finite_difference, w_quadrature)
@@ -27,8 +26,7 @@ __all__ = [
     "KernelSpec", "QuadratureRule", "kernel_eval", "post_collision",
     "pre_collision",
     "BoundarySource", "PhaseField", "PhaseGrid", "PicardOptions", "apply_A",
-    "attenuated_solve", "boundary_trace", "free_transport", "picard_solve",
-    "source_solve",
+    "boundary_trace", "free_transport", "picard_solve",
     "LinearizationConfig", "SecondOrderSource", "first_linearization",
     "second_order_source", "w_finite_difference", "w_quadrature",
     "Probe", "closed_form_S", "exponent_experiment", "mollified_S",

@@ -234,8 +234,7 @@ def stage_forward(cfg: ExperimentConfig, out: str):
 
     info = {"iterations": report.iterations, "converged": report.converged,
             "ratio": report.ratio, "residual_discrete": report.residual_discrete,
-            "residual_pde": report.residual_pde, "sup_F": report.sup_F,
-            "engine": report.engine}
+            "residual_pde": report.residual_pde, "sup_F": report.sup_F}
     return files, _jsonable(info)
 
 

@@ -9,8 +9,7 @@ Key schema (defaults in DEFAULTS; unknown keys are rejected):
   kernel         family (see collision.KERNEL_FAMILIES), params
   grid           nx, nv, R_v, v_min (null: 0.05 R_v), extension policy
   quadrature     sphere_order, radial_order, angular_order
-  solver         tol, max_iter, smallness_threshold, engine ("auto"|"sparse"|
-                 "reference", see solver.ENGINES)
+  solver         tol, max_iter, smallness_threshold
   inflow         amplitude, center, width of the velocity bump fed to the
                  forward stage
   linearize      eps1, eps2, levels (halvings), n_samples, order,
@@ -36,7 +35,7 @@ from .errors import ConfigurationError
 from .geometry import Domain
 from .linearize import LinearizationConfig
 from .reconstruct import EXPONENT_MODES
-from .solver import ENGINES, PhaseGrid, PicardOptions
+from .solver import PhaseGrid, PicardOptions
 
 __all__ = ["CONFIG_VERSION", "DEFAULTS", "ExperimentConfig", "load_config",
            "config_from_dict", "save_config"]
@@ -53,8 +52,7 @@ DEFAULTS = {
     "grid": {"nx": 16, "nv": 16, "R_v": 2.0, "v_min": None,
              "extension": "analytic"},
     "quadrature": {"sphere_order": 8, "radial_order": 3, "angular_order": 8},
-    "solver": {"tol": 1e-10, "max_iter": 40, "smallness_threshold": 0.03,
-               "engine": "auto"},
+    "solver": {"tol": 1e-10, "max_iter": 40, "smallness_threshold": 0.03},
     "inflow": {"amplitude": 0.01, "center": [1.0, 0.0], "width": 0.6},
     "linearize": {"eps1": 0.01, "eps2": 0.01, "levels": 3, "n_samples": 6,
                   "order": 24, "sample_seed": 1,
@@ -70,7 +68,6 @@ DEFAULTS = {
 
 _EXTENSIONS = ("analytic", "zero", "clamp")
 _ROUTES = ("direct", "fd")
-_ENGINES = ENGINES
 
 
 def _merge(base, override, path=""):
@@ -130,8 +127,6 @@ def _validate(d: dict):
              "solver.max_iter must be a positive integer")
     _require(s["smallness_threshold"] > 0,
              "solver.smallness_threshold must be positive")
-    _require(s["engine"] in _ENGINES,
-             f"solver.engine must be one of {_ENGINES}")
 
     inf = d["inflow"]
     _require(inf["amplitude"] > 0, "inflow.amplitude must be positive")
@@ -246,8 +241,7 @@ class ExperimentConfig:
         s = self.data["solver"]
         return PicardOptions(tol=s["tol"], max_iter=s["max_iter"],
                              smallness_threshold=s["smallness_threshold"],
-                             extension=self.data["grid"]["extension"],
-                             engine=s["engine"])
+                             extension=self.data["grid"]["extension"])
 
     def linearize_config(self) -> LinearizationConfig:
         lin = self.data["linearize"]

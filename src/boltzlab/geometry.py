@@ -1,10 +1,9 @@
-"""Convex spatial domains, exit times, and characteristic-line quadrature.
+"""Convex spatial domains, exit times, and boundary sampling.
 
 The domain is a bounded convex body in R^n (n = 2 or 3): a centered ball or an
 axis-aligned box.  Free transport moves along straight characteristics
 x - s v, so the only geometric quantities the rest of the laboratory needs are
-exit times through the boundary, outward normals, and Gauss-Legendre nodes
-along chords.
+exit times through the boundary and outward normals.
 """
 from __future__ import annotations
 
@@ -94,20 +93,6 @@ class Domain:
             return self.radius - np.sqrt(np.sum(x * x, axis=-1))
         lo, hi = self.bounding_box()
         return np.minimum(np.min(x - lo, axis=-1), np.min(hi - x, axis=-1))
-
-    def project_inside(self, x):
-        """Nearest-point projection of exterior points onto the closure.
-
-        Interior points pass through untouched; used to give grid nodes just
-        outside the domain a well-defined evaluation point.
-        """
-        x = np.asarray(x, dtype=float)
-        if self.shape == "ball":
-            r = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
-            scale = np.where(r > self.radius, self.radius / np.maximum(r, 1e-300), 1.0)
-            return x * scale
-        lo, hi = self.bounding_box()
-        return np.clip(x, lo, hi)
 
     def unit_normal(self, x):
         """Outward unit normal at boundary points.
@@ -206,21 +191,6 @@ def classify_boundary(domain: Domain, x, v, tol: float = 1e-9) -> str:
     if abs(s) <= GRAZING_RTOL * float(np.linalg.norm(v)):
         return GRAZING
     return OUTGOING if s > 0 else INCOMING
-
-
-def characteristic_nodes(domain: Domain, x, v, order: int):
-    """Gauss-Legendre nodes and weights on the backward chord [0, tau_minus].
-
-    The weights sum to tau_minus(x, v); ``order=1`` degenerates to the
-    midpoint rule.
-    """
-    if order < 1:
-        raise DomainError("order must be >= 1")
-    tau = exit_time(domain, x, v, sign=-1)
-    g, w = np.polynomial.legendre.leggauss(order)
-    nodes = 0.5 * tau * (g + 1.0)
-    weights = 0.5 * tau * w
-    return nodes, weights
 
 
 def sample_boundary(domain: Domain, count: int, rng) -> np.ndarray:

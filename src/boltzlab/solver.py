@@ -23,8 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .collision import KernelSpec, QuadratureRule, admissibility_check, kernel_eval
-from .errors import (ConfigurationError, ConvergenceError, DomainError,
-                     PreconditionError)
+from .errors import ConfigurationError, ConvergenceError, PreconditionError
 from .geometry import (OUTGOING, Domain, classify_boundary, exit_times,
                        sample_boundary)
 
@@ -184,23 +183,14 @@ class PhaseGrid:
         return base.astype(np.int64), fracs
 
 
-def _corner_weights(fracs, strides, comps=None):
+def _corner_weights(fracs, strides):
     """(weight, offset) of each corner of a multilinear stencil, in a fixed
-    corner order.
-
-    comps, when given, holds 1 - f for each f in fracs.  Without it each
-    corner forms its own, so the complements of a large stencil are never
-    all held at once.
-    """
-    def factor(a, c):
-        if c:
-            return fracs[a]
-        return comps[a] if comps is not None else 1.0 - fracs[a]
-
+    corner order."""
+    factors = [(1.0 - f, f) for f in fracs]
     for corner in itertools.product((0, 1), repeat=len(fracs)):
-        w = factor(0, corner[0])
+        w = factors[0][corner[0]]
         for a in range(1, len(corner)):
-            w = w * factor(a, corner[a])
+            w = w * factors[a][corner[a]]
         yield w, sum(c * s for c, s in zip(corner, strides))
 
 
@@ -310,15 +300,21 @@ class PhaseField:
         return out
 
     def sup_norm(self) -> float:
-        """Sup of |F| over the grid nodes (cached)."""
+        """Sup of |F| over the grid nodes (cached), evaluated in blocks of
+        _X_BLOCK spatial nodes."""
         if self._sup is None:
             if self.grid is None:
                 raise PreconditionError("sup_norm needs a grid; pass one at build")
             g = self.grid
-            X = np.repeat(g.x_nodes[g.x_active_idx], g.v_active_idx.size, axis=0)
-            V = np.tile(g.v_nodes[g.v_active_idx], (g.x_active_idx.size, 1))
-            vals = np.abs(self.eval(X, V))
-            self._sup = float(np.max(vals))
+            Xa = g.x_nodes[g.x_active_idx]
+            Va = g.v_nodes[g.v_active_idx]
+            sup = 0.0
+            for start in range(0, Xa.shape[0], _X_BLOCK):
+                Xb = Xa[start:start + _X_BLOCK]
+                X = np.repeat(Xb, Va.shape[0], axis=0)
+                V = np.tile(Va, (Xb.shape[0], 1))
+                sup = max(sup, float(np.max(np.abs(self.eval(X, V)))))
+            self._sup = sup
         return self._sup
 
 
@@ -393,86 +389,14 @@ def free_transport(g: BoundarySource, domain: Domain,
     return PhaseField(grid, values=None, analytic=_eval, domain=domain)
 
 
-def source_solve(f, domain: Domain, grid: PhaseGrid | None = None,
-                 order: int = 16) -> PhaseField:
-    """Solution of v.grad F = f with zero inflow: characteristic integral.
-
-    f is a vectorized callable (X, V) -> values (a PhaseField works too).
-    |F(x,v)| <= tau_-(x,v) * sup|f| by construction of the quadrature.
-    """
-    feval = f.eval if isinstance(f, PhaseField) else f
-    gx, gw = np.polynomial.legendre.leggauss(order)
-
-    def _eval(X, V):
-        tau = exit_times(domain, X, V, sign=-1)
-        out = np.zeros(X.shape[0])
-        for i in range(order):
-            s = 0.5 * tau * (1.0 + gx[i])
-            out += 0.5 * tau * gw[i] * np.asarray(feval(X - s[:, None] * V, V))
-        return out
-
-    return PhaseField(grid, values=None, analytic=_eval, domain=domain)
-
-
-def attenuated_solve(sigma, f, g: BoundarySource | None, domain: Domain,
-                     sigma0: float | None = None, grid: PhaseGrid | None = None,
-                     order: int = 16) -> PhaseField:
-    """Attenuated transport sigma F + v.grad F = f, F = g on Gamma_-.
-
-    sigma is a positive scalar or a vectorized callable sigma(X) >= sigma0.
-    The explicit characteristic formula is evaluated lazily with nested
-    Gauss-Legendre quadrature (the inner rule integrates the attenuation
-    exponent; for scalar sigma the exponent is exact).
-    """
-    if np.isscalar(sigma):
-        if sigma0 is None:
-            sigma0 = float(sigma)
-    elif sigma0 is None:
-        raise DomainError("callable sigma requires an explicit sigma0")
-    if not sigma0 > 0.0:
-        raise DomainError("attenuated solve needs sigma0 > 0")
-
-    gx, gw = np.polynomial.legendre.leggauss(order)
-
-    def _optical_depth(X, V, S):
-        # int_0^S sigma(x - r v) dr for each row
-        if np.isscalar(sigma):
-            return float(sigma) * S
-        out = np.zeros(S.shape)
-        for i in range(order):
-            r = 0.5 * S * (1.0 + gx[i])
-            out += 0.5 * S * gw[i] * np.asarray(sigma(X - r[:, None] * V))
-        return out
-
-    def _eval(X, V):
-        tau = exit_times(domain, X, V, sign=-1)
-        out = np.zeros(X.shape[0])
-        if g is not None:
-            out += np.exp(-_optical_depth(X, V, tau)) * g(X - tau[:, None] * V, V)
-        if f is not None:
-            feval = f.eval if isinstance(f, PhaseField) else f
-            for i in range(order):
-                s = 0.5 * tau * (1.0 + gx[i])
-                atten = np.exp(-_optical_depth(X, V, s))
-                out += 0.5 * tau * gw[i] * atten * \
-                    np.asarray(feval(X - s[:, None] * V, V))
-        return out
-
-    return PhaseField(grid, values=None, analytic=_eval, domain=domain)
-
-
 # ---------------------------------------------------------------------------
 # Picard solver
 # ---------------------------------------------------------------------------
 
 
-# "auto" takes "sparse" wherever the transported data F0 does not depend on
-# x (velocity-only data, or F0 gridded like G) and "reference" otherwise
-ENGINES = ("auto", "sparse", "reference")
-
-# tile of the sparse collision stage: spatial rows x active velocity nodes;
-# small enough that a tile's _X_BLOCK * _V_BLOCK * NU * (omega classes)
-# temporaries stay in cache
+# tile of the collision stage: spatial rows x active velocity nodes; small
+# enough that a tile's _X_BLOCK * _V_BLOCK * NU * (omega classes)
+# temporaries stay in cache (PhaseField.sup_norm takes the same row blocks)
 _X_BLOCK = 16
 _V_BLOCK = 16
 # (x, v) pairs per chunk of the line stage; a chunk's temporaries are
@@ -489,7 +413,6 @@ class PicardOptions:
     check_admissibility: bool = True
     admissibility_threshold: float | None = None  # None: 1/(4*smallness)
     extension: str = "analytic"
-    engine: str = "auto"  # one of ENGINES
     chord_spacing: float = 1.5  # chord nodes every chord_spacing * h_x
     chord_order_min: int = 4
     chord_order_max: int = 24
@@ -508,7 +431,6 @@ class ConvergenceReport:
     residual_points: int
     sup_F: float
     sup_G: float
-    engine: str
     runtime: float
     message: str = ""
 
@@ -524,7 +446,7 @@ def _contraction_ratio(deltas) -> float:
 
 
 class _PicardTables:
-    """Per-solve precomputed quantities shared by both engines."""
+    """Per-solve precomputed quantities of the collision and line stages."""
 
     def __init__(self, spec, grid, rule, opts):
         self.grid = grid
@@ -553,7 +475,7 @@ class _PicardTables:
         self.Vg = Vg
         self.shape = (NVa, NU, NW)
 
-        # omega and -omega give the same (u', v') pair: the sparse engine
+        # omega and -omega give the same (u', v') pair: the collision stage
         # evaluates the gain once per antipodal class, at its first node,
         # with the class's summed weights B * w_u * w_omega (any kernel; a
         # rule without antipodes keeps singleton classes)
@@ -638,26 +560,40 @@ class _PicardTables:
                 f0(self.UP).reshape(self.shape).reshape(-1),
                 f0(self.VP).reshape(self.shape).reshape(-1))
 
-    def f0_tables_at_x(self, g, x):
-        """Exact transported data at one spatial node (general g)."""
+    def f0_tables_at_x(self, g, X):
+        """Exact transported data at the spatial nodes X (n, d), general g.
+
+        Returns F0V (NVa, n), F0U (NU, n) and F0UP, F0VP (NVa, NU,
+        representatives, n): one column per node, u' and v' at the
+        representative omega nodes only, the layout of a collision-stage
+        block.
+        """
         domain = self.grid.domain
+        NVa, NU, NW = self.shape
+        dim = self.grid.dim
 
         def f0(P):
-            P = P.reshape(-1, self.grid.dim)
-            out = np.zeros(P.shape[0])
-            speed = np.linalg.norm(P, axis=1)
-            nz = speed > 1e-14
-            Xr = np.broadcast_to(x, P[nz].shape)
-            tau = exit_times(domain, Xr, P[nz], sign=-1)
-            out[nz] = g(Xr - tau[:, None] * P[nz], P[nz])
+            out = np.zeros((P.shape[0], X.shape[0]))
+            nz = np.linalg.norm(P, axis=1) > 1e-14
+            Pn = P[nz][:, None, :]
+            tau = exit_times(domain, X[None, :, :], Pn, sign=-1)
+            feet = X[None, :, :] - tau[..., None] * Pn
+            V = np.broadcast_to(Pn, feet.shape)
+            out[nz] = g(feet.reshape(-1, dim),
+                        V.reshape(-1, dim)).reshape(tau.shape)
             return out
 
-        return (f0(self.Vg), f0(self.U), f0(self.UP), f0(self.VP))
+        def at_reps(P):
+            P = P.reshape(NVa, NU, NW, dim)[:, :, self.reps].reshape(-1, dim)
+            return f0(P).reshape(NVa, NU, self.reps.size, X.shape[0])
+
+        return f0(self.Vg), f0(self.U), at_reps(self.UP), at_reps(self.VP)
 
 
 def _collision_stage_np(G, tables, F0V, F0U, F0UP, F0VP, per_x_f0=None):
     """Reference collision stage: one spatial node at a time, the oracle the
-    sparse engine is checked against.  Returns Q v-major, (NVF, NXF)."""
+    sparse stage is checked against.  per_x_f0(i), when given, returns the
+    tables of the i-th active node instead.  Returns Q v-major, (NVF, NXF)."""
     grid = tables.grid
     NVa, NU, NW = tables.shape
     strides = [grid.nv ** (grid.dim - 1 - a) for a in range(grid.dim)]
@@ -679,7 +615,8 @@ def _collision_stage_np(G, tables, F0V, F0U, F0UP, F0VP, per_x_f0=None):
     return Q
 
 
-def _collision_stage_sparse(G, tables, ops, F0V, F0U, first_iterate=False):
+def _collision_stage_sparse(G, tables, ops, F0V, F0U, first_iterate=False,
+                            g=None):
     """Collision stage on tiles of (spatial rows, velocity nodes).
 
     The velocity stencils are applied as the CSR operators `ops` (see
@@ -688,8 +625,13 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, first_iterate=False):
     (v, u, representative, row) layout the products come in: the gain
     against the folded weights, the loss as Hv * ((sum_omega B w) @ Hu).
     Returns Q v-major, (NVF, NXF), the layout the blocks come in.  Agrees
-    with _collision_stage_np to rounding.  Needs F0 tables that do not
-    depend on x.
+    with _collision_stage_np to rounding.
+
+    F0V and F0U are the transported data at v and u when they do not depend
+    on x.  For boundary data g that does (under the analytic split), pass g
+    instead: the operators then carry zero F0 columns, and each block adds
+    its own tables (_PicardTables.f0_tables_at_x) after the products, so
+    every sum F0 + G is the oracle's.  Nothing is kept across calls.
 
     first_iterate says G = 0.  With F0 independent of x, a block's result
     then depends on its width only, so each width is evaluated once and
@@ -702,22 +644,31 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, first_iterate=False):
     NU = tables.shape[1]
     Su, tiles = ops
     vact, xact = grid.v_active_idx, grid.x_active_idx
+    if g is None:
+        F0V, F0U, F0UP, F0VP = F0V[:, None], F0U[:, None], None, None
     Q = np.zeros((NVF, grid.NXF))
     by_width = {}
     for start in range(0, xact.size, _X_BLOCK):
         rows = xact[start:start + _X_BLOCK]
         QT = by_width.get(rows.size)
         if QT is None:
+            if g is not None:
+                F0V, F0U, F0UP, F0VP = tables.f0_tables_at_x(
+                    g, grid.x_nodes[rows])
             GT = np.empty((NVF + 1, rows.size))
             GT[:NVF] = G[rows].T
             GT[NVF] = 1.0
-            HuT = F0U[:, None] + Su @ GT
-            QT = -(F0V[:, None] + GT[vact]) * (tables.Bw_loss @ HuT)
+            HuT = F0U + Su @ GT
+            QT = -(F0V + GT[vact]) * (tables.Bw_loss @ HuT)
             shape = (-1, NU, tables.reps.size, rows.size)
             for js, Sup, Svp in tiles:
                 # gain = (F0UP + G(u')) * (F0VP + G(v')), in place
                 gain = (Sup @ GT).reshape(shape)
-                gain *= (Svp @ GT).reshape(shape)
+                gvp = (Svp @ GT).reshape(shape)
+                if g is not None:
+                    gain += F0UP[js]
+                    gvp += F0VP[js]
+                gain *= gvp
                 QT[js] += np.einsum("vurx,vur->vx", gain, tables.Bw_fold[js])
             if first_iterate:
                 by_width[rows.size] = QT
@@ -726,7 +677,7 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, first_iterate=False):
 
 
 def _line_stage_np(Q, tables):
-    """Characteristic-integral stage, shared by both engines.
+    """Characteristic-integral stage.
 
     Q is v-major, (NVF, NXF); the result G is (NXF, NVF).  Pairs (x node,
     v node) come grouped by chord quadrature order and, within an order,
@@ -766,9 +717,8 @@ def _line_stage_np(Q, tables):
                 fracs.append(np.clip(f - i, 0.0, 1.0))
                 base = base + i * xstr[a]
             # _interp_flat's gather; every chord node lies in range
-            comps = [1.0 - f for f in fracs]
             qv = np.zeros(S.shape)
-            for w, off in _corner_weights(fracs, xstr, comps):
+            for w, off in _corner_weights(fracs, xstr):
                 qv += w * Qflat[base + off]
             Gout[xi * NVF + vi] = np.sum(Wt * qv, axis=1)
     return Gout.reshape(NXF, NVF)
@@ -782,22 +732,11 @@ def picard_solve(spec: KernelSpec, g: BoundarySource, grid: PhaseGrid,
     Returns (PhaseField, ConvergenceReport).  Raises ConvergenceError (with
     the report attached) when max_iter is exhausted, PreconditionError
     when the boundary data violates the smallness threshold or the kernel
-    fails the admissibility check, and ConfigurationError for an unknown
-    engine or engine="sparse" on x-dependent data with the analytic split.
+    fails the admissibility check.
     """
     opts = options or PicardOptions()
     t_start = time.perf_counter()
     split = opts.extension == "analytic"
-    sparse_ok = g.velocity_only or not split
-    if opts.engine not in ENGINES:
-        raise ConfigurationError("unknown engine %r; expected one of %s"
-                                 % (opts.engine, ENGINES))
-    if opts.engine == "sparse" and not sparse_ok:
-        raise ConfigurationError(
-            "sparse engine needs velocity-only boundary data or a gridded "
-            "extension policy")
-    engine = "sparse" if sparse_ok and opts.engine != "reference" \
-        else "reference"
 
     if g.sup_norm is None:
         g.estimate_sup(grid.domain, grid.R_v)
@@ -819,44 +758,31 @@ def picard_solve(spec: KernelSpec, g: BoundarySource, grid: PhaseGrid,
     F0 = free_transport(g, grid.domain, grid)
     tables = _PicardTables(spec, grid, rule, opts)
 
-    NVa = grid.v_active_idx.size
-    per_x_f0 = None
-    if split:
-        if g.velocity_only:
-            F0V, F0U, F0UP, F0VP = tables.f0_tables_velocity_only(g)
-        else:
-            # general boundary data: exact transported tables, per x node
-            X = grid.x_nodes[grid.x_active_idx]
-            cache = {}
-
-            def per_x_f0(pi):
-                if pi not in cache:
-                    cache[pi] = tables.f0_tables_at_x(g, X[pi])
-                return cache[pi]
-
-            F0V = F0U = F0UP = F0VP = None
-        F0G = None
+    NVa, NU, NW = tables.shape
+    F0G = None
+    if split and g.velocity_only:
+        F0V, F0U, F0UP, F0VP = tables.f0_tables_velocity_only(g)
     else:
-        # grid engine: F0 is sampled on the grid and interpolated like G
-        X = np.repeat(grid.x_nodes[grid.x_active_idx], grid.NVF, axis=0)
-        V = np.tile(grid.v_nodes, (grid.x_active_idx.size, 1))
-        F0G = np.zeros((grid.NXF, grid.NVF))
-        F0G[grid.x_active_idx] = F0.eval(X, V).reshape(-1, grid.NVF)
-        grid.fill_fringe(F0G)
-        NU, NW = tables.shape[1], tables.shape[2]
+        # zero F0 tables: under the split the collision stage adds each
+        # block's own tables; gridded policies sample F0 on the grid and
+        # interpolate it like G
         F0V, F0U, F0UP, F0VP = (np.zeros(NVa), np.zeros(NU),
                                 np.zeros(NVa * NU * NW), np.zeros(NVa * NU * NW))
-    ops = tables.stencil_operators(F0UP, F0VP) if engine == "sparse" else None
+        if not split:
+            X = np.repeat(grid.x_nodes[grid.x_active_idx], grid.NVF, axis=0)
+            V = np.tile(grid.v_nodes, (grid.x_active_idx.size, 1))
+            F0G = np.zeros((grid.NXF, grid.NVF))
+            F0G[grid.x_active_idx] = F0.eval(X, V).reshape(-1, grid.NVF)
+            grid.fill_fringe(F0G)
+    ops = tables.stencil_operators(F0UP, F0VP)
+    g_x = g if split and not g.velocity_only else None
 
     def _one_iteration(G, first=False):
         # under the split the first iterate starts from G = 0
         state = G if split else F0G + G
-        if engine == "sparse":
-            Q = _collision_stage_sparse(state, tables, ops, F0V, F0U,
-                                        first_iterate=first and split)
-        else:
-            Q = _collision_stage_np(state, tables, F0V, F0U, F0UP, F0VP,
-                                    per_x_f0=per_x_f0)
+        Q = _collision_stage_sparse(
+            state, tables, ops, F0V, F0U,
+            first_iterate=first and split and g.velocity_only, g=g_x)
         grid.fill_fringe(Q.T)
         Gn = _line_stage_np(Q, tables)
         grid.fill_fringe(Gn)
@@ -894,8 +820,7 @@ def picard_solve(spec: KernelSpec, g: BoundarySource, grid: PhaseGrid,
         iterations=iterations, deltas=np.array(deltas), converged=converged,
         ratio=_contraction_ratio(deltas), residual_discrete=resid_disc,
         residual_pde=resid_pde, residual_points=n_res, sup_F=sup_F,
-        sup_G=sup_G, engine=engine,
-        runtime=time.perf_counter() - t_start)
+        sup_G=sup_G, runtime=time.perf_counter() - t_start)
     if not converged:
         raise ConvergenceError(
             "no contraction to tol=%g within %d iterations (last delta %.3g); "

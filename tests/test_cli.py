@@ -65,6 +65,16 @@ def test_unknown_keys_rejected_with_path():
         config_from_dict({"version": 1, "solver": {"tolx": 1e-8}})
     with pytest.raises(ConfigurationError, match=r"frobnicate"):
         config_from_dict({"version": 1, "frobnicate": True})
+    with pytest.raises(ConfigurationError, match=r"solver\.engine"):
+        config_from_dict({"version": 1, "solver": {"engine": "auto"}})
+
+
+def test_committed_configs_load():
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    names = sorted(n for n in os.listdir(configs) if n.endswith(".json"))
+    assert names
+    for name in names:
+        load_config(os.path.join(configs, name))
 
 
 def test_version_field_is_mandatory_and_checked():

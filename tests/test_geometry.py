@@ -4,7 +4,6 @@ import pytest
 from boltzlab.errors import DomainError
 from boltzlab.geometry import (
     Domain,
-    characteristic_nodes,
     classify_boundary,
     exit_time,
     exit_times,
@@ -99,37 +98,6 @@ def test_classify_boundary():
     assert classify_boundary(DISK, (1.0, 0.0), (-1.0, 0.5)) == "incoming"
     assert classify_boundary(DISK, (1.0, 0.0), (0.0, 1.0)) == "grazing"
     assert classify_boundary(BOX2, (1.0, 0.5), (1.0, 0.0)) == "outgoing"
-
-
-def test_characteristic_nodes_order_one_is_midpoint():
-    # tau_-((0,0),(1,0)) = 1 on the unit disk; order 1 must give one node of
-    # full weight at the midpoint
-    nodes, weights = characteristic_nodes(DISK, (0.0, 0.0), (1.0, 0.0), order=1)
-    assert nodes.shape == (1,)
-    assert nodes[0] == pytest.approx(0.5, abs=1e-15)
-    assert weights[0] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_characteristic_nodes_weight_sum_and_moment():
-    rng = np.random.default_rng(10)
-    for domain in (DISK, BOX2):
-        X = _random_interior(domain, 50, rng)
-        V = rng.normal(size=X.shape)
-        for x, v in zip(X, V):
-            tau = exit_time(domain, x, v, sign=-1)
-            nodes, weights = characteristic_nodes(domain, x, v, order=4)
-            assert np.all((nodes >= 0) & (nodes <= tau))
-            assert np.sum(weights) == pytest.approx(tau, rel=1e-12)
-            # order 4 integrates s exactly: int_0^tau s ds = tau^2/2
-            assert np.sum(weights * nodes) == pytest.approx(tau**2 / 2, rel=1e-12)
-
-
-def test_project_inside():
-    out = DISK.project_inside(np.array([[2.0, 0.0], [0.3, 0.1]]))
-    np.testing.assert_allclose(out[0], [1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(out[1], [0.3, 0.1], atol=1e-15)
-    out = BOX2.project_inside(np.array([[1.5, -0.25]]))
-    np.testing.assert_allclose(out[0], [1.0, 0.0], atol=1e-15)
 
 
 def test_sample_outgoing_classifies_outgoing():

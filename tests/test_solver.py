@@ -3,17 +3,17 @@ import os
 import numpy as np
 import pytest
 
+from boltzlab import solver
 from boltzlab.collision import KernelSpec, QuadratureRule
-from boltzlab.errors import (ConfigurationError, ConvergenceError, DomainError,
+from boltzlab.errors import (ConfigurationError, ConvergenceError,
                              PreconditionError)
 from boltzlab.geometry import Domain, exit_times
 from boltzlab.solver import (BoundarySource, PhaseField, PhaseGrid,
                              PicardOptions, _collision_stage_np,
                              _collision_stage_sparse, _line_stage_np,
-                             _PicardTables, apply_A, attenuated_solve,
-                             boundary_trace, field_to_csv, free_transport,
-                             load_field, picard_solve, save_field,
-                             source_solve, trace_to_csv)
+                             _PicardTables, apply_A, boundary_trace,
+                             field_to_csv, free_transport, load_field,
+                             picard_solve, save_field, trace_to_csv)
 
 DISK = Domain("ball", dim=2, radius=1.0)
 
@@ -98,87 +98,6 @@ def test_free_transport_sup_bound():
     assert F.sup_norm() <= 0.02 + 1e-15
 
 
-def test_attenuated_closed_forms():
-    rng = np.random.default_rng(3)
-    X = _interior_points(DISK, 60, rng)
-    V = rng.normal(size=(60, 2))
-    tau = exit_times(DISK, X, V, sign=-1)
-
-    g = BoundarySource.constant(0.4)
-    F = attenuated_solve(1.0, None, g, DISK)
-    assert np.max(np.abs(F.eval(X, V) - 0.4 * np.exp(-tau))) < 1e-13
-
-    s0, c = 1.7, 0.3
-    F2 = attenuated_solve(s0, lambda Xq, Vq: np.full(Xq.shape[0], s0 * c),
-                          None, DISK)
-    assert np.max(np.abs(F2.eval(X, V) - c * (1.0 - np.exp(-s0 * tau)))) < 1e-12
-
-    F3 = attenuated_solve(2.0, None, None, DISK)
-    assert np.max(np.abs(F3.eval(X, V))) == 0.0
-
-
-def test_attenuated_error_cases():
-    with pytest.raises(DomainError):
-        attenuated_solve(0.0, None, BoundarySource.constant(0.1), DISK)
-    with pytest.raises(DomainError):
-        attenuated_solve(-1.0, None, None, DISK)
-    with pytest.raises(DomainError):
-        # callable sigma must come with an explicit floor
-        attenuated_solve(lambda X: 1.0 + 0 * X[:, 0], None, None, DISK)
-
-
-def test_attenuated_sup_bound():
-    sigma = lambda X: 1.0 + np.sum(X * X, axis=-1)
-    f = lambda X, V: 0.3 * np.cos(3 * X[:, 0])
-    g = BoundarySource.constant(0.1)
-    F = attenuated_solve(sigma, f, g, DISK, sigma0=1.0)
-    rng = np.random.default_rng(4)
-    X = _interior_points(DISK, 80, rng)
-    V = rng.normal(size=(80, 2))
-    assert np.max(np.abs(F.eval(X, V))) <= 0.1 + 0.3 / 1.0 + 1e-12
-
-
-def test_attenuated_variable_sigma_oracle():
-    # through-center chord with sigma = 1 + |x|^2/2 and f = 1:
-    # F((0,0),(1,0)) = int_0^1 exp(-(s + s^3/6)) ds, integrated densely here
-    sigma = lambda X: 1.0 + 0.5 * np.sum(X * X, axis=-1)
-    F = attenuated_solve(sigma, lambda X, V: np.ones(X.shape[0]), None, DISK,
-                         sigma0=1.0, order=24)
-    xs, ws = np.polynomial.legendre.leggauss(200)
-    s = 0.5 * (xs + 1.0)
-    ref = float(np.sum(0.5 * ws * np.exp(-(s + s**3 / 6.0))))
-    got = F.eval(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-    assert abs(got - ref) < 1e-10
-
-
-def test_source_solve_constant_and_profile():
-    rng = np.random.default_rng(5)
-    X = _interior_points(DISK, 60, rng)
-    V = rng.normal(size=(60, 2))
-    tau = exit_times(DISK, X, V, sign=-1)
-    F = source_solve(lambda Xq, Vq: np.ones(Xq.shape[0]), DISK)
-    assert np.max(np.abs(F.eval(X, V) - tau)) < 1e-13 * np.max(tau)
-
-    h = lambda V_: 1.0 + V_[:, 0] ** 2
-    F2 = source_solve(lambda Xq, Vq: h(Vq), DISK)
-    assert np.max(np.abs(F2.eval(X, V) - tau * h(V))) < 1e-12 * np.max(tau * h(V))
-
-
-def test_source_solve_half_domain_indicator():
-    f = lambda X, V: np.where(X[:, 0] <= 0.0, 1.0, 0.0)
-    F = source_solve(f, DISK, order=128)
-    # chord entirely inside the support: exact
-    x, v = np.array([-0.1, 0.0]), np.array([0.0, 1.0])
-    chord_in = float(exit_times(DISK, x, v, sign=-1))
-    assert abs(F.eval(x, v) - chord_in) < 1e-12
-    # chord straddling the interface: analytic piece length
-    x2, v2 = np.array([0.3, 0.0]), np.array([1.0, 0.0])
-    # backward chord runs from (-1,0) to (0.3,0); the lit piece has length 1
-    assert abs(F.eval(x2, v2) - 1.0) < 1e-2
-    F_lo = source_solve(f, DISK, order=32)
-    assert abs(F.eval(x2, v2) - 1.0) < abs(F_lo.eval(x2, v2) - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # phase fields
 # ---------------------------------------------------------------------------
@@ -188,11 +107,16 @@ def test_phase_field_node_reproduction_and_finiteness():
     grid = PhaseGrid(DISK, 8, 10, R_v=2.0)
     rng = np.random.default_rng(6)
     vals = rng.normal(size=(grid.NXF, grid.NVF))
+    # the largest |value| sits on the last active node
+    vals[grid.x_active_idx[-1], grid.v_active_idx[0]] = -9.0
     F = PhaseField(grid, values=vals, extension="zero")
     # interpolation at the nodes returns the stored values exactly
     for p in [0, 17, grid.NXF - 1]:
         for j in [0, 33, grid.NVF - 1]:
             assert F.eval(grid.x_nodes[p], grid.v_nodes[j]) == vals[p, j]
+    # sup_norm, taken over blocks of spatial nodes, reaches the last block
+    assert grid.x_active_idx.size > 16
+    assert F.sup_norm() == 9.0
     bad = vals.copy()
     bad[3, 4] = np.nan
     with pytest.raises(PreconditionError):
@@ -266,7 +190,7 @@ def test_picard_maxwellian_exact():
 def test_picard_contraction_and_solution_bound():
     grid = PhaseGrid(DISK, 12, 12, R_v=2.0)
     rule = _small_rule()
-    opts = PicardOptions(engine="reference")
+    opts = PicardOptions()
     ratios, sups = [], []
     for amp in (3e-3, 1.5e-3, 7.5e-4):
         g = _bump_profile(amp)
@@ -283,15 +207,52 @@ def test_picard_contraction_and_solution_bound():
     assert max(sups) < 2.0
 
 
-def test_picard_engines_agree():
+def _solve_with_oracle_stage(monkeypatch, oracle, *args):
+    """picard_solve with oracle(G, tables), a call of the per-node stage, in
+    place of the sparse stage, so both solves share the tables, the line
+    stage and the fringe fills."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_collision_stage_sparse",
+                  lambda G, tables, *a, **kw: oracle(G, tables))
+        return picard_solve(*args)
+
+
+def _zero_f0(tables):
+    NVa, NU, NW = tables.shape
+    return (np.zeros(NVa), np.zeros(NU), np.zeros(NVa * NU * NW),
+            np.zeros(NVa * NU * NW))
+
+
+def _transported_per_x(g, tables):
+    """per_x_f0 for the oracle stage: x-dependent data transported node by
+    node with free_transport (0 at velocity 0, where some u' and v' of the
+    test rules fall)."""
+    transported = free_transport(g, tables.grid.domain)
+    X = tables.grid.x_nodes[tables.grid.x_active_idx]
+
+    def per_x_f0(pi):
+        def f0(P):
+            out = np.zeros(P.shape[0])
+            nz = np.linalg.norm(P, axis=1) > 1e-14
+            out[nz] = transported.eval(np.broadcast_to(X[pi], P[nz].shape),
+                                       P[nz])
+            return out
+
+        return (f0(tables.Vg), f0(tables.U), f0(tables.UP), f0(tables.VP))
+
+    return per_x_f0
+
+
+def test_picard_engines_agree(monkeypatch):
     grid = PhaseGrid(DISK, 12, 12, R_v=2.0)
     rule = _small_rule()
     g = _bump_profile(3e-3)
-    Fn, rn = picard_solve(SMALL_KERNEL, g, grid, rule,
-                          PicardOptions(engine="sparse"))
-    Fr, rr = picard_solve(SMALL_KERNEL, g, grid, rule,
-                          PicardOptions(engine="reference"))
-    assert rn.engine == "sparse" and rr.engine == "reference"
+    Fn, rn = picard_solve(SMALL_KERNEL, g, grid, rule, PicardOptions())
+    Fr, rr = _solve_with_oracle_stage(
+        monkeypatch,
+        lambda G, t: _collision_stage_np(G, t, *t.f0_tables_velocity_only(g)),
+        SMALL_KERNEL, g, grid, rule, PicardOptions())
+    assert rn.converged and rr.converged
     assert np.max(np.abs(Fn.values - Fr.values)) < 1e-15
 
 
@@ -321,8 +282,17 @@ def _stage_inputs(spec, grid, rule, center):
     return tables, F0, tables.stencil_operators(*F0[2:])
 
 
+def _x_dependent_source(amp, center):
+    def gfun(X, V):
+        prof = np.exp(-np.sum((V - center) ** 2, axis=-1) / 0.25)
+        return amp * (1.0 + 0.5 * X[:, 1]) * prof
+
+    return BoundarySource(func=gfun, velocity_only=False, sup_norm=1.5 * amp)
+
+
 def test_sparse_collision_stage_matches_reference():
-    # one application of each stage on the same random state
+    # one application of each stage on the same random state, with
+    # velocity-only data and with x-dependent data
     rng = np.random.default_rng(5)
     for spec, grid, rule, center, n_classes in _stage_cases():
         tables, F0, ops = _stage_inputs(spec, grid, rule, center)
@@ -330,6 +300,15 @@ def test_sparse_collision_stage_matches_reference():
         G = 1e-3 * rng.standard_normal((grid.NXF, grid.NVF))
         Qs = _collision_stage_sparse(G, tables, ops, *F0[:2])
         Qr = _collision_stage_np(G, tables, *F0)
+        assert np.max(np.abs(Qr)) > 1e-9
+        assert np.max(np.abs(Qs - Qr)) < 1e-15
+
+        gx = _x_dependent_source(2e-3, center)
+        zeros = _zero_f0(tables)
+        ops0 = tables.stencil_operators(*zeros[2:])
+        Qs = _collision_stage_sparse(G, tables, ops0, *zeros[:2], g=gx)
+        Qr = _collision_stage_np(G, tables, *zeros,
+                                 per_x_f0=_transported_per_x(gx, tables))
         assert np.max(np.abs(Qr)) > 1e-9
         assert np.max(np.abs(Qs - Qr)) < 1e-15
 
@@ -409,36 +388,43 @@ def test_line_stage_matches_per_pair_chord_loop():
     assert np.max(np.abs(G - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
-def test_picard_general_boundary_data():
-    # x-dependent inflow exercises the per-node transported tables
-    def gfun(X, V):
-        prof = np.exp(-np.sum((V - [0.5, 0.0]) ** 2, axis=-1) / 0.25)
-        return 2e-3 * (1.0 + 0.5 * X[:, 1]) * prof
-
-    g = BoundarySource(func=gfun, velocity_only=False, sup_norm=3e-3)
+def test_picard_general_boundary_data(monkeypatch):
+    # x-dependent inflow exercises the per-block transported tables
+    g = _x_dependent_source(2e-3, (0.5, 0.0))
     grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
     rule = QuadratureRule.build(2, sphere_order=6, radial_order=2,
                                 angular_order=6, R_v=2.0)
     F, rep = picard_solve(SMALL_KERNEL, g, grid, rule, PicardOptions())
-    assert rep.engine == "reference"
     assert rep.converged
     assert rep.residual_discrete < 10 * 1e-12 * max(1.0, rep.sup_F)
+    # and reproduces the oracle stage fed node by node, iterate by iterate
+    # (the 32 active nodes make two blocks, so a first iterate copied
+    # across blocks would show in the deltas)
+    Fr, rep_ref = _solve_with_oracle_stage(
+        monkeypatch,
+        lambda G, t: _collision_stage_np(G, t, *_zero_f0(t),
+                                         per_x_f0=_transported_per_x(g, t)),
+        SMALL_KERNEL, g, grid, rule, PicardOptions())
+    assert rep_ref.converged
+    assert np.max(np.abs(F.values - Fr.values)) < 1e-15
+    assert np.max(np.abs(rep.deltas - rep_ref.deltas)) < 1e-15
 
 
-def test_picard_grid_engine_policies():
+def test_picard_grid_engine_policies(monkeypatch):
     grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
     rule = _small_rule()
     g = _bump_profile(3e-3)
     F, rep = picard_solve(SMALL_KERNEL, g, grid, rule,
-                          PicardOptions(extension="zero", engine="sparse"))
-    assert rep.converged and rep.engine == "sparse"
+                          PicardOptions(extension="zero"))
+    assert rep.converged
     # everything gridded: the field carries no analytic part
     assert F.analytic is None
-    # the gridded path of the sparse engine reproduces the reference engine
-    Fr, rep_ref = picard_solve(SMALL_KERNEL, g, grid, rule,
-                               PicardOptions(extension="zero",
-                                             engine="reference"))
-    assert rep_ref.engine == "reference"
+    # the gridded path of the sparse stage reproduces the oracle stage,
+    # which then sees F0 only through the gridded state
+    Fr, rep_ref = _solve_with_oracle_stage(
+        monkeypatch, lambda G, t: _collision_stage_np(G, t, *_zero_f0(t)),
+        SMALL_KERNEL, g, grid, rule, PicardOptions(extension="zero"))
+    assert rep_ref.converged
     assert np.max(np.abs(F.values - Fr.values)) < 1e-15
     Fc, repc = picard_solve(SMALL_KERNEL, g, grid, rule,
                             PicardOptions(extension="clamp"))
@@ -449,8 +435,7 @@ def test_picard_residuals():
     grid = PhaseGrid(DISK, 12, 12, R_v=2.0)
     g = _bump_profile(3e-3)
     F, rep = picard_solve(SMALL_KERNEL, g, grid, _small_rule(),
-                          PicardOptions(engine="reference",
-                                        residual_samples=32))
+                          PicardOptions(residual_samples=32))
     scale = max(1.0, rep.sup_F)
     assert rep.residual_discrete < 10 * 1e-12 * scale
     # the sampled transport residual probes interpolation error of the
@@ -488,7 +473,7 @@ def test_picard_nonconvergence_carries_report():
     g = _bump_profile(0.02)
     with pytest.raises(ConvergenceError) as ei:
         picard_solve(SMALL_KERNEL, g, grid, _small_rule(),
-                     PicardOptions(max_iter=1, engine="reference"))
+                     PicardOptions(max_iter=1))
     rep = ei.value.report
     assert rep is not None and not rep.converged
     assert rep.deltas.size == 1 and rep.deltas[0] > 1e-12
@@ -564,7 +549,7 @@ def test_apply_A_operator_norm_batch():
         c = rng.uniform(-0.4, 0.4, size=2)
         g = _bump_profile(amp, center=c, width=0.6)
         tab, rep = apply_A(SMALL_KERNEL, g, grid, rule,
-                           X, V, PicardOptions(engine="reference"))
+                           X, V, PicardOptions())
         worst = max(worst, np.max(np.abs(tab.value)) / amp)
     assert worst < 1.5
 

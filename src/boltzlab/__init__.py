@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .errors import (BoltzlabError, ConfigurationError, ConvergenceError,
                      DependencyError, DomainError, PreconditionError)
-from .geometry import Domain, exit_time, exit_times
+from .geometry import Domain, exit_times
 from .collision import (KernelSpec, QuadratureRule, kernel_eval,
                         post_collision, pre_collision)
 from .solver import (BoundarySource, PhaseField, PhaseGrid, PicardOptions,
@@ -22,7 +22,7 @@ from .cli import RunManifest, run_config
 __all__ = [
     "BoltzlabError", "ConfigurationError", "ConvergenceError",
     "DependencyError", "DomainError", "PreconditionError",
-    "Domain", "exit_time", "exit_times",
+    "Domain", "exit_times",
     "KernelSpec", "QuadratureRule", "kernel_eval", "post_collision",
     "pre_collision",
     "BoundarySource", "PhaseField", "PhaseGrid", "PicardOptions", "apply_A",

@@ -28,8 +28,9 @@ from .collision import ball_rule, post_collision, pre_collision
 from .config import ExperimentConfig, load_config, save_config
 from .errors import BoltzlabError, ConfigurationError, DependencyError
 from .geometry import classify_boundary, exit_times, sample_outgoing
-from .linearize import convergence_to_csv, w_finite_difference
-from .solver import (BoundarySource, boundary_trace, field_to_csv,
+from .linearize import (convergence_to_csv, mixed_difference,
+                        w_finite_difference)
+from .solver import (BoundarySource, Solver, boundary_trace, field_to_csv,
                      picard_solve, save_field, trace_to_csv)
 
 STAGE_ORDER = ("verify_geometry", "verify_collision", "forward",
@@ -308,30 +309,20 @@ def _generate_probes(rng, count: int, dim: int, eta_max: float, R_v: float,
     return probes
 
 
-def _probe_value_fd(cfg: ExperimentConfig, spec, domain, grid, rule, opts,
-                    probe: rc.Probe, eta: float):
+def _probe_value_fd(cfg: ExperimentConfig, solver: Solver, probe: rc.Probe,
+                    eta: float):
     """Probe value through the full solver pipeline: mollified boundary data
     at (v0, u0), second-order finite difference of the boundary map, then
     the v_star bump integral of S = W / tau_-."""
     dim = probe.dim
+    domain = solver.grid.domain
     sup_bump = float(rc.mollifier(np.zeros((1, dim)), eta)[0])
-    thr = cfg.section("solver")["smallness_threshold"]
-    eps1 = eps2 = 0.45 * thr / sup_bump
+    eps1 = eps2 = 0.45 * solver.opts.smallness_threshold / sup_bump
 
     def bump_source(center):
         c = np.asarray(center, dtype=float)
-        return lambda V: rc.mollifier(V - c, eta)
-
-    p1 = bump_source(probe.v0)
-    p2 = bump_source(probe.u0)
-    sources = {
-        "combined": BoundarySource.from_velocity_profile(
-            lambda V: eps1 * p1(V) + eps2 * p2(V), sup=(eps1 + eps2) * sup_bump),
-        "first": BoundarySource.from_velocity_profile(
-            lambda V: eps1 * p1(V), sup=eps1 * sup_bump),
-        "second": BoundarySource.from_velocity_profile(
-            lambda V: eps2 * p2(V), sup=eps2 * sup_bump),
-    }
+        return BoundarySource.from_velocity_profile(
+            lambda V: rc.mollifier(V - c, eta), sup=sup_bump)
 
     nodes, weights = ball_rule(dim, cfg.section("reconstruct")["nr"],
                                cfg.section("reconstruct")["na"], eta)
@@ -341,17 +332,13 @@ def _probe_value_fd(cfg: ExperimentConfig, spec, domain, grid, rule, opts,
     tau_out = exit_times(domain, np.zeros((Vq.shape[0], dim)), Vq, sign=1)
     Xq = tau_out[:, None] * Vq
 
-    traces = {}
-    iters = 0
-    for label, src in sources.items():
-        field_, report = picard_solve(spec, src, grid, rule, opts)
-        traces[label] = boundary_trace(field_, Xq, Vq).value
-        iters += report.iterations
-    W = (traces["combined"] - traces["first"] - traces["second"]) / (eps1 * eps2)
+    W, _, reports = mixed_difference(solver, bump_source(probe.v0),
+                                     bump_source(probe.u0), eps1, eps2, Xq, Vq)
     tau_m = exit_times(domain, Xq, Vq, sign=-1)
     S_vals = W / tau_m
     return {"S_fd": float(np.sum(bump_w * S_vals)), "eps1": eps1,
-            "eps2": eps2, "iterations": iters}
+            "eps2": eps2,
+            "iterations": sum(rep.iterations for rep in reports)}
 
 
 def stage_reconstruct(cfg: ExperimentConfig, out: str):
@@ -375,14 +362,13 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
                 "reconstruct", "linearize",
                 f"missing {lin_summary}; the finite-difference source route "
                 "needs the linearize stage to have run in this directory")
-        grid = cfg.build_grid()
-        rule = cfg.build_rule()
-        opts = cfg.picard_options()
+        solver = Solver(spec, cfg.build_grid(), cfg.build_rule(),
+                        cfg.picard_options())
         S_table = np.empty((len(probes), len(etas)))
         fd_meta = []
         for i, probe in enumerate(probes):
             for j, eta in enumerate(etas):
-                res = _probe_value_fd(cfg, spec, domain, grid, rule, opts,
+                res = _probe_value_fd(cfg, solver,
                                       rc.Probe(probe.v_star, probe.v0,
                                                probe.u0, eta), eta)
                 S_table[i, j] = res["S_fd"]
@@ -416,15 +402,13 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
 
         n_cross = min(rec["fd_crosscheck_probes"], len(probes))
         if n_cross > 0:
-            grid = cfg.build_grid()
-            rule = cfg.build_rule()
-            opts = cfg.picard_options()
+            solver = Solver(spec, cfg.build_grid(), cfg.build_rule(),
+                            cfg.picard_options())
             path = os.path.join(out, "fd_crosscheck.csv")
             with open(path, "w", newline="") as fh:
                 fh.write("probe,eta,S_direct,S_fd,rel_delta\n")
                 for i in range(n_cross):
-                    res = _probe_value_fd(cfg, spec, domain, grid, rule,
-                                          opts, probes[i], etas[0])
+                    res = _probe_value_fd(cfg, solver, probes[i], etas[0])
                     direct = S_table[i, 0]
                     delta = abs(res["S_fd"] - direct) / max(abs(direct), 1e-300)
                     fh.write(",".join("%.17g" % v for v in

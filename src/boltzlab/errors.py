@@ -28,8 +28,10 @@ class DependencyError(BoltzlabError, RuntimeError):
 
 
 class ConvergenceError(BoltzlabError, RuntimeError):
-    """Iteration failed to converge; carries the partial report."""
+    """Iteration failed to converge; carries the partial report and, from a
+    solve of several sources, the position of the failing one."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report=None, index=None):
         super().__init__(message)
         self.report = report
+        self.index = index

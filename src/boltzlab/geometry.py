@@ -166,11 +166,6 @@ def exit_times(domain: Domain, x, v, sign: int = 1):
     return np.min(per_axis, axis=-1)
 
 
-def exit_time(domain: Domain, x, v, sign: int = 1) -> float:
-    """Scalar convenience wrapper around :func:`exit_times`."""
-    return float(exit_times(domain, np.asarray(x, float), np.asarray(v, float), sign))
-
-
 def classify_boundary(domain: Domain, x, v, tol: float = 1e-9) -> str:
     """Classify a phase point as interior / incoming / outgoing / grazing.
 

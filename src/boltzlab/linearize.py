@@ -25,12 +25,13 @@ from .collision import KernelSpec, QuadratureRule, kernel_eval
 from .errors import ConvergenceError, PreconditionError
 from .geometry import Domain, exit_times
 from .solver import (BoundarySource, PhaseField, PhaseGrid, PicardOptions,
-                     apply_A, free_transport)
+                     Solver, boundary_trace, free_transport)
 
 __all__ = [
     "LinearizationConfig", "SecondOrderSource", "FDConvergence", "WTable",
     "p_function", "first_linearization", "second_order_source",
-    "w_quadrature", "w_finite_difference", "convergence_to_csv",
+    "w_quadrature", "mixed_difference", "w_finite_difference",
+    "convergence_to_csv",
 ]
 
 
@@ -295,13 +296,39 @@ def _scaled_source(g1: BoundarySource, g2: BoundarySource, e1: float,
     return BoundarySource(func=func, velocity_only=vo, sup_norm=sup)
 
 
+def mixed_difference(solver: Solver, g1: BoundarySource, g2: BoundarySource,
+                     e1: float, e2: float, X, V):
+    """Second mixed difference of the boundary map at outgoing samples:
+    W = [A(e1 g1 + e2 g2) - A(e1 g1) - A(e2 g2)] / (e1 e2), with A(0) = 0.
+
+    The combined, first and second data are solved in lockstep on
+    `solver`.  Returns (W, traces, reports), the last two in that order.
+    A solve that does not converge raises ConvergenceError naming its data
+    and the amplitudes, with its report attached.
+    """
+    labels = ("combined", "first", "second")
+    sources = (_scaled_source(g1, g2, e1, e2), _scaled_source(g1, g2, e1, 0.0),
+               _scaled_source(g1, g2, 0.0, e2))
+    try:
+        results = solver.solve_many(sources)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"solve failed for the {labels[exc.index]} data at amplitudes "
+            f"(eps1={e1:.3e}, eps2={e2:.3e}): {exc}",
+            report=exc.report, index=exc.index) from exc
+    traces = [boundary_trace(field_, X, V) for field_, _ in results]
+    W = (traces[0].value - traces[1].value - traces[2].value) / (e1 * e2)
+    return W, traces, [report for _, report in results]
+
+
 def w_finite_difference(spec: KernelSpec, g1: BoundarySource,
                         g2: BoundarySource, cfg: LinearizationConfig,
                         X, V, grid: PhaseGrid, rule: QuadratureRule,
                         options: PicardOptions = None,
                         order: int = 24) -> FDConvergence:
     """Recover W on outgoing samples from second differences of the
-    boundary operator, one solve triple per amplitude pair.
+    boundary operator, one solve triple per amplitude pair
+    (mixed_difference), all on one Solver.
 
     For each pair, W_fd = [A(e1 g1 + e2 g2) - A(e1 g1) - A(e2 g2)] / (e1 e2)
     at the given samples (A(0) = 0).  The quadrature reference is computed
@@ -338,25 +365,14 @@ def w_finite_difference(spec: KernelSpec, g1: BoundarySource,
     ref_fine = w_quadrature(S_fine, grid.domain, X, V, order=2 * order)
     est_quad = float(np.max(np.abs(ref_fine.value - ref.value)))
 
+    solver = Solver(spec, grid, rule, opts)
     tables = np.empty((len(cfg.pairs), X.shape[0]))
     trace_res = 0.0
     for k, (e1, e2) in enumerate(cfg.pairs):
-        jobs = (("combined", _scaled_source(g1, g2, e1, e2), 1.0),
-                ("first", _scaled_source(g1, g2, e1, 0.0), -1.0),
-                ("second", _scaled_source(g1, g2, 0.0, e2), -1.0))
-        acc = np.zeros(X.shape[0])
-        for label, src, sgn in jobs:
-            try:
-                tab, _rep = apply_A(spec, src, grid, rule, X, V, opts)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"solve failed for the {label} data at amplitudes "
-                    f"(eps1={e1:.3e}, eps2={e2:.3e}): {exc}",
-                    report=exc.report) from exc
-            acc += sgn * tab.value
+        tables[k], traces, _ = mixed_difference(solver, g1, g2, e1, e2, X, V)
+        for tab in traces:
             trace_res = max(trace_res,
                             float(np.max(tab.extrap_residual)) / (e1 * e2))
-        tables[k] = acc / (e1 * e2)
 
     errors = np.max(np.abs(tables - ref.value[None, :]), axis=1)
     if len(cfg.pairs) >= 2:

@@ -300,20 +300,29 @@ class PhaseField:
         return out
 
     def sup_norm(self) -> float:
-        """Sup of |F| over the grid nodes (cached), evaluated in blocks of
-        _X_BLOCK spatial nodes."""
+        """Sup of |F| over the active grid nodes (cached), evaluated in
+        blocks of _X_BLOCK spatial nodes.
+
+        At a grid node the interpolation weights are exactly 0 and 1, so
+        eval returns the analytic part plus the stored value there; both
+        are read directly, without the interpolation.
+        """
         if self._sup is None:
             if self.grid is None:
                 raise PreconditionError("sup_norm needs a grid; pass one at build")
             g = self.grid
-            Xa = g.x_nodes[g.x_active_idx]
             Va = g.v_nodes[g.v_active_idx]
             sup = 0.0
-            for start in range(0, Xa.shape[0], _X_BLOCK):
-                Xb = Xa[start:start + _X_BLOCK]
-                X = np.repeat(Xb, Va.shape[0], axis=0)
-                V = np.tile(Va, (Xb.shape[0], 1))
-                sup = max(sup, float(np.max(np.abs(self.eval(X, V)))))
+            for start in range(0, g.x_active_idx.size, _X_BLOCK):
+                rows = g.x_active_idx[start:start + _X_BLOCK]
+                out = np.zeros(rows.size * Va.shape[0])
+                if self.analytic is not None:
+                    X = np.repeat(g.x_nodes[rows], Va.shape[0], axis=0)
+                    V = np.tile(Va, (rows.size, 1))
+                    out = out + np.asarray(self.analytic(X, V), dtype=float)
+                if self.values is not None:
+                    out = out + self.values[np.ix_(rows, g.v_active_idx)].ravel()
+                sup = max(sup, float(np.max(np.abs(out))))
             self._sup = sup
         return self._sup
 
@@ -537,9 +546,7 @@ class _PicardTables:
         NVa, NU, NW = self.shape
         NR = self.reps.size
         ncols = self.grid.NVF + 1
-
-        def rep_rows(a):
-            return a.reshape(NVa, NU, NW)[:, :, self.reps].ravel()
+        rep_rows = self.rep_rows
 
         def csr(b, fr, f0):
             return _stencil_csr(rep_rows(b), [rep_rows(f) for f in fr],
@@ -552,6 +559,23 @@ class _PicardTables:
             r = slice(j * NU * NR, (j + _V_BLOCK) * NU * NR)
             tiles.append((slice(j, j + _V_BLOCK), Sup[r], Svp[r]))
         return _stencil_csr(self.ub, self.ufr, self.v_strides, ncols), tiles
+
+    def rep_rows(self, a):
+        """A (v, u, omega) table at the representative omega nodes, in the
+        row order of the u' and v' operators."""
+        NVa, NU, NW = self.shape
+        return a.reshape(NVa, NU, NW)[:, :, self.reps].ravel()
+
+    def set_f0_column(self, ops, F0UPr, F0VPr):
+        """Overwrite, in place, the F0 column of the u' and v' operators of
+        `ops` (from stencil_operators) with F0UPr and F0VPr, given in
+        rep_rows order.  The sparsity pattern and the corner weights stay,
+        so one set of operators serves every source of a solver."""
+        NRow = self.shape[1] * self.reps.size
+        for js, Sup, Svp in ops[1]:
+            r = slice(js.start * NRow, js.stop * NRow)
+            Sup.data[Sup.indptr[1:] - 1] = F0UPr[r]
+            Svp.data[Svp.indptr[1:] - 1] = F0VPr[r]
 
     def f0_tables_velocity_only(self, g):
         Xd = np.zeros((1, self.grid.dim))
@@ -676,14 +700,17 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, first_iterate=False,
     return Q
 
 
-def _line_stage_np(Q, tables):
-    """Characteristic-integral stage.
+def _line_stage_np(Qs, tables):
+    """Characteristic-integral stage of several sources at once.
 
-    Q is v-major, (NVF, NXF); the result G is (NXF, NVF).  Pairs (x node,
-    v node) come grouped by chord quadrature order and, within an order,
-    by (v, x) (see _PicardTables), so a chunk gathers from few rows of Q;
-    each group is evaluated in chunks of _PAIR_BLOCK pairs.  The locate is
-    truncation + clip, no node snapping.
+    Each Q of Qs is v-major, (NVF, NXF); the result is one G per Q, (NXF,
+    NVF).  Pairs (x node, v node) come grouped by chord quadrature order
+    and, within an order, by (v, x) (see _PicardTables), so a chunk gathers
+    from few rows of Q; each group is evaluated in chunks of _PAIR_BLOCK
+    pairs.  The locate is truncation + clip, no node snapping.  A chunk's
+    chord nodes, cells and corner weights depend on the grid only, so they
+    are computed once and serve every Q; each Q's gather and sum are those
+    of a stage run on it alone.
     """
     grid = tables.grid
     x_lo = np.array([ax[0] for ax in grid.x_axes])
@@ -692,8 +719,8 @@ def _line_stage_np(Q, tables):
     xstr = [int(np.prod(nxs[a + 1:])) for a in range(grid.dim)]
     NXF, NVF = grid.NXF, grid.NVF
     NXa = grid.x_active_idx.size
-    Qflat = Q.ravel()
-    Gout = np.zeros(Q.size)
+    Qflats = [Q.ravel() for Q in Qs]
+    Gouts = [np.zeros(NXF * NVF) for _ in Qs]
     TAU = tables.TAU.ravel()
     for o, first, last in tables.order_groups:
         off = tables.gloff[o]
@@ -717,128 +744,251 @@ def _line_stage_np(Q, tables):
                 fracs.append(np.clip(f - i, 0.0, 1.0))
                 base = base + i * xstr[a]
             # _interp_flat's gather; every chord node lies in range
-            qv = np.zeros(S.shape)
+            qvs = [np.zeros(S.shape) for _ in Qs]
             for w, off in _corner_weights(fracs, xstr):
-                qv += w * Qflat[base + off]
-            Gout[xi * NVF + vi] = np.sum(Wt * qv, axis=1)
-    return Gout.reshape(NXF, NVF)
+                idx = base + off
+                for Qflat, qv in zip(Qflats, qvs):
+                    qv += w * Qflat[idx]
+            for Gout, qv in zip(Gouts, qvs):
+                Gout[xi * NVF + vi] = np.sum(Wt * qv, axis=1)
+    return [G.reshape(NXF, NVF) for G in Gouts]
+
+
+class Solver:
+    """Picard solves of any number of boundary data under one (spec, grid,
+    rule, options).
+
+    The set-up that does not depend on the data is built once, on the
+    first solve, after the first data have passed the smallness check: the
+    _PicardTables, the admissibility verdict, the CSR stencil operators
+    (sparsity pattern and corner weights) and the residual sample points
+    with their rule and kernel weights.  Each source keeps its own
+    transported data F0, which it writes into the operators' F0 column
+    before each of its collision stages, and its own first-iterate
+    shortcut, stopping test and defect application, so a source's iterates
+    do not depend on the other sources solved with it.
+    """
+
+    def __init__(self, spec: KernelSpec, grid: PhaseGrid,
+                 rule: QuadratureRule, options: PicardOptions | None = None):
+        self.spec = spec
+        self.grid = grid
+        self.rule = rule
+        self.opts = options or PicardOptions()
+        self._admissibility = None
+        self._tables = self._ops = self._samples = None
+
+    def solve(self, g: BoundarySource):
+        """(PhaseField, ConvergenceReport) of one source; see solve_many."""
+        return self.solve_many([g])[0]
+
+    def solve_many(self, gs):
+        """Solve the sources gs in lockstep; one (PhaseField,
+        ConvergenceReport) per source, in order.
+
+        Each round applies the map once to every source that is still
+        iterating or still owes its defect application: the collision stage
+        source by source, the line stage for all of them at once.
+
+        Raises PreconditionError for the first source above the smallness
+        threshold, then for a kernel that fails the admissibility check.
+        When sources do not converge, every source still runs to the end,
+        and ConvergenceError is raised for the first of them in input order,
+        with its report attached and its position in `index`.
+        """
+        t_start = time.perf_counter()
+        gs = list(gs)
+        for g in gs:
+            self._check_smallness(g)
+        self._check_admissibility()
+        tables, ops = self._setup()
+        grid, opts = self.grid, self.opts
+        runs = [_SourceRun(g, grid, tables, opts) for g in gs]
+
+        def collision(run, first):
+            tables.set_f0_column(ops, *run.f0_column)
+            Q = _collision_stage_sparse(
+                run.state(), tables, ops, run.F0V, run.F0U,
+                first_iterate=first and run.shortcut, g=run.g_x)
+            grid.fill_fringe(Q.T)
+            return Q
+
+        live = runs
+        k = 0
+        while live:
+            k += 1
+            Gs = _line_stage_np([collision(run, k == 1) for run in live],
+                                tables)
+            for run, Gn in zip(live, Gs):
+                grid.fill_fringe(Gn)
+                run.advance(Gn, k)
+            live = [run for run in live if run.resid_disc is None]
+
+        results = [run.result(self._samples, t_start) for run in runs]
+        for i, (run, (_, report)) in enumerate(zip(runs, results)):
+            if not report.converged:
+                raise ConvergenceError(
+                    "no contraction to tol=%g within %d iterations (last "
+                    "delta %.3g); boundary data may be too large for this "
+                    "kernel mass" % (opts.tol, opts.max_iter, run.deltas[-1]),
+                    report=report, index=i)
+        return results
+
+    def _check_smallness(self, g):
+        opts = self.opts
+        if g.sup_norm is None:
+            g.estimate_sup(self.grid.domain, self.grid.R_v)
+        if opts.check_smallness and g.sup_norm > opts.smallness_threshold:
+            raise PreconditionError(
+                "boundary data sup %.3g exceeds the smallness threshold %.3g"
+                % (g.sup_norm, opts.smallness_threshold))
+
+    def _check_admissibility(self):
+        opts = self.opts
+        if not opts.check_admissibility:
+            return
+        if self._admissibility is None:
+            thr = opts.admissibility_threshold
+            if thr is None:
+                thr = 1.0 / (4.0 * opts.smallness_threshold)
+            self._admissibility = admissibility_check(
+                self.spec, self.grid.domain, self.rule, threshold=thr,
+                v_min=self.grid.v_min)
+        rep = self._admissibility
+        if not rep.passed:
+            raise PreconditionError(
+                "kernel mass estimate %.3g fails the admissibility threshold %.3g"
+                % (rep.M_estimate, rep.threshold))
+
+    def _setup(self):
+        if self._tables is None:
+            tables = _PicardTables(self.spec, self.grid, self.rule, self.opts)
+            NVa, NU, NW = tables.shape
+            zero = np.zeros(NVa * NU * NW)
+            self._ops = tables.stencil_operators(zero, zero)
+            self._samples = _residual_samples(self.spec, tables, self.opts)
+            self._tables = tables
+        return self._tables, self._ops
+
+
+class _SourceRun:
+    """One source of a lockstep solve: its transported data and its
+    iteration state."""
+
+    def __init__(self, g, grid, tables, opts):
+        self.g = g
+        self.grid = grid
+        self.opts = opts
+        self.split = opts.extension == "analytic"
+        self.F0 = free_transport(g, grid.domain, grid)
+        NVa, NU = tables.shape[:2]
+        self.F0G = None
+        # F0 is analytic and independent of x: the first iterate may take
+        # the collision stage's G = 0 shortcut
+        self.shortcut = self.split and g.velocity_only
+        if self.shortcut:
+            self.F0V, self.F0U, F0UP, F0VP = tables.f0_tables_velocity_only(g)
+            self.f0_column = (tables.rep_rows(F0UP), tables.rep_rows(F0VP))
+        else:
+            # zero F0 tables: under the split the collision stage adds each
+            # block's own tables; gridded policies sample F0 on the grid and
+            # interpolate it like G
+            self.F0V, self.F0U = np.zeros(NVa), np.zeros(NU)
+            zero = np.zeros(NVa * NU * tables.reps.size)
+            self.f0_column = (zero, zero)
+            if not self.split:
+                X = np.repeat(grid.x_nodes[grid.x_active_idx], grid.NVF, axis=0)
+                V = np.tile(grid.v_nodes, (grid.x_active_idx.size, 1))
+                self.F0G = np.zeros((grid.NXF, grid.NVF))
+                self.F0G[grid.x_active_idx] = self.F0.eval(X, V).reshape(
+                    -1, grid.NVF)
+                grid.fill_fringe(self.F0G)
+        self.g_x = g if self.split and not g.velocity_only else None
+        self.G = np.zeros((grid.NXF, grid.NVF))
+        self.deltas = []
+        self.iterations = None
+        self.converged = False
+        self.resid_disc = None
+
+    def state(self):
+        # under the split the first iterate starts from G = 0
+        return self.G if self.split else self.F0G + self.G
+
+    def advance(self, Gn, k):
+        """Take the map's output of round k: an iterate until the source
+        stops, then its discrete fixed-point defect."""
+        if self.iterations is not None:
+            self.resid_disc = float(np.max(np.abs(Gn - self.G)))
+            return
+        delta = float(np.max(np.abs(Gn - self.G)))
+        self.deltas.append(delta)
+        self.G = Gn
+        if delta <= self.opts.tol:
+            self.converged = True
+            self.iterations = k
+        elif k >= self.opts.max_iter:
+            self.iterations = k
+
+    def result(self, samples, t_start):
+        grid, G = self.grid, self.G
+        if self.split:
+            field = PhaseField(grid, values=G, analytic=self.F0.analytic,
+                               extension="analytic")
+        else:
+            field = PhaseField(grid, values=self.F0G + G, analytic=None,
+                               extension=self.opts.extension)
+        sup_G = float(np.max(np.abs(G)))
+        sup_F = field.sup_norm()
+        resid_pde, n_res = _sample_pde_residual(field, samples)
+        report = ConvergenceReport(
+            iterations=self.iterations, deltas=np.array(self.deltas),
+            converged=self.converged, ratio=_contraction_ratio(self.deltas),
+            residual_discrete=self.resid_disc, residual_pde=resid_pde,
+            residual_points=n_res, sup_F=sup_F, sup_G=sup_G,
+            runtime=time.perf_counter() - t_start)
+        return field, report
 
 
 def picard_solve(spec: KernelSpec, g: BoundarySource, grid: PhaseGrid,
                  rule: QuadratureRule,
                  options: PicardOptions | None = None):
-    """Fixed-point solve of the nonlinear transport problem.
+    """Fixed-point solve of the nonlinear transport problem, on a Solver of
+    its own.
 
     Returns (PhaseField, ConvergenceReport).  Raises ConvergenceError (with
     the report attached) when max_iter is exhausted, PreconditionError
     when the boundary data violates the smallness threshold or the kernel
     fails the admissibility check.
     """
-    opts = options or PicardOptions()
-    t_start = time.perf_counter()
-    split = opts.extension == "analytic"
-
-    if g.sup_norm is None:
-        g.estimate_sup(grid.domain, grid.R_v)
-    if opts.check_smallness and g.sup_norm > opts.smallness_threshold:
-        raise PreconditionError(
-            "boundary data sup %.3g exceeds the smallness threshold %.3g"
-            % (g.sup_norm, opts.smallness_threshold))
-    if opts.check_admissibility:
-        thr = opts.admissibility_threshold
-        if thr is None:
-            thr = 1.0 / (4.0 * opts.smallness_threshold)
-        rep = admissibility_check(spec, grid.domain, rule, threshold=thr,
-                                  v_min=grid.v_min)
-        if not rep.passed:
-            raise PreconditionError(
-                "kernel mass estimate %.3g fails the admissibility threshold %.3g"
-                % (rep.M_estimate, rep.threshold))
-
-    F0 = free_transport(g, grid.domain, grid)
-    tables = _PicardTables(spec, grid, rule, opts)
-
-    NVa, NU, NW = tables.shape
-    F0G = None
-    if split and g.velocity_only:
-        F0V, F0U, F0UP, F0VP = tables.f0_tables_velocity_only(g)
-    else:
-        # zero F0 tables: under the split the collision stage adds each
-        # block's own tables; gridded policies sample F0 on the grid and
-        # interpolate it like G
-        F0V, F0U, F0UP, F0VP = (np.zeros(NVa), np.zeros(NU),
-                                np.zeros(NVa * NU * NW), np.zeros(NVa * NU * NW))
-        if not split:
-            X = np.repeat(grid.x_nodes[grid.x_active_idx], grid.NVF, axis=0)
-            V = np.tile(grid.v_nodes, (grid.x_active_idx.size, 1))
-            F0G = np.zeros((grid.NXF, grid.NVF))
-            F0G[grid.x_active_idx] = F0.eval(X, V).reshape(-1, grid.NVF)
-            grid.fill_fringe(F0G)
-    ops = tables.stencil_operators(F0UP, F0VP)
-    g_x = g if split and not g.velocity_only else None
-
-    def _one_iteration(G, first=False):
-        # under the split the first iterate starts from G = 0
-        state = G if split else F0G + G
-        Q = _collision_stage_sparse(
-            state, tables, ops, F0V, F0U,
-            first_iterate=first and split and g.velocity_only, g=g_x)
-        grid.fill_fringe(Q.T)
-        Gn = _line_stage_np(Q, tables)
-        grid.fill_fringe(Gn)
-        return Gn
-
-    G = np.zeros((grid.NXF, grid.NVF))
-    deltas = []
-    converged = False
-    for k in range(1, opts.max_iter + 1):
-        Gn = _one_iteration(G, first=k == 1)
-        delta = float(np.max(np.abs(Gn - G)))
-        deltas.append(delta)
-        G = Gn
-        if delta <= opts.tol:
-            converged = True
-            iterations = k
-            break
-    else:
-        iterations = opts.max_iter
-
-    if split:
-        field = PhaseField(grid, values=G, analytic=F0.analytic,
-                           extension="analytic")
-    else:
-        field = PhaseField(grid, values=F0G + G, analytic=None,
-                           extension=opts.extension)
-
-    # discrete fixed-point defect: one more application of the map
-    resid_disc = float(np.max(np.abs(_one_iteration(G) - G)))
-
-    sup_G = float(np.max(np.abs(G)))
-    sup_F = field.sup_norm()
-    resid_pde, n_res = _sample_pde_residual(field, spec, tables, opts)
-    report = ConvergenceReport(
-        iterations=iterations, deltas=np.array(deltas), converged=converged,
-        ratio=_contraction_ratio(deltas), residual_discrete=resid_disc,
-        residual_pde=resid_pde, residual_points=n_res, sup_F=sup_F,
-        sup_G=sup_G, runtime=time.perf_counter() - t_start)
-    if not converged:
-        raise ConvergenceError(
-            "no contraction to tol=%g within %d iterations (last delta %.3g); "
-            "boundary data may be too large for this kernel mass"
-            % (opts.tol, opts.max_iter, deltas[-1]), report=report)
-    return field, report
+    return Solver(spec, grid, rule, options).solve(g)
 
 
-def _sample_pde_residual(field: PhaseField, spec, tables, opts):
-    """|v.grad F - Q(F,F)| at random interior phase points.
+@dataclass
+class _ResidualSamples:
+    """Phase points of the sampled PDE residual with everything about them
+    that does not depend on the field: the central-difference points, the
+    collision points of the solve's rule at each, and B * w_u * w_omega."""
 
-    The directional derivative uses central differences along the
-    characteristic, so the analytic part drops out exactly and the estimate
-    probes the gridded correction plus interpolation error.
-    """
+    X: np.ndarray
+    V: np.ndarray
+    X_fwd: np.ndarray
+    X_bwd: np.ndarray
+    two_t: np.ndarray
+    X_uw: np.ndarray
+    UP: np.ndarray
+    VP: np.ndarray
+    X_u: np.ndarray
+    U: np.ndarray
+    Bw: np.ndarray
+
+
+def _residual_samples(spec, tables, opts):
+    """The _ResidualSamples of a solver (None when opts.residual_samples is
+    0): opts.residual_samples random interior phase points, drawn from
+    opts.residual_seed."""
     n = opts.residual_samples
     if n <= 0:
-        return 0.0, 0
+        return None
     grid = tables.grid
     rng = np.random.default_rng(opts.residual_seed)
     lo, hi = grid.domain.bounding_box()
@@ -861,8 +1011,6 @@ def _sample_pde_residual(field: PhaseField, spec, tables, opts):
 
     # central difference along the characteristic, one step per point
     t = 0.5 * grid.h_x / np.linalg.norm(V, axis=1)
-    cd = (field.eval(X + t[:, None] * V, V) -
-          field.eval(X - t[:, None] * V, V)) / (2.0 * t)
 
     # Q(F, F)(x, v) with the solve's own rule, all points at once
     U, W = tables.U, tables.W
@@ -871,14 +1019,34 @@ def _sample_pde_residual(field: PhaseField, spec, tables, opts):
     om = W[None, None, :, :]
     v = V[:, None, None, :]
     c = np.sum((u - v) * om, axis=-1, keepdims=True)
-    H = lambda P, k: field.eval(np.repeat(X, k, axis=0), P.reshape(-1, d))
-    Hup = H(u - c * om, nu * nw).reshape(n, nu, nw)
-    Hvp = H(v + c * om, nu * nw).reshape(n, nu, nw)
-    Hu = H(np.broadcast_to(U, (n, nu, d)), nu).reshape(n, nu, 1)
-    Hv = field.eval(X, V).reshape(n, 1, 1)
     B = kernel_eval(spec, v, u, om)
     w = tables.WU[:, None] * tables.WW[None, :]
-    qv = np.sum(B * w * (Hup * Hvp - Hu * Hv), axis=(1, 2))
+    return _ResidualSamples(
+        X=X, V=V, X_fwd=X + t[:, None] * V, X_bwd=X - t[:, None] * V,
+        two_t=2.0 * t, X_uw=np.repeat(X, nu * nw, axis=0),
+        UP=(u - c * om).reshape(-1, d), VP=(v + c * om).reshape(-1, d),
+        X_u=np.repeat(X, nu, axis=0),
+        U=np.broadcast_to(U, (n, nu, d)).reshape(-1, d), Bw=B * w)
+
+
+def _sample_pde_residual(field: PhaseField, samples):
+    """|v.grad F - Q(F,F)| at the points of samples (_residual_samples);
+    returns (max, number of points).
+
+    The directional derivative uses central differences along the
+    characteristic, so the analytic part drops out exactly and the estimate
+    probes the gridded correction plus interpolation error.
+    """
+    if samples is None:
+        return 0.0, 0
+    s = samples
+    n, nu, nw = s.Bw.shape
+    cd = (field.eval(s.X_fwd, s.V) - field.eval(s.X_bwd, s.V)) / s.two_t
+    Hup = field.eval(s.X_uw, s.UP).reshape(n, nu, nw)
+    Hvp = field.eval(s.X_uw, s.VP).reshape(n, nu, nw)
+    Hu = field.eval(s.X_u, s.U).reshape(n, nu, 1)
+    Hv = field.eval(s.X, s.V).reshape(n, 1, 1)
+    qv = np.sum(s.Bw * (Hup * Hvp - Hu * Hv), axis=(1, 2))
     return float(np.max(np.abs(cd - qv))), n
 
 

@@ -182,6 +182,37 @@ def test_identical_configs_give_identical_csvs(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+def test_each_solving_stage_builds_its_tables_once(tmp_path, monkeypatch):
+    # the forward, linearize and reconstruct stages each share one set of
+    # Picard tables across all their solves
+    from boltzlab import cli
+    from boltzlab.solver import _PicardTables
+
+    built = []
+    init = _PicardTables.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_PicardTables, "__init__", counting_init)
+    per_stage = {}
+    for name, func in list(cli.STAGE_FUNCS.items()):
+        def counted(cfg, out, func=func, name=name):
+            before = len(built)
+            try:
+                return func(cfg, out)
+            finally:
+                per_stage[name] = len(built) - before
+        monkeypatch.setitem(cli.STAGE_FUNCS, name, counted)
+
+    d = tiny(tmp_path / "run", STAGE_ORDER)
+    d["reconstruct"]["fd_crosscheck_probes"] = 2
+    run_config(config_from_dict(d))
+    assert per_stage == {"verify_geometry": 0, "verify_collision": 0,
+                         "forward": 1, "linearize": 1, "reconstruct": 1}
+
+
 def test_fd_route_requires_linearize_artifacts(tmp_path):
     out = tmp_path / "run"
     doc = tiny(out, ("reconstruct",),

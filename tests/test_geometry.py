@@ -5,7 +5,6 @@ from boltzlab.errors import DomainError
 from boltzlab.geometry import (
     Domain,
     classify_boundary,
-    exit_time,
     exit_times,
     sample_outgoing,
 )
@@ -25,29 +24,34 @@ def _random_interior(domain, count, rng):
     return np.array(pts)
 
 
+def _tau(domain, x, v, sign=1):
+    """exit_times at one phase point, as a length-1 batch."""
+    return exit_times(domain, np.array([x], float), np.array([v], float), sign)[0]
+
+
 def test_exit_time_disk_center():
-    assert exit_time(DISK, (0.0, 0.0), (1.0, 0.0), sign=1) == pytest.approx(1.0, abs=1e-15)
+    assert _tau(DISK, (0.0, 0.0), (1.0, 0.0), sign=1) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_exit_time_disk_offset_both_signs():
     # chord [(-1,0),(1,0)] traversed at speed 2 from x=0.5
-    assert exit_time(DISK, (0.5, 0.0), (2.0, 0.0), sign=1) == pytest.approx(0.25, abs=1e-14)
-    assert exit_time(DISK, (0.5, 0.0), (2.0, 0.0), sign=-1) == pytest.approx(0.75, abs=1e-14)
+    assert _tau(DISK, (0.5, 0.0), (2.0, 0.0), sign=1) == pytest.approx(0.25, abs=1e-14)
+    assert _tau(DISK, (0.5, 0.0), (2.0, 0.0), sign=-1) == pytest.approx(0.75, abs=1e-14)
 
 
 def test_exit_time_box_min_over_faces():
     # face hit times are 0.75 (x-face) and 0.5 (y-face); the minimum wins
-    assert exit_time(BOX2, (0.25, 0.5), (1.0, 1.0), sign=1) == pytest.approx(0.5, abs=1e-14)
+    assert _tau(BOX2, (0.25, 0.5), (1.0, 1.0), sign=1) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_exit_time_zero_velocity_rejected():
     with pytest.raises(DomainError):
-        exit_time(DISK, (0.0, 0.0), (0.0, 0.0))
+        _tau(DISK, (0.0, 0.0), (0.0, 0.0))
 
 
 def test_exit_time_outside_rejected():
     with pytest.raises(DomainError):
-        exit_time(DISK, (2.0, 0.0), (1.0, 0.0))
+        _tau(DISK, (2.0, 0.0), (1.0, 0.0))
 
 
 def test_exit_point_lands_on_boundary():

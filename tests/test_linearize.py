@@ -318,6 +318,9 @@ def test_fd_smallness_guard_and_failure_naming():
                             X, V, grid, _rule(),
                             options=PicardOptions(max_iter=1))
     assert "eps1" in str(ei.value)
+    # all three fail; the first in input order is named, with its report
+    assert "solve failed for the combined data" in str(ei.value)
+    assert ei.value.report is not None and not ei.value.report.converged
 
 
 def test_convergence_csv(tmp_path):

@@ -9,7 +9,7 @@ from boltzlab.errors import (ConfigurationError, ConvergenceError,
                              PreconditionError)
 from boltzlab.geometry import Domain, exit_times
 from boltzlab.solver import (BoundarySource, PhaseField, PhaseGrid,
-                             PicardOptions, _collision_stage_np,
+                             PicardOptions, Solver, _collision_stage_np,
                              _collision_stage_sparse, _line_stage_np,
                              _PicardTables, apply_A, boundary_trace,
                              field_to_csv, free_transport, load_field,
@@ -117,6 +117,14 @@ def test_phase_field_node_reproduction_and_finiteness():
     # sup_norm, taken over blocks of spatial nodes, reaches the last block
     assert grid.x_active_idx.size > 16
     assert F.sup_norm() == 9.0
+    # with an analytic part it reads both parts at the nodes; that equals
+    # eval there, where the interpolation weights are exactly 0 and 1
+    Fa = PhaseField(grid, values=vals,
+                    analytic=lambda X, V: 5.0 * X[:, 0] * V[:, 1])
+    X = np.repeat(grid.x_nodes[grid.x_active_idx], grid.v_active_idx.size,
+                  axis=0)
+    V = np.tile(grid.v_nodes[grid.v_active_idx], (grid.x_active_idx.size, 1))
+    assert Fa.sup_norm() == np.max(np.abs(Fa.eval(X, V))) != 9.0
     bad = vals.copy()
     bad[3, 4] = np.nan
     with pytest.raises(PreconditionError):
@@ -360,7 +368,7 @@ def test_line_stage_matches_per_pair_chord_loop():
     g = _bump_profile(3e-3)
     tables = _PicardTables(SMALL_KERNEL, grid, _small_rule(), opts)
     Q = np.random.default_rng(6).standard_normal((grid.NVF, grid.NXF))
-    G = _line_stage_np(Q, tables)
+    G = _line_stage_np([Q], tables)[0]
 
     lo = np.array([ax[0] for ax in grid.x_axes])
     h = np.array([ax[1] - ax[0] for ax in grid.x_axes])
@@ -477,6 +485,104 @@ def test_picard_nonconvergence_carries_report():
     rep = ei.value.report
     assert rep is not None and not rep.converged
     assert rep.deltas.size == 1 and rep.deltas[0] > 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Solver: shared set-up, sources in lockstep
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_solve(got, want):
+    """Bitwise equality of two (PhaseField, ConvergenceReport) results."""
+    (F, rep), (Fw, repw) = got, want
+    assert np.array_equal(F.values, Fw.values)
+    assert rep.iterations == repw.iterations
+    assert rep.converged == repw.converged
+    assert np.array_equal(rep.deltas, repw.deltas)
+    for name in ("residual_discrete", "residual_pde", "sup_F", "sup_G",
+                 "ratio"):
+        assert getattr(rep, name) == getattr(repw, name), name
+
+
+def _default_setup():
+    from boltzlab.config import load_config
+
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "default.json"))
+    return cfg, (cfg.build_kernel(), cfg.build_grid(), cfg.build_rule(),
+                 cfg.picard_options())
+
+
+def test_solve_many_matches_independent_solves_on_default_triple():
+    # the default run's first linearize triple: combined, first and second
+    # data at eps = (1e-2, 1e-2) need 4, 3 and 3 iterations, so the rounds
+    # run three, then one source, plus the defect applications
+    from boltzlab.cli import _quartic_source
+    from boltzlab.linearize import _scaled_source
+
+    cfg, (spec, grid, rule, opts) = _default_setup()
+    lin = cfg.section("linearize")
+    g1 = _quartic_source(lin["center1"], lin["width"], 1.0)
+    g2 = _quartic_source(lin["center2"], lin["width"], 1.0)
+    e1, e2 = lin["eps1"], lin["eps2"]
+    triple = [_scaled_source(g1, g2, e1, e2), _scaled_source(g1, g2, e1, 0.0),
+              _scaled_source(g1, g2, 0.0, e2)]
+    results = Solver(spec, grid, rule, opts).solve_many(triple)
+    assert [rep.iterations for _, rep in results] == [4, 3, 3]
+    for g, got in zip(triple, results):
+        _assert_same_solve(got, picard_solve(spec, g, grid, rule, opts))
+
+
+def test_solve_many_matches_independent_solves_x_dependent_and_gridded():
+    # an x-dependent source next to a velocity-only one under the analytic
+    # split, and the gridded extension="zero" policy
+    grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
+    rule = QuadratureRule.build(2, sphere_order=6, radial_order=2,
+                                angular_order=6, R_v=2.0)
+    sources = [_x_dependent_source(2e-3, (0.5, 0.0)),
+               _bump_profile(3e-3, center=(-0.3, 0.4))]
+    for opts in (PicardOptions(), PicardOptions(extension="zero")):
+        results = Solver(SMALL_KERNEL, grid, rule, opts).solve_many(sources)
+        for g, got in zip(sources, results):
+            _assert_same_solve(got, picard_solve(SMALL_KERNEL, g, grid, rule,
+                                                 opts))
+    assert results[0][0].analytic is None
+
+
+def test_solver_serves_successive_solves():
+    # the second solve reuses the first one's tables and operators, whose
+    # F0 column then holds the other source's data
+    grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
+    rule = _small_rule()
+    solver_ = Solver(SMALL_KERNEL, grid, rule)
+    for g in (_bump_profile(3e-3), _bump_profile(2e-3, center=(0.0, -0.5))):
+        _assert_same_solve(solver_.solve(g),
+                           picard_solve(SMALL_KERNEL, g, grid, rule))
+
+
+def test_solve_many_error_order():
+    grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
+    rule = _small_rule()
+    # smallness of every source comes before the admissibility verdict
+    big = KernelSpec("constant", dim=2, params={"value": 10.0})
+    with pytest.raises(PreconditionError, match="smallness"):
+        Solver(big, grid, rule).solve_many([_bump_profile(1e-3),
+                                            _bump_profile(0.5)])
+    with pytest.raises(PreconditionError, match="admissibility"):
+        Solver(big, grid, rule).solve_many([_bump_profile(1e-3)])
+    # the first source in input order that does not converge is reported,
+    # with the report an independent solve gives
+    opts = PicardOptions(max_iter=3)
+    small, large = _bump_profile(1e-4), _bump_profile(0.02)
+    with pytest.raises(ConvergenceError) as ei:
+        Solver(SMALL_KERNEL, grid, rule, opts).solve_many([small, large])
+    assert ei.value.index == 1
+    with pytest.raises(ConvergenceError) as ref:
+        picard_solve(SMALL_KERNEL, large, grid, rule, opts)
+    assert str(ei.value) == str(ref.value)
+    assert np.array_equal(ei.value.report.deltas, ref.value.report.deltas)
+    assert ei.value.report.residual_discrete == \
+        ref.value.report.residual_discrete
 
 
 # ---------------------------------------------------------------------------

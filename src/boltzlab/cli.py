@@ -27,7 +27,8 @@ from . import reconstruct as rc
 from .collision import ball_rule, post_collision, pre_collision
 from .config import ExperimentConfig, load_config, save_config
 from .errors import BoltzlabError, ConfigurationError, DependencyError
-from .geometry import classify_boundary, exit_times, sample_outgoing
+from .geometry import (OUTGOING, classify_boundaries, exit_times,
+                       sample_outgoing)
 from .linearize import (convergence_to_csv, mixed_difference,
                         w_finite_difference)
 from .solver import (BoundarySource, Solver, boundary_trace, field_to_csv,
@@ -120,8 +121,8 @@ def stage_verify_geometry(cfg: ExperimentConfig, out: str):
                               - (tau_p + tau_m) * speed)))
     rows.append(("chord_length_additivity", n, res, 1e-10, res <= 1e-10))
     Xb, Vb = sample_outgoing(domain, 500, rng)
-    miss = sum(1 for i in range(500)
-               if classify_boundary(domain, Xb[i], Vb[i]) != "outgoing")
+    miss = int(np.count_nonzero(classify_boundaries(domain, Xb, Vb)
+                                != OUTGOING))
     rows.append(("outgoing_sampler_classification", 500, float(miss), 0.0,
                  miss == 0))
 

@@ -166,26 +166,41 @@ def exit_times(domain: Domain, x, v, sign: int = 1):
     return np.min(per_axis, axis=-1)
 
 
-def classify_boundary(domain: Domain, x, v, tol: float = 1e-9) -> str:
-    """Classify a phase point as interior / incoming / outgoing / grazing.
+def classify_boundaries(domain: Domain, X, V, tol: float = 1e-9):
+    """Classify phase points (X, V), (N, d) each, as interior / incoming /
+    outgoing / grazing; returns an (N,) array of class names.
 
     A point is interior when its distance to the boundary exceeds ``tol``.
     On the boundary, the sign of n(x).v decides the class; |n.v| below
     ``GRAZING_RTOL * |v|`` is reported as grazing.
+
+    Raises
+    ------
+    DomainError
+        Naming the first point outside the closed domain or with zero
+        velocity.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not np.all(domain.contains(x, tol=tol)):
-        raise DomainError("point outside the closed domain")
-    if float(np.linalg.norm(v)) == 0.0:
-        raise DomainError("zero velocity cannot be classified")
-    if float(domain.boundary_distance(x)) > tol:
-        return INTERIOR
-    n = domain.unit_normal(x)[0]
-    s = float(np.dot(n, v))
-    if abs(s) <= GRAZING_RTOL * float(np.linalg.norm(v)):
-        return GRAZING
-    return OUTGOING if s > 0 else INCOMING
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    outside = np.flatnonzero(~domain.contains(X, tol=tol))
+    if outside.size:
+        raise DomainError("point %d outside the closed domain" % outside[0])
+    speed = np.linalg.norm(V, axis=-1)
+    still = np.flatnonzero(speed == 0.0)
+    if still.size:
+        raise DomainError("zero velocity at point %d cannot be classified"
+                          % still[0])
+    out = np.full(X.shape[0], INTERIOR, dtype=object)
+    on = np.flatnonzero(domain.boundary_distance(X) <= tol)
+    s = np.sum(domain.unit_normal(X[on]) * V[on], axis=-1)
+    out[on] = np.where(np.abs(s) <= GRAZING_RTOL * speed[on], GRAZING,
+                       np.where(s > 0, OUTGOING, INCOMING))
+    return out
+
+
+def classify_boundary(domain: Domain, x, v, tol: float = 1e-9) -> str:
+    """Class of one phase point (x, v); see classify_boundaries."""
+    return classify_boundaries(domain, x, v, tol)[0]
 
 
 def sample_boundary(domain: Domain, count: int, rng) -> np.ndarray:

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .collision import KernelSpec, QuadratureRule, admissibility_check, kernel_eval
 from .errors import ConfigurationError, ConvergenceError, PreconditionError
-from .geometry import (OUTGOING, Domain, classify_boundary, exit_times,
+from .geometry import (OUTGOING, Domain, classify_boundaries, exit_times,
                        sample_boundary)
 
 FIELD_CACHE_VERSION = 1
@@ -203,27 +203,51 @@ def _interp_flat(values_row: np.ndarray, base: np.ndarray, fracs, strides):
     return np.where(base < 0, 0.0, out)
 
 
-def _stencil_csr(base: np.ndarray, fracs, strides, ncols: int, last=None):
+def _stencil_csr(base: np.ndarray, fracs, strides, ncols: int):
     """The gather of _interp_flat as a CSR operator, one row per point.
 
     Each row stores its corners in _interp_flat's order, so applying the
     operator accumulates the same products in the same order; base = -1
-    points get no corners.  With `last` (one value per point) every row
-    ends with one more entry, in column ncols - 1, holding that value.
+    points get no corners.  Corners of weight exactly 0.0 are left out:
+    the product's row sums start at +0.0 and never become -0.0, so adding
+    the +-0.0 such a corner gives (for finite data) changes no bit.
     """
     pairs = list(_corner_weights(fracs, strides))
-    data = [w for w, _ in pairs]
-    cols = [base + off for _, off in pairs]
-    mask = [base >= 0] * len(pairs)
-    if last is not None:
-        data.append(last)
-        cols.append(np.full(base.shape, ncols - 1))
-        mask.append(np.ones(base.shape, dtype=bool))
-    mask = np.stack(mask, axis=-1)
+    data = np.stack([w for w, _ in pairs], axis=-1)
+    cols = np.stack([base + off for _, off in pairs], axis=-1)
+    mask = (base >= 0)[..., None] & (data != 0.0)
     indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=-1))])
-    return sp.csr_matrix((np.stack(data, axis=-1)[mask],
-                          np.stack(cols, axis=-1)[mask], indptr),
+    return sp.csr_matrix((data[mask], cols[mask], indptr),
                          shape=(base.size, ncols))
+
+
+def _distinct_points(P: np.ndarray):
+    """Distinct rows of P (n, d) by bit pattern, so -0.0 and +0.0 stay
+    apart, in order of first occurrence; returns (points, inverse) with
+    points[inverse] bitwise equal to P."""
+    bits = np.ascontiguousarray(P).view(np.uint64)
+    order = np.lexsort(bits.T[::-1])
+    s = bits[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any(s[1:] != s[:-1], axis=1)
+    # lexsort is stable, so the first row of each run is its first occurrence
+    firsts = order[new]
+    rank = np.empty(firsts.size, dtype=np.int64)
+    rank[np.argsort(firsts)] = np.arange(firsts.size)
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = rank[np.cumsum(new) - 1]
+    return P[np.sort(firsts)], inverse
+
+
+def _post_collision_velocities(Vg, U, W):
+    """u' = u - ((u - v).omega) omega and v' = v + ((u - v).omega) omega for
+    every (v, u, omega) of the active v-nodes Vg, the u-nodes U and the
+    omega-nodes W; each (NVa, NU, NW, d)."""
+    c = np.einsum("qa,ma->qm", U, W)[None, :, :] - \
+        np.einsum("ja,ma->jm", Vg, W)[:, None, :]
+    UP = U[None, :, None, :] - c[..., None] * W[None, None, :, :]
+    VP = Vg[:, None, None, :] + c[..., None] * W[None, None, :, :]
+    return UP, VP
 
 
 EXTENSION_POLICIES = ("zero", "analytic", "clamp")
@@ -468,17 +492,11 @@ class _PicardTables:
         W = rule.omega_nodes
         NVa, NU, NW = vact.size, U.shape[0], W.shape[0]
 
-        c = np.einsum("qa,ma->qm", U, W)[None, :, :] - \
-            np.einsum("ja,ma->jm", Vg, W)[:, None, :]
-        UP = U[None, :, None, :] - c[..., None] * W[None, None, :, :]
-        VP = Vg[:, None, None, :] + c[..., None] * W[None, None, :, :]
         self.B = np.ascontiguousarray(
             kernel_eval(spec, Vg[:, None, None, :], U[None, :, None, :],
                         W[None, None, :, :]).reshape(-1))
         self.WU = rule.u_weights
         self.WW = rule.omega_weights
-        self.UP = UP.reshape(-1, dim)
-        self.VP = VP.reshape(-1, dim)
         self.U = U
         self.W = W
         self.Vg = Vg
@@ -503,13 +521,20 @@ class _PicardTables:
         # loss weights sum_omega B * w_u * w_omega, shape (NVa, NU)
         self.Bw_loss = Bw.sum(axis=2)
 
-        policy = opts.extension
-        self.ub, self.ufr = grid.v_stencil(U, policy)
+        self.ub, self.ufr = grid.v_stencil(U, opts.extension)
         if np.any(self.ub < 0):
             raise PreconditionError("quadrature velocities exceed the grid square")
-        self.upb, self.upfr = grid.v_stencil(self.UP, policy)
-        self.vpb, self.vpfr = grid.v_stencil(self.VP, policy)
         self.v_strides = [grid.nv ** (dim - 1 - a) for a in range(dim)]
+
+        # for fixed (v, omega) v' depends on u only through u.omega, and for
+        # fixed (u, omega) u' on v only through v.omega, so the rows (v, u,
+        # representative) of the gain repeat their points: keep each
+        # distinct u' and v' point once, and the index of every row's point
+        UP, VP = _post_collision_velocities(Vg, U, W)
+        self.up_points, self.up_index = _distinct_points(
+            UP[:, :, self.reps].reshape(-1, dim))
+        self.vp_points, self.vp_index = _distinct_points(
+            VP[:, :, self.reps].reshape(-1, dim))
 
         # exit times and chord quadrature orders for every active pair,
         # v-major (NVa, NXa) like the collision stage's output
@@ -531,96 +556,80 @@ class _PicardTables:
         self.order_groups = list(zip(orders.tolist(), starts.tolist(),
                                      stops.tolist()))
 
-    def stencil_operators(self, F0UP, F0VP):
+    def stencil_operators(self):
         """CSR operators of the u, u' and v' velocity stencils.
 
         The stencils do not depend on x, so one set serves every spatial
-        row.  The operators take a state with one more row, of ones, at
-        index NVF.  Every u' and v' row ends with the transported data F0UP
-        or F0VP at its point, stored in column NVF after the corners, so a
-        product gives F0 + G at u' and v', with F0 added last as before.
-        The u' and v' operators hold the representative omega nodes only
-        (rows ordered v, u, representative) and come cut into tiles of
-        _V_BLOCK velocity nodes: (slice of active v-nodes, u' rows, v' rows).
+        row.  Returns (Su, [(tiles, Sup, Svp)]): Su has one row per u-node;
+        Sup and Svp have one row per distinct u' and v' point (up_points,
+        vp_points).  tiles cut the gain rows (v, u, representative) into
+        _V_BLOCK velocity nodes, as (slice of active v-nodes, rows of Sup,
+        rows of Svp), the indices of each row's point.
         """
-        NVa, NU, NW = self.shape
-        NR = self.reps.size
-        ncols = self.grid.NVF + 1
-        rep_rows = self.rep_rows
-
-        def csr(b, fr, f0):
-            return _stencil_csr(rep_rows(b), [rep_rows(f) for f in fr],
-                                self.v_strides, ncols, rep_rows(f0))
-
-        Sup = csr(self.upb, self.upfr, F0UP)
-        Svp = csr(self.vpb, self.vpfr, F0VP)
-        tiles = []
-        for j in range(0, NVa, _V_BLOCK):
-            r = slice(j * NU * NR, (j + _V_BLOCK) * NU * NR)
-            tiles.append((slice(j, j + _V_BLOCK), Sup[r], Svp[r]))
-        return _stencil_csr(self.ub, self.ufr, self.v_strides, ncols), tiles
-
-    def rep_rows(self, a):
-        """A (v, u, omega) table at the representative omega nodes, in the
-        row order of the u' and v' operators."""
-        NVa, NU, NW = self.shape
-        return a.reshape(NVa, NU, NW)[:, :, self.reps].ravel()
-
-    def set_f0_column(self, ops, F0UPr, F0VPr):
-        """Overwrite, in place, the F0 column of the u' and v' operators of
-        `ops` (from stencil_operators) with F0UPr and F0VPr, given in
-        rep_rows order.  The sparsity pattern and the corner weights stay,
-        so one set of operators serves every source of a solver."""
         NRow = self.shape[1] * self.reps.size
-        for js, Sup, Svp in ops[1]:
-            r = slice(js.start * NRow, js.stop * NRow)
-            Sup.data[Sup.indptr[1:] - 1] = F0UPr[r]
-            Svp.data[Svp.indptr[1:] - 1] = F0VPr[r]
+        policy = self.opts.extension
+        ncols = self.grid.NVF
+
+        def csr(P):
+            base, fracs = self.grid.v_stencil(P, policy)
+            return _stencil_csr(base, fracs, self.v_strides, ncols)
+
+        tiles = []
+        for j in range(0, self.shape[0], _V_BLOCK):
+            r = slice(j * NRow, (j + _V_BLOCK) * NRow)
+            tiles.append((slice(j, j + _V_BLOCK), self.up_index[r],
+                          self.vp_index[r]))
+        return (_stencil_csr(self.ub, self.ufr, self.v_strides, ncols),
+                [(tiles, csr(self.up_points), csr(self.vp_points))])
 
     def f0_tables_velocity_only(self, g):
+        """Transported velocity-only data at v, u and the distinct u' and
+        v' points: (F0V, F0U, F0UP, F0VP)."""
         Xd = np.zeros((1, self.grid.dim))
         f0 = lambda P: g(np.broadcast_to(Xd, P.shape), P)
-        return (f0(self.Vg), f0(self.U),
-                f0(self.UP).reshape(self.shape).reshape(-1),
-                f0(self.VP).reshape(self.shape).reshape(-1))
+        return (f0(self.Vg), f0(self.U), f0(self.up_points),
+                f0(self.vp_points))
 
     def f0_tables_at_x(self, g, X):
         """Exact transported data at the spatial nodes X (n, d), general g.
 
-        Returns F0V (NVa, n), F0U (NU, n) and F0UP, F0VP (NVa, NU,
-        representatives, n): one column per node, u' and v' at the
-        representative omega nodes only, the layout of a collision-stage
+        Returns F0V (NVa, n), F0U (NU, n) and F0UP, F0VP (distinct u' and
+        v' points, n): one column per node, the layout of a collision-stage
         block.
         """
-        domain = self.grid.domain
-        NVa, NU, NW = self.shape
-        dim = self.grid.dim
+        return tuple(_transported_at(g, self.grid.domain, X, P)
+                     for P in (self.Vg, self.U, self.up_points,
+                               self.vp_points))
 
-        def f0(P):
-            out = np.zeros((P.shape[0], X.shape[0]))
-            nz = np.linalg.norm(P, axis=1) > 1e-14
-            Pn = P[nz][:, None, :]
-            tau = exit_times(domain, X[None, :, :], Pn, sign=-1)
-            feet = X[None, :, :] - tau[..., None] * Pn
-            V = np.broadcast_to(Pn, feet.shape)
-            out[nz] = g(feet.reshape(-1, dim),
-                        V.reshape(-1, dim)).reshape(tau.shape)
-            return out
 
-        def at_reps(P):
-            P = P.reshape(NVa, NU, NW, dim)[:, :, self.reps].reshape(-1, dim)
-            return f0(P).reshape(NVa, NU, self.reps.size, X.shape[0])
-
-        return f0(self.Vg), f0(self.U), at_reps(self.UP), at_reps(self.VP)
+def _transported_at(g, domain, X, P):
+    """Free transport of boundary data g, g(x - tau_-(x, p) p, p), at every
+    velocity point p of P (m, d) and spatial node x of X (n, d); (m, n),
+    0 where |p| <= 1e-14."""
+    out = np.zeros((P.shape[0], X.shape[0]))
+    nz = np.linalg.norm(P, axis=1) > 1e-14
+    Pn = P[nz][:, None, :]
+    tau = exit_times(domain, X[None, :, :], Pn, sign=-1)
+    feet = X[None, :, :] - tau[..., None] * Pn
+    V = np.broadcast_to(Pn, feet.shape)
+    out[nz] = g(feet.reshape(-1, X.shape[1]),
+                V.reshape(-1, X.shape[1])).reshape(tau.shape)
+    return out
 
 
 def _collision_stage_np(G, tables, F0V, F0U, F0UP, F0VP, per_x_f0=None):
-    """Reference collision stage: one spatial node at a time, the oracle the
-    sparse stage is checked against.  per_x_f0(i), when given, returns the
-    tables of the i-th active node instead.  Returns Q v-major, (NVF, NXF)."""
+    """Reference collision stage: one spatial node at a time, over every
+    omega node, the oracle the sparse stage is checked against.  It builds
+    its own u' and v' stencils, at every (v, u, omega) of
+    _post_collision_velocities; F0UP and F0VP hold the transported data at
+    those points.  per_x_f0(i), when given, returns the tables of the i-th
+    active node instead.  Returns Q v-major, (NVF, NXF)."""
     grid = tables.grid
     NVa, NU, NW = tables.shape
     strides = [grid.nv ** (grid.dim - 1 - a) for a in range(grid.dim)]
+    UP, VP = _post_collision_velocities(tables.Vg, tables.U, tables.W)
+    upb, upfr = grid.v_stencil(UP.reshape(-1, grid.dim), tables.opts.extension)
+    vpb, vpfr = grid.v_stencil(VP.reshape(-1, grid.dim), tables.opts.extension)
     Q = np.zeros((grid.NVF, grid.NXF))
     wqm = (tables.WU[:, None] * tables.WW[None, :])[None, :, :]
     for pi, p in enumerate(grid.x_active_idx):
@@ -628,8 +637,8 @@ def _collision_stage_np(G, tables, F0V, F0U, F0UP, F0VP, per_x_f0=None):
             F0V, F0U, F0UP, F0VP = per_x_f0(pi)
         Gr = G[p]
         gu = _interp_flat(Gr, tables.ub, tables.ufr, strides)
-        gup = _interp_flat(Gr, tables.upb, tables.upfr, strides).reshape(NVa, NU, NW)
-        gvp = _interp_flat(Gr, tables.vpb, tables.vpfr, strides).reshape(NVa, NU, NW)
+        gup = _interp_flat(Gr, upb, upfr, strides).reshape(NVa, NU, NW)
+        gvp = _interp_flat(Gr, vpb, vpfr, strides).reshape(NVa, NU, NW)
         Hu = F0U + gu
         Hv = F0V + Gr[grid.v_active_idx]
         gain = (F0UP.reshape(NVa, NU, NW) + gup) * (F0VP.reshape(NVa, NU, NW) + gvp)
@@ -639,23 +648,28 @@ def _collision_stage_np(G, tables, F0V, F0U, F0UP, F0VP, per_x_f0=None):
     return Q
 
 
-def _collision_stage_sparse(G, tables, ops, F0V, F0U, first_iterate=False,
-                            g=None):
-    """Collision stage on tiles of (spatial rows, velocity nodes).
+def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP=None, F0VP=None,
+                            first_iterate=False, g=None):
+    """Collision stage on blocks of _X_BLOCK spatial rows.
 
     The velocity stencils are applied as the CSR operators `ops` (see
-    _PicardTables.stencil_operators, which carry F0 at u' and v') to
-    _X_BLOCK rows of G at once, as GT = [G[rows].T; 1], and reduced in the
-    (v, u, representative, row) layout the products come in: the gain
-    against the folded weights, the loss as Hv * ((sum_omega B w) @ Hu).
+    _PicardTables.stencil_operators) to a block's rows of G at once, as
+    GT = G[rows].T: Su @ GT gives G at u, and Sup @ GT and Svp @ GT give G
+    at every distinct u' and v' point, to which F0 is added after the
+    corners.  Tile by tile of _V_BLOCK velocity nodes, the gain gathers its
+    rows (v, u, representative) from those two products and is reduced
+    against the folded weights; the loss is Hv * ((sum_omega B w) @ Hu).
     Returns Q v-major, (NVF, NXF), the layout the blocks come in.  Agrees
     with _collision_stage_np to rounding.
 
-    F0V and F0U are the transported data at v and u when they do not depend
-    on x.  For boundary data g that does (under the analytic split), pass g
-    instead: the operators then carry zero F0 columns, and each block adds
-    its own tables (_PicardTables.f0_tables_at_x) after the products, so
-    every sum F0 + G is the oracle's.  Nothing is kept across calls.
+    F0V, F0U, F0UP and F0VP are the transported data at v, u and the
+    distinct u' and v' points when they do not depend on x (see
+    _PicardTables.f0_tables_velocity_only); without F0UP and F0VP nothing
+    is added at u' and v' (gridded policies carry F0 in G).  For boundary
+    data g that depends on x (under the analytic split), pass zero F0V and
+    F0U and g: each block then adds its own tables
+    (_PicardTables.f0_tables_at_x) after the products, so every sum F0 + G
+    is the oracle's.  Nothing is kept across calls.
 
     first_iterate says G = 0.  With F0 independent of x, a block's result
     then depends on its width only, so each width is evaluated once and
@@ -664,13 +678,14 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, first_iterate=False,
     block differently in the last bit.)
     """
     grid = tables.grid
-    NVF = grid.NVF
     NU = tables.shape[1]
-    Su, tiles = ops
+    Su, [(tiles, Sup, Svp)] = ops
     vact, xact = grid.v_active_idx, grid.x_active_idx
     if g is None:
-        F0V, F0U, F0UP, F0VP = F0V[:, None], F0U[:, None], None, None
-    Q = np.zeros((NVF, grid.NXF))
+        F0V, F0U = F0V[:, None], F0U[:, None]
+        if F0UP is not None:
+            F0UP, F0VP = F0UP[:, None], F0VP[:, None]
+    Q = np.zeros((grid.NVF, grid.NXF))
     by_width = {}
     for start in range(0, xact.size, _X_BLOCK):
         rows = xact[start:start + _X_BLOCK]
@@ -679,20 +694,19 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, first_iterate=False,
             if g is not None:
                 F0V, F0U, F0UP, F0VP = tables.f0_tables_at_x(
                     g, grid.x_nodes[rows])
-            GT = np.empty((NVF + 1, rows.size))
-            GT[:NVF] = G[rows].T
-            GT[NVF] = 1.0
+            GT = np.ascontiguousarray(G[rows].T)
             HuT = F0U + Su @ GT
             QT = -(F0V + GT[vact]) * (tables.Bw_loss @ HuT)
+            # F0 + G at the distinct u' and v' points
+            Hup = Sup @ GT
+            Hvp = Svp @ GT
+            if F0UP is not None:
+                Hup += F0UP
+                Hvp += F0VP
             shape = (-1, NU, tables.reps.size, rows.size)
-            for js, Sup, Svp in tiles:
-                # gain = (F0UP + G(u')) * (F0VP + G(v')), in place
-                gain = (Sup @ GT).reshape(shape)
-                gvp = (Svp @ GT).reshape(shape)
-                if g is not None:
-                    gain += F0UP[js]
-                    gvp += F0VP[js]
-                gain *= gvp
+            for js, iu, iv in tiles:
+                gain = np.take(Hup, iu, axis=0).reshape(shape)
+                gain *= np.take(Hvp, iv, axis=0).reshape(shape)
                 QT[js] += np.einsum("vurx,vur->vx", gain, tables.Bw_fold[js])
             if first_iterate:
                 by_width[rows.size] = QT
@@ -763,10 +777,10 @@ class Solver:
     _PicardTables, the admissibility verdict, the CSR stencil operators
     (sparsity pattern and corner weights) and the residual sample points
     with their rule and kernel weights.  Each source keeps its own
-    transported data F0, which it writes into the operators' F0 column
-    before each of its collision stages, and its own first-iterate
-    shortcut, stopping test and defect application, so a source's iterates
-    do not depend on the other sources solved with it.
+    transported data F0, which its collision stages add after the
+    products, and its own first-iterate shortcut, stopping test and defect
+    application, so a source's iterates do not depend on the other sources
+    solved with it.
     """
 
     def __init__(self, spec: KernelSpec, grid: PhaseGrid,
@@ -806,9 +820,8 @@ class Solver:
         runs = [_SourceRun(g, grid, tables, opts) for g in gs]
 
         def collision(run, first):
-            tables.set_f0_column(ops, *run.f0_column)
             Q = _collision_stage_sparse(
-                run.state(), tables, ops, run.F0V, run.F0U,
+                run.state(), tables, ops, *run.f0_tables,
                 first_iterate=first and run.shortcut, g=run.g_x)
             grid.fill_fringe(Q.T)
             return Q
@@ -863,9 +876,7 @@ class Solver:
     def _setup(self):
         if self._tables is None:
             tables = _PicardTables(self.spec, self.grid, self.rule, self.opts)
-            NVa, NU, NW = tables.shape
-            zero = np.zeros(NVa * NU * NW)
-            self._ops = tables.stencil_operators(zero, zero)
+            self._ops = tables.stencil_operators()
             self._samples = _residual_samples(self.spec, tables, self.opts)
             self._tables = tables
         return self._tables, self._ops
@@ -887,15 +898,12 @@ class _SourceRun:
         # the collision stage's G = 0 shortcut
         self.shortcut = self.split and g.velocity_only
         if self.shortcut:
-            self.F0V, self.F0U, F0UP, F0VP = tables.f0_tables_velocity_only(g)
-            self.f0_column = (tables.rep_rows(F0UP), tables.rep_rows(F0VP))
+            self.f0_tables = tables.f0_tables_velocity_only(g)
         else:
             # zero F0 tables: under the split the collision stage adds each
             # block's own tables; gridded policies sample F0 on the grid and
             # interpolate it like G
-            self.F0V, self.F0U = np.zeros(NVa), np.zeros(NU)
-            zero = np.zeros(NVa * NU * tables.reps.size)
-            self.f0_column = (zero, zero)
+            self.f0_tables = (np.zeros(NVa), np.zeros(NU))
             if not self.split:
                 X = np.repeat(grid.x_nodes[grid.x_active_idx], grid.NVF, axis=0)
                 V = np.tile(grid.v_nodes, (grid.x_active_idx.size, 1))
@@ -1081,11 +1089,11 @@ def boundary_trace(field: PhaseField, X, V, t_scale: float | None = None
     if t_scale is None:
         t_scale = 1.5 * field.grid.h_x if field.grid is not None \
             else domain.diameter() / 64.0
-    for i in range(X.shape[0]):
-        cls = classify_boundary(domain, X[i], V[i])
-        if cls != OUTGOING:
-            raise PreconditionError(
-                "trace sample %d is %s, not outgoing" % (i, cls))
+    cls = classify_boundaries(domain, X, V)
+    bad = np.flatnonzero(cls != OUTGOING)
+    if bad.size:
+        raise PreconditionError(
+            "trace sample %d is %s, not outgoing" % (bad[0], cls[bad[0]]))
     speed = np.linalg.norm(V, axis=1)
     tau = exit_times(domain, X, V, sign=-1)
     t1 = np.minimum(t_scale / speed, 0.25 * tau)

@@ -4,6 +4,7 @@ import pytest
 from boltzlab.errors import DomainError
 from boltzlab.geometry import (
     Domain,
+    classify_boundaries,
     classify_boundary,
     exit_times,
     sample_outgoing,
@@ -102,6 +103,27 @@ def test_classify_boundary():
     assert classify_boundary(DISK, (1.0, 0.0), (-1.0, 0.5)) == "incoming"
     assert classify_boundary(DISK, (1.0, 0.0), (0.0, 1.0)) == "grazing"
     assert classify_boundary(BOX2, (1.0, 0.5), (1.0, 0.0)) == "outgoing"
+
+
+def test_classify_boundaries_batch():
+    # one call classifies mixed points as the one-point calls do
+    for domain, X, V, want in (
+            (DISK, [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, -1.0)],
+             [(1.0, 0.0), (-1.0, 0.5), (0.0, 1.0), (0.3, -2.0)],
+             ["interior", "incoming", "grazing", "outgoing"]),
+            (BOX2, [(1.0, 0.5), (0.5, 0.0), (0.5, 0.5)],
+             [(1.0, 0.0), (0.2, 1.0), (0.0, -1.0)],
+             ["outgoing", "incoming", "interior"])):
+        got = classify_boundaries(domain, np.array(X), np.array(V))
+        assert got.tolist() == want
+        assert [classify_boundary(domain, x, v) for x, v in zip(X, V)] == want
+    # errors name the first offending point
+    X = np.array([(0.0, 0.0), (2.0, 0.0), (0.0, 3.0)])
+    with pytest.raises(DomainError, match="point 1 outside"):
+        classify_boundaries(DISK, X, np.ones((3, 2)))
+    V = np.array([(1.0, 0.0), (0.0, 0.0), (0.0, 0.0)])
+    with pytest.raises(DomainError, match="zero velocity at point 1"):
+        classify_boundaries(DISK, np.zeros((3, 2)), V)
 
 
 def test_sample_outgoing_classifies_outgoing():

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from boltzlab import solver
 from boltzlab.collision import KernelSpec, QuadratureRule
@@ -246,9 +247,23 @@ def _transported_per_x(g, tables):
                                        P[nz])
             return out
 
-        return (f0(tables.Vg), f0(tables.U), f0(tables.UP), f0(tables.VP))
+        UP, VP = _full_points(tables)
+        return (f0(tables.Vg), f0(tables.U), f0(UP), f0(VP))
 
     return per_x_f0
+
+
+def _full_points(tables):
+    """u' and v' at every (v, u, omega), one row each."""
+    UP, VP = solver._post_collision_velocities(tables.Vg, tables.U, tables.W)
+    return UP.reshape(-1, tables.grid.dim), VP.reshape(-1, tables.grid.dim)
+
+
+def _full_f0(g, tables):
+    """The oracle stage's tables of velocity-only data: F0 at v, u and at
+    u' and v' for every (v, u, omega)."""
+    f0 = lambda P: g(np.zeros_like(P), P)
+    return (f0(tables.Vg), f0(tables.U)) + tuple(map(f0, _full_points(tables)))
 
 
 def test_picard_engines_agree(monkeypatch):
@@ -258,7 +273,7 @@ def test_picard_engines_agree(monkeypatch):
     Fn, rn = picard_solve(SMALL_KERNEL, g, grid, rule, PicardOptions())
     Fr, rr = _solve_with_oracle_stage(
         monkeypatch,
-        lambda G, t: _collision_stage_np(G, t, *t.f0_tables_velocity_only(g)),
+        lambda G, t: _collision_stage_np(G, t, *_full_f0(g, t)),
         SMALL_KERNEL, g, grid, rule, PicardOptions())
     assert rn.converged and rr.converged
     assert np.max(np.abs(Fn.values - Fr.values)) < 1e-15
@@ -283,11 +298,11 @@ def _stage_cases():
     ]
 
 
-def _stage_inputs(spec, grid, rule, center):
+def _stage_inputs(spec, grid, rule, center, opts=None):
     g = _bump_profile(3e-3, center=center)
-    tables = _PicardTables(spec, grid, rule, PicardOptions())
-    F0 = tables.f0_tables_velocity_only(g)
-    return tables, F0, tables.stencil_operators(*F0[2:])
+    tables = _PicardTables(spec, grid, rule, opts or PicardOptions())
+    return g, tables, tables.f0_tables_velocity_only(g), \
+        tables.stencil_operators()
 
 
 def _x_dependent_source(amp, center):
@@ -303,18 +318,17 @@ def test_sparse_collision_stage_matches_reference():
     # velocity-only data and with x-dependent data
     rng = np.random.default_rng(5)
     for spec, grid, rule, center, n_classes in _stage_cases():
-        tables, F0, ops = _stage_inputs(spec, grid, rule, center)
+        g, tables, F0, ops = _stage_inputs(spec, grid, rule, center)
         assert tables.reps.size == n_classes
         G = 1e-3 * rng.standard_normal((grid.NXF, grid.NVF))
-        Qs = _collision_stage_sparse(G, tables, ops, *F0[:2])
-        Qr = _collision_stage_np(G, tables, *F0)
+        Qs = _collision_stage_sparse(G, tables, ops, *F0)
+        Qr = _collision_stage_np(G, tables, *_full_f0(g, tables))
         assert np.max(np.abs(Qr)) > 1e-9
         assert np.max(np.abs(Qs - Qr)) < 1e-15
 
         gx = _x_dependent_source(2e-3, center)
         zeros = _zero_f0(tables)
-        ops0 = tables.stencil_operators(*zeros[2:])
-        Qs = _collision_stage_sparse(G, tables, ops0, *zeros[:2], g=gx)
+        Qs = _collision_stage_sparse(G, tables, ops, *zeros[:2], g=gx)
         Qr = _collision_stage_np(G, tables, *zeros,
                                  per_x_f0=_transported_per_x(gx, tables))
         assert np.max(np.abs(Qr)) > 1e-9
@@ -329,35 +343,176 @@ def test_first_iterate_block_matches_full_stage():
     cases.append((KernelSpec("constant", dim=2, params={"value": 0.01}),
                   PhaseGrid(DISK, 16, 16, R_v=2.0), _small_rule(), (0.3, 0.4)))
     for spec, grid, rule, center in cases:
-        tables, F0, ops = _stage_inputs(spec, grid, rule, center)
+        _, tables, F0, ops = _stage_inputs(spec, grid, rule, center)
         G = np.zeros((grid.NXF, grid.NVF))
-        full = _collision_stage_sparse(G, tables, ops, *F0[:2])
-        first = _collision_stage_sparse(G, tables, ops, *F0[:2],
+        full = _collision_stage_sparse(G, tables, ops, *F0)
+        first = _collision_stage_sparse(G, tables, ops, *F0,
                                         first_iterate=True)
         assert np.max(np.abs(full)) > 1e-9
         assert np.array_equal(first, full)
         assert np.array_equal(np.signbit(first), np.signbit(full))
 
 
-def test_stencil_rows_end_with_f0_column():
-    # every u' and v' row stores its F0 value last, in column NVF, so the
-    # products with [G; 1] add F0 after the corners
-    spec, grid, rule, center, _ = _stage_cases()[1]
-    tables, F0, (Su, tiles) = _stage_inputs(spec, grid, rule, center)
+def _per_row_operator(tables, P, f0=None):
+    """The stencil operator with one row per point of P, all corners kept,
+    for a state with a row of ones appended at index NVF; with f0 (one
+    value per point) every row ends with that value in column NVF."""
+    NVF = tables.grid.NVF
+    base, fracs = tables.grid.v_stencil(P, tables.opts.extension)
+    pairs = list(solver._corner_weights(fracs, tables.v_strides))
+    data = [w for w, _ in pairs]
+    cols = [base + off for _, off in pairs]
+    mask = [base >= 0] * len(pairs)
+    if f0 is not None:
+        data.append(f0)
+        cols.append(np.full(base.shape, NVF))
+        mask.append(np.ones(base.shape, dtype=bool))
+    data, cols, mask = (np.stack(a, axis=-1) for a in (data, cols, mask))
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=-1))])
+    return sp.csr_matrix((data[mask], cols[mask], indptr),
+                         shape=(base.size, NVF + 1))
+
+
+def _at_reps(tables, a):
+    """Rows (v, u, representative) of a table with one row per (v, u,
+    omega)."""
     NVa, NU, NW = tables.shape
+    return a.reshape(NVa, NU, NW, -1)[:, :, tables.reps].reshape(
+        -1, *a.shape[1:])
+
+
+def _rep_points(tables):
+    """u' and v' at every (v, u, representative), one row each."""
+    return tuple(_at_reps(tables, P) for P in _full_points(tables))
+
+
+def _per_row_stage(G, tables, f0v=None, gx=None):
+    """The collision stage on one operator row per (v, u, representative),
+    kept as the bitwise oracle of the stage on distinct points.  Per block
+    of _X_BLOCK spatial rows and tile of _V_BLOCK velocity nodes, the
+    per-row operators with F0 in a last column are applied to [G[rows].T;
+    1].  f0v(P) gives velocity-only F0 at points P; with x-dependent data
+    gx the F0 column holds zeros and each block adds F0 at its nodes to
+    the tile products.  Neither: zero F0 (gridded policies)."""
+    grid = tables.grid
+    NVa, NU, NW = tables.shape
+    NR = tables.reps.size
     NVF = grid.NVF
-    assert Su.shape == (NU, NVF + 1)
-    assert not np.any(Su.indices == NVF)
-    for js, Sup, Svp in tiles:
-        for S, f0 in ((Sup, F0[2]), (Svp, F0[3])):
-            expected = f0.reshape(NVa, NU, NW)[js][:, :, tables.reps].ravel()
-            assert S.shape == (expected.size, NVF + 1)
-            last = S.indptr[1:] - 1
-            assert np.all(last >= S.indptr[:-1])
-            assert np.all(S.indices[last] == NVF)
-            assert np.array_equal(S.data[last], expected)
-            # the corners all lie in the velocity columns
-            assert np.count_nonzero(S.indices == NVF) == expected.size
+    vact, xact = grid.v_active_idx, grid.x_active_idx
+    UP, VP = _full_points(tables)
+    UPr, VPr = _at_reps(tables, UP), _at_reps(tables, VP)
+    f0 = f0v or (lambda P: np.zeros(P.shape[0]))
+    Su = _per_row_operator(tables, tables.U)
+    Sup = _per_row_operator(tables, UPr, _at_reps(tables, f0(UP)))
+    Svp = _per_row_operator(tables, VPr, _at_reps(tables, f0(VP)))
+    F0V, F0U = f0(tables.Vg)[:, None], f0(tables.U)[:, None]
+    Q = np.zeros((NVF, grid.NXF))
+    for start in range(0, xact.size, solver._X_BLOCK):
+        rows = xact[start:start + solver._X_BLOCK]
+        if gx is not None:
+            X = grid.x_nodes[rows]
+            F0V, F0U = (solver._transported_at(gx, grid.domain, X, P)
+                        for P in (tables.Vg, tables.U))
+            F0UP, F0VP = (solver._transported_at(
+                gx, grid.domain, X, P).reshape(NVa, NU, NR, -1)
+                for P in (UPr, VPr))
+        GT = np.empty((NVF + 1, rows.size))
+        GT[:NVF] = G[rows].T
+        GT[NVF] = 1.0
+        HuT = F0U + Su @ GT
+        QT = -(F0V + GT[vact]) * (tables.Bw_loss @ HuT)
+        shape = (-1, NU, NR, rows.size)
+        for j in range(0, NVa, solver._V_BLOCK):
+            js = slice(j, j + solver._V_BLOCK)
+            r = slice(j * NU * NR, (j + solver._V_BLOCK) * NU * NR)
+            gain = (Sup[r] @ GT).reshape(shape)
+            gvp = (Svp[r] @ GT).reshape(shape)
+            if gx is not None:
+                gain += F0UP[js]
+                gvp += F0VP[js]
+            gain *= gvp
+            QT[js] += np.einsum("vurx,vur->vx", gain, tables.Bw_fold[js])
+        Q[vact[:, None], rows] = QT
+    return Q
+
+
+def _assert_bitwise(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_distinct_point_stage_matches_per_row_stage_bitwise():
+    # every stage case with velocity-only and with x-dependent data, and a
+    # gridded extension="zero" case, on a state with zeros of both signs
+    rng = np.random.default_rng(17)
+    cases = [(c[:4], PicardOptions()) for c in _stage_cases()]
+    cases.append((_stage_cases()[0][:4], PicardOptions(extension="zero")))
+    for (spec, grid, rule, center), opts in cases:
+        g, tables, F0, ops = _stage_inputs(spec, grid, rule, center, opts)
+        G = 1e-3 * rng.standard_normal((grid.NXF, grid.NVF))
+        G[:, ::7] = 0.0
+        G[:, 3::7] = -0.0
+        zeros = _zero_f0(tables)[:2]
+        if opts.extension == "analytic":
+            f0v = lambda P: g(np.zeros_like(P), P)
+            got = _collision_stage_sparse(G, tables, ops, *F0)
+            want = _per_row_stage(G, tables, f0v=f0v)
+            assert np.max(np.abs(want)) > 1e-9
+            _assert_bitwise(got, want)
+            gx = _x_dependent_source(2e-3, center)
+            got = _collision_stage_sparse(G, tables, ops, *zeros, g=gx)
+            want = _per_row_stage(G, tables, gx=gx)
+        else:
+            got = _collision_stage_sparse(G, tables, ops, *zeros)
+            want = _per_row_stage(G, tables)
+        assert np.max(np.abs(want)) > 1e-9
+        _assert_bitwise(got, want)
+
+
+def test_distinct_points_index_every_gain_row():
+    # the inverse index gives back every (v, u, representative) point bit
+    # for bit, and the operators hold the distinct points only
+    for spec, grid, rule, center, _ in _stage_cases():
+        _, tables, _, (Su, [(tiles, Sup, Svp)]) = _stage_inputs(
+            spec, grid, rule, center)
+        for P, pts, index, S in zip(_rep_points(tables),
+                                    (tables.up_points, tables.vp_points),
+                                    (tables.up_index, tables.vp_index),
+                                    (Sup, Svp)):
+            assert np.array_equal(pts[index].view(np.uint64),
+                                  P.view(np.uint64))
+            assert np.unique(pts.view(np.uint64), axis=0).shape == pts.shape
+            assert pts.shape[0] < P.shape[0] and S.shape[0] == pts.shape[0]
+        assert np.array_equal(np.concatenate([t[1] for t in tiles]),
+                              tables.up_index)
+        assert np.array_equal(np.concatenate([t[2] for t in tiles]),
+                              tables.vp_index)
+    # -0.0 and +0.0 are different points
+    P = np.array([[0.0, 1.0], [-0.0, 1.0], [0.5, -0.0], [0.0, 1.0]])
+    pts, index = solver._distinct_points(P)
+    assert pts.shape == (3, 2) and index.tolist() == [0, 1, 2, 0]
+    _assert_bitwise(pts[index], P)
+
+
+def test_distinct_row_products_plus_f0_equal_per_row_products():
+    # (corners at the distinct point) + F0 there, gathered to the rows,
+    # equals the per-row product with F0 in the last column, bit for bit;
+    # the distinct operators leave out corners of weight 0.0
+    spec, grid, rule, center, _ = _stage_cases()[1]
+    g, tables, F0, (Su, [(_, Sup, Svp)]) = _stage_inputs(spec, grid, rule,
+                                                          center)
+    G = 1e-3 * np.random.default_rng(18).standard_normal((grid.NXF,
+                                                          grid.NVF))
+    G[:, ::5] = -0.0
+    GT = np.ascontiguousarray(G[grid.x_active_idx[:16]].T)
+    GT1 = np.vstack([GT, np.ones((1, GT.shape[1]))])
+    f0v = lambda P: g(np.zeros_like(P), P)
+    for P, S, f0, index in zip(_rep_points(tables), (Sup, Svp), F0[2:],
+                               (tables.up_index, tables.vp_index)):
+        full = _per_row_operator(tables, P, f0v(P))
+        assert np.count_nonzero(S.data == 0.0) == 0
+        assert np.count_nonzero(full.data == 0.0) > 0
+        _assert_bitwise((S @ GT + f0[:, None])[index], full @ GT1)
 
 
 def test_line_stage_matches_per_pair_chord_loop():
@@ -634,6 +789,17 @@ def test_boundary_trace_rejects_grazing_and_incoming():
         boundary_trace(F, x, np.array([[0.0, 1.0]]))  # tangential
     with pytest.raises(PreconditionError):
         boundary_trace(F, x, np.array([[-1.0, 0.0]]))  # incoming
+
+
+def test_boundary_trace_names_first_sample_not_outgoing():
+    grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
+    F = PhaseField(grid, values=np.zeros((grid.NXF, grid.NVF)),
+                   extension="zero")
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    V = np.array([[1.0, 0.2], [0.5, -1.0], [0.0, 1.0]])
+    with pytest.raises(PreconditionError,
+                       match="trace sample 1 is incoming, not outgoing"):
+        boundary_trace(F, X, V)
 
 
 def test_apply_A_zero_kernel_is_chord_transport():

@@ -12,7 +12,9 @@ The collision operator is kept in its two-field (bilinear) form
     Q(H1, H2)(v) = int int B(v, u, w) [H1(u') H2(v') - H1(u) H2(v)] dw du,
 
 with Q(F, F) as the diagonal; the linearization machinery needs the
-off-diagonal evaluations.
+off-diagonal evaluations.  `collision_Q` evaluates it at a batch of points:
+the solver's sampled PDE residual takes the diagonal, the second-order
+source the symmetrized off-diagonal sum.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError
 
 OMEGA_UNIT_TOL = 1e-12
 
@@ -74,15 +76,11 @@ class KernelSpec:
     family : one of ``KERNEL_FAMILIES``
     params : family-specific parameters (validated on construction)
     dim    : velocity-space dimension (2 or 3)
-    symmetric / even_in_omega : declared structural flags, B(v,u,w) = B(u,v,w)
-        and B(v,u,-w) = B(v,u,w).  All shipped families satisfy both.
     """
 
     family: str
     dim: int
     params: dict = field(default_factory=dict)
-    symmetric: bool = True
-    even_in_omega: bool = True
 
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
@@ -246,14 +244,6 @@ class QuadratureRule:
         return cls(dim, float(R_v), on, ow, un, uw,
                    sphere_order, radial_order, angular_order)
 
-    def sphere_measure(self) -> float:
-        return 2.0 * np.pi if self.dim == 2 else 4.0 * np.pi
-
-    def ball_volume(self) -> float:
-        if self.dim == 2:
-            return np.pi * self.R_v**2
-        return 4.0 / 3.0 * np.pi * self.R_v**3
-
 
 # ---------------------------------------------------------------------------
 # admissibility
@@ -343,45 +333,34 @@ def admissibility_check(spec: KernelSpec, domain, rule: QuadratureRule,
 # ---------------------------------------------------------------------------
 
 
-def collision_Q_bilinear(H1_at_x, H2_at_x, v, spec: KernelSpec,
-                         rule: QuadratureRule, return_nodes: bool = False):
-    """Two-field collision integral Q(H1, H2)(v) at one velocity.
+def collision_Q(H1, H2, V, spec: KernelSpec, rule: QuadratureRule, X=None):
+    """Two-field collision integral Q(H1, H2) at a batch of velocities V
+    (N, dim), under the rule's (u, omega) quadrature; returns (N,).
 
-    ``H1_at_x`` / ``H2_at_x`` are velocity-function handles (vectorized
-    callables mapping (N, dim) arrays to (N,) values); they must be evaluable
-    at all post-collision velocities the rule generates (up to sqrt(2) times
-    the largest input speed).
-
-    With ``return_nodes=True`` also returns the per-node gain and loss
-    integrand values (before weighting), used by conservation diagnostics.
+    ``H1`` / ``H2`` are callables (X, P) -> arrays of values at paired
+    points.  ``X`` (N, dim) holds the spatial point of each velocity, which
+    each field is evaluated at, or is None for fields of v alone (the
+    callables then receive None).  The fields must be evaluable at every
+    post-collision velocity the rule generates (up to sqrt(2) times the
+    largest speed).
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (spec.dim,):
-        raise PreconditionError("v must be a single velocity of length dim")
-    u = rule.u_nodes[:, None, :]
-    om = rule.omega_nodes[None, :, :]
-    c = np.sum((u - v) * om, axis=-1, keepdims=True)
-    up = u - c * om
-    vp = v + c * om
-    nu, nw = rule.u_nodes.shape[0], rule.omega_nodes.shape[0]
-
-    H1up = np.asarray(H1_at_x(up.reshape(-1, spec.dim))).reshape(nu, nw)
-    H2vp = np.asarray(H2_at_x(vp.reshape(-1, spec.dim))).reshape(nu, nw)
-    H1u = np.asarray(H1_at_x(rule.u_nodes)).reshape(nu, 1)
-    H2v = float(np.asarray(H2_at_x(v.reshape(1, -1)))[0])
-
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    n, d = V.shape
+    U = rule.u_nodes
+    nu, nw = U.shape[0], rule.omega_nodes.shape[0]
+    u = U[None, :, None, :]
+    om = rule.omega_nodes[None, None, :, :]
+    v = V[:, None, None, :]
+    up, vp = post_collision(u, v, om)
+    if X is None:
+        X_uw = X_u = None
+    else:
+        X_uw = np.repeat(X, nu * nw, axis=0)
+        X_u = np.repeat(X, nu, axis=0)
+    gain = (H1(X_uw, up.reshape(-1, d)).reshape(n, nu, nw)
+            * H2(X_uw, vp.reshape(-1, d)).reshape(n, nu, nw))
+    U_n = np.broadcast_to(U, (n, nu, d)).reshape(-1, d)
+    loss = H1(X_u, U_n).reshape(n, nu, 1) * H2(X, V).reshape(n, 1, 1)
     B = kernel_eval(spec, v, u, om)
     w = rule.u_weights[:, None] * rule.omega_weights[None, :]
-    gain = H1up * H2vp
-    loss = H1u * H2v
-    Q = float(np.sum(B * w * (gain - loss)))
-    if return_nodes:
-        return Q, gain, np.broadcast_to(loss, gain.shape).copy()
-    return Q
-
-
-def collision_Q(F_at_x, v, spec: KernelSpec, rule: QuadratureRule,
-                return_nodes: bool = False):
-    """Diagonal collision integral Q(F, F)(v); see collision_Q_bilinear."""
-    return collision_Q_bilinear(F_at_x, F_at_x, v, spec, rule,
-                                return_nodes=return_nodes)
+    return np.sum(B * w * (gain - loss), axis=(1, 2))

@@ -198,11 +198,6 @@ def classify_boundaries(domain: Domain, X, V, tol: float = 1e-9):
     return out
 
 
-def classify_boundary(domain: Domain, x, v, tol: float = 1e-9) -> str:
-    """Class of one phase point (x, v); see classify_boundaries."""
-    return classify_boundaries(domain, x, v, tol)[0]
-
-
 def sample_boundary(domain: Domain, count: int, rng) -> np.ndarray:
     """Draw boundary points (uniform in angle for balls, per-face for boxes)."""
     if domain.shape == "ball":

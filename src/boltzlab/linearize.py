@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collision import KernelSpec, QuadratureRule, kernel_eval
+from .collision import KernelSpec, QuadratureRule, collision_Q
 from .errors import ConvergenceError, PreconditionError
 from .geometry import Domain, exit_times
 from .solver import (BoundarySource, PhaseField, PhaseGrid, PicardOptions,
@@ -96,12 +96,14 @@ class SecondOrderSource:
 
     Evaluates, at (x, v) or at v alone when both inputs are x-independent,
 
-        S = sum_u sum_omega B * [V1(v')V2(u') + V1(u')V2(v')
+        S = Q(V1, V2) + Q(V2, V1)
+          = sum_u sum_omega B * [V1(v')V2(u') + V1(u')V2(v')
                                  - V1(u)V2(v) - V1(v)V2(u)]
 
-    under the supplied quadrature rule.  Inputs may be plain callables of v
-    (treated as x-independent) or PhaseField instances.  Out-of-range
-    interpolation events of PhaseField inputs are surfaced via oor_count.
+    under the supplied quadrature rule (collision.collision_Q).  Inputs may
+    be plain callables of v (treated as x-independent) or PhaseField
+    instances.  Out-of-range interpolation events of PhaseField inputs are
+    surfaced via oor_count.
     """
 
     def __init__(self, spec: KernelSpec, rule: QuadratureRule, V1, V2):
@@ -152,43 +154,8 @@ class SecondOrderSource:
         return self._quadrature(X, V)
 
     def _quadrature(self, X, V):
-        U = self.rule.u_nodes
-        W = self.rule.omega_nodes
-        wu = self.rule.u_weights
-        ww = self.rule.omega_weights
-        P, dim = V.shape
-        NU, NW = U.shape[0], W.shape[0]
-
-        c = np.einsum("pqd,md->pqm", V[:, None, :] - U[None, :, :], W)
-        vp = V[:, None, None, :] - c[..., None] * W[None, None, :, :]
-        up = U[None, :, None, :] + c[..., None] * W[None, None, :, :]
-        B = kernel_eval(self.spec, V[:, None, None, :], U[None, :, None, :],
-                        W[None, None, :, :])
-
-        if X is None:
-            Xrep = None
-        else:
-            Xrep = np.broadcast_to(X[:, None, None, :],
-                                   (P, NU, NW, dim)).reshape(-1, dim)
-        flatv = vp.reshape(-1, dim)
-        flatu = up.reshape(-1, dim)
-        V1vp = self._f1(Xrep, flatv).reshape(P, NU, NW)
-        V1up = self._f1(Xrep, flatu).reshape(P, NU, NW)
-        V2vp = self._f2(Xrep, flatv).reshape(P, NU, NW)
-        V2up = self._f2(Xrep, flatu).reshape(P, NU, NW)
-
-        Xu = None if X is None else np.broadcast_to(
-            X[:, None, :], (P, NU, dim)).reshape(-1, dim)
-        Urep = np.broadcast_to(U[None, :, :], (P, NU, dim)).reshape(-1, dim)
-        V1u = self._f1(Xu, Urep).reshape(P, NU)
-        V2u = self._f2(Xu, Urep).reshape(P, NU)
-        V1v = self._f1(X, V)
-        V2v = self._f2(X, V)
-
-        bracket = (V1vp * V2up + V1up * V2vp
-                   - V1u[:, :, None] * V2v[:, None, None]
-                   - V1v[:, None, None] * V2u[:, :, None])
-        return np.einsum("q,m,pqm,pqm->p", wu, ww, B, bracket)
+        return (collision_Q(self._f1, self._f2, V, self.spec, self.rule, X)
+                + collision_Q(self._f2, self._f1, V, self.spec, self.rule, X))
 
 
 def _wrap_field(V):
@@ -232,18 +199,16 @@ class WTable:
     method: str
 
 
-def w_quadrature(S, domain: Domain, X, V, order: int = 24,
-                 force_quadrature: bool = False) -> WTable:
+def w_quadrature(S, domain: Domain, X, V, order: int = 24) -> WTable:
     """Integrate S along backward characteristics through (x, v) samples.
 
-    Velocity-only sources use the exact shortcut tau(x,v) * S(v) unless
-    force_quadrature is set (the two paths agree to roundoff and the
-    quadrature route exists for x-dependent sources).
+    Velocity-only sources use the exact shortcut tau(x,v) * S(v); others
+    take an order-point Gauss-Legendre rule along each chord.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
     tau = exit_times(domain, X, V, sign=-1)
-    if S.velocity_only and not force_quadrature:
+    if S.velocity_only:
         return WTable(X, V, tau * S.eval_v(V), "shortcut")
     xs, ws = np.polynomial.legendre.leggauss(order)
     s = 0.5 * tau[:, None] * (xs[None, :] + 1.0)

@@ -42,6 +42,13 @@ RELATION_TOL = 1e-10
 DEGENERATE_KAPPA = 1e-6
 EXPONENT_MODES = ("theorem_minus2", "proposition_minus_n")
 
+
+def _jacobian_exponent(mode: str, dim: int) -> float:
+    """The exponent e of the Jacobian factors kappa ** -e under an
+    exponent mode in dimension dim."""
+    return 2.0 if mode == "theorem_minus2" else float(dim)
+
+
 _BUMP_MASS = {}
 
 
@@ -320,6 +327,8 @@ def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
     a2 = np.sum(a * a, axis=1)
     step = max(1, _TRIPLE_BLOCK // (nv * nu))
     total = 0.0
+    # the kinematics stay here rather than in collision.collision_Q, which
+    # forms every (v, u, omega) triple: only the masked ones are formed
     for s in range(0, om.shape[0], step):
         w = om[s:s + step]
         c = w @ diff                                     # (omega, pair)
@@ -392,9 +401,10 @@ def mollified_S(probe: Probe, spec: KernelSpec, nr: int = 14, na: int = 28,
         k = u0 - v0
         kap1 = abs(float(k @ w1))
         kap2 = abs(float(k @ w2))
-        n = probe.dim
-        jac = {"theorem_minus2": (kap1 ** -2, kap2 ** -2),
-               "proposition_minus_n": (kap1 ** -float(n), kap2 ** -float(n))}
+        jac = {}
+        for mode in EXPONENT_MODES:
+            e = _jacobian_exponent(mode, probe.dim)
+            jac[mode] = (kap1 ** -e, kap2 ** -e)
     else:
         w1 = w2 = None
         jac = {}
@@ -427,11 +437,11 @@ def _closed_form_pieces(a, b, theta, spec: KernelSpec):
 def closed_form_both(a, b, theta, spec: KernelSpec) -> dict:
     """Both candidate combinations of the kernel with Jacobian factors."""
     kap1, kap2, B1, B2 = _closed_form_pieces(a, b, theta, spec)
-    n = float(spec.dim)
-    return {
-        "theorem_minus2": kap1 ** -2 * B1 + kap2 ** -2 * B2,
-        "proposition_minus_n": kap1 ** -n * B1 + kap2 ** -n * B2,
-    }
+    out = {}
+    for mode in EXPONENT_MODES:
+        e = _jacobian_exponent(mode, spec.dim)
+        out[mode] = kap1 ** -e * B1 + kap2 ** -e * B2
+    return out
 
 
 def closed_form_S(a, b, theta, spec: KernelSpec,
@@ -485,7 +495,7 @@ def recover_omega_independent_B(S_values, probes, exponent_mode: str,
         if min(kap1, kap2) < DEGENERATE_KAPPA:
             raise PreconditionError(
                 f"near-degenerate Jacobian factor {min(kap1, kap2):.3e}")
-        e = 2.0 if exponent_mode == "theorem_minus2" else float(probe.dim)
+        e = _jacobian_exponent(exponent_mode, probe.dim)
         denom = kap1 ** -e + kap2 ** -e
         row = RecoveryRow(a=a, b=b, theta=theta, kappa1=kap1, kappa2=kap2,
                           S_value=float(S), estimate=0.0, residual=0.0)

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.sparse as sp
 
-from .collision import KernelSpec, QuadratureRule, admissibility_check, kernel_eval
+from .collision import (KernelSpec, QuadratureRule, admissibility_check,
+                        collision_Q, kernel_eval)
 from .errors import ConfigurationError, ConvergenceError, PreconditionError
 from .geometry import (OUTGOING, Domain, classify_boundaries, exit_times,
                        sample_boundary)
@@ -243,6 +244,9 @@ def _post_collision_velocities(Vg, U, W):
     """u' = u - ((u - v).omega) omega and v' = v + ((u - v).omega) omega for
     every (v, u, omega) of the active v-nodes Vg, the u-nodes U and the
     omega-nodes W; each (NVa, NU, NW, d)."""
+    # u.omega - v.omega, not (u - v).omega as in collision.post_collision:
+    # it rounds repeated points to equal bits, so the distinct-point keying
+    # finds them (with (u - v).omega the stencil operators grow)
     c = np.einsum("qa,ma->qm", U, W)[None, :, :] - \
         np.einsum("ja,ma->jm", Vg, W)[:, None, :]
     UP = U[None, :, None, :] - c[..., None] * W[None, None, :, :]
@@ -435,22 +439,25 @@ _V_BLOCK = 16
 # (x, v) pairs per chunk of the line stage; a chunk's temporaries are
 # _PAIR_BLOCK * (chord order) values each
 _PAIR_BLOCK = 2048
+# chord quadrature: nodes every _CHORD_SPACING * h_x, order clipped to
+# [_CHORD_ORDER_MIN, _CHORD_ORDER_MAX]
+_CHORD_SPACING = 1.5
+_CHORD_ORDER_MIN = 4
+_CHORD_ORDER_MAX = 24
+# random interior phase points of the sampled PDE residual, and their seed
+_RESIDUAL_SAMPLES = 64
+_RESIDUAL_SEED = 0
 
 
 @dataclass
 class PicardOptions:
+    """Settable options of a Picard solve.  The kernel must pass the
+    admissibility check at 1 / (4 * smallness_threshold)."""
+
     tol: float = 1e-12
     max_iter: int = 30
     smallness_threshold: float = 0.03
-    check_smallness: bool = True
-    check_admissibility: bool = True
-    admissibility_threshold: float | None = None  # None: 1/(4*smallness)
     extension: str = "analytic"
-    chord_spacing: float = 1.5  # chord nodes every chord_spacing * h_x
-    chord_order_min: int = 4
-    chord_order_max: int = 24
-    residual_samples: int = 64
-    residual_seed: int = 0
 
 
 @dataclass
@@ -543,9 +550,9 @@ class _PicardTables:
                               sign=-1)
         speed = np.linalg.norm(Vg, axis=1)
         length = self.TAU * speed[:, None]
-        ORD = np.ceil(length / (opts.chord_spacing * grid.h_x)).astype(np.int64) + 2
-        self.ORD = np.clip(ORD, opts.chord_order_min, opts.chord_order_max)
-        self.glx, self.glw, self.gloff = _gauss_tables(opts.chord_order_max)
+        ORD = np.ceil(length / (_CHORD_SPACING * grid.h_x)).astype(np.int64) + 2
+        self.ORD = np.clip(ORD, _CHORD_ORDER_MIN, _CHORD_ORDER_MAX)
+        self.glx, self.glw, self.gloff = _gauss_tables(_CHORD_ORDER_MAX)
         # flat pair indices (v-major) sorted by chord order, so each order
         # runs by (v, x), and the (order, start, stop) run of each order in
         # that sequence
@@ -775,12 +782,11 @@ class Solver:
     The set-up that does not depend on the data is built once, on the
     first solve, after the first data have passed the smallness check: the
     _PicardTables, the admissibility verdict, the CSR stencil operators
-    (sparsity pattern and corner weights) and the residual sample points
-    with their rule and kernel weights.  Each source keeps its own
-    transported data F0, which its collision stages add after the
-    products, and its own first-iterate shortcut, stopping test and defect
-    application, so a source's iterates do not depend on the other sources
-    solved with it.
+    (sparsity pattern and corner weights) and the residual sample points.
+    Each source keeps its own transported data F0, which its collision
+    stages add after the products, and its own first-iterate shortcut,
+    stopping test and defect application, so a source's iterates do not
+    depend on the other sources solved with it.
     """
 
     def __init__(self, spec: KernelSpec, grid: PhaseGrid,
@@ -837,7 +843,8 @@ class Solver:
                 run.advance(Gn, k)
             live = [run for run in live if run.resid_disc is None]
 
-        results = [run.result(self._samples, t_start) for run in runs]
+        results = [run.result(self._samples, self.spec, self.rule, t_start)
+                   for run in runs]
         for i, (run, (_, report)) in enumerate(zip(runs, results)):
             if not report.converged:
                 raise ConvergenceError(
@@ -851,21 +858,16 @@ class Solver:
         opts = self.opts
         if g.sup_norm is None:
             g.estimate_sup(self.grid.domain, self.grid.R_v)
-        if opts.check_smallness and g.sup_norm > opts.smallness_threshold:
+        if g.sup_norm > opts.smallness_threshold:
             raise PreconditionError(
                 "boundary data sup %.3g exceeds the smallness threshold %.3g"
                 % (g.sup_norm, opts.smallness_threshold))
 
     def _check_admissibility(self):
-        opts = self.opts
-        if not opts.check_admissibility:
-            return
         if self._admissibility is None:
-            thr = opts.admissibility_threshold
-            if thr is None:
-                thr = 1.0 / (4.0 * opts.smallness_threshold)
             self._admissibility = admissibility_check(
-                self.spec, self.grid.domain, self.rule, threshold=thr,
+                self.spec, self.grid.domain, self.rule,
+                threshold=1.0 / (4.0 * self.opts.smallness_threshold),
                 v_min=self.grid.v_min)
         rep = self._admissibility
         if not rep.passed:
@@ -877,7 +879,7 @@ class Solver:
         if self._tables is None:
             tables = _PicardTables(self.spec, self.grid, self.rule, self.opts)
             self._ops = tables.stencil_operators()
-            self._samples = _residual_samples(self.spec, tables, self.opts)
+            self._samples = _residual_samples(self.grid)
             self._tables = tables
         return self._tables, self._ops
 
@@ -937,7 +939,7 @@ class _SourceRun:
         elif k >= self.opts.max_iter:
             self.iterations = k
 
-    def result(self, samples, t_start):
+    def result(self, samples, spec, rule, t_start):
         grid, G = self.grid, self.G
         if self.split:
             field = PhaseField(grid, values=G, analytic=self.F0.analytic,
@@ -947,7 +949,7 @@ class _SourceRun:
                                extension=self.opts.extension)
         sup_G = float(np.max(np.abs(G)))
         sup_F = field.sup_norm()
-        resid_pde, n_res = _sample_pde_residual(field, samples)
+        resid_pde, n_res = _sample_pde_residual(field, samples, spec, rule)
         report = ConvergenceReport(
             iterations=self.iterations, deltas=np.array(self.deltas),
             converged=self.converged, ratio=_contraction_ratio(self.deltas),
@@ -973,32 +975,21 @@ def picard_solve(spec: KernelSpec, g: BoundarySource, grid: PhaseGrid,
 
 @dataclass
 class _ResidualSamples:
-    """Phase points of the sampled PDE residual with everything about them
-    that does not depend on the field: the central-difference points, the
-    collision points of the solve's rule at each, and B * w_u * w_omega."""
+    """Phase points of the sampled PDE residual and the central-difference
+    points along the characteristic through each."""
 
     X: np.ndarray
     V: np.ndarray
     X_fwd: np.ndarray
     X_bwd: np.ndarray
     two_t: np.ndarray
-    X_uw: np.ndarray
-    UP: np.ndarray
-    VP: np.ndarray
-    X_u: np.ndarray
-    U: np.ndarray
-    Bw: np.ndarray
 
 
-def _residual_samples(spec, tables, opts):
-    """The _ResidualSamples of a solver (None when opts.residual_samples is
-    0): opts.residual_samples random interior phase points, drawn from
-    opts.residual_seed."""
-    n = opts.residual_samples
-    if n <= 0:
-        return None
-    grid = tables.grid
-    rng = np.random.default_rng(opts.residual_seed)
+def _residual_samples(grid):
+    """The _ResidualSamples of a solver: _RESIDUAL_SAMPLES random interior
+    phase points, drawn from _RESIDUAL_SEED."""
+    n = _RESIDUAL_SAMPLES
+    rng = np.random.default_rng(_RESIDUAL_SEED)
     lo, hi = grid.domain.bounding_box()
     # points keep 3 h_x clear of the boundary; where that reaches into the
     # last tenth of the domain's depth (reached at the box centre) the draws
@@ -1019,43 +1010,23 @@ def _residual_samples(spec, tables, opts):
 
     # central difference along the characteristic, one step per point
     t = 0.5 * grid.h_x / np.linalg.norm(V, axis=1)
-
-    # Q(F, F)(x, v) with the solve's own rule, all points at once
-    U, W = tables.U, tables.W
-    nu, nw, d = U.shape[0], W.shape[0], grid.dim
-    u = U[None, :, None, :]
-    om = W[None, None, :, :]
-    v = V[:, None, None, :]
-    c = np.sum((u - v) * om, axis=-1, keepdims=True)
-    B = kernel_eval(spec, v, u, om)
-    w = tables.WU[:, None] * tables.WW[None, :]
-    return _ResidualSamples(
-        X=X, V=V, X_fwd=X + t[:, None] * V, X_bwd=X - t[:, None] * V,
-        two_t=2.0 * t, X_uw=np.repeat(X, nu * nw, axis=0),
-        UP=(u - c * om).reshape(-1, d), VP=(v + c * om).reshape(-1, d),
-        X_u=np.repeat(X, nu, axis=0),
-        U=np.broadcast_to(U, (n, nu, d)).reshape(-1, d), Bw=B * w)
+    return _ResidualSamples(X=X, V=V, X_fwd=X + t[:, None] * V,
+                            X_bwd=X - t[:, None] * V, two_t=2.0 * t)
 
 
-def _sample_pde_residual(field: PhaseField, samples):
-    """|v.grad F - Q(F,F)| at the points of samples (_residual_samples);
-    returns (max, number of points).
+def _sample_pde_residual(field: PhaseField, samples, spec, rule):
+    """|v.grad F - Q(F,F)| at the points of samples (_residual_samples),
+    with Q under the solve's kernel and rule; returns (max, number of
+    points).
 
     The directional derivative uses central differences along the
     characteristic, so the analytic part drops out exactly and the estimate
     probes the gridded correction plus interpolation error.
     """
-    if samples is None:
-        return 0.0, 0
     s = samples
-    n, nu, nw = s.Bw.shape
     cd = (field.eval(s.X_fwd, s.V) - field.eval(s.X_bwd, s.V)) / s.two_t
-    Hup = field.eval(s.X_uw, s.UP).reshape(n, nu, nw)
-    Hvp = field.eval(s.X_uw, s.VP).reshape(n, nu, nw)
-    Hu = field.eval(s.X_u, s.U).reshape(n, nu, 1)
-    Hv = field.eval(s.X, s.V).reshape(n, 1, 1)
-    qv = np.sum(s.Bw * (Hup * Hvp - Hu * Hv), axis=(1, 2))
-    return float(np.max(np.abs(cd - qv))), n
+    qv = collision_Q(field.eval, field.eval, s.V, spec, rule, s.X)
+    return float(np.max(np.abs(cd - qv))), s.X.shape[0]
 
 
 # ---------------------------------------------------------------------------

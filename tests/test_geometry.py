@@ -5,7 +5,6 @@ from boltzlab.errors import DomainError
 from boltzlab.geometry import (
     Domain,
     classify_boundaries,
-    classify_boundary,
     exit_times,
     sample_outgoing,
 )
@@ -98,15 +97,18 @@ def test_chord_additivity():
 
 
 def test_classify_boundary():
-    assert classify_boundary(DISK, (0.0, 0.0), (1.0, 0.0)) == "interior"
-    assert classify_boundary(DISK, (1.0, 0.0), (1.0, 0.0)) == "outgoing"
-    assert classify_boundary(DISK, (1.0, 0.0), (-1.0, 0.5)) == "incoming"
-    assert classify_boundary(DISK, (1.0, 0.0), (0.0, 1.0)) == "grazing"
-    assert classify_boundary(BOX2, (1.0, 0.5), (1.0, 0.0)) == "outgoing"
+    def one(domain, x, v):
+        return classify_boundaries(domain, np.array([x]), np.array([v]))[0]
+
+    assert one(DISK, (0.0, 0.0), (1.0, 0.0)) == "interior"
+    assert one(DISK, (1.0, 0.0), (1.0, 0.0)) == "outgoing"
+    assert one(DISK, (1.0, 0.0), (-1.0, 0.5)) == "incoming"
+    assert one(DISK, (1.0, 0.0), (0.0, 1.0)) == "grazing"
+    assert one(BOX2, (1.0, 0.5), (1.0, 0.0)) == "outgoing"
 
 
 def test_classify_boundaries_batch():
-    # one call classifies mixed points as the one-point calls do
+    # one call classifies mixed points, each as it would alone
     for domain, X, V, want in (
             (DISK, [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, -1.0)],
              [(1.0, 0.0), (-1.0, 0.5), (0.0, 1.0), (0.3, -2.0)],
@@ -116,7 +118,8 @@ def test_classify_boundaries_batch():
              ["outgoing", "incoming", "interior"])):
         got = classify_boundaries(domain, np.array(X), np.array(V))
         assert got.tolist() == want
-        assert [classify_boundary(domain, x, v) for x, v in zip(X, V)] == want
+        assert [classify_boundaries(domain, np.array([x]), np.array([v]))[0]
+                for x, v in zip(X, V)] == want
     # errors name the first offending point
     X = np.array([(0.0, 0.0), (2.0, 0.0), (0.0, 3.0)])
     with pytest.raises(DomainError, match="point 1 outside"):
@@ -129,5 +132,4 @@ def test_classify_boundaries_batch():
 def test_sample_outgoing_classifies_outgoing():
     rng = np.random.default_rng(11)
     X, V = sample_outgoing(DISK, 25, rng)
-    for x, v in zip(X, V):
-        assert classify_boundary(DISK, x, v) == "outgoing"
+    assert (classify_boundaries(DISK, X, V) == "outgoing").all()

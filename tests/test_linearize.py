@@ -204,7 +204,10 @@ def test_w_quadrature_shortcut_matches_quadrature():
     S = second_order_source(_quartic(), _quartic(center=(-0.3, 0.1)),
                             POLY, _rule())
     fast = w_quadrature(S, DISK, X, V)
-    slow = w_quadrature(S, DISK, X, V, force_quadrature=True)
+    # the same S presented as x-dependent takes the chord quadrature
+    S_x = SecondOrderSource.from_function(lambda Xq, Vq: S.eval_v(Vq),
+                                          velocity_only=False)
+    slow = w_quadrature(S_x, DISK, X, V)
     assert fast.method == "shortcut" and slow.method == "quadrature"
     scale = max(1.0, np.max(np.abs(fast.value)))
     assert np.max(np.abs(fast.value - slow.value)) < 1e-12 * scale

@@ -534,8 +534,9 @@ def test_line_stage_matches_per_pair_chord_loop():
             v = grid.v_nodes[j]
             tau = exit_times(DISK, x[None, :], v[None, :], sign=-1)[0]
             order = int(np.clip(np.ceil(tau * np.linalg.norm(v) /
-                                        (opts.chord_spacing * grid.h_x)) + 2,
-                                opts.chord_order_min, opts.chord_order_max))
+                                        (solver._CHORD_SPACING * grid.h_x))
+                                + 2, solver._CHORD_ORDER_MIN,
+                                solver._CHORD_ORDER_MAX))
             nodes, weights = np.polynomial.legendre.leggauss(order)
             for s_hat, w in zip(nodes, weights):
                 y = x - 0.5 * tau * (1.0 + s_hat) * v
@@ -598,7 +599,7 @@ def test_picard_residuals():
     grid = PhaseGrid(DISK, 12, 12, R_v=2.0)
     g = _bump_profile(3e-3)
     F, rep = picard_solve(SMALL_KERNEL, g, grid, _small_rule(),
-                          PicardOptions(residual_samples=32))
+                          PicardOptions())
     scale = max(1.0, rep.sup_F)
     assert rep.residual_discrete < 10 * 1e-12 * scale
     # the sampled transport residual probes interpolation error of the

@@ -5,13 +5,18 @@ unpacks the stencil operators to count their nonzeros, so a refactor of the
 solver can leave `--trace 1` reporting metrics as missing.  These tests
 read tracing.py without installing it.
 """
+import contextlib
+import importlib
 import importlib.util
 import os
 from collections import Counter
+from unittest import mock
+
+import numpy as np
 
 from boltzlab.collision import KernelSpec, QuadratureRule
 from boltzlab.geometry import Domain
-from boltzlab.solver import PhaseGrid, Solver
+from boltzlab.solver import BoundarySource, PhaseGrid, Solver
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                        "tracing.py")
@@ -25,6 +30,21 @@ def _tracing():
     return module
 
 
+# spans every Picard solve of velocity-only data must pass through, so that
+# their per-layer times cannot read 0 because a refactor routed around them
+SOLVE_SPANS = ("solver.residual", "solver.collision_stage",
+               "solver.line_stage", "solver.fringe",
+               "solver.stencil_operators", "solver.f0_tables")
+
+
+def _small_solver():
+    grid = PhaseGrid(Domain("ball", dim=2, radius=1.0), 8, 8, R_v=2.0)
+    rule = QuadratureRule.build(2, sphere_order=6, radial_order=2,
+                                angular_order=6, R_v=2.0)
+    spec = KernelSpec("constant", dim=2, params={"value": 0.01})
+    return Solver(spec, grid, rule)
+
+
 def test_solver_trace_targets_resolve():
     tracing = _tracing()
     names = [n for n in tracing.TARGETS if n.startswith("solver.")]
@@ -36,13 +56,31 @@ def test_solver_trace_targets_resolve():
 
 def test_nnz_hook_accepts_stencil_operators():
     tracing = _tracing()
-    grid = PhaseGrid(Domain("ball", dim=2, radius=1.0), 8, 8, R_v=2.0)
-    rule = QuadratureRule.build(2, sphere_order=6, radial_order=2,
-                                angular_order=6, R_v=2.0)
-    spec = KernelSpec("constant", dim=2, params={"value": 0.01})
-    _, ops = Solver(spec, grid, rule)._setup()
+    _, ops = _small_solver()._setup()
     counter = type("Counts", (), {"counts": Counter()})()
     tracing._count_nnz(counter, ops)
     Su, parts = ops
     expected = Su.nnz + sum(a.nnz + b.nnz for _, a, b in parts)
     assert counter.counts["stencil_nnz"] == expected > Su.nnz
+
+
+def test_one_solve_reaches_solver_spans():
+    tracing = _tracing()
+    phi = lambda V: 3e-3 * np.exp(-np.sum((V - 0.5) ** 2, axis=-1))
+    g = BoundarySource.from_velocity_profile(phi, sup=3e-3)
+    mocks = {}
+    with contextlib.ExitStack() as stack:
+        for name in SOLVE_SPANS:
+            module, path = tracing.TARGETS[name]
+            owner = importlib.import_module(module)
+            *outer, attr = path.split(".")
+            for part in outer:
+                owner = getattr(owner, part)
+            # autospec binds self for methods; side_effect calls through
+            # (an autospec mock ignores wraps= on methods)
+            mocks[name] = stack.enter_context(mock.patch.object(
+                owner, attr, autospec=True, side_effect=getattr(owner, attr)))
+        _, report = _small_solver().solve(g)
+    assert report.converged and report.residual_pde > 0.0
+    for name, spy in mocks.items():
+        assert spy.called, name

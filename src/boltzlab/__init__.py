@@ -9,7 +9,7 @@ from .geometry import Domain, exit_times
 from .collision import (KernelSpec, QuadratureRule, kernel_eval,
                         post_collision, pre_collision)
 from .solver import (BoundarySource, PhaseField, PhaseGrid, PicardOptions,
-                     apply_A, boundary_trace, free_transport, picard_solve)
+                     boundary_trace, free_transport, picard_solve)
 from .linearize import (LinearizationConfig, SecondOrderSource,
                         first_linearization, second_order_source,
                         w_finite_difference, w_quadrature)
@@ -25,7 +25,7 @@ __all__ = [
     "Domain", "exit_times",
     "KernelSpec", "QuadratureRule", "kernel_eval", "post_collision",
     "pre_collision",
-    "BoundarySource", "PhaseField", "PhaseGrid", "PicardOptions", "apply_A",
+    "BoundarySource", "PhaseField", "PhaseGrid", "PicardOptions",
     "boundary_trace", "free_transport", "picard_solve",
     "LinearizationConfig", "SecondOrderSource", "first_linearization",
     "second_order_source", "w_finite_difference", "w_quadrature",

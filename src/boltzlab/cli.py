@@ -278,6 +278,11 @@ def _generate_probes(rng, count: int, dim: int, eta_max: float, R_v: float,
     sep = 2.2 * eta_max
     lo_speed = v_min + eta_max + 0.05
     hi_speed = 0.9 * R_v
+    # the separation d is drawn from [1.3, 1.45]; draws too short for sep
+    # are skipped, and when no draw can be long enough the etas are rejected
+    if sep > 1.45 / math.sqrt(2.0):
+        raise ConfigurationError(
+            "etas too coarse for the probe scale: need 2.2*eta < d/sqrt(2)")
     probes = []
     for _ in range(500 * count):
         if len(probes) == count:
@@ -287,8 +292,7 @@ def _generate_probes(rng, count: int, dim: int, eta_max: float, R_v: float,
         axis /= np.linalg.norm(axis)
         d = rng.uniform(1.3, 1.45)
         if sep > d / math.sqrt(2.0):
-            raise ConfigurationError(
-                "etas too coarse for the probe scale: need 2.2*eta < d/sqrt(2)")
+            continue
         r = 0.5 * d
         v0 = mid - r * axis
         u0 = mid + r * axis

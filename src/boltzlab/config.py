@@ -7,7 +7,7 @@ Key schema (defaults in DEFAULTS; unknown keys are rejected):
   output_dir     str, run artifacts land here
   domain         shape ("ball"|"box"), dim, radius / lo, hi
   kernel         family (see collision.KERNEL_FAMILIES), params
-  grid           nx, nv, R_v, v_min (null: 0.05 R_v), extension policy
+  grid           nx, nv, R_v, v_min (null: 0.05 R_v)
   quadrature     sphere_order, radial_order, angular_order
   solver         tol, max_iter, smallness_threshold
   inflow         amplitude, center, width of the velocity bump fed to the
@@ -49,8 +49,7 @@ DEFAULTS = {
     "domain": {"shape": "ball", "dim": 2, "radius": 1.0},
     # amplitude small enough for the contraction admissibility gate
     "kernel": {"family": "constant", "params": {"value": 0.01}},
-    "grid": {"nx": 16, "nv": 16, "R_v": 2.0, "v_min": None,
-             "extension": "analytic"},
+    "grid": {"nx": 16, "nv": 16, "R_v": 2.0, "v_min": None},
     "quadrature": {"sphere_order": 8, "radial_order": 3, "angular_order": 8},
     "solver": {"tol": 1e-10, "max_iter": 40, "smallness_threshold": 0.03},
     "inflow": {"amplitude": 0.01, "center": [1.0, 0.0], "width": 0.6},
@@ -66,7 +65,6 @@ DEFAULTS = {
                "forward": True, "linearize": True, "reconstruct": True},
 }
 
-_EXTENSIONS = ("analytic", "zero", "clamp")
 _ROUTES = ("direct", "fd")
 
 
@@ -113,8 +111,6 @@ def _validate(d: dict):
     _require(g["R_v"] > 0, "grid.R_v must be positive")
     _require(g["v_min"] is None or 0 < g["v_min"] < g["R_v"],
              "grid.v_min must be null or in (0, R_v)")
-    _require(g["extension"] in _EXTENSIONS,
-             f"grid.extension must be one of {_EXTENSIONS}")
 
     q = d["quadrature"]
     for key in ("sphere_order", "radial_order", "angular_order"):
@@ -240,8 +236,7 @@ class ExperimentConfig:
     def picard_options(self) -> PicardOptions:
         s = self.data["solver"]
         return PicardOptions(tol=s["tol"], max_iter=s["max_iter"],
-                             smallness_threshold=s["smallness_threshold"],
-                             extension=self.data["grid"]["extension"])
+                             smallness_threshold=s["smallness_threshold"])
 
     def linearize_config(self) -> LinearizationConfig:
         lin = self.data["linearize"]

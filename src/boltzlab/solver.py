@@ -17,7 +17,7 @@ import io
 import itertools
 import json
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,7 @@ from .errors import ConfigurationError, ConvergenceError, PreconditionError
 from .geometry import (OUTGOING, Domain, classify_boundaries, exit_times,
                        sample_boundary)
 
-FIELD_CACHE_VERSION = 1
+FIELD_CACHE_VERSION = 2
 
 # snap tolerance for interpolation weights, so grid nodes reproduce exactly
 _SNAP = 1e-12
@@ -165,21 +165,19 @@ class PhaseGrid:
         A[f[~lin]] = A[s[~lin]]
         return A
 
-    def v_stencil(self, P: np.ndarray, policy: str):
+    def v_stencil(self, P: np.ndarray):
         """Flattened bilinear stencil of velocity points P into the v-square.
 
-        Returns (base, fracs...) arrays; base = -1 marks out-of-range points
-        under the zero/analytic policies (clamp never produces -1).
+        Returns (base, fracs) arrays; base = -1 marks points outside the
+        square.
         """
         parts = [_locate_axis(ax, P[..., a]) for a, ax in enumerate(self.v_axes)]
         base = parts[0][0]
+        oor = parts[0][2]
         for a in range(1, self.dim):
             base = base * self.nv + parts[a][0]
-        if policy != "clamp":
-            oor = parts[0][2]
-            for a in range(1, self.dim):
-                oor = oor | parts[a][2]
-            base = np.where(oor, -1, base)
+            oor = oor | parts[a][2]
+        base = np.where(oor, -1, base)
         fracs = [p[1] for p in parts]
         return base.astype(np.int64), fracs
 
@@ -254,25 +252,18 @@ def _post_collision_velocities(Vg, U, W):
     return UP, VP
 
 
-EXTENSION_POLICIES = ("zero", "analytic", "clamp")
-
-
 class PhaseField:
     """Distribution function on a phase grid, optionally split into an
     analytic part (evaluable anywhere) and a gridded part.
 
-    values : (NXF, NVF) array or None
+    values : (NXF, NVF) array or None; the gridded part is zero at
+        velocities outside the stored square, where the analytic part, when
+        present, still contributes
     analytic : callable (X, V) -> values, or None
-    extension : policy for velocity queries outside the stored square;
-        "zero" and "analytic" zero the grid part there (the analytic part,
-        when present, still contributes), "clamp" evaluates at the nearest
-        square point.
     """
 
     def __init__(self, grid: PhaseGrid | None, values=None, analytic=None,
-                 extension: str = "analytic", domain: Domain | None = None):
-        if extension not in EXTENSION_POLICIES:
-            raise PreconditionError("unknown extension policy %r" % (extension,))
+                 domain: Domain | None = None):
         if values is not None:
             if grid is None:
                 raise PreconditionError("gridded values need a grid")
@@ -287,7 +278,6 @@ class PhaseField:
         self.domain = domain if domain is not None else (grid.domain if grid else None)
         self.values = values
         self.analytic = analytic
-        self.extension = extension
         self.oor_count = 0
         self._sup = None
 
@@ -317,8 +307,7 @@ class PhaseField:
             for a in range(g.dim):
                 oor |= vs[a][2]
             self.oor_count += int(np.sum(oor))
-            if self.extension != "clamp":
-                base = np.where(oor, -1, base)
+            base = np.where(oor, -1, base)
             strides = [g.nx ** (g.dim - 1 - a) * g.NVF for a in range(g.dim)] + \
                       [g.nv ** (g.dim - 1 - a) for a in range(g.dim)]
             fracs = [s[1] for s in xs] + [s[1] for s in vs]
@@ -457,7 +446,6 @@ class PicardOptions:
     tol: float = 1e-12
     max_iter: int = 30
     smallness_threshold: float = 0.03
-    extension: str = "analytic"
 
 
 @dataclass
@@ -486,11 +474,11 @@ def _contraction_ratio(deltas) -> float:
 
 
 class _PicardTables:
-    """Per-solve precomputed quantities of the collision and line stages."""
+    """Precomputed quantities of the collision and line stages, built once
+    per Solver."""
 
-    def __init__(self, spec, grid, rule, opts):
+    def __init__(self, spec, grid, rule):
         self.grid = grid
-        self.opts = opts
         dim = grid.dim
         vact = grid.v_active_idx
         xact = grid.x_active_idx
@@ -528,7 +516,7 @@ class _PicardTables:
         # loss weights sum_omega B * w_u * w_omega, shape (NVa, NU)
         self.Bw_loss = Bw.sum(axis=2)
 
-        self.ub, self.ufr = grid.v_stencil(U, opts.extension)
+        self.ub, self.ufr = grid.v_stencil(U)
         if np.any(self.ub < 0):
             raise PreconditionError("quadrature velocities exceed the grid square")
         self.v_strides = [grid.nv ** (dim - 1 - a) for a in range(dim)]
@@ -574,11 +562,10 @@ class _PicardTables:
         rows of Svp), the indices of each row's point.
         """
         NRow = self.shape[1] * self.reps.size
-        policy = self.opts.extension
         ncols = self.grid.NVF
 
         def csr(P):
-            base, fracs = self.grid.v_stencil(P, policy)
+            base, fracs = self.grid.v_stencil(P)
             return _stencil_csr(base, fracs, self.v_strides, ncols)
 
         tiles = []
@@ -624,19 +611,20 @@ def _transported_at(g, domain, X, P):
     return out
 
 
-def _collision_stage_np(G, tables, F0V, F0U, F0UP, F0VP, per_x_f0=None):
+def _collision_stage_np(G, tables, F0V=None, F0U=None, F0UP=None, F0VP=None,
+                        per_x_f0=None):
     """Reference collision stage: one spatial node at a time, over every
     omega node, the oracle the sparse stage is checked against.  It builds
     its own u' and v' stencils, at every (v, u, omega) of
     _post_collision_velocities; F0UP and F0VP hold the transported data at
-    those points.  per_x_f0(i), when given, returns the tables of the i-th
-    active node instead.  Returns Q v-major, (NVF, NXF)."""
+    those points.  For x-dependent data, per_x_f0(i) returns the tables of
+    the i-th active node instead.  Returns Q v-major, (NVF, NXF)."""
     grid = tables.grid
     NVa, NU, NW = tables.shape
     strides = [grid.nv ** (grid.dim - 1 - a) for a in range(grid.dim)]
     UP, VP = _post_collision_velocities(tables.Vg, tables.U, tables.W)
-    upb, upfr = grid.v_stencil(UP.reshape(-1, grid.dim), tables.opts.extension)
-    vpb, vpfr = grid.v_stencil(VP.reshape(-1, grid.dim), tables.opts.extension)
+    upb, upfr = grid.v_stencil(UP.reshape(-1, grid.dim))
+    vpb, vpfr = grid.v_stencil(VP.reshape(-1, grid.dim))
     Q = np.zeros((grid.NVF, grid.NXF))
     wqm = (tables.WU[:, None] * tables.WW[None, :])[None, :, :]
     for pi, p in enumerate(grid.x_active_idx):
@@ -655,30 +643,29 @@ def _collision_stage_np(G, tables, F0V, F0U, F0UP, F0VP, per_x_f0=None):
     return Q
 
 
-def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP=None, F0VP=None,
-                            first_iterate=False, g=None):
+def _collision_stage_sparse(G, tables, ops, F0V=None, F0U=None, F0UP=None,
+                            F0VP=None, first_iterate=False, g=None):
     """Collision stage on blocks of _X_BLOCK spatial rows.
 
     The velocity stencils are applied as the CSR operators `ops` (see
     _PicardTables.stencil_operators) to a block's rows of G at once, as
     GT = G[rows].T: Su @ GT gives G at u, and Sup @ GT and Svp @ GT give G
     at every distinct u' and v' point, to which F0 is added after the
-    corners.  Tile by tile of _V_BLOCK velocity nodes, the gain gathers its
+    products.  Tile by tile of _V_BLOCK velocity nodes, the gain gathers its
     rows (v, u, representative) from those two products and is reduced
     against the folded weights; the loss is Hv * ((sum_omega B w) @ Hu).
     Returns Q v-major, (NVF, NXF), the layout the blocks come in.  Agrees
     with _collision_stage_np to rounding.
 
-    F0V, F0U, F0UP and F0VP are the transported data at v, u and the
-    distinct u' and v' points when they do not depend on x (see
-    _PicardTables.f0_tables_velocity_only); without F0UP and F0VP nothing
-    is added at u' and v' (gridded policies carry F0 in G).  For boundary
-    data g that depends on x (under the analytic split), pass zero F0V and
-    F0U and g: each block then adds its own tables
-    (_PicardTables.f0_tables_at_x) after the products, so every sum F0 + G
-    is the oracle's.  Nothing is kept across calls.
+    Boundary data that does not depend on x comes as F0V, F0U, F0UP and
+    F0VP, its transported values at v, u and the distinct u' and v' points
+    (see _PicardTables.f0_tables_velocity_only).  Boundary data g that
+    depends on x comes as g alone: each block then builds its own tables
+    (_PicardTables.f0_tables_at_x), so every sum F0 + G is the oracle's.
+    Nothing is kept across calls.
 
-    first_iterate says G = 0.  With F0 independent of x, a block's result
+    first_iterate says G = 0.  With F0 independent of x (no g), a block's
+    result
     then depends on its width only, so each width is evaluated once and
     copied to the other blocks of that width.  (Widths are not merged: the
     BLAS product of the loss term can round the last columns of a short
@@ -689,10 +676,9 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP=None, F0VP=None,
     Su, [(tiles, Sup, Svp)] = ops
     vact, xact = grid.v_active_idx, grid.x_active_idx
     if g is None:
-        F0V, F0U = F0V[:, None], F0U[:, None]
-        if F0UP is not None:
-            F0UP, F0VP = F0UP[:, None], F0VP[:, None]
+        F0V, F0U, F0UP, F0VP = (a[:, None] for a in (F0V, F0U, F0UP, F0VP))
     Q = np.zeros((grid.NVF, grid.NXF))
+    reuse = first_iterate and g is None
     by_width = {}
     for start in range(0, xact.size, _X_BLOCK):
         rows = xact[start:start + _X_BLOCK]
@@ -707,15 +693,14 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP=None, F0VP=None,
             # F0 + G at the distinct u' and v' points
             Hup = Sup @ GT
             Hvp = Svp @ GT
-            if F0UP is not None:
-                Hup += F0UP
-                Hvp += F0VP
+            Hup += F0UP
+            Hvp += F0VP
             shape = (-1, NU, tables.reps.size, rows.size)
             for js, iu, iv in tiles:
                 gain = np.take(Hup, iu, axis=0).reshape(shape)
                 gain *= np.take(Hvp, iv, axis=0).reshape(shape)
                 QT[js] += np.einsum("vurx,vur->vx", gain, tables.Bw_fold[js])
-            if first_iterate:
+            if reuse:
                 by_width[rows.size] = QT
         Q[vact[:, None], rows] = QT
     return Q
@@ -826,9 +811,8 @@ class Solver:
         runs = [_SourceRun(g, grid, tables, opts) for g in gs]
 
         def collision(run, first):
-            Q = _collision_stage_sparse(
-                run.state(), tables, ops, *run.f0_tables,
-                first_iterate=first and run.shortcut, g=run.g_x)
+            Q = _collision_stage_sparse(run.G, tables, ops, *run.f0_tables,
+                                        first_iterate=first, g=run.g_x)
             grid.fill_fringe(Q.T)
             return Q
 
@@ -877,7 +861,7 @@ class Solver:
 
     def _setup(self):
         if self._tables is None:
-            tables = _PicardTables(self.spec, self.grid, self.rule, self.opts)
+            tables = _PicardTables(self.spec, self.grid, self.rule)
             self._ops = tables.stencil_operators()
             self._samples = _residual_samples(self.grid)
             self._tables = tables
@@ -889,40 +873,20 @@ class _SourceRun:
     iteration state."""
 
     def __init__(self, g, grid, tables, opts):
-        self.g = g
         self.grid = grid
         self.opts = opts
-        self.split = opts.extension == "analytic"
         self.F0 = free_transport(g, grid.domain, grid)
-        NVa, NU = tables.shape[:2]
-        self.F0G = None
-        # F0 is analytic and independent of x: the first iterate may take
-        # the collision stage's G = 0 shortcut
-        self.shortcut = self.split and g.velocity_only
-        if self.shortcut:
-            self.f0_tables = tables.f0_tables_velocity_only(g)
+        # velocity-only data has one set of F0 tables for every spatial row;
+        # the collision stage builds those of x-dependent data block by block
+        if g.velocity_only:
+            self.f0_tables, self.g_x = tables.f0_tables_velocity_only(g), None
         else:
-            # zero F0 tables: under the split the collision stage adds each
-            # block's own tables; gridded policies sample F0 on the grid and
-            # interpolate it like G
-            self.f0_tables = (np.zeros(NVa), np.zeros(NU))
-            if not self.split:
-                X = np.repeat(grid.x_nodes[grid.x_active_idx], grid.NVF, axis=0)
-                V = np.tile(grid.v_nodes, (grid.x_active_idx.size, 1))
-                self.F0G = np.zeros((grid.NXF, grid.NVF))
-                self.F0G[grid.x_active_idx] = self.F0.eval(X, V).reshape(
-                    -1, grid.NVF)
-                grid.fill_fringe(self.F0G)
-        self.g_x = g if self.split and not g.velocity_only else None
+            self.f0_tables, self.g_x = (), g
         self.G = np.zeros((grid.NXF, grid.NVF))
         self.deltas = []
         self.iterations = None
         self.converged = False
         self.resid_disc = None
-
-    def state(self):
-        # under the split the first iterate starts from G = 0
-        return self.G if self.split else self.F0G + self.G
 
     def advance(self, Gn, k):
         """Take the map's output of round k: an iterate until the source
@@ -941,12 +905,7 @@ class _SourceRun:
 
     def result(self, samples, spec, rule, t_start):
         grid, G = self.grid, self.G
-        if self.split:
-            field = PhaseField(grid, values=G, analytic=self.F0.analytic,
-                               extension="analytic")
-        else:
-            field = PhaseField(grid, values=self.F0G + G, analytic=None,
-                               extension=self.opts.extension)
+        field = PhaseField(grid, values=G, analytic=self.F0.analytic)
         sup_G = float(np.max(np.abs(G)))
         sup_F = field.sup_norm()
         resid_pde, n_res = _sample_pde_residual(field, samples, spec, rule)
@@ -1042,7 +1001,6 @@ class TraceTable:
     v: np.ndarray
     value: np.ndarray
     extrap_residual: np.ndarray
-    meta: dict = dc_field(default_factory=dict)
 
 
 def boundary_trace(field: PhaseField, X, V, t_scale: float | None = None
@@ -1073,20 +1031,6 @@ def boundary_trace(field: PhaseField, X, V, t_scale: float | None = None
     value = 2.0 * F1 - F2
     resid = np.abs(F1 - F2)
     return TraceTable(x=X, v=V, value=value, extrap_residual=resid)
-
-
-def apply_A(spec: KernelSpec, g: BoundarySource, grid: PhaseGrid,
-            rule: QuadratureRule, X, V,
-            options: PicardOptions | None = None):
-    """Boundary operator: solve the nonlinear problem for g, trace on Gamma_+.
-
-    Returns (TraceTable, ConvergenceReport).
-    """
-    field, report = picard_solve(spec, g, grid, rule, options)
-    table = boundary_trace(field, X, V)
-    table.meta["iterations"] = report.iterations
-    table.meta["ratio"] = report.ratio
-    return table, report
 
 
 # ---------------------------------------------------------------------------
@@ -1152,7 +1096,7 @@ def save_field(field: PhaseField, path: str):
     header = dict(version=FIELD_CACHE_VERSION, shape=g.domain.shape,
                   dim=g.dim, radius=getattr(g.domain, "radius", None),
                   lo=g.domain.lo, hi=g.domain.hi, nx=g.nx, nv=g.nv,
-                  R_v=g.R_v, v_min=g.v_min, extension=field.extension)
+                  R_v=g.R_v, v_min=g.v_min)
     np.savez(path, header=np.frombuffer(
         json.dumps(header).encode(), dtype=np.uint8), values=values)
 
@@ -1171,5 +1115,4 @@ def load_field(path: str) -> PhaseField:
                         hi=tuple(header["hi"]))
     grid = PhaseGrid(domain, header["nx"], header["nv"], header["R_v"],
                      header["v_min"])
-    return PhaseField(grid, values=values, analytic=None,
-                      extension=header["extension"])
+    return PhaseField(grid, values=values, analytic=None)

@@ -221,8 +221,7 @@ def test_criterion_05_exact_solutions():
     amp = 0.01
     gm = BoundarySource.from_velocity_profile(
         lambda V: amp * np.exp(-np.sum(V * V, axis=-1)), sup=amp)
-    FM, repm = picard_solve(spec, gm, grid, rule,
-                            PicardOptions(extension="analytic"))
+    FM, repm = picard_solve(spec, gm, grid, rule, PicardOptions())
     want = amp * np.exp(-np.sum(Vi * Vi, axis=-1))
     err_m = np.max(np.abs(FM.eval(X, Vi) - want))
 

@@ -12,7 +12,8 @@ import os
 import numpy as np
 import pytest
 
-from boltzlab.cli import STAGE_ORDER, build_report, main, run_config
+from boltzlab.cli import (STAGE_ORDER, _generate_probes, build_report, main,
+                          run_config)
 from boltzlab.config import (config_from_dict, load_config, save_config)
 from boltzlab.errors import (BoltzlabError, ConfigurationError,
                              DependencyError)
@@ -67,6 +68,8 @@ def test_unknown_keys_rejected_with_path():
         config_from_dict({"version": 1, "frobnicate": True})
     with pytest.raises(ConfigurationError, match=r"solver\.engine"):
         config_from_dict({"version": 1, "solver": {"engine": "auto"}})
+    with pytest.raises(ConfigurationError, match=r"grid\.extension"):
+        config_from_dict({"version": 1, "grid": {"extension": "analytic"}})
 
 
 def test_committed_configs_load():
@@ -97,6 +100,18 @@ def test_validation_rejects_bad_values():
         doc.update(patch)
         with pytest.raises(ConfigurationError, match=pattern):
             config_from_dict(doc)
+
+
+def test_probe_generator_rejects_etas_by_scale_not_by_seed():
+    # at eta_max = 0.43 only some separation draws are long enough, and
+    # those are kept; at 0.47 no draw in [1.3, 1.45] is
+    for seed in range(8):
+        probes = _generate_probes(np.random.default_rng(seed), 5, 2, 0.43,
+                                  2.0, 0.1)
+        assert len(probes) == 5
+        with pytest.raises(ConfigurationError, match="coarse"):
+            _generate_probes(np.random.default_rng(seed), 5, 2, 0.47, 2.0,
+                             0.1)
 
 
 def test_file_round_trip_and_overrides(tmp_path):

@@ -165,8 +165,8 @@ def test_source_from_phase_fields_counts_out_of_range():
     vals = np.ones((grid.NXF, grid.NVF))
     from boltzlab.solver import PhaseField
 
-    F1 = PhaseField(grid, values=vals, extension="zero")
-    F2 = PhaseField(grid, values=vals, extension="zero")
+    F1 = PhaseField(grid, values=vals)
+    F2 = PhaseField(grid, values=vals)
     S = second_order_source(F1, F2, POLY, _rule(R_v=2.0))
     val = S.eval(np.zeros((3, 2)), np.array([[0.2, 0.0], [0.0, 0.5],
                                              [0.9, 0.9]]))

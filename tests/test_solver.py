@@ -12,7 +12,7 @@ from boltzlab.geometry import Domain, exit_times
 from boltzlab.solver import (BoundarySource, PhaseField, PhaseGrid,
                              PicardOptions, Solver, _collision_stage_np,
                              _collision_stage_sparse, _line_stage_np,
-                             _PicardTables, apply_A, boundary_trace,
+                             _PicardTables, boundary_trace,
                              field_to_csv, free_transport, load_field,
                              picard_solve, save_field, trace_to_csv)
 
@@ -110,7 +110,7 @@ def test_phase_field_node_reproduction_and_finiteness():
     vals = rng.normal(size=(grid.NXF, grid.NVF))
     # the largest |value| sits on the last active node
     vals[grid.x_active_idx[-1], grid.v_active_idx[0]] = -9.0
-    F = PhaseField(grid, values=vals, extension="zero")
+    F = PhaseField(grid, values=vals)
     # interpolation at the nodes returns the stored values exactly
     for p in [0, 17, grid.NXF - 1]:
         for j in [0, 33, grid.NVF - 1]:
@@ -137,12 +137,10 @@ def test_phase_field_extension_policies():
     vals = np.ones((grid.NXF, grid.NVF))
     x = np.array([0.0, 0.0])
     v_out = np.array([2.7, 0.0])
-    Fz = PhaseField(grid, values=vals, extension="zero")
+    Fz = PhaseField(grid, values=vals)
     assert Fz.eval(x, v_out) == 0.0
     assert Fz.oor_count == 1
-    Fc = PhaseField(grid, values=vals, extension="clamp")
-    assert Fc.eval(x, v_out) == 1.0
-    Fa = PhaseField(grid, values=vals, extension="analytic",
+    Fa = PhaseField(grid, values=vals,
                     analytic=lambda X, V: 0.25 * np.ones(X.shape[0]))
     # grid part vanishes outside, analytic part remains
     assert Fa.eval(x, v_out) == 0.25
@@ -226,12 +224,6 @@ def _solve_with_oracle_stage(monkeypatch, oracle, *args):
         return picard_solve(*args)
 
 
-def _zero_f0(tables):
-    NVa, NU, NW = tables.shape
-    return (np.zeros(NVa), np.zeros(NU), np.zeros(NVa * NU * NW),
-            np.zeros(NVa * NU * NW))
-
-
 def _transported_per_x(g, tables):
     """per_x_f0 for the oracle stage: x-dependent data transported node by
     node with free_transport (0 at velocity 0, where some u' and v' of the
@@ -298,9 +290,9 @@ def _stage_cases():
     ]
 
 
-def _stage_inputs(spec, grid, rule, center, opts=None):
+def _stage_inputs(spec, grid, rule, center):
     g = _bump_profile(3e-3, center=center)
-    tables = _PicardTables(spec, grid, rule, opts or PicardOptions())
+    tables = _PicardTables(spec, grid, rule)
     return g, tables, tables.f0_tables_velocity_only(g), \
         tables.stencil_operators()
 
@@ -327,9 +319,8 @@ def test_sparse_collision_stage_matches_reference():
         assert np.max(np.abs(Qs - Qr)) < 1e-15
 
         gx = _x_dependent_source(2e-3, center)
-        zeros = _zero_f0(tables)
-        Qs = _collision_stage_sparse(G, tables, ops, *zeros[:2], g=gx)
-        Qr = _collision_stage_np(G, tables, *zeros,
+        Qs = _collision_stage_sparse(G, tables, ops, g=gx)
+        Qr = _collision_stage_np(G, tables,
                                  per_x_f0=_transported_per_x(gx, tables))
         assert np.max(np.abs(Qr)) > 1e-9
         assert np.max(np.abs(Qs - Qr)) < 1e-15
@@ -358,7 +349,7 @@ def _per_row_operator(tables, P, f0=None):
     for a state with a row of ones appended at index NVF; with f0 (one
     value per point) every row ends with that value in column NVF."""
     NVF = tables.grid.NVF
-    base, fracs = tables.grid.v_stencil(P, tables.opts.extension)
+    base, fracs = tables.grid.v_stencil(P)
     pairs = list(solver._corner_weights(fracs, tables.v_strides))
     data = [w for w, _ in pairs]
     cols = [base + off for _, off in pairs]
@@ -386,14 +377,13 @@ def _rep_points(tables):
     return tuple(_at_reps(tables, P) for P in _full_points(tables))
 
 
-def _per_row_stage(G, tables, f0v=None, gx=None):
+def _per_row_stage(G, tables, g):
     """The collision stage on one operator row per (v, u, representative),
     kept as the bitwise oracle of the stage on distinct points.  Per block
     of _X_BLOCK spatial rows and tile of _V_BLOCK velocity nodes, the
-    per-row operators with F0 in a last column are applied to [G[rows].T;
-    1].  f0v(P) gives velocity-only F0 at points P; with x-dependent data
-    gx the F0 column holds zeros and each block adds F0 at its nodes to
-    the tile products.  Neither: zero F0 (gridded policies)."""
+    per-row operators are applied to [G[rows].T; 1].  For velocity-only
+    data g every row ends with F0 in that last column; for x-dependent
+    data each block adds F0 at its nodes to the tile products."""
     grid = tables.grid
     NVa, NU, NW = tables.shape
     NR = tables.reps.size
@@ -401,20 +391,24 @@ def _per_row_stage(G, tables, f0v=None, gx=None):
     vact, xact = grid.v_active_idx, grid.x_active_idx
     UP, VP = _full_points(tables)
     UPr, VPr = _at_reps(tables, UP), _at_reps(tables, VP)
-    f0 = f0v or (lambda P: np.zeros(P.shape[0]))
     Su = _per_row_operator(tables, tables.U)
-    Sup = _per_row_operator(tables, UPr, _at_reps(tables, f0(UP)))
-    Svp = _per_row_operator(tables, VPr, _at_reps(tables, f0(VP)))
-    F0V, F0U = f0(tables.Vg)[:, None], f0(tables.U)[:, None]
+    if g.velocity_only:
+        f0 = lambda P: g(np.zeros_like(P), P)
+        Sup = _per_row_operator(tables, UPr, _at_reps(tables, f0(UP)))
+        Svp = _per_row_operator(tables, VPr, _at_reps(tables, f0(VP)))
+        F0V, F0U = f0(tables.Vg)[:, None], f0(tables.U)[:, None]
+    else:
+        Sup = _per_row_operator(tables, UPr)
+        Svp = _per_row_operator(tables, VPr)
     Q = np.zeros((NVF, grid.NXF))
     for start in range(0, xact.size, solver._X_BLOCK):
         rows = xact[start:start + solver._X_BLOCK]
-        if gx is not None:
+        if not g.velocity_only:
             X = grid.x_nodes[rows]
-            F0V, F0U = (solver._transported_at(gx, grid.domain, X, P)
+            F0V, F0U = (solver._transported_at(g, grid.domain, X, P)
                         for P in (tables.Vg, tables.U))
             F0UP, F0VP = (solver._transported_at(
-                gx, grid.domain, X, P).reshape(NVa, NU, NR, -1)
+                g, grid.domain, X, P).reshape(NVa, NU, NR, -1)
                 for P in (UPr, VPr))
         GT = np.empty((NVF + 1, rows.size))
         GT[:NVF] = G[rows].T
@@ -427,7 +421,7 @@ def _per_row_stage(G, tables, f0v=None, gx=None):
             r = slice(j * NU * NR, (j + solver._V_BLOCK) * NU * NR)
             gain = (Sup[r] @ GT).reshape(shape)
             gvp = (Svp[r] @ GT).reshape(shape)
-            if gx is not None:
+            if not g.velocity_only:
                 gain += F0UP[js]
                 gvp += F0VP[js]
             gain *= gvp
@@ -442,31 +436,20 @@ def _assert_bitwise(a, b):
 
 
 def test_distinct_point_stage_matches_per_row_stage_bitwise():
-    # every stage case with velocity-only and with x-dependent data, and a
-    # gridded extension="zero" case, on a state with zeros of both signs
+    # every stage case with velocity-only and with x-dependent data, on a
+    # state with zeros of both signs
     rng = np.random.default_rng(17)
-    cases = [(c[:4], PicardOptions()) for c in _stage_cases()]
-    cases.append((_stage_cases()[0][:4], PicardOptions(extension="zero")))
-    for (spec, grid, rule, center), opts in cases:
-        g, tables, F0, ops = _stage_inputs(spec, grid, rule, center, opts)
+    for spec, grid, rule, center, _ in _stage_cases():
+        g, tables, F0, ops = _stage_inputs(spec, grid, rule, center)
         G = 1e-3 * rng.standard_normal((grid.NXF, grid.NVF))
         G[:, ::7] = 0.0
         G[:, 3::7] = -0.0
-        zeros = _zero_f0(tables)[:2]
-        if opts.extension == "analytic":
-            f0v = lambda P: g(np.zeros_like(P), P)
-            got = _collision_stage_sparse(G, tables, ops, *F0)
-            want = _per_row_stage(G, tables, f0v=f0v)
+        gx = _x_dependent_source(2e-3, center)
+        for got, src in ((_collision_stage_sparse(G, tables, ops, *F0), g),
+                         (_collision_stage_sparse(G, tables, ops, g=gx), gx)):
+            want = _per_row_stage(G, tables, src)
             assert np.max(np.abs(want)) > 1e-9
             _assert_bitwise(got, want)
-            gx = _x_dependent_source(2e-3, center)
-            got = _collision_stage_sparse(G, tables, ops, *zeros, g=gx)
-            want = _per_row_stage(G, tables, gx=gx)
-        else:
-            got = _collision_stage_sparse(G, tables, ops, *zeros)
-            want = _per_row_stage(G, tables)
-        assert np.max(np.abs(want)) > 1e-9
-        _assert_bitwise(got, want)
 
 
 def test_distinct_points_index_every_gain_row():
@@ -519,9 +502,7 @@ def test_line_stage_matches_per_pair_chord_loop():
     # independent evaluation: for each active (x, v), Gauss-Legendre over
     # the backward chord [0, tau_-] of the bilinear interpolant of Q(., v)
     grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
-    opts = PicardOptions()
-    g = _bump_profile(3e-3)
-    tables = _PicardTables(SMALL_KERNEL, grid, _small_rule(), opts)
+    tables = _PicardTables(SMALL_KERNEL, grid, _small_rule())
     Q = np.random.default_rng(6).standard_normal((grid.NVF, grid.NXF))
     G = _line_stage_np([Q], tables)[0]
 
@@ -566,33 +547,12 @@ def test_picard_general_boundary_data(monkeypatch):
     # across blocks would show in the deltas)
     Fr, rep_ref = _solve_with_oracle_stage(
         monkeypatch,
-        lambda G, t: _collision_stage_np(G, t, *_zero_f0(t),
+        lambda G, t: _collision_stage_np(G, t,
                                          per_x_f0=_transported_per_x(g, t)),
         SMALL_KERNEL, g, grid, rule, PicardOptions())
     assert rep_ref.converged
     assert np.max(np.abs(F.values - Fr.values)) < 1e-15
     assert np.max(np.abs(rep.deltas - rep_ref.deltas)) < 1e-15
-
-
-def test_picard_grid_engine_policies(monkeypatch):
-    grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
-    rule = _small_rule()
-    g = _bump_profile(3e-3)
-    F, rep = picard_solve(SMALL_KERNEL, g, grid, rule,
-                          PicardOptions(extension="zero"))
-    assert rep.converged
-    # everything gridded: the field carries no analytic part
-    assert F.analytic is None
-    # the gridded path of the sparse stage reproduces the oracle stage,
-    # which then sees F0 only through the gridded state
-    Fr, rep_ref = _solve_with_oracle_stage(
-        monkeypatch, lambda G, t: _collision_stage_np(G, t, *_zero_f0(t)),
-        SMALL_KERNEL, g, grid, rule, PicardOptions(extension="zero"))
-    assert rep_ref.converged
-    assert np.max(np.abs(F.values - Fr.values)) < 1e-15
-    Fc, repc = picard_solve(SMALL_KERNEL, g, grid, rule,
-                            PicardOptions(extension="clamp"))
-    assert repc.converged
 
 
 def test_picard_residuals():
@@ -689,20 +649,16 @@ def test_solve_many_matches_independent_solves_on_default_triple():
         _assert_same_solve(got, picard_solve(spec, g, grid, rule, opts))
 
 
-def test_solve_many_matches_independent_solves_x_dependent_and_gridded():
-    # an x-dependent source next to a velocity-only one under the analytic
-    # split, and the gridded extension="zero" policy
+def test_solve_many_matches_independent_solves_x_dependent():
+    # an x-dependent source next to a velocity-only one
     grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
     rule = QuadratureRule.build(2, sphere_order=6, radial_order=2,
                                 angular_order=6, R_v=2.0)
     sources = [_x_dependent_source(2e-3, (0.5, 0.0)),
                _bump_profile(3e-3, center=(-0.3, 0.4))]
-    for opts in (PicardOptions(), PicardOptions(extension="zero")):
-        results = Solver(SMALL_KERNEL, grid, rule, opts).solve_many(sources)
-        for g, got in zip(sources, results):
-            _assert_same_solve(got, picard_solve(SMALL_KERNEL, g, grid, rule,
-                                                 opts))
-    assert results[0][0].analytic is None
+    results = Solver(SMALL_KERNEL, grid, rule).solve_many(sources)
+    for g, got in zip(sources, results):
+        _assert_same_solve(got, picard_solve(SMALL_KERNEL, g, grid, rule))
 
 
 def test_solver_serves_successive_solves():
@@ -767,8 +723,7 @@ def test_boundary_trace_free_transport():
 
 def test_boundary_trace_constant_and_chord_length():
     grid = PhaseGrid(DISK, 12, 12, R_v=2.0)
-    c_field = PhaseField(grid, values=np.full((grid.NXF, grid.NVF), 0.3),
-                         extension="clamp")
+    c_field = PhaseField(grid, values=np.full((grid.NXF, grid.NVF), 0.3))
     X, V = _outgoing_samples(20, seed=10)
     tab = boundary_trace(c_field, X, V)
     assert np.max(np.abs(tab.value - 0.3)) < 1e-12
@@ -783,8 +738,7 @@ def test_boundary_trace_constant_and_chord_length():
 
 def test_boundary_trace_rejects_grazing_and_incoming():
     grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
-    F = PhaseField(grid, values=np.zeros((grid.NXF, grid.NVF)),
-                   extension="zero")
+    F = PhaseField(grid, values=np.zeros((grid.NXF, grid.NVF)))
     x = np.array([[1.0, 0.0]])
     with pytest.raises(PreconditionError):
         boundary_trace(F, x, np.array([[0.0, 1.0]]))  # tangential
@@ -794,8 +748,7 @@ def test_boundary_trace_rejects_grazing_and_incoming():
 
 def test_boundary_trace_names_first_sample_not_outgoing():
     grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
-    F = PhaseField(grid, values=np.zeros((grid.NXF, grid.NVF)),
-                   extension="zero")
+    F = PhaseField(grid, values=np.zeros((grid.NXF, grid.NVF)))
     X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     V = np.array([[1.0, 0.2], [0.5, -1.0], [0.0, 1.0]])
     with pytest.raises(PreconditionError,
@@ -804,11 +757,13 @@ def test_boundary_trace_names_first_sample_not_outgoing():
 
 
 def test_apply_A_zero_kernel_is_chord_transport():
+    # the boundary map A: solve for g, then trace on Gamma_+
     spec = KernelSpec("constant", dim=2, params={"value": 0.0})
     grid = PhaseGrid(DISK, 12, 12, R_v=2.0)
     g = _bump_profile(0.02)
     X, V = _outgoing_samples(15, seed=11)
-    tab, rep = apply_A(spec, g, grid, _small_rule(), X, V)
+    F, _ = picard_solve(spec, g, grid, _small_rule())
+    tab = boundary_trace(F, X, V)
     assert np.max(np.abs(tab.value - g(X, V))) < 1e-12
 
 
@@ -821,8 +776,8 @@ def test_apply_A_operator_norm_batch():
         rng = np.random.default_rng(seed)
         c = rng.uniform(-0.4, 0.4, size=2)
         g = _bump_profile(amp, center=c, width=0.6)
-        tab, rep = apply_A(SMALL_KERNEL, g, grid, rule,
-                           X, V, PicardOptions())
+        F, _ = picard_solve(SMALL_KERNEL, g, grid, rule, PicardOptions())
+        tab = boundary_trace(F, X, V)
         worst = max(worst, np.max(np.abs(tab.value)) / amp)
     assert worst < 1.5
 
@@ -835,8 +790,7 @@ def test_apply_A_operator_norm_batch():
 def test_csv_export_deterministic(tmp_path):
     grid = PhaseGrid(DISK, 6, 6, R_v=1.5)
     rng = np.random.default_rng(13)
-    F = PhaseField(grid, values=rng.normal(size=(grid.NXF, grid.NVF)),
-                   extension="zero")
+    F = PhaseField(grid, values=rng.normal(size=(grid.NXF, grid.NVF)))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     field_to_csv(F, str(p1))
     field_to_csv(F, str(p2))
@@ -848,13 +802,11 @@ def test_csv_export_deterministic(tmp_path):
 def test_field_cache_roundtrip(tmp_path):
     grid = PhaseGrid(DISK, 6, 6, R_v=1.5)
     rng = np.random.default_rng(14)
-    F = PhaseField(grid, values=rng.normal(size=(grid.NXF, grid.NVF)),
-                   extension="zero")
+    F = PhaseField(grid, values=rng.normal(size=(grid.NXF, grid.NVF)))
     path = str(tmp_path / "field.npz")
     save_field(F, path)
     F2 = load_field(path)
     assert np.array_equal(F2.values, F.values)
-    assert F2.extension == "zero"
     assert F2.grid.nx == 6 and F2.grid.R_v == 1.5
 
     # tampering with the header version is rejected
@@ -863,11 +815,13 @@ def test_field_cache_roundtrip(tmp_path):
     with np.load(path) as z:
         hdr = json.loads(bytes(z["header"].tobytes()).decode())
         vals = z["values"]
-    hdr["version"] = 99
-    np.savez(path, header=np.frombuffer(json.dumps(hdr).encode(),
-                                        dtype=np.uint8), values=vals)
-    with pytest.raises(ConfigurationError):
-        load_field(path)
+    # so is a version-1 cache, which carried an extension policy
+    for version in (99, 1):
+        hdr["version"] = version
+        np.savez(path, header=np.frombuffer(json.dumps(hdr).encode(),
+                                            dtype=np.uint8), values=vals)
+        with pytest.raises(ConfigurationError, match="version"):
+            load_field(path)
 
 
 def test_trace_csv(tmp_path):

@@ -11,9 +11,8 @@ from .collision import (KernelSpec, QuadratureRule, kernel_eval,
 from .solver import (BoundarySource, PhaseField, PhaseGrid, PicardOptions,
                      boundary_trace, free_transport, picard_solve)
 from .linearize import (LinearizationConfig, SecondOrderSource,
-                        first_linearization, second_order_source,
                         w_finite_difference, w_quadrature)
-from .reconstruct import (Probe, closed_form_S, exponent_experiment,
+from .reconstruct import (Probe, closed_form_both, exponent_experiment,
                           mollified_S, monotonicity_certificate,
                           monotonicity_P, recover_omega_independent_B)
 from .config import ExperimentConfig, load_config, save_config
@@ -27,9 +26,9 @@ __all__ = [
     "pre_collision",
     "BoundarySource", "PhaseField", "PhaseGrid", "PicardOptions",
     "boundary_trace", "free_transport", "picard_solve",
-    "LinearizationConfig", "SecondOrderSource", "first_linearization",
-    "second_order_source", "w_finite_difference", "w_quadrature",
-    "Probe", "closed_form_S", "exponent_experiment", "mollified_S",
+    "LinearizationConfig", "SecondOrderSource", "w_finite_difference",
+    "w_quadrature",
+    "Probe", "closed_form_both", "exponent_experiment", "mollified_S",
     "monotonicity_certificate", "monotonicity_P",
     "recover_omega_independent_B",
     "ExperimentConfig", "load_config", "save_config",

@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import reconstruct as rc
-from .collision import ball_rule, post_collision, pre_collision
+from .collision import post_collision, pre_collision
 from .config import ExperimentConfig, load_config, save_config
 from .errors import BoltzlabError, ConfigurationError, DependencyError
 from .geometry import (OUTGOING, classify_boundaries, exit_times,
@@ -329,9 +329,8 @@ def _probe_value_fd(cfg: ExperimentConfig, solver: Solver, probe: rc.Probe,
         return BoundarySource.from_velocity_profile(
             lambda V: rc.mollifier(V - c, eta), sup=sup_bump)
 
-    nodes, weights = ball_rule(dim, cfg.section("reconstruct")["nr"],
-                               cfg.section("reconstruct")["na"], eta)
-    Vq = probe.v_star[None, :] + nodes
+    rec = cfg.section("reconstruct")
+    Vq, weights = rc._shifted_ball(probe.v_star, eta, rec["nr"], rec["na"])
     bump_w = rc.mollifier(Vq - probe.v_star[None, :], eta) * weights
     # outgoing anchor per node: exit point of the ray from the origin
     tau_out = exit_times(domain, np.zeros((Vq.shape[0], dim)), Vq, sign=1)
@@ -351,10 +350,10 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
     spec = cfg.build_kernel()
     rec = cfg.section("reconstruct")
     etas = tuple(rec["etas"])
+    grid = cfg.build_grid()
     rng = np.random.default_rng(rec["probe_seed"])
     probes = _generate_probes(rng, rec["n_probes"], domain.dim, etas[0],
-                              cfg.section("grid")["R_v"],
-                              cfg.build_grid().v_min)
+                              cfg.section("grid")["R_v"], grid.v_min)
     abthetas = [p.abtheta() for p in probes]
     files = []
     summary = {"route": rec["source_route"], "etas": list(etas),
@@ -367,8 +366,7 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
                 "reconstruct", "linearize",
                 f"missing {lin_summary}; the finite-difference source route "
                 "needs the linearize stage to have run in this directory")
-        solver = Solver(spec, cfg.build_grid(), cfg.build_rule(),
-                        cfg.picard_options())
+        solver = Solver(spec, grid, cfg.build_rule(), cfg.picard_options())
         S_table = np.empty((len(probes), len(etas)))
         fd_meta = []
         for i, probe in enumerate(probes):
@@ -380,18 +378,14 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
                 fd_meta.append((i, eta, res))
         extrap, closed, mismatch, per_probe, winner = rc.exponent_verdict(
             abthetas, etas, S_table, spec)
-        path = os.path.join(out, "probes_fd.csv")
-        with open(path, "w", newline="") as fh:
-            cols = ["probe", "eta"]
-            for name in ("a", "b", "theta"):
-                cols += [f"{name}{k}" for k in range(domain.dim)]
-            cols += ["S_eta", "eps1", "eps2"]
-            fh.write(",".join(cols) + "\n")
-            for (i, eta, res) in fd_meta:
-                a, b, th = abthetas[i]
-                vals = ([float(i), eta] + list(a) + list(b) + list(th)
-                        + [res["S_fd"], res["eps1"], res["eps2"]])
-                fh.write(",".join("%.17g" % v for v in vals) + "\n")
+        cols = ["probe", "eta"]
+        for name in ("a", "b", "theta"):
+            cols += [f"{name}{k}" for k in range(domain.dim)]
+        cols += ["S_eta", "eps1", "eps2"]
+        rows = [[i, eta, *np.concatenate(abthetas[i]), res["S_fd"],
+                 res["eps1"], res["eps2"]] for (i, eta, res) in fd_meta]
+        np.savetxt(os.path.join(out, "probes_fd.csv"), rows, fmt="%.17g",
+                   delimiter=",", header=",".join(cols), comments="")
         files.append("probes_fd.csv")
     else:
         report = rc.exponent_experiment(abthetas, spec, etas=etas,
@@ -407,36 +401,32 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
 
         n_cross = min(rec["fd_crosscheck_probes"], len(probes))
         if n_cross > 0:
-            solver = Solver(spec, cfg.build_grid(), cfg.build_rule(),
-                            cfg.picard_options())
-            path = os.path.join(out, "fd_crosscheck.csv")
-            with open(path, "w", newline="") as fh:
-                fh.write("probe,eta,S_direct,S_fd,rel_delta\n")
-                for i in range(n_cross):
-                    res = _probe_value_fd(cfg, solver, probes[i], etas[0])
-                    direct = S_table[i, 0]
-                    delta = abs(res["S_fd"] - direct) / max(abs(direct), 1e-300)
-                    fh.write(",".join("%.17g" % v for v in
-                                      (float(i), etas[0], direct,
-                                       res["S_fd"], delta)) + "\n")
+            solver = Solver(spec, grid, cfg.build_rule(), cfg.picard_options())
+            rows = []
+            for i in range(n_cross):
+                S_fd = _probe_value_fd(cfg, solver, probes[i], etas[0])["S_fd"]
+                direct = S_table[i, 0]
+                delta = abs(S_fd - direct) / max(abs(direct), 1e-300)
+                rows.append([i, etas[0], direct, S_fd, delta])
+            np.savetxt(os.path.join(out, "fd_crosscheck.csv"), rows,
+                       fmt="%.17g", delimiter=",",
+                       header="probe,eta,S_direct,S_fd,rel_delta",
+                       comments="")
             files.append("fd_crosscheck.csv")
             summary["fd_crosscheck_probes"] = n_cross
 
     if spec.is_omega_independent():
         rows = rc.recover_omega_independent_B(extrap, probes,
                                               rec["exponent_mode"], spec=spec)
-        path = os.path.join(out, "recovery_table.csv")
-        with open(path, "w", newline="") as fh:
-            cols = []
-            for name in ("a", "b", "theta"):
-                cols += [f"{name}{k}" for k in range(domain.dim)]
-            cols += ["kappa1", "kappa2", "S_value", "estimate", "residual"]
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                vals = (list(row.a) + list(row.b) + list(row.theta)
-                        + [row.kappa1, row.kappa2, row.S_value,
-                           row.estimate, row.residual])
-                fh.write(",".join("%.17g" % v for v in vals) + "\n")
+        cols = []
+        for name in ("a", "b", "theta"):
+            cols += [f"{name}{k}" for k in range(domain.dim)]
+        cols += ["kappa1", "kappa2", "S_value", "estimate", "residual"]
+        table = [[*row.a, *row.b, *row.theta, row.kappa1, row.kappa2,
+                  row.S_value, row.estimate, row.residual] for row in rows]
+        np.savetxt(os.path.join(out, "recovery_table.csv"), table,
+                   fmt="%.17g", delimiter=",", header=",".join(cols),
+                   comments="")
         files.append("recovery_table.csv")
 
     summary.update({

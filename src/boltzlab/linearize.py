@@ -17,7 +17,7 @@ trace of W on the outgoing boundary as the amplitudes shrink.  This module
 implements both routes and cross-validates them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,28 +28,10 @@ from .solver import (BoundarySource, PhaseField, PhaseGrid, PicardOptions,
                      Solver, boundary_trace, free_transport)
 
 __all__ = [
-    "LinearizationConfig", "SecondOrderSource", "FDConvergence", "WTable",
-    "p_function", "first_linearization", "second_order_source",
+    "LinearizationConfig", "SecondOrderSource", "FDConvergence",
     "w_quadrature", "mixed_difference", "w_finite_difference",
     "convergence_to_csv",
 ]
-
-
-def p_function(v0, u, omega):
-    """Closed form of the collision bracket for the pair (e^{|v-v0|^2}, 1).
-
-    P(v0, u, omega) = (1 - e^{-c^2}) (e^{c^2} - e^{m^2}) with
-    c = (v0-u).omega and m = |u - v0|.  Since c^2 <= m^2 the second factor
-    is <= 0 and the first is >= 0, so P <= 0 everywhere; P = 0 exactly when
-    omega is orthogonal to v0-u or parallel to it.
-    """
-    v0 = np.asarray(v0, dtype=float)
-    u = np.asarray(u, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    d = v0 - u
-    c2 = np.sum(d * omega, axis=-1) ** 2
-    m2 = np.sum(d * d, axis=-1)
-    return (1.0 - np.exp(-c2)) * (np.exp(c2) - np.exp(m2))
 
 
 @dataclass(frozen=True)
@@ -175,49 +157,25 @@ def _wrap_field(V):
     raise PreconditionError("field must be a PhaseField or a callable of v")
 
 
-def first_linearization(g: BoundarySource, domain: Domain,
-                        grid: PhaseGrid = None) -> PhaseField:
-    """Derivative of the solution map at zero amplitude in the g direction.
-
-    The quadratic collision term contributes nothing at first order, so this
-    is exactly the free transport of g.
-    """
-    return free_transport(g, domain, grid)
-
-
-def second_order_source(V1, V2, spec: KernelSpec,
-                        rule: QuadratureRule) -> SecondOrderSource:
-    """Mixed second-order source from two first-order fields."""
-    return SecondOrderSource(spec, rule, V1, V2)
-
-
-@dataclass
-class WTable:
-    x: np.ndarray
-    v: np.ndarray
-    value: np.ndarray
-    method: str
-
-
-def w_quadrature(S, domain: Domain, X, V, order: int = 24) -> WTable:
+def w_quadrature(S, domain: Domain, X, V, order: int = 24) -> np.ndarray:
     """Integrate S along backward characteristics through (x, v) samples.
 
     Velocity-only sources use the exact shortcut tau(x,v) * S(v); others
-    take an order-point Gauss-Legendre rule along each chord.
+    take an order-point Gauss-Legendre rule along each chord.  Returns the
+    values of W, one per sample.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
     tau = exit_times(domain, X, V, sign=-1)
     if S.velocity_only:
-        return WTable(X, V, tau * S.eval_v(V), "shortcut")
+        return tau * S.eval_v(V)
     xs, ws = np.polynomial.legendre.leggauss(order)
     s = 0.5 * tau[:, None] * (xs[None, :] + 1.0)
     nodes = X[:, None, :] - s[..., None] * V[:, None, :]
     P, K, dim = nodes.shape
     Vrep = np.broadcast_to(V[:, None, :], (P, K, dim)).reshape(-1, dim)
     Sv = S.eval(nodes.reshape(-1, dim), Vrep).reshape(P, K)
-    vals = 0.5 * tau * (Sv @ ws)
-    return WTable(X, V, vals, "quadrature")
+    return 0.5 * tau * (Sv @ ws)
 
 
 @dataclass
@@ -234,7 +192,6 @@ class FDConvergence:
     est_trace: float        # boundary-trace extrapolation, worst pair
     est_quad: float         # quadrature error of the reference
     est_rem: float          # linearization remainder, from the last two pairs
-    meta: dict = field(default_factory=dict)
 
     @property
     def est_total(self) -> float:
@@ -310,15 +267,16 @@ def w_finite_difference(spec: KernelSpec, g1: BoundarySource,
         grid.domain, grid.R_v)
     cfg.check_smallness(sup1, sup2, opts.smallness_threshold)
 
-    # quadrature reference from the first-order fields
+    # quadrature reference from the first-order fields, which are the free
+    # transports of g1 and g2 (the collision term is quadratic)
     if g1.velocity_only and g2.velocity_only:
         zero_x = np.zeros((1, grid.domain.dim))
         V1 = lambda Vb: g1(np.broadcast_to(zero_x, Vb.shape), Vb)
         V2 = lambda Vb: g2(np.broadcast_to(zero_x, Vb.shape), Vb)
     else:
-        V1 = first_linearization(g1, grid.domain)
-        V2 = first_linearization(g2, grid.domain)
-    S = second_order_source(V1, V2, spec, rule)
+        V1 = free_transport(g1, grid.domain)
+        V2 = free_transport(g2, grid.domain)
+    S = SecondOrderSource(spec, rule, V1, V2)
     ref = w_quadrature(S, grid.domain, X, V, order=order)
 
     # quadrature error estimate: same source under a refined rule
@@ -326,9 +284,9 @@ def w_finite_difference(spec: KernelSpec, g1: BoundarySource,
         grid.domain.dim, sphere_order=2 * rule.sphere_order,
         radial_order=rule.radial_order + 2,
         angular_order=2 * rule.angular_order, R_v=rule.R_v)
-    S_fine = second_order_source(V1, V2, spec, fine)
+    S_fine = SecondOrderSource(spec, fine, V1, V2)
     ref_fine = w_quadrature(S_fine, grid.domain, X, V, order=2 * order)
-    est_quad = float(np.max(np.abs(ref_fine.value - ref.value)))
+    est_quad = float(np.max(np.abs(ref_fine - ref)))
 
     solver = Solver(spec, grid, rule, opts)
     tables = np.empty((len(cfg.pairs), X.shape[0]))
@@ -339,30 +297,25 @@ def w_finite_difference(spec: KernelSpec, g1: BoundarySource,
             trace_res = max(trace_res,
                             float(np.max(tab.extrap_residual)) / (e1 * e2))
 
-    errors = np.max(np.abs(tables - ref.value[None, :]), axis=1)
+    errors = np.max(np.abs(tables - ref[None, :]), axis=1)
     if len(cfg.pairs) >= 2:
         est_rem = float(np.max(np.abs(tables[-1] - tables[-2])))
     else:
         est_rem = float(errors[-1])
     return FDConvergence(
-        pairs=cfg.pairs, x=X, v=V, W_fd=tables, W_quad=ref.value,
+        pairs=cfg.pairs, x=X, v=V, W_fd=tables, W_quad=ref,
         errors=errors, est_trace=trace_res, est_quad=est_quad,
-        est_rem=est_rem,
-        meta={"order": order, "method": ref.method})
+        est_rem=est_rem)
 
 
 def convergence_to_csv(conv: FDConvergence, path: str):
     """One row per (amplitude pair, sample); deterministic formatting."""
-    dim = conv.x.shape[1]
-    xcols = ",".join(f"x{i}" for i in range(dim))
-    vcols = ",".join(f"v{i}" for i in range(dim))
-    with open(path, "w", newline="") as fh:
-        fh.write(f"eps1,eps2,sample,{xcols},{vcols},W_fd,W_quad,abs_err\n")
-        for k, (e1, e2) in enumerate(conv.pairs):
-            for i in range(conv.x.shape[0]):
-                xs = ",".join("%.17g" % c for c in conv.x[i])
-                vs = ",".join("%.17g" % c for c in conv.v[i])
-                err = abs(conv.W_fd[k, i] - conv.W_quad[i])
-                fh.write("%.17g,%.17g,%d,%s,%s,%.17g,%.17g,%.17g\n"
-                         % (e1, e2, i, xs, vs, conv.W_fd[k, i],
-                            conv.W_quad[i], err))
+    n, dim = conv.x.shape
+    cols = (["eps1", "eps2", "sample"] + [f"x{i}" for i in range(dim)]
+            + [f"v{i}" for i in range(dim)] + ["W_fd", "W_quad", "abs_err"])
+    rows = [np.column_stack([np.full(n, e1), np.full(n, e2), np.arange(n),
+                             conv.x, conv.v, conv.W_fd[k], conv.W_quad,
+                             np.abs(conv.W_fd[k] - conv.W_quad)])
+            for k, (e1, e2) in enumerate(conv.pairs)]
+    np.savetxt(path, np.concatenate(rows), fmt="%.17g", delimiter=",",
+               header=",".join(cols), comments="")

@@ -20,19 +20,18 @@ directions.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .collision import KernelSpec, kernel_eval, ball_rule, sphere_rule
 from .errors import ConfigurationError, PreconditionError
-from .linearize import p_function
 
 __all__ = [
     "Probe", "ProbeResult", "RecoveryRow", "CertificateReport",
     "ExponentReport", "EXPONENT_MODES", "RELATION_TOL",
     "bump_mass", "mollifier", "check_relations", "omega_pair",
-    "probe_from_abtheta", "mollified_S", "closed_form_S", "closed_form_both",
+    "probe_from_abtheta", "mollified_S", "closed_form_both",
     "recover_omega_independent_B", "monotonicity_P",
     "monotonicity_certificate", "exponent_verdict", "exponent_experiment",
     "experiment_to_csv",
@@ -122,12 +121,12 @@ def check_relations(v_star, v0, u0, tol: float = RELATION_TOL) -> dict:
             "rel3": abs(r3) <= tol * scale}
 
 
-def omega_pair(v_star, v0, u0, tol: float = RELATION_TOL):
+def omega_pair(v_star, v0, u0):
     """The two scattering directions that connect (v0, u0) to v*."""
     v_star = np.asarray(v_star, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
-    if not check_relations(v_star, v0, u0, tol)["rel3"]:
+    if not check_relations(v_star, v0, u0)["rel3"]:
         raise PreconditionError(
             "probe violates the orthogonality relation; no scattering "
             "direction maps (v0, u0) onto v_star")
@@ -215,9 +214,6 @@ class Probe:
                 float(np.linalg.norm(self.v_star - self.u0)),
                 float(np.linalg.norm(self.u0 - self.v0)))
 
-    def relations(self, tol: float = RELATION_TOL) -> dict:
-        return check_relations(self.v_star, self.v0, self.u0, tol)
-
     def abtheta(self):
         """Data-point coordinates (a, b, theta); requires the orthogonality
         relation (theta is only defined on the resonance manifold)."""
@@ -232,12 +228,7 @@ class ProbeResult:
     I2: float
     I3: float
     I4: float
-    rel3_satisfied: bool
-    omega1: np.ndarray
-    omega2: np.ndarray
-    jacobian_factors: dict
     eta: float
-    meta: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +363,7 @@ def _loss_term(spec, v_star, center_u, center_v, eta, nr, na, nw):
 
 
 def mollified_S(probe: Probe, spec: KernelSpec, nr: int = 14, na: int = 28,
-                nw: int = 32, tol: float = RELATION_TOL) -> ProbeResult:
+                nw: int = 32) -> ProbeResult:
     """Evaluate the probe functional S_eta = I1 + I2 + I3 + I4.
 
     Preconditions: pairwise probe separations above 2 eta (otherwise the
@@ -394,24 +385,8 @@ def mollified_S(probe: Probe, spec: KernelSpec, nr: int = 14, na: int = 28,
     # I3 carries bumps at (u - v0, v - u0); I4 swaps the two centers.
     I3 = _loss_term(spec, vs, v0, u0, eta, nr, na, nw)
     I4 = _loss_term(spec, vs, u0, v0, eta, nr, na, nw)
-
-    rel3 = check_relations(vs, v0, u0, tol)["rel3"]
-    if rel3:
-        w1, w2 = omega_pair(vs, v0, u0, tol)
-        k = u0 - v0
-        kap1 = abs(float(k @ w1))
-        kap2 = abs(float(k @ w2))
-        jac = {}
-        for mode in EXPONENT_MODES:
-            e = _jacobian_exponent(mode, probe.dim)
-            jac[mode] = (kap1 ** -e, kap2 ** -e)
-    else:
-        w1 = w2 = None
-        jac = {}
-    return ProbeResult(
-        S_eta=I1 + I2 + I3 + I4, I1=I1, I2=I2, I3=I3, I4=I4,
-        rel3_satisfied=rel3, omega1=w1, omega2=w2, jacobian_factors=jac,
-        eta=eta, meta={"nr": nr, "na": na, "nw": nw})
+    return ProbeResult(S_eta=I1 + I2 + I3 + I4, I1=I1, I2=I2, I3=I3, I4=I4,
+                       eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +417,6 @@ def closed_form_both(a, b, theta, spec: KernelSpec) -> dict:
         e = _jacobian_exponent(mode, spec.dim)
         out[mode] = kap1 ** -e * B1 + kap2 ** -e * B2
     return out
-
-
-def closed_form_S(a, b, theta, spec: KernelSpec,
-                  exponent_mode: str = "theorem_minus2") -> float:
-    """Predicted probe value at data point (a, b, theta) under one exponent
-    convention (see closed_form_both for the side-by-side values)."""
-    if exponent_mode not in EXPONENT_MODES:
-        raise ConfigurationError(f"unknown exponent_mode '{exponent_mode}'")
-    return closed_form_both(a, b, theta, spec)[exponent_mode]
 
 
 @dataclass
@@ -518,26 +484,23 @@ def recover_omega_independent_B(S_values, probes, exponent_mode: str,
 # ---------------------------------------------------------------------------
 
 
-def monotonicity_P(v0, u, omega, form: str = "factored"):
-    """The sign-definite weight from the uniqueness argument.
+def monotonicity_P(v0, u, omega):
+    """The sign-definite weight from the uniqueness argument,
 
-    factored:  (1 - e^{-c^2}) (e^{c^2} - e^{m^2})
-    expanded:  e^{m^2-c^2} + e^{c^2} - 1 - e^{m^2}
+        P(v0, u, omega) = (1 - e^{-c^2}) (e^{c^2} - e^{m^2}),
 
-    with c = (v0-u).omega and m = |u-v0|; both are <= 0, vanishing exactly
-    when omega is orthogonal or parallel to v0-u.
+    with c = (v0-u).omega and m = |u - v0|.  It is also the collision
+    bracket of the pair (e^{|v-v0|^2}, 1) at v = v0.  Since c^2 <= m^2 the
+    second factor is <= 0 and the first is >= 0, so P <= 0 everywhere;
+    P = 0 exactly when omega is orthogonal to v0-u or parallel to it.
     """
-    if form == "factored":
-        return p_function(v0, u, omega)
-    if form != "expanded":
-        raise ConfigurationError(f"unknown form '{form}'")
     v0 = np.asarray(v0, dtype=float)
     u = np.asarray(u, dtype=float)
     omega = np.asarray(omega, dtype=float)
     d = v0 - u
     c2 = np.sum(d * omega, axis=-1) ** 2
     m2 = np.sum(d * d, axis=-1)
-    return np.exp(m2 - c2) + np.exp(c2) - 1.0 - np.exp(m2)
+    return (1.0 - np.exp(-c2)) * (np.exp(c2) - np.exp(m2))
 
 
 @dataclass
@@ -712,17 +675,13 @@ def experiment_to_csv(report: ExponentReport, path: str):
     cols += ["S_eta", "I1", "I2", "I3", "I4"]
     cols += [f"closed_{m}" for m in EXPONENT_MODES]
     cols += [f"resid_{m}" for m in EXPONENT_MODES]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, (a, b, theta) in enumerate(report.abthetas):
-            for j, eta in enumerate(report.etas):
-                res = report.results[i][j]
-                vals = [float(i), eta]
-                vals += list(np.asarray(a, dtype=float))
-                vals += list(np.asarray(b, dtype=float))
-                vals += list(np.asarray(theta, dtype=float))
-                vals += [res.S_eta, res.I1, res.I2, res.I3, res.I4]
-                vals += [report.closed_forms[m][i] for m in EXPONENT_MODES]
-                vals += [res.S_eta - report.closed_forms[m][i]
-                         for m in EXPONENT_MODES]
-                fh.write(",".join("%.17g" % v for v in vals) + "\n")
+    rows = []
+    for i, (a, b, theta) in enumerate(report.abthetas):
+        closed = [report.closed_forms[m][i] for m in EXPONENT_MODES]
+        for j, eta in enumerate(report.etas):
+            res = report.results[i][j]
+            rows.append([i, eta, *a, *b, *theta, res.S_eta, res.I1, res.I2,
+                         res.I3, res.I4, *closed,
+                         *(res.S_eta - c for c in closed)])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",",
+               header=",".join(cols), comments="")

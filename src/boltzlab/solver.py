@@ -13,7 +13,6 @@ reproduce the analytic constants.
 """
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import time
@@ -1038,40 +1037,37 @@ def boundary_trace(field: PhaseField, X, V, t_scale: float | None = None
 # ---------------------------------------------------------------------------
 
 
-def field_to_csv(field: PhaseField, path: str):
-    """Write grid values as CSV rows x..., v..., value (full float precision).
-
-    Only in-domain spatial nodes are exported; fringe nodes are bookkeeping
-    for interpolation, not field states.
-    """
-    if field.grid is None:
-        raise PreconditionError("CSV export needs a gridded field")
+def _active_node_values(field: PhaseField):
+    """(X, V, values) at every in-domain spatial node times every velocity
+    node, x-major; fringe nodes are bookkeeping for interpolation, not
+    field states."""
     g = field.grid
     xa = g.x_nodes[g.x_active_idx]
     X = np.repeat(xa, g.NVF, axis=0)
     V = np.tile(g.v_nodes, (xa.shape[0], 1))
-    vals = field.eval(X, V)
-    cols = ["x%d" % a for a in range(g.dim)] + \
-           ["v%d" % a for a in range(g.dim)] + ["value"]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    data = np.column_stack([X, V, vals])
-    for row in data:
-        buf.write(",".join("%.17g" % c for c in row) + "\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    return X, V, field.eval(X, V)
+
+
+def field_to_csv(field: PhaseField, path: str):
+    """Write grid values as CSV rows x..., v..., value (full float precision)
+    at the in-domain spatial nodes."""
+    if field.grid is None:
+        raise PreconditionError("CSV export needs a gridded field")
+    dim = field.grid.dim
+    cols = ["x%d" % a for a in range(dim)] + \
+           ["v%d" % a for a in range(dim)] + ["value"]
+    np.savetxt(path, np.column_stack(_active_node_values(field)), fmt="%.17g",
+               delimiter=",", header=",".join(cols), comments="")
 
 
 def trace_to_csv(table: TraceTable, path: str):
     dim = table.x.shape[1]
     cols = ["x%d" % a for a in range(dim)] + ["v%d" % a for a in range(dim)] + \
            ["value", "extrap_residual"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        data = np.column_stack([table.x, table.v, table.value,
-                                table.extrap_residual])
-        for row in data:
-            fh.write(",".join("%.17g" % c for c in row) + "\n")
+    data = np.column_stack([table.x, table.v, table.value,
+                            table.extrap_residual])
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(cols),
+               comments="")
 
 
 def save_field(field: PhaseField, path: str):
@@ -1085,11 +1081,9 @@ def save_field(field: PhaseField, path: str):
         raise PreconditionError("caching needs a gridded field")
     g = field.grid
     if field.analytic is not None:
-        xa = g.x_nodes[g.x_active_idx]
-        X = np.repeat(xa, g.NVF, axis=0)
-        V = np.tile(g.v_nodes, (xa.shape[0], 1))
+        _, _, active = _active_node_values(field)
         values = np.zeros((g.NXF, g.NVF))
-        values[g.x_active_idx] = field.eval(X, V).reshape(-1, g.NVF)
+        values[g.x_active_idx] = active.reshape(-1, g.NVF)
         g.fill_fringe(values)
     else:
         values = field.values

@@ -290,7 +290,7 @@ def test_criterion_07_loss_terms_and_off_manifold():
         mid = 0.5 * (p.v0 + p.u0)
         out = (p.v_star - mid) / np.linalg.norm(p.v_star - mid)
         off = rc.Probe(p.v_star + 5.0 * eta * out, p.v0, p.u0, eta)
-        assert not off.relations()["rel3"]
+        assert not rc.check_relations(off.v_star, off.v0, off.u0)["rel3"]
         off_worst = max(off_worst,
                         abs(rc.mollified_S(off, spec, nr=10, na=20,
                                            nw=24).S_eta))

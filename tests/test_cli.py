@@ -246,6 +246,29 @@ def test_fd_route_requires_linearize_artifacts(tmp_path):
     assert main(["run", path]) == 1
 
 
+def test_fd_route_writes_probe_table(tmp_path):
+    contents = []
+    for tag in ("one", "two"):
+        out = tmp_path / tag
+        man = run_config(config_from_dict(tiny(
+            out, ("linearize", "reconstruct"),
+            reconstruct={"source_route": "fd"})))
+        rec = man.stages[-1]
+        assert rec["name"] == "reconstruct" and rec["status"] == "ok"
+        assert "probes_fd.csv" in rec["files"]
+        header = (out / "probes_fd.csv").read_text().splitlines()[0]
+        assert header == ("probe,eta,a0,a1,b0,b1,theta0,theta1,S_eta,"
+                          "eps1,eps2")
+        rows = np.loadtxt(out / "probes_fd.csv", delimiter=",", skiprows=1,
+                          ndmin=2)
+        assert rows.shape == (2 * 2, 11)  # n_probes x len(etas)
+        assert np.all(np.isfinite(rows))
+        with open(out / "reconstruct_summary.json") as fh:
+            assert json.load(fh)["route"] == "fd"
+        contents.append((out / "probes_fd.csv").read_bytes())
+    assert contents[0] == contents[1]
+
+
 def test_stage_failure_halts_and_is_recorded(tmp_path):
     # a unit-amplitude constant kernel violates the well-posedness gate on
     # this velocity box, so the forward stage must refuse to run

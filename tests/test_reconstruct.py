@@ -190,7 +190,7 @@ def test_probe_validation_and_properties():
     assert np.array_equal(probe.partner, [0.0, 1.0])
     seps = probe.separations()
     assert seps[0] == 1.0 and seps[1] == 1.0 and abs(seps[2] - np.sqrt(2)) < 1e-15
-    assert probe.relations()["rel3"]
+    assert rc.check_relations(probe.v_star, probe.v0, probe.u0)["rel3"]
     with pytest.raises(PreconditionError, match="positive"):
         rc.Probe(VS, V0, U0, eta=0.0)
     with pytest.raises(PreconditionError, match="coincident"):
@@ -237,9 +237,7 @@ def test_off_manifold_probe_value_is_exactly_zero():
     res = rc.mollified_S(probe, CONST, nr=10, na=20, nw=24)
     assert res.S_eta == 0.0
     assert res.I1 == 0.0 and res.I2 == 0.0
-    assert not res.rel3_satisfied
-    assert res.jacobian_factors == {}
-    assert res.omega1 is None and res.omega2 is None
+    assert not rc.check_relations(probe.v_star, probe.v0, probe.u0)["rel3"]
 
 
 def test_gain_terms_match_marginalized_oracle():
@@ -405,11 +403,6 @@ def test_mollified_3d_smoke():
                          nr=4, na=6, nw=6)
     assert np.isfinite(res.S_eta) and res.S_eta > 0.0
     assert res.I3 == 0.0 and res.I4 == 0.0
-    # kappa1 = 1, kappa2 = 2: the two exponent conventions now differ
-    f1 = res.jacobian_factors["theorem_minus2"]
-    f2 = res.jacobian_factors["proposition_minus_n"]
-    assert abs(f1[1] - 0.25) < 1e-12
-    assert abs(f2[1] - 0.125) < 1e-12
     off = rc.mollified_S(rc.Probe(vs, v0, np.array([2.0, 0.0, 0.0]), eta=0.15),
                          spec3, nr=4, na=6, nw=6)
     assert off.S_eta == 0.0
@@ -424,8 +417,9 @@ def test_closed_form_hand_values():
     a, b = VS, np.array([0.0, 1.0])
     theta = np.array([1.0, 0.0])
     # kappa1 = kappa2 = 1
-    assert rc.closed_form_S(a, b, theta, CONST) == 2.0
-    assert abs(rc.closed_form_S(a, b, theta, POLY) - 6.0) < 1e-14
+    assert rc.closed_form_both(a, b, theta, CONST)["theorem_minus2"] == 2.0
+    assert abs(rc.closed_form_both(a, b, theta, POLY)["theorem_minus2"]
+               - 6.0) < 1e-14
     a2 = np.array([2.0, 0.0])  # kappa1 = 2, kappa2 = 1
     both = rc.closed_form_both(a2, b, theta, CONST)
     assert abs(both["theorem_minus2"] - 1.25) < 1e-15
@@ -457,11 +451,9 @@ def test_closed_form_invariant_under_theta_sign():
 def test_closed_form_validates_inputs():
     a, b = VS, np.array([0.0, 1.0])
     with pytest.raises(PreconditionError, match="unit"):
-        rc.closed_form_S(a, b, np.array([2.0, 0.0]), CONST)
+        rc.closed_form_both(a, b, np.array([2.0, 0.0]), CONST)
     with pytest.raises(PreconditionError, match="theta"):
-        rc.closed_form_S(a, b, np.array([1.0, 1.0]) / np.sqrt(2), CONST)
-    with pytest.raises(ConfigurationError, match="exponent_mode"):
-        rc.closed_form_S(a, b, np.array([1.0, 0.0]), CONST, exponent_mode="x")
+        rc.closed_form_both(a, b, np.array([1.0, 1.0]) / np.sqrt(2), CONST)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +468,7 @@ def test_recovery_round_trip_omega_independent():
     for spec, B_of in ((CONST, lambda a, b: 1.0),
                        (POLY, lambda a, b: 1.0 + np.sum((a - b) ** 2))):
         for mode in rc.EXPONENT_MODES:
-            S = [rc.closed_form_S(*p.abtheta(), spec, exponent_mode=mode)
+            S = [rc.closed_form_both(*p.abtheta(), spec)[mode]
                  for p in probes]
             rows = rc.recover_omega_independent_B(S, probes, mode, spec=spec)
             for row in rows:
@@ -490,7 +482,8 @@ def test_recovery_pools_probes_sharing_endpoints():
     thetas = [np.array([1.0, 0.0]),
               np.array([1.0, -2.0]) / np.sqrt(5.0)]
     probes = [rc.Probe.from_abtheta(a, b, th, eta=0.1) for th in thetas]
-    S = [rc.closed_form_S(a, b, th, POLY) for th in thetas]
+    S = [rc.closed_form_both(a, b, th, POLY)["theorem_minus2"]
+         for th in thetas]
     rows = rc.recover_omega_independent_B(S, probes, "theorem_minus2")
     assert rows[0].estimate == rows[1].estimate
     assert abs(rows[0].estimate - 3.0) < 1e-10
@@ -508,7 +501,7 @@ def test_recovery_rejections():
         rc.recover_omega_independent_B([2.0], [probe], "bogus")
     # v_star a hair away from v0 makes one Jacobian factor vanish
     thin = rc.Probe(np.array([0.0, 1e-7]), V0, np.array([1.0, 0.0]), eta=0.1)
-    assert thin.relations()["rel3"]
+    assert rc.check_relations(thin.v_star, thin.v0, thin.u0)["rel3"]
     with pytest.raises(PreconditionError, match="degenerate"):
         rc.recover_omega_independent_B([1.0], [thin], "theorem_minus2")
 
@@ -539,13 +532,13 @@ def test_monotonicity_P_nonpositive_and_forms_agree():
     W = rng.normal(size=(500, 2))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     fac = rc.monotonicity_P(V, U, W)
-    exp = rc.monotonicity_P(V, U, W, form="expanded")
+    # the expanded form e^{m^2-c^2} + e^{c^2} - 1 - e^{m^2} as the oracle
+    c2 = np.sum((V - U) * W, axis=1) ** 2
+    m2 = np.sum((V - U) ** 2, axis=1)
+    exp = np.exp(m2 - c2) + np.exp(c2) - 1.0 - np.exp(m2)
     assert np.all(fac <= 1e-15)
     # the expanded form cancels on the scale of e^{m^2}
-    m2 = np.sum((V - U) ** 2, axis=1)
     assert np.all(np.abs(fac - exp) < 1e-13 * (1.0 + np.exp(m2)))
-    with pytest.raises(ConfigurationError, match="form"):
-        rc.monotonicity_P(V, U, W, form="other")
 
 
 def _small_rule():

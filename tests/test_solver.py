@@ -835,3 +835,18 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x0,x1,v0,v1,value,extrap_residual"
     assert len(lines) == 6
+
+
+def test_trace_csv_number_format(tmp_path):
+    # shortest round-trip text of every double: 17 significant digits, a
+    # signed zero and integers without exponent or trailing zeros
+    tab = solver.TraceTable(x=np.array([[0.1, -0.0], [1e-300, 1.0 / 3.0]]),
+                            v=np.array([[1.0, 2.0], [-0.5, 3.0]]),
+                            value=np.array([1.0 / 3.0, -0.0]),
+                            extrap_residual=np.array([0.0, 1e-300]))
+    path = tmp_path / "trace.csv"
+    trace_to_csv(tab, str(path))
+    assert path.read_text() == (
+        "x0,x1,v0,v1,value,extrap_residual\n"
+        "0.10000000000000001,-0,1,2,0.33333333333333331,0\n"
+        "1e-300,0.33333333333333331,-0.5,3,-0,1e-300\n")

@@ -253,7 +253,7 @@ def stage_linearize(cfg: ExperimentConfig, out: str):
     X, V = sample_outgoing(domain, lin["n_samples"], rng)
 
     conv = w_finite_difference(spec, g1, g2, cfg.linearize_config(), X, V,
-                               grid, rule, options=opts, order=lin["order"])
+                               grid, rule, options=opts)
     convergence_to_csv(conv, os.path.join(out, "fd_convergence.csv"))
     summary = {"pairs": [list(p) for p in conv.pairs],
                "errors": list(conv.errors),
@@ -538,6 +538,29 @@ def _with_stages(cfg: ExperimentConfig, names) -> ExperimentConfig:
     return config_from_dict(full)
 
 
+def _unresolved_fd_etas(run_dir: str, summary: dict):
+    """Warnings for every eta the FD route used below the velocity spacing
+    h_v = 2 R_v / (nv - 1) of the run's config.json: a bump narrower than
+    h_v falls between velocity nodes, and its S_fd can read 0.  The FD route
+    takes every eta on source_route "fd" and the first one in the
+    cross-check."""
+    if summary["route"] == "fd":
+        etas = summary["etas"]
+    elif "fd_crosscheck_probes" in summary:
+        etas = summary["etas"][:1]
+    else:
+        return []
+    path = os.path.join(run_dir, "config.json")
+    if not os.path.exists(path):
+        return []
+    with open(path) as fh:
+        grid = json.load(fh)["grid"]
+    h_v = 2.0 * grid["R_v"] / (grid["nv"] - 1)
+    return ["FD probe bump eta %g is below the velocity spacing h_v %.3g; "
+            "the FD route does not resolve it" % (eta, h_v)
+            for eta in etas if eta < h_v]
+
+
 def build_report(run_dir: str) -> str:
     """Aggregate a run directory into one human-readable summary."""
     mpath = os.path.join(run_dir, "manifest.json")
@@ -595,6 +618,7 @@ def build_report(run_dir: str) -> str:
             lines.append("  mode %-20s worst relative mismatch %.3g"
                          % (mode, worst))
         lines.append("")
+        warnings.extend(_unresolved_fd_etas(run_dir, sm))
     cross = os.path.join(run_dir, "fd_crosscheck.csv")
     if os.path.exists(cross):
         rows = np.loadtxt(cross, delimiter=",", skiprows=1, ndmin=2)

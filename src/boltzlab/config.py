@@ -12,8 +12,8 @@ Key schema (defaults in DEFAULTS; unknown keys are rejected):
   solver         tol, max_iter, smallness_threshold
   inflow         amplitude, center, width of the velocity bump fed to the
                  forward stage
-  linearize      eps1, eps2, levels (halvings), n_samples, order,
-                 sample_seed, center1, center2, width of the two probes
+  linearize      eps1, eps2, levels (halvings), n_samples, sample_seed,
+                 center1, center2, width of the two probes
   reconstruct    source_route ("direct"|"fd"), etas (decreasing), n_probes,
                  probe_seed, nr, na, nw quadrature orders, exponent_mode,
                  fd_crosscheck_probes
@@ -54,7 +54,7 @@ DEFAULTS = {
     "solver": {"tol": 1e-10, "max_iter": 40, "smallness_threshold": 0.03},
     "inflow": {"amplitude": 0.01, "center": [1.0, 0.0], "width": 0.6},
     "linearize": {"eps1": 0.01, "eps2": 0.01, "levels": 3, "n_samples": 6,
-                  "order": 24, "sample_seed": 1,
+                  "sample_seed": 1,
                   "center1": [1.0, 0.0], "center2": [-0.6, 0.8],
                   "width": 0.6},
     "reconstruct": {"source_route": "direct", "etas": [0.4, 0.2, 0.1],

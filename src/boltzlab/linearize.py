@@ -1,15 +1,13 @@
 """First and second linearizations of the solution map.
 
 The solution for boundary data eps1*g1 + eps2*g2 expands in the amplitudes.
-The first-order terms are plain free transports of g1 and g2.  The mixed
+The first-order terms are plain free transports of g1 and g2, which are
+velocity profiles, so the first-order fields are g1(v) and g2(v).  The mixed
 second-order term solves a transport equation whose right-hand side S is a
-collision-type quadrature of the two first-order fields, so it integrates
-along backward characteristics:
+collision-type quadrature of the two first-order fields; S depends on v
+alone, so the integral along the backward characteristic is
 
-    W(x, v) = int_0^{tau(x,v)} S(x - s v, v) ds.
-
-When both first-order fields depend on v only, S does too and the integral
-collapses to tau(x,v) * S(v).
+    W(x, v) = int_0^{tau(x,v)} S(v) ds = tau(x,v) * S(v).
 
 The same W is also reachable from measured data alone: the second mixed
 difference of the boundary operator, divided by eps1*eps2, converges to the
@@ -24,8 +22,8 @@ import numpy as np
 from .collision import KernelSpec, QuadratureRule, collision_Q
 from .errors import ConvergenceError, PreconditionError
 from .geometry import Domain, exit_times
-from .solver import (BoundarySource, PhaseField, PhaseGrid, PicardOptions,
-                     Solver, boundary_trace, free_transport)
+from .solver import (BoundarySource, PhaseGrid, PicardOptions, Solver,
+                     boundary_trace)
 
 __all__ = [
     "LinearizationConfig", "SecondOrderSource", "FDConvergence",
@@ -63,119 +61,47 @@ class LinearizationConfig:
                     "amplitude pairs must shrink along the sequence")
         object.__setattr__(self, "pairs", pairs)
 
-    def check_smallness(self, sup1: float, sup2: float, threshold: float):
-        # the largest pair is the binding one
-        e1, e2 = self.pairs[0]
-        worst = e1 * sup1 + e2 * sup2
-        if worst >= threshold:
-            raise PreconditionError(
-                f"combined amplitude {worst:.3e} exceeds the smallness "
-                f"threshold {threshold:.3e}")
-
 
 class SecondOrderSource:
-    """Collision-bracket source built from two first-order fields.
+    """Collision-bracket source of two first-order fields, the velocity
+    profiles phi1 and phi2 (callables of v):
 
-    Evaluates, at (x, v) or at v alone when both inputs are x-independent,
+        S(v) = Q(phi1, phi2) + Q(phi2, phi1)
+             = sum_u sum_omega B * [phi1(v')phi2(u') + phi1(u')phi2(v')
+                                    - phi1(u)phi2(v) - phi1(v)phi2(u)]
 
-        S = Q(V1, V2) + Q(V2, V1)
-          = sum_u sum_omega B * [V1(v')V2(u') + V1(u')V2(v')
-                                 - V1(u)V2(v) - V1(v)V2(u)]
-
-    under the supplied quadrature rule (collision.collision_Q).  Inputs may
-    be plain callables of v (treated as x-independent) or PhaseField
-    instances.  Out-of-range interpolation events of PhaseField inputs are
-    surfaced via oor_count.
+    under the supplied quadrature rule (collision.collision_Q).
     """
 
-    def __init__(self, spec: KernelSpec, rule: QuadratureRule, V1, V2):
+    def __init__(self, spec: KernelSpec, rule: QuadratureRule, phi1, phi2):
         self.spec = spec
         self.rule = rule
         self._direct = None
-        self._f1, vo1, c1 = _wrap_field(V1)
-        self._f2, vo2, c2 = _wrap_field(V2)
-        self.velocity_only = vo1 and vo2
-        self._counters = [c for c in (c1, c2) if c is not None]
+        self._f1 = lambda _, V: np.asarray(phi1(V), dtype=float)
+        self._f2 = lambda _, V: np.asarray(phi2(V), dtype=float)
 
     @classmethod
-    def from_function(cls, fn, spec=None, rule=None, velocity_only=True):
-        """Wrap an explicit S(v) or S(x, v); no quadrature is performed."""
-        obj = cls.__new__(cls)
-        obj.spec = spec
-        obj.rule = rule
+    def from_function(cls, fn, spec=None, rule=None):
+        """Wrap an explicit S(v); no quadrature is performed."""
+        obj = cls(spec, rule, None, None)
         obj._direct = fn
-        obj._f1 = obj._f2 = None
-        obj.velocity_only = velocity_only
-        obj._counters = []
         return obj
 
-    @property
-    def oor_count(self) -> int:
-        return int(sum(f.oor_count - base for f, base in self._counters))
-
     def eval_v(self, V):
-        """Velocity-only table evaluation; defined when velocity_only."""
-        if not self.velocity_only:
-            raise PreconditionError(
-                "source depends on x; use eval(x, v) instead")
+        """S at the velocities V (N, d)."""
         V = np.atleast_2d(np.asarray(V, dtype=float))
         if self._direct is not None:
             return np.asarray(self._direct(V), dtype=float)
-        return self._quadrature(None, V)
-
-    def eval(self, X, V):
-        """General evaluation at paired points (x, v)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        if self._direct is not None:
-            if self.velocity_only:
-                return np.asarray(self._direct(V), dtype=float)
-            return np.asarray(self._direct(X, V), dtype=float)
-        if self.velocity_only:
-            X = None
-        return self._quadrature(X, V)
-
-    def _quadrature(self, X, V):
-        return (collision_Q(self._f1, self._f2, V, self.spec, self.rule, X)
-                + collision_Q(self._f2, self._f1, V, self.spec, self.rule, X))
+        return (collision_Q(self._f1, self._f2, V, self.spec, self.rule)
+                + collision_Q(self._f2, self._f1, V, self.spec, self.rule))
 
 
-def _wrap_field(V):
-    """Normalize a first-order field to fn(X, Vb), plus metadata."""
-    if isinstance(V, PhaseField):
-        base = V.oor_count
-
-        def fn(X, Vb):
-            if X is None:
-                raise PreconditionError(
-                    "PhaseField input needs x coordinates")
-            return V.eval(X, Vb)
-
-        return fn, False, (V, base)
-    if callable(V):
-        return (lambda X, Vb: np.asarray(V(Vb), dtype=float)), True, None
-    raise PreconditionError("field must be a PhaseField or a callable of v")
-
-
-def w_quadrature(S, domain: Domain, X, V, order: int = 24) -> np.ndarray:
-    """Integrate S along backward characteristics through (x, v) samples.
-
-    Velocity-only sources use the exact shortcut tau(x,v) * S(v); others
-    take an order-point Gauss-Legendre rule along each chord.  Returns the
-    values of W, one per sample.
-    """
+def w_quadrature(S, domain: Domain, X, V) -> np.ndarray:
+    """W = tau_-(x, v) * S(v) at the (x, v) samples, the integral of S along
+    each backward characteristic; one value per sample."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    tau = exit_times(domain, X, V, sign=-1)
-    if S.velocity_only:
-        return tau * S.eval_v(V)
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    s = 0.5 * tau[:, None] * (xs[None, :] + 1.0)
-    nodes = X[:, None, :] - s[..., None] * V[:, None, :]
-    P, K, dim = nodes.shape
-    Vrep = np.broadcast_to(V[:, None, :], (P, K, dim)).reshape(-1, dim)
-    Sv = S.eval(nodes.reshape(-1, dim), Vrep).reshape(P, K)
-    return 0.5 * tau * (Sv @ ws)
+    return exit_times(domain, X, V, sign=-1) * S.eval_v(V)
 
 
 @dataclass
@@ -207,15 +133,11 @@ class FDConvergence:
 
 def _scaled_source(g1: BoundarySource, g2: BoundarySource, e1: float,
                    e2: float) -> BoundarySource:
-    vo = g1.velocity_only and g2.velocity_only
     sup = None
     if g1.sup_norm is not None and g2.sup_norm is not None:
         sup = e1 * g1.sup_norm + e2 * g2.sup_norm
-
-    def func(X, V):
-        return e1 * g1(X, V) + e2 * g2(X, V)
-
-    return BoundarySource(func=func, velocity_only=vo, sup_norm=sup)
+    return BoundarySource(func=lambda V: e1 * g1(V) + e2 * g2(V),
+                          sup_norm=sup)
 
 
 def mixed_difference(solver: Solver, g1: BoundarySource, g2: BoundarySource,
@@ -246,46 +168,34 @@ def mixed_difference(solver: Solver, g1: BoundarySource, g2: BoundarySource,
 def w_finite_difference(spec: KernelSpec, g1: BoundarySource,
                         g2: BoundarySource, cfg: LinearizationConfig,
                         X, V, grid: PhaseGrid, rule: QuadratureRule,
-                        options: PicardOptions = None,
-                        order: int = 24) -> FDConvergence:
+                        options: PicardOptions = None) -> FDConvergence:
     """Recover W on outgoing samples from second differences of the
     boundary operator, one solve triple per amplitude pair
     (mixed_difference), all on one Solver.
 
     For each pair, W_fd = [A(e1 g1 + e2 g2) - A(e1 g1) - A(e2 g2)] / (e1 e2)
     at the given samples (A(0) = 0).  The quadrature reference is computed
-    once from the first-order fields.  Raises on amplitudes above the
-    smallness threshold; a failed solve names the offending amplitudes.
+    once from the first-order fields.  The Solver raises PreconditionError
+    when the first pair's combined data exceeds the smallness threshold; a
+    failed solve names the offending amplitudes.
     """
     opts = options if options is not None else PicardOptions()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
 
-    sup1 = g1.sup_norm if g1.sup_norm is not None else g1.estimate_sup(
-        grid.domain, grid.R_v)
-    sup2 = g2.sup_norm if g2.sup_norm is not None else g2.estimate_sup(
-        grid.domain, grid.R_v)
-    cfg.check_smallness(sup1, sup2, opts.smallness_threshold)
-
     # quadrature reference from the first-order fields, which are the free
-    # transports of g1 and g2 (the collision term is quadratic)
-    if g1.velocity_only and g2.velocity_only:
-        zero_x = np.zeros((1, grid.domain.dim))
-        V1 = lambda Vb: g1(np.broadcast_to(zero_x, Vb.shape), Vb)
-        V2 = lambda Vb: g2(np.broadcast_to(zero_x, Vb.shape), Vb)
-    else:
-        V1 = free_transport(g1, grid.domain)
-        V2 = free_transport(g2, grid.domain)
-    S = SecondOrderSource(spec, rule, V1, V2)
-    ref = w_quadrature(S, grid.domain, X, V, order=order)
+    # transports of g1 and g2, their velocity profiles (the collision term
+    # is quadratic)
+    S = SecondOrderSource(spec, rule, g1, g2)
+    ref = w_quadrature(S, grid.domain, X, V)
 
     # quadrature error estimate: same source under a refined rule
     fine = QuadratureRule.build(
         grid.domain.dim, sphere_order=2 * rule.sphere_order,
         radial_order=rule.radial_order + 2,
         angular_order=2 * rule.angular_order, R_v=rule.R_v)
-    S_fine = SecondOrderSource(spec, fine, V1, V2)
-    ref_fine = w_quadrature(S_fine, grid.domain, X, V, order=2 * order)
+    S_fine = SecondOrderSource(spec, fine, g1, g2)
+    ref_fine = w_quadrature(S_fine, grid.domain, X, V)
     est_quad = float(np.max(np.abs(ref_fine - ref)))
 
     solver = Solver(spec, grid, rule, opts)

@@ -2,14 +2,18 @@
 boundary traces, and the incoming-to-outgoing boundary operator.
 
 The nonlinear problem v.grad F = Q(F,F), F = g on the incoming boundary, is
-solved as F = F0 + G where F0 is free transport of g (always evaluated
-analytically by backtracing, never gridded) and G is the fixed point of
+solved as F = F0 + G where F0 is free transport of g and G is the fixed
+point of
 
     G  <-  int_0^{tau_-(x,v)} Q(F0 + G)(x - s v, v) ds
 
 iterated on a phase grid.  Small boundary data makes this map a contraction;
 the solver reports the empirical contraction ratio rather than trying to
 reproduce the analytic constants.
+
+The boundary data is a velocity profile phi(v), the same at every incoming
+boundary point, so free transport carries it unchanged: F0(x, v) = phi(v),
+evaluated analytically and never gridded.
 """
 from __future__ import annotations
 
@@ -24,8 +28,7 @@ import scipy.sparse as sp
 from .collision import (KernelSpec, QuadratureRule, admissibility_check,
                         collision_Q, kernel_eval)
 from .errors import ConfigurationError, ConvergenceError, PreconditionError
-from .geometry import (OUTGOING, Domain, classify_boundaries, exit_times,
-                       sample_boundary)
+from .geometry import OUTGOING, Domain, classify_boundaries, exit_times
 
 FIELD_CACHE_VERSION = 2
 
@@ -350,68 +353,49 @@ class PhaseField:
 
 @dataclass
 class BoundarySource:
-    """Incoming boundary data g on Gamma_-.
+    """Incoming boundary data on Gamma_-: a velocity profile g(x, v) = phi(v),
+    the same at every boundary point.
 
-    func : vectorized callable (X, V) -> values.  With velocity_only=True the
-        solver may evaluate it at arbitrary x (the value must not depend on
-        x), which unlocks the exact analytic handling of free transport at
-        every quadrature point.
-    sup_norm : recorded estimate of sup |g|; estimated by sampling when None.
+    func : phi, a callable vectorized over velocities V (N, d).
+    sup_norm : sup |phi|; estimated by sampling when None.
     """
 
     func: callable
-    velocity_only: bool = False
     sup_norm: float | None = None
 
-    def __call__(self, X, V):
-        return np.asarray(self.func(np.asarray(X, float), np.asarray(V, float)),
-                          dtype=float)
+    def __call__(self, V):
+        return np.asarray(self.func(np.asarray(V, float)), dtype=float)
 
-    def estimate_sup(self, domain: Domain, R_v: float, n: int = 4096,
+    def estimate_sup(self, dim: int, R_v: float, n: int = 4096,
                      seed: int = 0) -> float:
         rng = np.random.default_rng(seed)
-        xb = sample_boundary(domain, n, rng)
-        V = rng.normal(size=(n, domain.dim))
+        V = rng.normal(size=(n, dim))
         V *= (R_v * rng.uniform(0.05, 1.0, n) /
               np.linalg.norm(V, axis=1))[:, None]
-        # keep only genuinely incoming pairs
-        nrm = domain.unit_normal(xb)
-        inc = np.sum(nrm * V, axis=1) < 0
-        est = float(np.max(np.abs(self(xb[inc], V[inc]))))
+        est = float(np.max(np.abs(self(V))))
         if self.sup_norm is None:
             self.sup_norm = est
         return est
 
     @classmethod
     def constant(cls, c: float):
-        return cls(func=lambda X, V: np.full(X.shape[0], float(c)),
-                   velocity_only=True, sup_norm=abs(float(c)))
+        return cls(func=lambda V: np.full(V.shape[0], float(c)),
+                   sup_norm=abs(float(c)))
 
     @classmethod
     def from_velocity_profile(cls, phi, sup: float | None = None):
-        """Velocity-only data g(x, v) = phi(v); phi vectorized over (N, d)."""
-        return cls(func=lambda X, V: np.asarray(phi(V), dtype=float),
-                   velocity_only=True, sup_norm=sup)
-
-
-# ---------------------------------------------------------------------------
-# direct transport solves (closed formulas along chords, evaluated lazily)
-# ---------------------------------------------------------------------------
+        """Data g(x, v) = phi(v); phi vectorized over (N, d)."""
+        return cls(func=phi, sup_norm=sup)
 
 
 def free_transport(g: BoundarySource, domain: Domain,
                    grid: PhaseGrid | None = None) -> PhaseField:
-    """Solution of v.grad F = 0, F = g on Gamma_-: pure backtracing.
+    """Solution of v.grad F = 0, F = g on Gamma_-: every backward
+    characteristic ends at boundary data phi(v), so F(x, v) = phi(v).
 
-    The returned field is analytic; no values are gridded, so later
-    evaluations are exact wherever g is.
+    The returned field is analytic; no values are gridded.
     """
-
-    def _eval(X, V):
-        tau = exit_times(domain, X, V, sign=-1)
-        return g(X - tau[:, None] * V, V)
-
-    return PhaseField(grid, values=None, analytic=_eval, domain=domain)
+    return PhaseField(grid, analytic=lambda X, V: g(V), domain=domain)
 
 
 # ---------------------------------------------------------------------------
@@ -576,48 +560,17 @@ class _PicardTables:
                 [(tiles, csr(self.up_points), csr(self.vp_points))])
 
     def f0_tables_velocity_only(self, g):
-        """Transported velocity-only data at v, u and the distinct u' and
-        v' points: (F0V, F0U, F0UP, F0VP)."""
-        Xd = np.zeros((1, self.grid.dim))
-        f0 = lambda P: g(np.broadcast_to(Xd, P.shape), P)
-        return (f0(self.Vg), f0(self.U), f0(self.up_points),
-                f0(self.vp_points))
-
-    def f0_tables_at_x(self, g, X):
-        """Exact transported data at the spatial nodes X (n, d), general g.
-
-        Returns F0V (NVa, n), F0U (NU, n) and F0UP, F0VP (distinct u' and
-        v' points, n): one column per node, the layout of a collision-stage
-        block.
-        """
-        return tuple(_transported_at(g, self.grid.domain, X, P)
-                     for P in (self.Vg, self.U, self.up_points,
-                               self.vp_points))
+        """Transported data F0 = phi at v, u and the distinct u' and v'
+        points: (F0V, F0U, F0UP, F0VP)."""
+        return g(self.Vg), g(self.U), g(self.up_points), g(self.vp_points)
 
 
-def _transported_at(g, domain, X, P):
-    """Free transport of boundary data g, g(x - tau_-(x, p) p, p), at every
-    velocity point p of P (m, d) and spatial node x of X (n, d); (m, n),
-    0 where |p| <= 1e-14."""
-    out = np.zeros((P.shape[0], X.shape[0]))
-    nz = np.linalg.norm(P, axis=1) > 1e-14
-    Pn = P[nz][:, None, :]
-    tau = exit_times(domain, X[None, :, :], Pn, sign=-1)
-    feet = X[None, :, :] - tau[..., None] * Pn
-    V = np.broadcast_to(Pn, feet.shape)
-    out[nz] = g(feet.reshape(-1, X.shape[1]),
-                V.reshape(-1, X.shape[1])).reshape(tau.shape)
-    return out
-
-
-def _collision_stage_np(G, tables, F0V=None, F0U=None, F0UP=None, F0VP=None,
-                        per_x_f0=None):
+def _collision_stage_np(G, tables, F0V, F0U, F0UP, F0VP):
     """Reference collision stage: one spatial node at a time, over every
     omega node, the oracle the sparse stage is checked against.  It builds
     its own u' and v' stencils, at every (v, u, omega) of
     _post_collision_velocities; F0UP and F0VP hold the transported data at
-    those points.  For x-dependent data, per_x_f0(i) returns the tables of
-    the i-th active node instead.  Returns Q v-major, (NVF, NXF)."""
+    those points.  Returns Q v-major, (NVF, NXF)."""
     grid = tables.grid
     NVa, NU, NW = tables.shape
     strides = [grid.nv ** (grid.dim - 1 - a) for a in range(grid.dim)]
@@ -626,9 +579,7 @@ def _collision_stage_np(G, tables, F0V=None, F0U=None, F0UP=None, F0VP=None,
     vpb, vpfr = grid.v_stencil(VP.reshape(-1, grid.dim))
     Q = np.zeros((grid.NVF, grid.NXF))
     wqm = (tables.WU[:, None] * tables.WW[None, :])[None, :, :]
-    for pi, p in enumerate(grid.x_active_idx):
-        if per_x_f0 is not None:
-            F0V, F0U, F0UP, F0VP = per_x_f0(pi)
+    for p in grid.x_active_idx:
         Gr = G[p]
         gu = _interp_flat(Gr, tables.ub, tables.ufr, strides)
         gup = _interp_flat(Gr, upb, upfr, strides).reshape(NVa, NU, NW)
@@ -642,8 +593,8 @@ def _collision_stage_np(G, tables, F0V=None, F0U=None, F0UP=None, F0VP=None,
     return Q
 
 
-def _collision_stage_sparse(G, tables, ops, F0V=None, F0U=None, F0UP=None,
-                            F0VP=None, first_iterate=False, g=None):
+def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP,
+                            first_iterate=False):
     """Collision stage on blocks of _X_BLOCK spatial rows.
 
     The velocity stencils are applied as the CSR operators `ops` (see
@@ -656,36 +607,26 @@ def _collision_stage_sparse(G, tables, ops, F0V=None, F0U=None, F0UP=None,
     Returns Q v-major, (NVF, NXF), the layout the blocks come in.  Agrees
     with _collision_stage_np to rounding.
 
-    Boundary data that does not depend on x comes as F0V, F0U, F0UP and
-    F0VP, its transported values at v, u and the distinct u' and v' points
-    (see _PicardTables.f0_tables_velocity_only).  Boundary data g that
-    depends on x comes as g alone: each block then builds its own tables
-    (_PicardTables.f0_tables_at_x), so every sum F0 + G is the oracle's.
-    Nothing is kept across calls.
+    F0V, F0U, F0UP and F0VP are the transported data at v, u and the
+    distinct u' and v' points, the tables of _PicardTables.
 
-    first_iterate says G = 0.  With F0 independent of x (no g), a block's
-    result
-    then depends on its width only, so each width is evaluated once and
-    copied to the other blocks of that width.  (Widths are not merged: the
-    BLAS product of the loss term can round the last columns of a short
-    block differently in the last bit.)
+    first_iterate says G = 0.  F0 does not depend on x, so a block's result
+    then depends on its width only: each width is evaluated once and copied
+    to the other blocks of that width.  (Widths are not merged: the BLAS
+    product of the loss term can round the last columns of a short block
+    differently in the last bit.)
     """
     grid = tables.grid
     NU = tables.shape[1]
     Su, [(tiles, Sup, Svp)] = ops
     vact, xact = grid.v_active_idx, grid.x_active_idx
-    if g is None:
-        F0V, F0U, F0UP, F0VP = (a[:, None] for a in (F0V, F0U, F0UP, F0VP))
+    F0V, F0U, F0UP, F0VP = (a[:, None] for a in (F0V, F0U, F0UP, F0VP))
     Q = np.zeros((grid.NVF, grid.NXF))
-    reuse = first_iterate and g is None
     by_width = {}
     for start in range(0, xact.size, _X_BLOCK):
         rows = xact[start:start + _X_BLOCK]
         QT = by_width.get(rows.size)
         if QT is None:
-            if g is not None:
-                F0V, F0U, F0UP, F0VP = tables.f0_tables_at_x(
-                    g, grid.x_nodes[rows])
             GT = np.ascontiguousarray(G[rows].T)
             HuT = F0U + Su @ GT
             QT = -(F0V + GT[vact]) * (tables.Bw_loss @ HuT)
@@ -699,7 +640,7 @@ def _collision_stage_sparse(G, tables, ops, F0V=None, F0U=None, F0UP=None,
                 gain = np.take(Hup, iu, axis=0).reshape(shape)
                 gain *= np.take(Hvp, iv, axis=0).reshape(shape)
                 QT[js] += np.einsum("vurx,vur->vx", gain, tables.Bw_fold[js])
-            if reuse:
+            if first_iterate:
                 by_width[rows.size] = QT
         Q[vact[:, None], rows] = QT
     return Q
@@ -811,7 +752,7 @@ class Solver:
 
         def collision(run, first):
             Q = _collision_stage_sparse(run.G, tables, ops, *run.f0_tables,
-                                        first_iterate=first, g=run.g_x)
+                                        first_iterate=first)
             grid.fill_fringe(Q.T)
             return Q
 
@@ -840,7 +781,7 @@ class Solver:
     def _check_smallness(self, g):
         opts = self.opts
         if g.sup_norm is None:
-            g.estimate_sup(self.grid.domain, self.grid.R_v)
+            g.estimate_sup(self.grid.dim, self.grid.R_v)
         if g.sup_norm > opts.smallness_threshold:
             raise PreconditionError(
                 "boundary data sup %.3g exceeds the smallness threshold %.3g"
@@ -875,12 +816,7 @@ class _SourceRun:
         self.grid = grid
         self.opts = opts
         self.F0 = free_transport(g, grid.domain, grid)
-        # velocity-only data has one set of F0 tables for every spatial row;
-        # the collision stage builds those of x-dependent data block by block
-        if g.velocity_only:
-            self.f0_tables, self.g_x = tables.f0_tables_velocity_only(g), None
-        else:
-            self.f0_tables, self.g_x = (), g
+        self.f0_tables = tables.f0_tables_velocity_only(g)
         self.G = np.zeros((grid.NXF, grid.NVF))
         self.deltas = []
         self.iterations = None

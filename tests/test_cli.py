@@ -27,7 +27,7 @@ def tiny(out_dir, stages, **sections):
         "grid": {"nx": 10, "nv": 10},
         "quadrature": {"sphere_order": 4, "radial_order": 2,
                        "angular_order": 4},
-        "linearize": {"levels": 2, "n_samples": 3, "order": 12},
+        "linearize": {"levels": 2, "n_samples": 3},
         "reconstruct": {"n_probes": 2, "etas": [0.4, 0.2], "nr": 6,
                         "na": 12, "nw": 12, "fd_crosscheck_probes": 0},
         "stages": {name: (name in stages) for name in STAGE_ORDER},
@@ -70,6 +70,8 @@ def test_unknown_keys_rejected_with_path():
         config_from_dict({"version": 1, "solver": {"engine": "auto"}})
     with pytest.raises(ConfigurationError, match=r"grid\.extension"):
         config_from_dict({"version": 1, "grid": {"extension": "analytic"}})
+    with pytest.raises(ConfigurationError, match=r"linearize\.order"):
+        config_from_dict({"version": 1, "linearize": {"order": 24}})
 
 
 def test_committed_configs_load():
@@ -78,6 +80,13 @@ def test_committed_configs_load():
     assert names
     for name in names:
         load_config(os.path.join(configs, name))
+
+
+def test_default_config_is_the_defaults():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "default.json")
+    assert load_config(path).data == config_from_dict(
+        {"version": 1, "output_dir": "runs/default"}).data
 
 
 def test_version_field_is_mandatory_and_checked():
@@ -267,6 +276,13 @@ def test_fd_route_writes_probe_table(tmp_path):
             assert json.load(fh)["route"] == "fd"
         contents.append((out / "probes_fd.csv").read_bytes())
     assert contents[0] == contents[1]
+    # h_v = 4/9 on the 10-node velocity grid: both FD bumps are unresolved
+    warnings = [ln for ln in build_report(str(out)).splitlines()
+                if ln.startswith("warning:") and "h_v" in ln]
+    assert warnings == [
+        "warning: FD probe bump eta %g is below the velocity spacing h_v "
+        "0.444; the FD route does not resolve it" % eta
+        for eta in (0.4, 0.2)]
 
 
 def test_stage_failure_halts_and_is_recorded(tmp_path):
@@ -342,6 +358,39 @@ def test_report_warns_on_fd_crosscheck_and_missing_winner(tmp_path):
     assert "warning:" not in text
     assert text.splitlines()[-1] == \
         "overall: all recorded checks pass, 0 warning(s)"
+
+
+def _run_dir_with_crosscheck(run, cfg):
+    """Hand-written run directory of a direct-route run with an FD
+    cross-check at etas[0], under the config cfg."""
+    run.mkdir()
+    manifest = {"config_hash": "0" * 64, "seed": 0, "started": "s",
+                "finished": "f", "files": [], "stages": []}
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    save_config(cfg, str(run / "config.json"))
+    etas = cfg.section("reconstruct")["etas"]
+    summary = {"route": "direct", "n_probes": 1, "etas": etas,
+               "winner": "theorem_minus2", "fd_crosscheck_probes": 1,
+               "mismatch": {"theorem_minus2": [0.0],
+                            "proposition_minus_n": [0.0]}}
+    (run / "reconstruct_summary.json").write_text(json.dumps(summary))
+    return build_report(str(run))
+
+
+def test_report_warns_on_unresolved_fd_crosscheck_eta(tmp_path):
+    # the cross-check uses etas[0] only: on the 10-node velocity grid
+    # (h_v = 0.444) eta 0.4 is unresolved, and etas[1] = 0.2 is not named
+    text = _run_dir_with_crosscheck(
+        tmp_path / "tiny", config_from_dict(tiny(tmp_path, ())))
+    warnings = [ln for ln in text.splitlines() if ln.startswith("warning:")]
+    assert warnings == ["warning: FD probe bump eta 0.4 is below the "
+                        "velocity spacing h_v 0.444; the FD route does not "
+                        "resolve it"]
+    # the default grid (h_v = 0.267) resolves the cross-check's eta 0.4
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "default.json")
+    text = _run_dir_with_crosscheck(tmp_path / "default", load_config(path))
+    assert "warning:" not in text
 
 
 def test_report_needs_a_manifest(tmp_path):

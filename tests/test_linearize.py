@@ -149,33 +149,6 @@ def test_source_symmetry_in_the_two_fields():
     assert np.max(np.abs(a - b)) < 1e-12 * scale
 
 
-def test_source_velocity_only_vs_general_paths():
-    rule = _rule()
-    S = SecondOrderSource(POLY, rule, _quartic(),
-                          _quartic(center=(-0.3, 0.1)))
-    rng = np.random.default_rng(4)
-    V = rng.uniform(-1.2, 1.2, size=(20, 2))
-    X = np.zeros((20, 2))
-    assert np.max(np.abs(S.eval(X, V) - S.eval_v(V))) < 1e-12
-
-
-def test_source_from_phase_fields_counts_out_of_range():
-    grid = PhaseGrid(DISK, 8, 8, R_v=1.0)  # deliberately tight v-grid
-    vals = np.ones((grid.NXF, grid.NVF))
-    from boltzlab.solver import PhaseField
-
-    F1 = PhaseField(grid, values=vals)
-    F2 = PhaseField(grid, values=vals)
-    S = SecondOrderSource(POLY, _rule(R_v=2.0), F1, F2)
-    val = S.eval(np.zeros((3, 2)), np.array([[0.2, 0.0], [0.0, 0.5],
-                                             [0.9, 0.9]]))
-    # post-collision velocities leave the grid; events are counted
-    assert S.oor_count > 0
-    assert np.all(np.isfinite(val))
-    with pytest.raises(PreconditionError):
-        S.eval_v(np.array([[0.2, 0.0]]))
-
-
 # ---------------------------------------------------------------------------
 # W by quadrature
 # ---------------------------------------------------------------------------
@@ -195,35 +168,6 @@ def test_w_quadrature_trivial_sources():
     W = w_quadrature(S1, DISK, X, V)
     tau = exit_times(DISK, X, V, sign=-1)
     assert np.max(np.abs(W - tau)) < 1e-14
-
-
-def test_w_quadrature_shortcut_matches_quadrature():
-    X, V = _outgoing(12, 6)
-    S = SecondOrderSource(POLY, _rule(), _quartic(),
-                          _quartic(center=(-0.3, 0.1)))
-    fast = w_quadrature(S, DISK, X, V)
-    # the same S presented as x-dependent takes the chord quadrature
-    S_x = SecondOrderSource.from_function(lambda Xq, Vq: S.eval_v(Vq),
-                                          velocity_only=False)
-    slow = w_quadrature(S_x, DISK, X, V)
-    scale = max(1.0, np.max(np.abs(fast)))
-    assert np.max(np.abs(fast - slow)) < 1e-12 * scale
-
-
-def test_w_quadrature_x_dependent_source():
-    # S(x, v) = 1 - |x|^2 integrates in closed form along any chord:
-    # with p(s) = x - s v, int_0^tau (1 - |p|^2) ds is a cubic polynomial
-    X, V = _outgoing(10, 7)
-    S = SecondOrderSource.from_function(
-        lambda Xq, Vq: 1.0 - np.sum(Xq * Xq, axis=-1), velocity_only=False)
-    W = w_quadrature(S, DISK, X, V, order=12)
-    tau = exit_times(DISK, X, V, sign=-1)
-    a = np.sum(X * X, axis=-1)
-    b = np.sum(X * V, axis=-1)
-    c = np.sum(V * V, axis=-1)
-    ref = (1.0 - a) * tau + b * tau**2 - c * tau**3 / 3.0
-    # GL order 12 is exact for cubics
-    assert np.max(np.abs(W - ref)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +205,6 @@ def test_config_defaults_and_validation():
         LinearizationConfig(eps1=-1e-2)
     with pytest.raises(PreconditionError):
         LinearizationConfig(pairs=((1e-3, 1e-3), (2e-3, 2e-3)))
-    with pytest.raises(PreconditionError):
-        LinearizationConfig().check_smallness(10.0, 10.0, 0.03)
 
 
 def test_fd_zero_kernel_gives_zero():

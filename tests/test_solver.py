@@ -74,24 +74,6 @@ def test_free_transport_velocity_profile():
     assert np.max(np.abs(F.eval(X, V) - phi(V))) < 1e-14
 
 
-def test_free_transport_corridor_oracle():
-    # boundary data: 1 on the left-semicircle arc with |y| <= 0.5, streaming
-    # right; the lit region is exactly the horizontal corridor through it
-    def gfun(X, V):
-        return np.where((X[:, 0] < 0) & (np.abs(X[:, 1]) <= 0.5), 1.0, 0.0)
-
-    g = BoundarySource(func=gfun, velocity_only=False, sup_norm=1.0)
-    F = free_transport(g, DISK)
-    rng = np.random.default_rng(2)
-    X = _interior_points(DISK, 1000, rng)
-    V = np.tile([1.0, 0.0], (1000, 1))
-    got = F.eval(X, V)
-    # independent ray trace: the backward exit of (x, y) along (1, 0) is
-    # (-sqrt(1-y^2), y), on the left semicircle; lit iff |y| <= 0.5
-    expect = np.where(np.abs(X[:, 1]) <= 0.5, 1.0, 0.0)
-    assert np.array_equal(got, expect)
-
-
 def test_free_transport_sup_bound():
     grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
     g = _bump_profile(0.02)
@@ -224,27 +206,6 @@ def _solve_with_oracle_stage(monkeypatch, oracle, *args):
         return picard_solve(*args)
 
 
-def _transported_per_x(g, tables):
-    """per_x_f0 for the oracle stage: x-dependent data transported node by
-    node with free_transport (0 at velocity 0, where some u' and v' of the
-    test rules fall)."""
-    transported = free_transport(g, tables.grid.domain)
-    X = tables.grid.x_nodes[tables.grid.x_active_idx]
-
-    def per_x_f0(pi):
-        def f0(P):
-            out = np.zeros(P.shape[0])
-            nz = np.linalg.norm(P, axis=1) > 1e-14
-            out[nz] = transported.eval(np.broadcast_to(X[pi], P[nz].shape),
-                                       P[nz])
-            return out
-
-        UP, VP = _full_points(tables)
-        return (f0(tables.Vg), f0(tables.U), f0(UP), f0(VP))
-
-    return per_x_f0
-
-
 def _full_points(tables):
     """u' and v' at every (v, u, omega), one row each."""
     UP, VP = solver._post_collision_velocities(tables.Vg, tables.U, tables.W)
@@ -252,10 +213,9 @@ def _full_points(tables):
 
 
 def _full_f0(g, tables):
-    """The oracle stage's tables of velocity-only data: F0 at v, u and at
-    u' and v' for every (v, u, omega)."""
-    f0 = lambda P: g(np.zeros_like(P), P)
-    return (f0(tables.Vg), f0(tables.U)) + tuple(map(f0, _full_points(tables)))
+    """The oracle stage's tables: F0 at v, u and at u' and v' for every
+    (v, u, omega)."""
+    return (g(tables.Vg), g(tables.U)) + tuple(map(g, _full_points(tables)))
 
 
 def test_picard_engines_agree(monkeypatch):
@@ -297,17 +257,8 @@ def _stage_inputs(spec, grid, rule, center):
         tables.stencil_operators()
 
 
-def _x_dependent_source(amp, center):
-    def gfun(X, V):
-        prof = np.exp(-np.sum((V - center) ** 2, axis=-1) / 0.25)
-        return amp * (1.0 + 0.5 * X[:, 1]) * prof
-
-    return BoundarySource(func=gfun, velocity_only=False, sup_norm=1.5 * amp)
-
-
 def test_sparse_collision_stage_matches_reference():
-    # one application of each stage on the same random state, with
-    # velocity-only data and with x-dependent data
+    # one application of each stage on the same random state
     rng = np.random.default_rng(5)
     for spec, grid, rule, center, n_classes in _stage_cases():
         g, tables, F0, ops = _stage_inputs(spec, grid, rule, center)
@@ -315,13 +266,6 @@ def test_sparse_collision_stage_matches_reference():
         G = 1e-3 * rng.standard_normal((grid.NXF, grid.NVF))
         Qs = _collision_stage_sparse(G, tables, ops, *F0)
         Qr = _collision_stage_np(G, tables, *_full_f0(g, tables))
-        assert np.max(np.abs(Qr)) > 1e-9
-        assert np.max(np.abs(Qs - Qr)) < 1e-15
-
-        gx = _x_dependent_source(2e-3, center)
-        Qs = _collision_stage_sparse(G, tables, ops, g=gx)
-        Qr = _collision_stage_np(G, tables,
-                                 per_x_f0=_transported_per_x(gx, tables))
         assert np.max(np.abs(Qr)) > 1e-9
         assert np.max(np.abs(Qs - Qr)) < 1e-15
 
@@ -381,35 +325,21 @@ def _per_row_stage(G, tables, g):
     """The collision stage on one operator row per (v, u, representative),
     kept as the bitwise oracle of the stage on distinct points.  Per block
     of _X_BLOCK spatial rows and tile of _V_BLOCK velocity nodes, the
-    per-row operators are applied to [G[rows].T; 1].  For velocity-only
-    data g every row ends with F0 in that last column; for x-dependent
-    data each block adds F0 at its nodes to the tile products."""
+    per-row operators are applied to [G[rows].T; 1], and every row ends
+    with F0 in that last column."""
     grid = tables.grid
     NVa, NU, NW = tables.shape
     NR = tables.reps.size
     NVF = grid.NVF
     vact, xact = grid.v_active_idx, grid.x_active_idx
     UP, VP = _full_points(tables)
-    UPr, VPr = _at_reps(tables, UP), _at_reps(tables, VP)
     Su = _per_row_operator(tables, tables.U)
-    if g.velocity_only:
-        f0 = lambda P: g(np.zeros_like(P), P)
-        Sup = _per_row_operator(tables, UPr, _at_reps(tables, f0(UP)))
-        Svp = _per_row_operator(tables, VPr, _at_reps(tables, f0(VP)))
-        F0V, F0U = f0(tables.Vg)[:, None], f0(tables.U)[:, None]
-    else:
-        Sup = _per_row_operator(tables, UPr)
-        Svp = _per_row_operator(tables, VPr)
+    Sup, Svp = (_per_row_operator(tables, _at_reps(tables, P),
+                                  _at_reps(tables, g(P))) for P in (UP, VP))
+    F0V, F0U = g(tables.Vg)[:, None], g(tables.U)[:, None]
     Q = np.zeros((NVF, grid.NXF))
     for start in range(0, xact.size, solver._X_BLOCK):
         rows = xact[start:start + solver._X_BLOCK]
-        if not g.velocity_only:
-            X = grid.x_nodes[rows]
-            F0V, F0U = (solver._transported_at(g, grid.domain, X, P)
-                        for P in (tables.Vg, tables.U))
-            F0UP, F0VP = (solver._transported_at(
-                g, grid.domain, X, P).reshape(NVa, NU, NR, -1)
-                for P in (UPr, VPr))
         GT = np.empty((NVF + 1, rows.size))
         GT[:NVF] = G[rows].T
         GT[NVF] = 1.0
@@ -420,11 +350,7 @@ def _per_row_stage(G, tables, g):
             js = slice(j, j + solver._V_BLOCK)
             r = slice(j * NU * NR, (j + solver._V_BLOCK) * NU * NR)
             gain = (Sup[r] @ GT).reshape(shape)
-            gvp = (Svp[r] @ GT).reshape(shape)
-            if not g.velocity_only:
-                gain += F0UP[js]
-                gvp += F0VP[js]
-            gain *= gvp
+            gain *= (Svp[r] @ GT).reshape(shape)
             QT[js] += np.einsum("vurx,vur->vx", gain, tables.Bw_fold[js])
         Q[vact[:, None], rows] = QT
     return Q
@@ -436,20 +362,16 @@ def _assert_bitwise(a, b):
 
 
 def test_distinct_point_stage_matches_per_row_stage_bitwise():
-    # every stage case with velocity-only and with x-dependent data, on a
-    # state with zeros of both signs
+    # every stage case, on a state with zeros of both signs
     rng = np.random.default_rng(17)
     for spec, grid, rule, center, _ in _stage_cases():
         g, tables, F0, ops = _stage_inputs(spec, grid, rule, center)
         G = 1e-3 * rng.standard_normal((grid.NXF, grid.NVF))
         G[:, ::7] = 0.0
         G[:, 3::7] = -0.0
-        gx = _x_dependent_source(2e-3, center)
-        for got, src in ((_collision_stage_sparse(G, tables, ops, *F0), g),
-                         (_collision_stage_sparse(G, tables, ops, g=gx), gx)):
-            want = _per_row_stage(G, tables, src)
-            assert np.max(np.abs(want)) > 1e-9
-            _assert_bitwise(got, want)
+        want = _per_row_stage(G, tables, g)
+        assert np.max(np.abs(want)) > 1e-9
+        _assert_bitwise(_collision_stage_sparse(G, tables, ops, *F0), want)
 
 
 def test_distinct_points_index_every_gain_row():
@@ -489,10 +411,9 @@ def test_distinct_row_products_plus_f0_equal_per_row_products():
     G[:, ::5] = -0.0
     GT = np.ascontiguousarray(G[grid.x_active_idx[:16]].T)
     GT1 = np.vstack([GT, np.ones((1, GT.shape[1]))])
-    f0v = lambda P: g(np.zeros_like(P), P)
     for P, S, f0, index in zip(_rep_points(tables), (Sup, Svp), F0[2:],
                                (tables.up_index, tables.vp_index)):
-        full = _per_row_operator(tables, P, f0v(P))
+        full = _per_row_operator(tables, P, g(P))
         assert np.count_nonzero(S.data == 0.0) == 0
         assert np.count_nonzero(full.data == 0.0) > 0
         _assert_bitwise((S @ GT + f0[:, None])[index], full @ GT1)
@@ -531,28 +452,6 @@ def test_line_stage_matches_per_pair_chord_loop():
                      t[0] * t[1] * Qv[i[0] + 1, i[1] + 1])
                 expected[p, j] += 0.5 * tau * w * q
     assert np.max(np.abs(G - expected)) <= 1e-14 * np.max(np.abs(expected))
-
-
-def test_picard_general_boundary_data(monkeypatch):
-    # x-dependent inflow exercises the per-block transported tables
-    g = _x_dependent_source(2e-3, (0.5, 0.0))
-    grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
-    rule = QuadratureRule.build(2, sphere_order=6, radial_order=2,
-                                angular_order=6, R_v=2.0)
-    F, rep = picard_solve(SMALL_KERNEL, g, grid, rule, PicardOptions())
-    assert rep.converged
-    assert rep.residual_discrete < 10 * 1e-12 * max(1.0, rep.sup_F)
-    # and reproduces the oracle stage fed node by node, iterate by iterate
-    # (the 32 active nodes make two blocks, so a first iterate copied
-    # across blocks would show in the deltas)
-    Fr, rep_ref = _solve_with_oracle_stage(
-        monkeypatch,
-        lambda G, t: _collision_stage_np(G, t,
-                                         per_x_f0=_transported_per_x(g, t)),
-        SMALL_KERNEL, g, grid, rule, PicardOptions())
-    assert rep_ref.converged
-    assert np.max(np.abs(F.values - Fr.values)) < 1e-15
-    assert np.max(np.abs(rep.deltas - rep_ref.deltas)) < 1e-15
 
 
 def test_picard_residuals():
@@ -649,18 +548,6 @@ def test_solve_many_matches_independent_solves_on_default_triple():
         _assert_same_solve(got, picard_solve(spec, g, grid, rule, opts))
 
 
-def test_solve_many_matches_independent_solves_x_dependent():
-    # an x-dependent source next to a velocity-only one
-    grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
-    rule = QuadratureRule.build(2, sphere_order=6, radial_order=2,
-                                angular_order=6, R_v=2.0)
-    sources = [_x_dependent_source(2e-3, (0.5, 0.0)),
-               _bump_profile(3e-3, center=(-0.3, 0.4))]
-    results = Solver(SMALL_KERNEL, grid, rule).solve_many(sources)
-    for g, got in zip(sources, results):
-        _assert_same_solve(got, picard_solve(SMALL_KERNEL, g, grid, rule))
-
-
 def test_solver_serves_successive_solves():
     # the second solve reuses the first one's tables and operators, whose
     # F0 column then holds the other source's data
@@ -716,7 +603,7 @@ def test_boundary_trace_free_transport():
     F = free_transport(g, DISK, grid)
     X, V = _outgoing_samples(25, seed=9)
     tab = boundary_trace(F, X, V)
-    expect = g(X, V)  # velocity-only data: the trace carries phi(v) across
+    expect = g(V)  # the trace carries phi(v) across
     assert np.max(np.abs(tab.value - expect)) < 1e-12
     assert np.max(tab.extrap_residual) < 1e-12
 
@@ -764,7 +651,7 @@ def test_apply_A_zero_kernel_is_chord_transport():
     X, V = _outgoing_samples(15, seed=11)
     F, _ = picard_solve(spec, g, grid, _small_rule())
     tab = boundary_trace(F, X, V)
-    assert np.max(np.abs(tab.value - g(X, V))) < 1e-12
+    assert np.max(np.abs(tab.value - g(V))) < 1e-12
 
 
 def test_apply_A_operator_norm_batch():
@@ -822,6 +709,30 @@ def test_field_cache_roundtrip(tmp_path):
                                             dtype=np.uint8), values=vals)
         with pytest.raises(ConfigurationError, match="version"):
             load_field(path)
+
+
+def test_exports_of_a_solve_with_a_zero_velocity_node(tmp_path):
+    # an odd nv puts a velocity node at v = 0, outside the active nodes but
+    # written by both exports: F0 = phi(0) there, and G stays 0
+    grid = PhaseGrid(DISK, 9, 9, R_v=2.0)
+    zero = np.flatnonzero(np.all(grid.v_nodes == 0.0, axis=1))
+    assert zero.size == 1 and zero[0] not in grid.v_active_idx
+    g = _bump_profile(3e-3)
+    F, rep = picard_solve(SMALL_KERNEL, g, grid, _small_rule())
+    assert rep.converged
+    path = str(tmp_path / "field.csv")
+    field_to_csv(F, path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert rows.shape == (grid.x_active_idx.size * grid.NVF, 5)
+    at_zero = np.all(rows[:, 2:4] == 0.0, axis=1)
+    assert np.count_nonzero(at_zero) == grid.x_active_idx.size
+    assert np.all(rows[at_zero, 4] == g(np.zeros((1, 2)))[0])
+    # the cache bakes the same node values, and the CSV's text round-trips
+    save_field(F, str(tmp_path / "field.npz"))
+    F2 = load_field(str(tmp_path / "field.npz"))
+    assert np.array_equal(F2.values[grid.x_active_idx].ravel(), rows[:, 4])
+    assert F2.eval(grid.x_nodes[grid.x_active_idx[0]], grid.v_nodes[zero[0]]) \
+        == rows[at_zero, 4][0]
 
 
 def test_trace_csv(tmp_path):

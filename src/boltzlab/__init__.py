@@ -9,7 +9,7 @@ from .geometry import Domain, exit_times
 from .collision import (KernelSpec, QuadratureRule, kernel_eval,
                         post_collision, pre_collision)
 from .solver import (BoundarySource, PhaseField, PhaseGrid, PicardOptions,
-                     boundary_trace, free_transport, picard_solve)
+                     boundary_trace, picard_solve)
 from .linearize import (LinearizationConfig, SecondOrderSource,
                         w_finite_difference, w_quadrature)
 from .reconstruct import (Probe, closed_form_both, exponent_experiment,
@@ -25,7 +25,7 @@ __all__ = [
     "KernelSpec", "QuadratureRule", "kernel_eval", "post_collision",
     "pre_collision",
     "BoundarySource", "PhaseField", "PhaseGrid", "PicardOptions",
-    "boundary_trace", "free_transport", "picard_solve",
+    "boundary_trace", "picard_solve",
     "LinearizationConfig", "SecondOrderSource", "w_finite_difference",
     "w_quadrature",
     "Probe", "closed_form_both", "exponent_experiment", "mollified_S",

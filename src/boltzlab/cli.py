@@ -314,12 +314,11 @@ def _generate_probes(rng, count: int, dim: int, eta_max: float, R_v: float,
     return probes
 
 
-def _probe_value_fd(cfg: ExperimentConfig, solver: Solver, probe: rc.Probe,
-                    eta: float):
+def _probe_value_fd(cfg: ExperimentConfig, solver: Solver, probe: rc.Probe):
     """Probe value through the full solver pipeline: mollified boundary data
-    at (v0, u0), second-order finite difference of the boundary map, then
-    the v_star bump integral of S = W / tau_-."""
-    dim = probe.dim
+    of width probe.eta at (v0, u0), second-order finite difference of the
+    boundary map, then the v_star bump integral of S = W / tau_-."""
+    dim, eta = probe.dim, probe.eta
     domain = solver.grid.domain
     sup_bump = float(rc.mollifier(np.zeros((1, dim)), eta)[0])
     eps1 = eps2 = 0.45 * solver.opts.smallness_threshold / sup_bump
@@ -373,15 +372,13 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
             for j, eta in enumerate(etas):
                 res = _probe_value_fd(cfg, solver,
                                       rc.Probe(probe.v_star, probe.v0,
-                                               probe.u0, eta), eta)
+                                               probe.u0, eta))
                 S_table[i, j] = res["S_fd"]
                 fd_meta.append((i, eta, res))
         extrap, closed, mismatch, per_probe, winner = rc.exponent_verdict(
             abthetas, etas, S_table, spec)
-        cols = ["probe", "eta"]
-        for name in ("a", "b", "theta"):
-            cols += [f"{name}{k}" for k in range(domain.dim)]
-        cols += ["S_eta", "eps1", "eps2"]
+        cols = ["probe", "eta", *rc.abtheta_columns(domain.dim), "S_eta",
+                "eps1", "eps2"]
         rows = [[i, eta, *np.concatenate(abthetas[i]), res["S_fd"],
                  res["eps1"], res["eps2"]] for (i, eta, res) in fd_meta]
         np.savetxt(os.path.join(out, "probes_fd.csv"), rows, fmt="%.17g",
@@ -404,7 +401,7 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
             solver = Solver(spec, grid, cfg.build_rule(), cfg.picard_options())
             rows = []
             for i in range(n_cross):
-                S_fd = _probe_value_fd(cfg, solver, probes[i], etas[0])["S_fd"]
+                S_fd = _probe_value_fd(cfg, solver, probes[i])["S_fd"]
                 direct = S_table[i, 0]
                 delta = abs(S_fd - direct) / max(abs(direct), 1e-300)
                 rows.append([i, etas[0], direct, S_fd, delta])
@@ -418,10 +415,8 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
     if spec.is_omega_independent():
         rows = rc.recover_omega_independent_B(extrap, probes,
                                               rec["exponent_mode"], spec=spec)
-        cols = []
-        for name in ("a", "b", "theta"):
-            cols += [f"{name}{k}" for k in range(domain.dim)]
-        cols += ["kappa1", "kappa2", "S_value", "estimate", "residual"]
+        cols = [*rc.abtheta_columns(domain.dim), "kappa1", "kappa2",
+                "S_value", "estimate", "residual"]
         table = [[*row.a, *row.b, *row.theta, row.kappa1, row.kappa2,
                   row.S_value, row.estimate, row.residual] for row in rows]
         np.savetxt(os.path.join(out, "recovery_table.csv"), table,

@@ -240,10 +240,8 @@ class ExperimentConfig:
 
     def linearize_config(self) -> LinearizationConfig:
         lin = self.data["linearize"]
-        pairs = tuple((lin["eps1"] * 0.5**k, lin["eps2"] * 0.5**k)
-                      for k in range(lin["levels"]))
         return LinearizationConfig(eps1=lin["eps1"], eps2=lin["eps2"],
-                                   pairs=pairs)
+                                   levels=lin["levels"])
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

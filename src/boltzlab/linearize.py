@@ -1,8 +1,9 @@
 """First and second linearizations of the solution map.
 
 The solution for boundary data eps1*g1 + eps2*g2 expands in the amplitudes.
-The first-order terms are plain free transports of g1 and g2, which are
-velocity profiles, so the first-order fields are g1(v) and g2(v).  The mixed
+The first-order terms are the free transports of g1 and g2.  Both are
+velocity profiles, which free transport carries unchanged, so the
+first-order fields are the profiles g1(v) and g2(v) themselves.  The mixed
 second-order term solves a transport equation whose right-hand side S is a
 collision-type quadrature of the two first-order fields; S depends on v
 alone, so the integral along the backward characteristic is
@@ -34,32 +35,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearizationConfig:
-    """Amplitude schedule for the finite-difference route.
-
-    ``pairs`` is a shrinking sequence of (eps1, eps2); empty means geometric
-    halving from (eps1, eps2) over three points.
-    """
+    """Amplitude schedule for the finite-difference route: ``levels``
+    geometric halvings of (eps1, eps2)."""
 
     eps1: float = 1e-2
     eps2: float = 1e-2
-    pairs: tuple = ()
+    levels: int = 3
 
     def __post_init__(self):
         if not (self.eps1 > 0 and self.eps2 > 0):
             raise PreconditionError("amplitudes must be positive")
-        pairs = self.pairs
-        if not pairs:
-            pairs = tuple((self.eps1 * 0.5**k, self.eps2 * 0.5**k)
-                          for k in range(3))
-        pairs = tuple((float(a), float(b)) for a, b in pairs)
-        for (a, b) in pairs:
-            if not (a > 0 and b > 0):
-                raise PreconditionError("amplitudes must be positive")
-        for (a0, b0), (a1, b1) in zip(pairs, pairs[1:]):
-            if a1 > a0 or b1 > b0:
-                raise PreconditionError(
-                    "amplitude pairs must shrink along the sequence")
-        object.__setattr__(self, "pairs", pairs)
+        if self.levels < 1:
+            raise PreconditionError("levels must be at least 1")
+
+    @property
+    def pairs(self) -> tuple:
+        """(eps1, eps2) * 0.5**k for k = 0, ..., levels - 1."""
+        return tuple((self.eps1 * 0.5**k, self.eps2 * 0.5**k)
+                     for k in range(self.levels))
 
 
 class SecondOrderSource:

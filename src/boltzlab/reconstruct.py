@@ -666,13 +666,16 @@ def exponent_experiment(abthetas, spec: KernelSpec,
         results=results, rel_tol=rel_tol)
 
 
+def abtheta_columns(dim: int) -> list:
+    """CSV column names of a data point (a, b, theta): a0, ..., theta{dim-1}."""
+    return [f"{name}{i}" for name in ("a", "b", "theta") for i in range(dim)]
+
+
 def experiment_to_csv(report: ExponentReport, path: str):
     """One row per (probe, eta) with the closed forms and residuals."""
     dim = np.asarray(report.abthetas[0][0]).shape[0]
-    cols = ["probe", "eta"]
-    for name in ("a", "b", "theta"):
-        cols += [f"{name}{i}" for i in range(dim)]
-    cols += ["S_eta", "I1", "I2", "I3", "I4"]
+    cols = ["probe", "eta", *abtheta_columns(dim), "S_eta", "I1", "I2", "I3",
+            "I4"]
     cols += [f"closed_{m}" for m in EXPONENT_MODES]
     cols += [f"resid_{m}" for m in EXPONENT_MODES]
     rows = []

@@ -12,8 +12,9 @@ the solver reports the empirical contraction ratio rather than trying to
 reproduce the analytic constants.
 
 The boundary data is a velocity profile phi(v), the same at every incoming
-boundary point, so free transport carries it unchanged: F0(x, v) = phi(v),
-evaluated analytically and never gridded.
+boundary point, so free transport carries it unchanged: F0(x, v) = phi(v).
+A solve's field is PhaseField(grid, G, profile=phi): the gridded G plus phi,
+which is evaluated where it is needed and never gridded.
 """
 from __future__ import annotations
 
@@ -255,31 +256,23 @@ def _post_collision_velocities(Vg, U, W):
 
 
 class PhaseField:
-    """Distribution function on a phase grid, optionally split into an
-    analytic part (evaluable anywhere) and a gridded part.
+    """Distribution function on a phase grid: the gridded values G plus,
+    when given, the boundary profile phi(v), the same at every x.
 
-    values : (NXF, NVF) array or None; the gridded part is zero at
-        velocities outside the stored square, where the analytic part, when
-        present, still contributes
-    analytic : callable (X, V) -> values, or None
+    values : (NXF, NVF) array; G is zero at velocities outside the stored
+        square, where phi, when present, still contributes
+    profile : callable V (N, d) -> phi(V), or None
     """
 
-    def __init__(self, grid: PhaseGrid | None, values=None, analytic=None,
-                 domain: Domain | None = None):
-        if values is not None:
-            if grid is None:
-                raise PreconditionError("gridded values need a grid")
-            values = np.asarray(values, dtype=float)
-            if values.shape != (grid.NXF, grid.NVF):
-                raise PreconditionError("values must have shape (NXF, NVF)")
-            if not np.all(np.isfinite(values)):
-                raise PreconditionError("field values must all be finite")
-        if values is None and analytic is None:
-            raise PreconditionError("field needs values or an analytic part")
+    def __init__(self, grid: PhaseGrid, values, profile=None):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.NXF, grid.NVF):
+            raise PreconditionError("values must have shape (NXF, NVF)")
+        if not np.all(np.isfinite(values)):
+            raise PreconditionError("field values must all be finite")
         self.grid = grid
-        self.domain = domain if domain is not None else (grid.domain if grid else None)
         self.values = values
-        self.analytic = analytic
+        self.profile = profile
         self.oor_count = 0
         self._sup = None
 
@@ -291,58 +284,44 @@ class PhaseField:
             np.asarray(x).ndim == 1 and np.asarray(v).ndim == 1
         if X.shape[0] != V.shape[0]:
             X, V = np.broadcast_arrays(X, V)
-        out = np.zeros(X.shape[0])
-        if self.analytic is not None:
-            out = out + np.asarray(self.analytic(X, V), dtype=float)
-        if self.values is not None:
-            g = self.grid
-            xs = [_locate_axis(ax, X[:, a]) for a, ax in enumerate(g.x_axes)]
-            vs = [_locate_axis(ax, V[:, a]) for a, ax in enumerate(g.v_axes)]
-            base_x = xs[0][0]
-            for a in range(1, g.dim):
-                base_x = base_x * g.nx + xs[a][0]
-            base_v = vs[0][0]
-            for a in range(1, g.dim):
-                base_v = base_v * g.nv + vs[a][0]
-            base = base_x * g.NVF + base_v
-            oor = np.zeros(X.shape[0], dtype=bool)
-            for a in range(g.dim):
-                oor |= vs[a][2]
-            self.oor_count += int(np.sum(oor))
-            base = np.where(oor, -1, base)
-            strides = [g.nx ** (g.dim - 1 - a) * g.NVF for a in range(g.dim)] + \
-                      [g.nv ** (g.dim - 1 - a) for a in range(g.dim)]
-            fracs = [s[1] for s in xs] + [s[1] for s in vs]
-            out = out + _interp_flat(self.values.ravel(), base, fracs, strides)
+        g = self.grid
+        xs = [_locate_axis(ax, X[:, a]) for a, ax in enumerate(g.x_axes)]
+        base_x = xs[0][0]
+        for a in range(1, g.dim):
+            base_x = base_x * g.nx + xs[a][0]
+        base_v, vfracs = g.v_stencil(V)
+        self.oor_count += int(np.sum(base_v < 0))
+        base = np.where(base_v < 0, -1, base_x * g.NVF + base_v)
+        strides = [g.nx ** (g.dim - 1 - a) * g.NVF for a in range(g.dim)] + \
+                  [g.nv ** (g.dim - 1 - a) for a in range(g.dim)]
+        fracs = [s[1] for s in xs] + vfracs
+        out = _interp_flat(self.values.ravel(), base, fracs, strides)
+        if self.profile is not None:
+            out = np.asarray(self.profile(V), dtype=float) + out
         if scalar:
             return float(out[0])
         return out
 
-    def sup_norm(self) -> float:
-        """Sup of |F| over the active grid nodes (cached), evaluated in
-        blocks of _X_BLOCK spatial nodes.
+    def _node_values(self, v_idx):
+        """F at every active spatial node times the velocity nodes v_idx,
+        (NXa, len(v_idx)).
 
         At a grid node the interpolation weights are exactly 0 and 1, so
-        eval returns the analytic part plus the stored value there; both
-        are read directly, without the interpolation.
+        this is what eval returns there: G is read at the nodes directly,
+        and phi, which does not depend on x, is evaluated once per velocity
+        node.
         """
+        g = self.grid
+        F = self.values[np.ix_(g.x_active_idx, v_idx)]
+        if self.profile is not None:
+            F += np.asarray(self.profile(g.v_nodes[v_idx]), dtype=float)
+        return F
+
+    def sup_norm(self) -> float:
+        """Sup of |F| over the active grid nodes (cached)."""
         if self._sup is None:
-            if self.grid is None:
-                raise PreconditionError("sup_norm needs a grid; pass one at build")
-            g = self.grid
-            Va = g.v_nodes[g.v_active_idx]
-            sup = 0.0
-            for start in range(0, g.x_active_idx.size, _X_BLOCK):
-                rows = g.x_active_idx[start:start + _X_BLOCK]
-                out = np.zeros(rows.size * Va.shape[0])
-                if self.analytic is not None:
-                    X = np.repeat(g.x_nodes[rows], Va.shape[0], axis=0)
-                    V = np.tile(Va, (rows.size, 1))
-                    out = out + np.asarray(self.analytic(X, V), dtype=float)
-                if self.values is not None:
-                    out = out + self.values[np.ix_(rows, g.v_active_idx)].ravel()
-                sup = max(sup, float(np.max(np.abs(out))))
-            self._sup = sup
+            self._sup = float(np.max(np.abs(
+                self._node_values(self.grid.v_active_idx))))
         return self._sup
 
 
@@ -388,16 +367,6 @@ class BoundarySource:
         return cls(func=phi, sup_norm=sup)
 
 
-def free_transport(g: BoundarySource, domain: Domain,
-                   grid: PhaseGrid | None = None) -> PhaseField:
-    """Solution of v.grad F = 0, F = g on Gamma_-: every backward
-    characteristic ends at boundary data phi(v), so F(x, v) = phi(v).
-
-    The returned field is analytic; no values are gridded.
-    """
-    return PhaseField(grid, analytic=lambda X, V: g(V), domain=domain)
-
-
 # ---------------------------------------------------------------------------
 # Picard solver
 # ---------------------------------------------------------------------------
@@ -405,7 +374,7 @@ def free_transport(g: BoundarySource, domain: Domain,
 
 # tile of the collision stage: spatial rows x active velocity nodes; small
 # enough that a tile's _X_BLOCK * _V_BLOCK * NU * (omega classes)
-# temporaries stay in cache (PhaseField.sup_norm takes the same row blocks)
+# temporaries stay in cache
 _X_BLOCK = 16
 _V_BLOCK = 16
 # (x, v) pairs per chunk of the line stage; a chunk's temporaries are
@@ -443,7 +412,6 @@ class ConvergenceReport:
     sup_F: float
     sup_G: float
     runtime: float
-    message: str = ""
 
 
 def _contraction_ratio(deltas) -> float:
@@ -809,13 +777,13 @@ class Solver:
 
 
 class _SourceRun:
-    """One source of a lockstep solve: its transported data and its
-    iteration state."""
+    """One source of a lockstep solve: its boundary profile, transported
+    data tables and iteration state."""
 
     def __init__(self, g, grid, tables, opts):
         self.grid = grid
         self.opts = opts
-        self.F0 = free_transport(g, grid.domain, grid)
+        self.g = g
         self.f0_tables = tables.f0_tables_velocity_only(g)
         self.G = np.zeros((grid.NXF, grid.NVF))
         self.deltas = []
@@ -840,7 +808,7 @@ class _SourceRun:
 
     def result(self, samples, spec, rule, t_start):
         grid, G = self.grid, self.G
-        field = PhaseField(grid, values=G, analytic=self.F0.analytic)
+        field = PhaseField(grid, G, profile=self.g)
         sup_G = float(np.max(np.abs(G)))
         sup_F = field.sup_norm()
         resid_pde, n_res = _sample_pde_residual(field, samples, spec, rule)
@@ -914,8 +882,9 @@ def _sample_pde_residual(field: PhaseField, samples, spec, rule):
     points).
 
     The directional derivative uses central differences along the
-    characteristic, so the analytic part drops out exactly and the estimate
-    probes the gridded correction plus interpolation error.
+    characteristic, where v is fixed, so the profile phi(v) drops out
+    exactly and the estimate probes the gridded correction plus
+    interpolation error.
     """
     s = samples
     cd = (field.eval(s.X_fwd, s.V) - field.eval(s.X_bwd, s.V)) / s.two_t
@@ -938,21 +907,17 @@ class TraceTable:
     extrap_residual: np.ndarray
 
 
-def boundary_trace(field: PhaseField, X, V, t_scale: float | None = None
-                   ) -> TraceTable:
+def boundary_trace(field: PhaseField, X, V) -> TraceTable:
     """One-sided trace on Gamma_+ by short inward steps along the chord.
 
     The field is evaluated at x - t v for t = t1, 2 t1 and extrapolated
-    linearly to t = 0; t1 is a small multiple of the grid spacing capped by a
-    quarter of the chord.  The extrapolation residual |F(t1) - F(2 t1)| is
+    linearly to t = 0; t1 is the time to cover 1.5 grid spacings, capped by
+    a quarter of the chord.  The extrapolation residual |F(t1) - F(2 t1)| is
     reported per sample since no convergence order is guaranteed.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    domain = field.domain
-    if t_scale is None:
-        t_scale = 1.5 * field.grid.h_x if field.grid is not None \
-            else domain.diameter() / 64.0
+    domain = field.grid.domain
     cls = classify_boundaries(domain, X, V)
     bad = np.flatnonzero(cls != OUTGOING)
     if bad.size:
@@ -960,7 +925,7 @@ def boundary_trace(field: PhaseField, X, V, t_scale: float | None = None
             "trace sample %d is %s, not outgoing" % (bad[0], cls[bad[0]]))
     speed = np.linalg.norm(V, axis=1)
     tau = exit_times(domain, X, V, sign=-1)
-    t1 = np.minimum(t_scale / speed, 0.25 * tau)
+    t1 = np.minimum(1.5 * field.grid.h_x / speed, 0.25 * tau)
     F1 = field.eval(X - t1[:, None] * V, V)
     F2 = field.eval(X - 2.0 * t1[:, None] * V, V)
     value = 2.0 * F1 - F2
@@ -981,14 +946,12 @@ def _active_node_values(field: PhaseField):
     xa = g.x_nodes[g.x_active_idx]
     X = np.repeat(xa, g.NVF, axis=0)
     V = np.tile(g.v_nodes, (xa.shape[0], 1))
-    return X, V, field.eval(X, V)
+    return X, V, field._node_values(np.arange(g.NVF)).ravel()
 
 
 def field_to_csv(field: PhaseField, path: str):
     """Write grid values as CSV rows x..., v..., value (full float precision)
     at the in-domain spatial nodes."""
-    if field.grid is None:
-        raise PreconditionError("CSV export needs a gridded field")
     dim = field.grid.dim
     cols = ["x%d" % a for a in range(dim)] + \
            ["v%d" % a for a in range(dim)] + ["value"]
@@ -1009,20 +972,16 @@ def trace_to_csv(table: TraceTable, path: str):
 def save_field(field: PhaseField, path: str):
     """Binary cache with a versioned header.
 
-    Fields with an analytic part are baked onto the grid first (the cache
-    holds node values only), so reloading reproduces node values exactly and
+    Fields with a profile are baked onto the grid first (the cache holds
+    node values only), so reloading reproduces node values exactly and
     off-node values to interpolation accuracy.
     """
-    if field.grid is None:
-        raise PreconditionError("caching needs a gridded field")
     g = field.grid
-    if field.analytic is not None:
-        _, _, active = _active_node_values(field)
+    values = field.values
+    if field.profile is not None:
         values = np.zeros((g.NXF, g.NVF))
-        values[g.x_active_idx] = active.reshape(-1, g.NVF)
+        values[g.x_active_idx] = field._node_values(np.arange(g.NVF))
         g.fill_fringe(values)
-    else:
-        values = field.values
     header = dict(version=FIELD_CACHE_VERSION, shape=g.domain.shape,
                   dim=g.dim, radius=getattr(g.domain, "radius", None),
                   lo=g.domain.lo, hi=g.domain.hi, nx=g.nx, nv=g.nv,
@@ -1045,4 +1004,4 @@ def load_field(path: str) -> PhaseField:
                         hi=tuple(header["hi"]))
     grid = PhaseGrid(domain, header["nx"], header["nv"], header["R_v"],
                      header["v_min"])
-    return PhaseField(grid, values=values, analytic=None)
+    return PhaseField(grid, values)

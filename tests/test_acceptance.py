@@ -256,9 +256,10 @@ def test_criterion_06_linearization_crosscheck():
     ang = np.arctan2(V[:, 1], V[:, 0]) + rng.uniform(-1.0, 1.0, size=20)
     X = np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
-    pairs = ((1e-2, 1e-2), (5e-3, 5e-3), (2.5e-3, 2.5e-3))
     t0 = time.perf_counter()
-    conv = w_finite_difference(kern, g1, g2, LinearizationConfig(pairs=pairs),
+    conv = w_finite_difference(kern, g1, g2,
+                               LinearizationConfig(eps1=1e-2, eps2=1e-2,
+                                                   levels=3),
                                X, V, grid, rule)
     dt = time.perf_counter() - t0
 

@@ -9,7 +9,7 @@ from boltzlab.linearize import (FDConvergence, LinearizationConfig,
                                 w_finite_difference, w_quadrature)
 from boltzlab.reconstruct import monotonicity_P
 from boltzlab.solver import (BoundarySource, PhaseGrid, PicardOptions,
-                             free_transport, picard_solve)
+                             picard_solve)
 
 DISK = Domain("ball", dim=2, radius=1.0)
 POLY = KernelSpec("omega_independent_poly", dim=2,
@@ -38,39 +38,15 @@ def _quartic(amp=1.0, center=(0.6, 0.0), width=0.7):
 # ---------------------------------------------------------------------------
 
 
-def test_first_linearization_constant_and_profile():
-    V1 = free_transport(BoundarySource.constant(1.0), DISK)
-    rng = np.random.default_rng(0)
-    idx = 0
-    X, Vv = [], []
-    while idx < 50:
-        x = rng.uniform(-1, 1, size=2)
-        if DISK.contains(x) and DISK.boundary_distance(x) > 0.02:
-            X.append(x)
-            Vv.append(rng.normal(size=2))
-            idx += 1
-    X, Vv = np.array(X), np.array(Vv)
-    assert np.max(np.abs(V1.eval(X, Vv) - 1.0)) == 0.0
-
-    v0 = np.array([0.3, -0.2])
-    phi = lambda V: np.exp(np.sum((V - v0) ** 2, axis=-1))
-    g = BoundarySource.from_velocity_profile(phi, sup=np.exp(16.0))
-    V2 = free_transport(g, DISK)
-    got = V2.eval(X, Vv)
-    assert np.max(np.abs(got - phi(Vv)) / phi(Vv)) < 1e-14
-
-
 def test_first_linearization_quotient_convergence():
     # eps^{-1} * (nonlinear solution at data eps*g) approaches the free
-    # transport of g as eps shrinks
+    # transport of g, its profile phi(v), as eps shrinks
     grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
     rule = _rule()
     phi = _quartic()
-    Vlin = free_transport(
-        BoundarySource.from_velocity_profile(phi, sup=1.0), DISK)
     Vq = grid.v_nodes[grid.v_active_idx][::7]
     Xq = np.broadcast_to(np.array([0.15, -0.2]), Vq.shape)
-    ref = Vlin.eval(Xq, Vq)
+    ref = phi(Vq)
     errs = []
     for eps in (1e-2, 5e-3, 2.5e-3):
         g = BoundarySource.from_velocity_profile(
@@ -204,7 +180,7 @@ def test_config_defaults_and_validation():
     with pytest.raises(PreconditionError):
         LinearizationConfig(eps1=-1e-2)
     with pytest.raises(PreconditionError):
-        LinearizationConfig(pairs=((1e-3, 1e-3), (2e-3, 2e-3)))
+        LinearizationConfig(levels=0)
 
 
 def test_fd_zero_kernel_gives_zero():
@@ -239,7 +215,7 @@ def test_fd_swap_symmetry():
     rule = _rule()
     g1, g2 = _two_sources()
     X, V = _outgoing(6, 10)
-    cfg = LinearizationConfig(pairs=((1e-2, 1e-2),))
+    cfg = LinearizationConfig(levels=1)
     c12 = w_finite_difference(SMALL, g1, g2, cfg, X, V, grid, rule)
     c21 = w_finite_difference(SMALL, g2, g1, cfg, X, V, grid, rule)
     scale = max(1.0, np.max(np.abs(c12.W_fd)))
@@ -269,7 +245,7 @@ def test_convergence_csv(tmp_path):
     grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
     g1, g2 = _two_sources()
     X, V = _outgoing(3, 12)
-    cfg = LinearizationConfig(pairs=((1e-2, 1e-2), (5e-3, 5e-3)))
+    cfg = LinearizationConfig(levels=2)
     conv = w_finite_difference(SMALL, g1, g2, cfg, X, V, grid, _rule())
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     convergence_to_csv(conv, str(p1))

@@ -13,7 +13,7 @@ from boltzlab.solver import (BoundarySource, PhaseField, PhaseGrid,
                              PicardOptions, Solver, _collision_stage_np,
                              _collision_stage_sparse, _line_stage_np,
                              _PicardTables, boundary_trace,
-                             field_to_csv, free_transport, load_field,
+                             field_to_csv, load_field,
                              picard_solve, save_field, trace_to_csv)
 
 DISK = Domain("ball", dim=2, radius=1.0)
@@ -50,35 +50,9 @@ def _small_rule(R_v=2.0):
                                 angular_order=8, R_v=R_v)
 
 
-# ---------------------------------------------------------------------------
-# direct transport solves
-# ---------------------------------------------------------------------------
-
-
-def test_free_transport_constant():
-    g = BoundarySource.constant(0.7)
-    F = free_transport(g, DISK)
-    rng = np.random.default_rng(0)
-    X = _interior_points(DISK, 50, rng)
-    V = rng.normal(size=(50, 2))
-    assert np.max(np.abs(F.eval(X, V) - 0.7)) == 0.0
-
-
-def test_free_transport_velocity_profile():
-    phi = lambda V: np.exp(-np.sum((V - [0.3, 0.1]) ** 2, axis=-1))
-    g = BoundarySource.from_velocity_profile(phi, sup=1.0)
-    F = free_transport(g, DISK)
-    rng = np.random.default_rng(1)
-    X = _interior_points(DISK, 100, rng)
-    V = rng.normal(size=(100, 2))
-    assert np.max(np.abs(F.eval(X, V) - phi(V))) < 1e-14
-
-
-def test_free_transport_sup_bound():
-    grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
-    g = _bump_profile(0.02)
-    F = free_transport(g, DISK, grid)
-    assert F.sup_norm() <= 0.02 + 1e-15
+def _profile_field(grid, g):
+    """The free transport of a velocity profile g: G = 0 plus g(v)."""
+    return PhaseField(grid, np.zeros((grid.NXF, grid.NVF)), profile=g)
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +74,10 @@ def test_phase_field_node_reproduction_and_finiteness():
     # sup_norm, taken over blocks of spatial nodes, reaches the last block
     assert grid.x_active_idx.size > 16
     assert F.sup_norm() == 9.0
-    # with an analytic part it reads both parts at the nodes; that equals
-    # eval there, where the interpolation weights are exactly 0 and 1
+    # with a profile it reads both parts at the nodes; that equals eval
+    # there, where the interpolation weights are exactly 0 and 1
     Fa = PhaseField(grid, values=vals,
-                    analytic=lambda X, V: 5.0 * X[:, 0] * V[:, 1])
+                    profile=lambda V: 5.0 * V[:, 0] * V[:, 1])
     X = np.repeat(grid.x_nodes[grid.x_active_idx], grid.v_active_idx.size,
                   axis=0)
     V = np.tile(grid.v_nodes[grid.v_active_idx], (grid.x_active_idx.size, 1))
@@ -123,8 +97,8 @@ def test_phase_field_extension_policies():
     assert Fz.eval(x, v_out) == 0.0
     assert Fz.oor_count == 1
     Fa = PhaseField(grid, values=vals,
-                    analytic=lambda X, V: 0.25 * np.ones(X.shape[0]))
-    # grid part vanishes outside, analytic part remains
+                    profile=lambda V: 0.25 * np.ones(V.shape[0]))
+    # grid part vanishes outside, the profile remains
     assert Fa.eval(x, v_out) == 0.25
     assert Fa.eval(x, np.array([0.5, 0.0])) == 1.25
 
@@ -144,8 +118,7 @@ def test_picard_zero_kernel_is_free_transport():
     rng = np.random.default_rng(7)
     X = _interior_points(DISK, 40, rng)
     V = rng.normal(size=(40, 2))
-    F0 = free_transport(g, DISK)
-    assert np.max(np.abs(F.eval(X, V) - F0.eval(X, V))) == 0.0
+    assert np.max(np.abs(F.eval(X, V) - g(V))) == 0.0
 
 
 def test_picard_constant_data_exact():
@@ -600,7 +573,7 @@ def _outgoing_samples(count, seed=0, speed=(0.6, 1.4)):
 def test_boundary_trace_free_transport():
     g = _bump_profile(0.5, center=(0.2, 0.3), width=0.8)
     grid = PhaseGrid(DISK, 12, 12, R_v=2.0)
-    F = free_transport(g, DISK, grid)
+    F = _profile_field(grid, g)
     X, V = _outgoing_samples(25, seed=9)
     tab = boundary_trace(F, X, V)
     expect = g(V)  # the trace carries phi(v) across
@@ -615,12 +588,13 @@ def test_boundary_trace_constant_and_chord_length():
     tab = boundary_trace(c_field, X, V)
     assert np.max(np.abs(tab.value - 0.3)) < 1e-12
 
-    tau_field = PhaseField(
-        None, analytic=lambda Xq, Vq: exit_times(DISK, Xq, Vq, sign=-1),
-        domain=DISK)
-    tab2 = boundary_trace(tau_field, X, V)
-    chord = exit_times(DISK, X, V, sign=-1)
-    assert np.max(np.abs(tab2.value - chord)) < 1e-12
+    # a field linear in x on every node: bilinear interpolation reproduces
+    # it, so the extrapolated trace is a.x at the boundary point
+    a = np.array([0.7, -0.4])
+    lin_field = PhaseField(grid, np.repeat((grid.x_nodes @ a)[:, None],
+                                           grid.NVF, axis=1))
+    tab2 = boundary_trace(lin_field, X, V)
+    assert np.max(np.abs(tab2.value - X @ a)) < 1e-12
 
 
 def test_boundary_trace_rejects_grazing_and_incoming():
@@ -735,10 +709,30 @@ def test_exports_of_a_solve_with_a_zero_velocity_node(tmp_path):
         == rows[at_zero, 4][0]
 
 
+def test_profile_is_evaluated_once_per_velocity_node(tmp_path):
+    # phi does not depend on x: the sup and both exports call it with at
+    # most one row per velocity node, not once per (x, v) node
+    grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
+    g = _bump_profile(0.02)
+    rows = []
+
+    def counting(V):
+        rows.append(V.shape[0])
+        return g(V)
+
+    rng = np.random.default_rng(16)
+    F = PhaseField(grid, rng.normal(size=(grid.NXF, grid.NVF)),
+                   profile=counting)
+    F.sup_norm()
+    field_to_csv(F, str(tmp_path / "field.csv"))
+    save_field(F, str(tmp_path / "field.npz"))
+    assert len(rows) >= 3 and max(rows) <= grid.NVF
+
+
 def test_trace_csv(tmp_path):
     g = _bump_profile(0.01)
     grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
-    F = free_transport(g, DISK, grid)
+    F = _profile_field(grid, g)
     X, V = _outgoing_samples(5, seed=15)
     tab = boundary_trace(F, X, V)
     path = tmp_path / "trace.csv"

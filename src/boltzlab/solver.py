@@ -37,12 +37,12 @@ FIELD_CACHE_VERSION = 2
 _SNAP = 1e-12
 
 
-def _locate_axis(axis: np.ndarray, q, snap: bool = True):
+def _locate_axis(axis: np.ndarray, q):
     """Cell index and fractional coordinate of queries on a uniform axis.
 
     Returns (i, t, oor): the cell i is clipped to [0, n-2], t to [0, 1], and
-    oor flags queries outside the axis range.  With snap=True, t within
-    1e-12 of a node is rounded onto it.
+    oor flags queries outside the axis range.  t within 1e-12 of a node is
+    rounded onto it.
     """
     q = np.asarray(q, dtype=float)
     h = axis[1] - axis[0]
@@ -52,11 +52,16 @@ def _locate_axis(axis: np.ndarray, q, snap: bool = True):
     i = np.floor(f).astype(np.int64)
     np.clip(i, 0, n - 2, out=i)
     t = f - i
-    if snap:
-        t = np.where(np.abs(t) < _SNAP, 0.0, t)
-        t = np.where(np.abs(t - 1.0) < _SNAP, 1.0, t)
+    t = np.where(np.abs(t) < _SNAP, 0.0, t)
+    t = np.where(np.abs(t - 1.0) < _SNAP, 1.0, t)
     t = np.clip(t, 0.0, 1.0)
     return i, t, oor
+
+
+def _sup_abs(A: np.ndarray) -> float:
+    """max |A| without an |A| temporary; bitwise np.max(np.abs(A)) for
+    finite A (+ 0.0 turns a -0.0 sup of a zero array into +0.0)."""
+    return float(max(A.max(), -A.min())) + 0.0
 
 
 def _gauss_tables(max_order: int):
@@ -320,8 +325,7 @@ class PhaseField:
     def sup_norm(self) -> float:
         """Sup of |F| over the active grid nodes (cached)."""
         if self._sup is None:
-            self._sup = float(np.max(np.abs(
-                self._node_values(self.grid.v_active_idx))))
+            self._sup = _sup_abs(self._node_values(self.grid.v_active_idx))
         return self._sup
 
 
@@ -385,6 +389,9 @@ _PAIR_BLOCK = 2048
 _CHORD_SPACING = 1.5
 _CHORD_ORDER_MIN = 4
 _CHORD_ORDER_MAX = 24
+# active v-nodes per block of the exit-time and chord-order build; a block's
+# temporaries are a few _TAU_BLOCK * NXa * dim values
+_TAU_BLOCK = 64
 # random interior phase points of the sampled PDE residual, and their seed
 _RESIDUAL_SAMPLES = 64
 _RESIDUAL_SEED = 0
@@ -483,24 +490,36 @@ class _PicardTables:
             VP[:, :, self.reps].reshape(-1, dim))
 
         # exit times and chord quadrature orders for every active pair,
-        # v-major (NVa, NXa) like the collision stage's output
+        # v-major (NVa, NXa) like the collision stage's output, built
+        # _TAU_BLOCK v rows at a time
         X = grid.x_nodes[xact]
-        self.TAU = exit_times(grid.domain, X[None, :, :], Vg[:, None, :],
-                              sign=-1)
+        NXa = xact.size
         speed = np.linalg.norm(Vg, axis=1)
-        length = self.TAU * speed[:, None]
-        ORD = np.ceil(length / (_CHORD_SPACING * grid.h_x)).astype(np.int64) + 2
-        self.ORD = np.clip(ORD, _CHORD_ORDER_MIN, _CHORD_ORDER_MAX)
+        TAU = np.empty((NVa, NXa))
+        ORD = np.empty((NVa, NXa), dtype=np.int8)
+        counts = np.zeros(_CHORD_ORDER_MAX + 1, dtype=np.int64)
+        for j in range(0, NVa, _TAU_BLOCK):
+            r = slice(j, j + _TAU_BLOCK)
+            TAU[r] = exit_times(grid.domain, X[None, :, :], Vg[r, None, :],
+                                sign=-1)
+            length = TAU[r] * speed[r, None]
+            length /= _CHORD_SPACING * grid.h_x
+            np.ceil(length, out=length)
+            length += 2
+            ORD[r] = np.clip(length, _CHORD_ORDER_MIN, _CHORD_ORDER_MAX,
+                             out=length)
+            counts += np.bincount(ORD[r].ravel(), minlength=counts.size)
         self.glx, self.glw, self.gloff = _gauss_tables(_CHORD_ORDER_MAX)
         # flat pair indices (v-major) sorted by chord order, so each order
-        # runs by (v, x), and the (order, start, stop) run of each order in
-        # that sequence
-        flat = self.ORD.ravel()
-        self.pair_order = np.argsort(flat, kind="stable")
-        orders, starts = np.unique(flat[self.pair_order], return_index=True)
-        stops = np.append(starts[1:], flat.size)
-        self.order_groups = list(zip(orders.tolist(), starts.tolist(),
-                                     stops.tolist()))
+        # runs by (v, x); the (order, start, stop) run of each order in that
+        # sequence; and the exit time of each pair in that sequence
+        index_type = np.int32 if ORD.size < 2**31 else np.int64
+        self.pair_order = np.argsort(ORD.ravel(), kind="stable").astype(
+            index_type, copy=False)
+        stops = np.cumsum(counts)
+        self.order_groups = [(o, int(stops[o] - counts[o]), int(stops[o]))
+                             for o in np.flatnonzero(counts).tolist()]
+        self.pair_tau = TAU.ravel()[self.pair_order]
 
     def stencil_operators(self):
         """CSR operators of the u, u' and v' velocity stencils.
@@ -635,16 +654,16 @@ def _line_stage_np(Qs, tables):
     NXa = grid.x_active_idx.size
     Qflats = [Q.ravel() for Q in Qs]
     Gouts = [np.zeros(NXF * NVF) for _ in Qs]
-    TAU = tables.TAU.ravel()
     for o, first, last in tables.order_groups:
         off = tables.gloff[o]
         gx = tables.glx[off:off + o]
         gw = tables.glw[off:off + o]
         for start in range(first, last, _PAIR_BLOCK):
-            k = tables.pair_order[start:min(start + _PAIR_BLOCK, last)]
+            stop = min(start + _PAIR_BLOCK, last)
+            k = tables.pair_order[start:stop]
             vi = grid.v_active_idx[k // NXa]
             xi = grid.x_active_idx[k % NXa]
-            tau = TAU[k]
+            tau = tables.pair_tau[start:stop]
             S = 0.5 * tau[:, None] * (1.0 + gx[None, :])
             Wt = 0.5 * tau[:, None] * gw[None, :]
             xp, vj = grid.x_nodes[xi], grid.v_nodes[vi]
@@ -795,9 +814,9 @@ class _SourceRun:
         """Take the map's output of round k: an iterate until the source
         stops, then its discrete fixed-point defect."""
         if self.iterations is not None:
-            self.resid_disc = float(np.max(np.abs(Gn - self.G)))
+            self.resid_disc = _sup_abs(Gn - self.G)
             return
-        delta = float(np.max(np.abs(Gn - self.G)))
+        delta = _sup_abs(Gn - self.G)
         self.deltas.append(delta)
         self.G = Gn
         if delta <= self.opts.tol:
@@ -809,7 +828,7 @@ class _SourceRun:
     def result(self, samples, spec, rule, t_start):
         grid, G = self.grid, self.G
         field = PhaseField(grid, G, profile=self.g)
-        sup_G = float(np.max(np.abs(G)))
+        sup_G = _sup_abs(G)
         sup_F = field.sup_norm()
         resid_pde, n_res = _sample_pde_residual(field, samples, spec, rule)
         report = ConvergenceReport(

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,6 +426,64 @@ def test_line_stage_matches_per_pair_chord_loop():
                      t[0] * t[1] * Qv[i[0] + 1, i[1] + 1])
                 expected[p, j] += 0.5 * tau * w * q
     assert np.max(np.abs(G - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def _one_call_pair_tables(grid):
+    """(tau in pair order, pair order, order groups) of every active pair,
+    from one exit_times call over the full (NVa, NXa, dim) broadcast."""
+    X = grid.x_nodes[grid.x_active_idx]
+    V = grid.v_nodes[grid.v_active_idx]
+    tau = exit_times(grid.domain, X[None, :, :], V[:, None, :], sign=-1)
+    length = tau * np.linalg.norm(V, axis=1)[:, None]
+    order = np.ceil(length / (solver._CHORD_SPACING * grid.h_x)).astype(
+        np.int64) + 2
+    order = np.clip(order, solver._CHORD_ORDER_MIN,
+                    solver._CHORD_ORDER_MAX).ravel()
+    pair_order = np.argsort(order, kind="stable")
+    orders, starts = np.unique(order[pair_order], return_index=True)
+    stops = np.append(starts[1:], order.size)
+    return tau.ravel()[pair_order], pair_order, \
+        list(zip(orders.tolist(), starts.tolist(), stops.tolist()))
+
+
+def test_blocked_pair_tables_match_one_call_build():
+    # the tables build exit times and chord orders _TAU_BLOCK v-nodes at a
+    # time; the 16x16 disk has 256 active v-nodes (whole blocks), the 32x32
+    # disk 1020 and the 6x6x6 ball 216 (a short last block)
+    ball3 = Domain("ball", dim=3, radius=1.0)
+    cases = [
+        (SMALL_KERNEL, PhaseGrid(DISK, 16, 16, R_v=2.0), _small_rule()),
+        (KernelSpec("constant", dim=2, params={"value": 0.01}),
+         PhaseGrid(DISK, 32, 32, R_v=2.0), _small_rule()),
+        (KernelSpec("constant", dim=3, params={"value": 0.004}),
+         PhaseGrid(ball3, 6, 6, R_v=2.0),
+         QuadratureRule.build(3, sphere_order=2, radial_order=2,
+                              angular_order=2, R_v=2.0)),
+    ]
+    for spec, grid, rule in cases:
+        tables = _PicardTables(spec, grid, rule)
+        tau, pair_order, groups = _one_call_pair_tables(grid)
+        assert tables.pair_order.dtype == np.int32
+        assert np.array_equal(tables.pair_order, pair_order)
+        assert tables.pair_tau.tobytes() == tau.tobytes()
+        assert tables.order_groups == groups
+    assert grid.v_active_idx.size % solver._TAU_BLOCK != 0
+
+
+def test_picard_solve_peak_memory():
+    # forward-32's problem on a 24x24 grid: the traced peak of one solve,
+    # set-up included, stays below 8 full (NXF, NVF) float64 arrays
+    grid = PhaseGrid(DISK, 24, 24, R_v=2.0)
+    spec = KernelSpec("constant", dim=2, params={"value": 0.01})
+    g = _bump_profile(1e-2, width=0.7)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        picard_solve(spec, g, grid, _small_rule(), PicardOptions())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.NXF * grid.NVF * 8
 
 
 def test_picard_residuals():

@@ -315,9 +315,9 @@ def _generate_probes(rng, count: int, dim: int, eta_max: float, R_v: float,
 
 
 def _probe_value_fd(cfg: ExperimentConfig, solver: Solver, probe: rc.Probe):
-    """Probe value through the full solver pipeline: mollified boundary data
-    of width probe.eta at (v0, u0), second-order finite difference of the
-    boundary map, then the v_star bump integral of S = W / tau_-."""
+    """Probe value S_fd through the full solver pipeline: mollified boundary
+    data of width probe.eta at (v0, u0), second-order finite difference of
+    the boundary map, then the v_star bump integral of S = W / tau_-."""
     dim, eta = probe.dim, probe.eta
     domain = solver.grid.domain
     sup_bump = float(rc.mollifier(np.zeros((1, dim)), eta)[0])
@@ -335,13 +335,10 @@ def _probe_value_fd(cfg: ExperimentConfig, solver: Solver, probe: rc.Probe):
     tau_out = exit_times(domain, np.zeros((Vq.shape[0], dim)), Vq, sign=1)
     Xq = tau_out[:, None] * Vq
 
-    W, _, reports = mixed_difference(solver, bump_source(probe.v0),
-                                     bump_source(probe.u0), eps1, eps2, Xq, Vq)
+    W, _, _ = mixed_difference(solver, bump_source(probe.v0),
+                               bump_source(probe.u0), eps1, eps2, Xq, Vq)
     tau_m = exit_times(domain, Xq, Vq, sign=-1)
-    S_vals = W / tau_m
-    return {"S_fd": float(np.sum(bump_w * S_vals)), "eps1": eps1,
-            "eps2": eps2,
-            "iterations": sum(rep.iterations for rep in reports)}
+    return float(np.sum(bump_w * (W / tau_m)))
 
 
 def stage_reconstruct(cfg: ExperimentConfig, out: str):
@@ -353,67 +350,31 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
     rng = np.random.default_rng(rec["probe_seed"])
     probes = _generate_probes(rng, rec["n_probes"], domain.dim, etas[0],
                               cfg.section("grid")["R_v"], grid.v_min)
-    abthetas = [p.abtheta() for p in probes]
-    files = []
-    summary = {"route": rec["source_route"], "etas": list(etas),
-               "n_probes": len(probes)}
+    report = rc.exponent_experiment([p.abtheta() for p in probes], spec,
+                                    etas=etas, nr=rec["nr"], na=rec["na"],
+                                    nw=rec["nw"])
+    rc.experiment_to_csv(report, os.path.join(out, "probes.csv"))
+    files = ["probes.csv"]
+    summary = {"etas": list(etas), "n_probes": len(probes),
+               "slopes": list(report.slopes)}
 
-    if rec["source_route"] == "fd":
-        lin_summary = os.path.join(out, "linearize_summary.json")
-        if not os.path.exists(lin_summary):
-            raise DependencyError(
-                "reconstruct", "linearize",
-                f"missing {lin_summary}; the finite-difference source route "
-                "needs the linearize stage to have run in this directory")
+    n_cross = min(rec["fd_crosscheck_probes"], len(probes))
+    if n_cross > 0:
         solver = Solver(spec, grid, cfg.build_rule(), cfg.picard_options())
-        S_table = np.empty((len(probes), len(etas)))
-        fd_meta = []
-        for i, probe in enumerate(probes):
-            for j, eta in enumerate(etas):
-                res = _probe_value_fd(cfg, solver,
-                                      rc.Probe(probe.v_star, probe.v0,
-                                               probe.u0, eta))
-                S_table[i, j] = res["S_fd"]
-                fd_meta.append((i, eta, res))
-        extrap, closed, mismatch, per_probe, winner = rc.exponent_verdict(
-            abthetas, etas, S_table, spec)
-        cols = ["probe", "eta", *rc.abtheta_columns(domain.dim), "S_eta",
-                "eps1", "eps2"]
-        rows = [[i, eta, *np.concatenate(abthetas[i]), res["S_fd"],
-                 res["eps1"], res["eps2"]] for (i, eta, res) in fd_meta]
-        np.savetxt(os.path.join(out, "probes_fd.csv"), rows, fmt="%.17g",
-                   delimiter=",", header=",".join(cols), comments="")
-        files.append("probes_fd.csv")
-    else:
-        report = rc.exponent_experiment(abthetas, spec, etas=etas,
-                                        nr=rec["nr"], na=rec["na"],
-                                        nw=rec["nw"])
-        rc.experiment_to_csv(report, os.path.join(out, "probes.csv"))
-        files.append("probes.csv")
-        S_table = report.S_table
-        extrap, closed, mismatch = (report.extrapolated, report.closed_forms,
-                                    report.mismatch)
-        per_probe, winner = report.winner_per_probe, report.winner
-        summary["slopes"] = list(report.slopes)
-
-        n_cross = min(rec["fd_crosscheck_probes"], len(probes))
-        if n_cross > 0:
-            solver = Solver(spec, grid, cfg.build_rule(), cfg.picard_options())
-            rows = []
-            for i in range(n_cross):
-                S_fd = _probe_value_fd(cfg, solver, probes[i])["S_fd"]
-                direct = S_table[i, 0]
-                delta = abs(S_fd - direct) / max(abs(direct), 1e-300)
-                rows.append([i, etas[0], direct, S_fd, delta])
-            np.savetxt(os.path.join(out, "fd_crosscheck.csv"), rows,
-                       fmt="%.17g", delimiter=",",
-                       header="probe,eta,S_direct,S_fd,rel_delta",
-                       comments="")
-            files.append("fd_crosscheck.csv")
-            summary["fd_crosscheck_probes"] = n_cross
+        rows = []
+        for i in range(n_cross):
+            S_fd = _probe_value_fd(cfg, solver, probes[i])
+            direct = report.S_table[i, 0]
+            delta = abs(S_fd - direct) / max(abs(direct), 1e-300)
+            rows.append([i, etas[0], direct, S_fd, delta])
+        np.savetxt(os.path.join(out, "fd_crosscheck.csv"), rows,
+                   fmt="%.17g", delimiter=",",
+                   header="probe,eta,S_direct,S_fd,rel_delta", comments="")
+        files.append("fd_crosscheck.csv")
+        summary["fd_crosscheck_probes"] = n_cross
 
     if spec.is_omega_independent():
-        rows = rc.recover_omega_independent_B(extrap, probes,
+        rows = rc.recover_omega_independent_B(report.extrapolated, probes,
                                               rec["exponent_mode"], spec=spec)
         cols = [*rc.abtheta_columns(domain.dim), "kappa1", "kappa2",
                 "S_value", "estimate", "residual"]
@@ -425,18 +386,18 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
         files.append("recovery_table.csv")
 
     summary.update({
-        "extrapolated": list(extrap),
-        "closed_forms": {m: list(closed[m]) for m in rc.EXPONENT_MODES},
-        "mismatch": {m: list(mismatch[m]) for m in rc.EXPONENT_MODES},
-        "winner_per_probe": per_probe,
-        "winner": winner,
+        "extrapolated": list(report.extrapolated),
+        "closed_forms": {m: list(report.closed_forms[m])
+                         for m in rc.EXPONENT_MODES},
+        "mismatch": {m: list(report.mismatch[m]) for m in rc.EXPONENT_MODES},
+        "winner_per_probe": report.winner_per_probe,
+        "winner": report.winner,
     })
     with open(os.path.join(out, "reconstruct_summary.json"), "w") as fh:
         json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
     files.append("reconstruct_summary.json")
-    info = {"winner": winner, "n_probes": len(probes),
-            "route": rec["source_route"]}
+    info = {"winner": report.winner, "n_probes": len(probes)}
     return files, _jsonable(info)
 
 
@@ -534,16 +495,11 @@ def _with_stages(cfg: ExperimentConfig, names) -> ExperimentConfig:
 
 
 def _unresolved_fd_etas(run_dir: str, summary: dict):
-    """Warnings for every eta the FD route used below the velocity spacing
-    h_v = 2 R_v / (nv - 1) of the run's config.json: a bump narrower than
-    h_v falls between velocity nodes, and its S_fd can read 0.  The FD route
-    takes every eta on source_route "fd" and the first one in the
-    cross-check."""
-    if summary["route"] == "fd":
-        etas = summary["etas"]
-    elif "fd_crosscheck_probes" in summary:
-        etas = summary["etas"][:1]
-    else:
+    """Warning when the FD cross-check ran at an eta (the first one) below
+    the velocity spacing h_v = 2 R_v / (nv - 1) of the run's config.json: a
+    bump narrower than h_v falls between velocity nodes, and its S_fd can
+    read 0."""
+    if "fd_crosscheck_probes" not in summary:
         return []
     path = os.path.join(run_dir, "config.json")
     if not os.path.exists(path):
@@ -551,9 +507,11 @@ def _unresolved_fd_etas(run_dir: str, summary: dict):
     with open(path) as fh:
         grid = json.load(fh)["grid"]
     h_v = 2.0 * grid["R_v"] / (grid["nv"] - 1)
+    eta = summary["etas"][0]
+    if eta >= h_v:
+        return []
     return ["FD probe bump eta %g is below the velocity spacing h_v %.3g; "
-            "the FD route does not resolve it" % (eta, h_v)
-            for eta in etas if eta < h_v]
+            "the FD route does not resolve it" % (eta, h_v)]
 
 
 def build_report(run_dir: str) -> str:
@@ -602,8 +560,7 @@ def build_report(run_dir: str) -> str:
     if os.path.exists(recs):
         with open(recs) as fh:
             sm = json.load(fh)
-        lines.append("reconstruction (%s route, %d probes):"
-                     % (sm["route"], sm["n_probes"]))
+        lines.append("reconstruction (%d probes):" % sm["n_probes"])
         lines.append("  exponent winner: %s" % (sm["winner"],))
         if sm["winner"] is None:
             warnings.append("no exponent mode matches the extrapolated "

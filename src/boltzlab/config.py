@@ -14,9 +14,8 @@ Key schema (defaults in DEFAULTS; unknown keys are rejected):
                  forward stage
   linearize      eps1, eps2, levels (halvings), n_samples, sample_seed,
                  center1, center2, width of the two probes
-  reconstruct    source_route ("direct"|"fd"), etas (decreasing), n_probes,
-                 probe_seed, nr, na, nw quadrature orders, exponent_mode,
-                 fd_crosscheck_probes
+  reconstruct    etas (decreasing), n_probes, probe_seed, nr, na, nw
+                 quadrature orders, exponent_mode, fd_crosscheck_probes
   stages         booleans enabling verify_geometry, verify_collision,
                  forward, linearize, reconstruct
 
@@ -57,15 +56,13 @@ DEFAULTS = {
                   "sample_seed": 1,
                   "center1": [1.0, 0.0], "center2": [-0.6, 0.8],
                   "width": 0.6},
-    "reconstruct": {"source_route": "direct", "etas": [0.4, 0.2, 0.1],
-                    "n_probes": 5, "probe_seed": 0, "nr": 10, "na": 20,
-                    "nw": 20, "exponent_mode": "theorem_minus2",
+    "reconstruct": {"etas": [0.4, 0.2, 0.1], "n_probes": 5, "probe_seed": 0,
+                    "nr": 10, "na": 20, "nw": 20,
+                    "exponent_mode": "theorem_minus2",
                     "fd_crosscheck_probes": 5},
     "stages": {"verify_geometry": True, "verify_collision": True,
                "forward": True, "linearize": True, "reconstruct": True},
 }
-
-_ROUTES = ("direct", "fd")
 
 
 def _merge(base, override, path=""):
@@ -143,8 +140,6 @@ def _validate(d: dict):
                  f"linearize.{key} length must match domain.dim")
 
     r = d["reconstruct"]
-    _require(r["source_route"] in _ROUTES,
-             f"reconstruct.source_route must be one of {_ROUTES}")
     etas = r["etas"]
     _require(len(etas) >= 2 and all(e > 0 for e in etas)
              and all(b < a for a, b in zip(etas, etas[1:])),
@@ -184,10 +179,6 @@ class ExperimentConfig:
     """Validated, normalized view over one configuration document."""
 
     data: dict
-
-    @property
-    def version(self) -> int:
-        return self.data["version"]
 
     @property
     def seed(self) -> int:

@@ -69,22 +69,12 @@ class SecondOrderSource:
     def __init__(self, spec: KernelSpec, rule: QuadratureRule, phi1, phi2):
         self.spec = spec
         self.rule = rule
-        self._direct = None
         self._f1 = lambda _, V: np.asarray(phi1(V), dtype=float)
         self._f2 = lambda _, V: np.asarray(phi2(V), dtype=float)
-
-    @classmethod
-    def from_function(cls, fn, spec=None, rule=None):
-        """Wrap an explicit S(v); no quadrature is performed."""
-        obj = cls(spec, rule, None, None)
-        obj._direct = fn
-        return obj
 
     def eval_v(self, V):
         """S at the velocities V (N, d)."""
         V = np.atleast_2d(np.asarray(V, dtype=float))
-        if self._direct is not None:
-            return np.asarray(self._direct(V), dtype=float)
         return (collision_Q(self._f1, self._f2, V, self.spec, self.rule)
                 + collision_Q(self._f2, self._f1, V, self.spec, self.rule))
 

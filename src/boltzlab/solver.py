@@ -361,11 +361,6 @@ class BoundarySource:
         return est
 
     @classmethod
-    def constant(cls, c: float):
-        return cls(func=lambda V: np.full(V.shape[0], float(c)),
-                   sup_norm=abs(float(c)))
-
-    @classmethod
     def from_velocity_profile(cls, phi, sup: float | None = None):
         """Data g(x, v) = phi(v); phi vectorized over (N, d)."""
         return cls(func=phi, sup_norm=sup)
@@ -482,12 +477,15 @@ class _PicardTables:
         # for fixed (v, omega) v' depends on u only through u.omega, and for
         # fixed (u, omega) u' on v only through v.omega, so the rows (v, u,
         # representative) of the gain repeat their points: keep each
-        # distinct u' and v' point once, and the index of every row's point
+        # distinct u' and v' point once, and the index of every row's point;
+        # the full (NVa, NU, NW, d) arrays are freed before the exit-time
+        # loop, which would otherwise run with them alive
         UP, VP = _post_collision_velocities(Vg, U, W)
-        self.up_points, self.up_index = _distinct_points(
-            UP[:, :, self.reps].reshape(-1, dim))
-        self.vp_points, self.vp_index = _distinct_points(
-            VP[:, :, self.reps].reshape(-1, dim))
+        UP = UP[:, :, self.reps]
+        VP = VP[:, :, self.reps]
+        self.up_points, self.up_index = _distinct_points(UP.reshape(-1, dim))
+        self.vp_points, self.vp_index = _distinct_points(VP.reshape(-1, dim))
+        del UP, VP
 
         # exit times and chord quadrature orders for every active pair,
         # v-major (NVa, NXa) like the collision stage's output, built

@@ -214,8 +214,8 @@ def test_criterion_05_exact_solutions():
     Vi = grid.v_nodes[grid.v_active_idx]
     X = Xi[rng.integers(0, len(Xi), size=len(Vi))]
 
-    F, rep = picard_solve(spec, BoundarySource.constant(0.01), grid, rule,
-                          PicardOptions())
+    g = BoundarySource(lambda V: np.full(len(V), 0.01), 0.01)
+    F, rep = picard_solve(spec, g, grid, rule, PicardOptions())
     err_c = np.max(np.abs(F.eval(X, Vi) - 0.01))
 
     amp = 0.01

@@ -72,6 +72,10 @@ def test_unknown_keys_rejected_with_path():
         config_from_dict({"version": 1, "grid": {"extension": "analytic"}})
     with pytest.raises(ConfigurationError, match=r"linearize\.order"):
         config_from_dict({"version": 1, "linearize": {"order": 24}})
+    with pytest.raises(ConfigurationError,
+                       match=r"unknown config key: reconstruct\.source_route"):
+        config_from_dict({"version": 1,
+                          "reconstruct": {"source_route": "direct"}})
 
 
 def test_committed_configs_load():
@@ -101,7 +105,6 @@ def test_validation_rejects_bad_values():
         ({"grid": {"nx": 2}}, r"grid\.nx"),
         ({"kernel": {"family": "bogus"}}, r"kernel\.family"),
         ({"reconstruct": {"etas": [0.1, 0.4]}}, "decreasing"),
-        ({"reconstruct": {"source_route": "psychic"}}, "source_route"),
         ({"stages": {"forward": "yes"}}, "boolean"),
     ]
     for patch, pattern in cases:
@@ -189,12 +192,14 @@ def test_zero_kernel_forward_trace_is_pure_transport(tmp_path):
 
 
 def test_identical_configs_give_identical_csvs(tmp_path):
+    # the FD cross-check's solves are hashed too
     hashes = []
     for tag in ("one", "two"):
         out = tmp_path / tag
         path = write_config(tmp_path / f"{tag}.json", tiny(
             out, ("verify_geometry", "verify_collision", "forward",
-                  "linearize", "reconstruct")))
+                  "linearize", "reconstruct"),
+            reconstruct={"fd_crosscheck_probes": 2}))
         assert main(["run", path]) == 0
         digest = {}
         for name in sorted(os.listdir(out)):
@@ -202,6 +207,7 @@ def test_identical_configs_give_identical_csvs(tmp_path):
                 with open(out / name, "rb") as fh:
                     digest[name] = hashlib.sha256(fh.read()).hexdigest()
         hashes.append(digest)
+    assert "fd_crosscheck.csv" in hashes[0]
     assert hashes[0].keys() == hashes[1].keys()
     assert hashes[0] == hashes[1]
 
@@ -235,54 +241,6 @@ def test_each_solving_stage_builds_its_tables_once(tmp_path, monkeypatch):
     run_config(config_from_dict(d))
     assert per_stage == {"verify_geometry": 0, "verify_collision": 0,
                          "forward": 1, "linearize": 1, "reconstruct": 1}
-
-
-def test_fd_route_requires_linearize_artifacts(tmp_path):
-    out = tmp_path / "run"
-    doc = tiny(out, ("reconstruct",),
-               reconstruct={"source_route": "fd"})
-    path = write_config(tmp_path / "c.json", doc)
-
-    with pytest.raises(DependencyError, match="linearize"):
-        run_config(load_config(path))
-    # the manifest still lands, with the failure on record
-    with open(out / "manifest.json") as fh:
-        man = json.load(fh)
-    rec = man["stages"][-1]
-    assert rec["name"] == "reconstruct" and rec["status"] == "failed"
-    assert "linearize" in rec["diagnostic"]
-
-    assert main(["run", path]) == 1
-
-
-def test_fd_route_writes_probe_table(tmp_path):
-    contents = []
-    for tag in ("one", "two"):
-        out = tmp_path / tag
-        man = run_config(config_from_dict(tiny(
-            out, ("linearize", "reconstruct"),
-            reconstruct={"source_route": "fd"})))
-        rec = man.stages[-1]
-        assert rec["name"] == "reconstruct" and rec["status"] == "ok"
-        assert "probes_fd.csv" in rec["files"]
-        header = (out / "probes_fd.csv").read_text().splitlines()[0]
-        assert header == ("probe,eta,a0,a1,b0,b1,theta0,theta1,S_eta,"
-                          "eps1,eps2")
-        rows = np.loadtxt(out / "probes_fd.csv", delimiter=",", skiprows=1,
-                          ndmin=2)
-        assert rows.shape == (2 * 2, 11)  # n_probes x len(etas)
-        assert np.all(np.isfinite(rows))
-        with open(out / "reconstruct_summary.json") as fh:
-            assert json.load(fh)["route"] == "fd"
-        contents.append((out / "probes_fd.csv").read_bytes())
-    assert contents[0] == contents[1]
-    # h_v = 4/9 on the 10-node velocity grid: both FD bumps are unresolved
-    warnings = [ln for ln in build_report(str(out)).splitlines()
-                if ln.startswith("warning:") and "h_v" in ln]
-    assert warnings == [
-        "warning: FD probe bump eta %g is below the velocity spacing h_v "
-        "0.444; the FD route does not resolve it" % eta
-        for eta in (0.4, 0.2)]
 
 
 def test_stage_failure_halts_and_is_recorded(tmp_path):
@@ -331,7 +289,7 @@ def test_report_warns_on_fd_crosscheck_and_missing_winner(tmp_path):
                             "runtime_s": 1.0, "files": [],
                             "diagnostic": "", "info": {}}]}
     (run / "manifest.json").write_text(json.dumps(manifest))
-    summary = {"route": "direct", "n_probes": 2, "winner": None,
+    summary = {"n_probes": 2, "winner": None,
                "mismatch": {"theorem_minus2": [0.5, 0.7],
                             "proposition_minus_n": [0.5, 0.7]}}
     (run / "reconstruct_summary.json").write_text(json.dumps(summary))
@@ -361,15 +319,15 @@ def test_report_warns_on_fd_crosscheck_and_missing_winner(tmp_path):
 
 
 def _run_dir_with_crosscheck(run, cfg):
-    """Hand-written run directory of a direct-route run with an FD
-    cross-check at etas[0], under the config cfg."""
+    """Hand-written run directory of a run with an FD cross-check at
+    etas[0], under the config cfg."""
     run.mkdir()
     manifest = {"config_hash": "0" * 64, "seed": 0, "started": "s",
                 "finished": "f", "files": [], "stages": []}
     (run / "manifest.json").write_text(json.dumps(manifest))
     save_config(cfg, str(run / "config.json"))
     etas = cfg.section("reconstruct")["etas"]
-    summary = {"route": "direct", "n_probes": 1, "etas": etas,
+    summary = {"n_probes": 1, "etas": etas,
                "winner": "theorem_minus2", "fd_crosscheck_probes": 1,
                "mismatch": {"theorem_minus2": [0.0],
                             "proposition_minus_n": [0.0]}}

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -138,9 +140,10 @@ def _outgoing(count, seed):
 
 def test_w_quadrature_trivial_sources():
     X, V = _outgoing(15, 5)
-    S0 = SecondOrderSource.from_function(lambda V_: np.zeros(len(V_)))
+    # w_quadrature only calls S.eval_v
+    S0 = types.SimpleNamespace(eval_v=lambda V_: np.zeros(len(V_)))
     assert np.array_equal(w_quadrature(S0, DISK, X, V), np.zeros(15))
-    S1 = SecondOrderSource.from_function(lambda V_: np.ones(len(V_)))
+    S1 = types.SimpleNamespace(eval_v=lambda V_: np.ones(len(V_)))
     W = w_quadrature(S1, DISK, X, V)
     tau = exit_times(DISK, X, V, sign=-1)
     assert np.max(np.abs(W - tau)) < 1e-14

@@ -125,7 +125,7 @@ def test_picard_zero_kernel_is_free_transport():
 def test_picard_constant_data_exact():
     spec = KernelSpec("constant", dim=2, params={"value": 0.005})
     grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
-    g = BoundarySource.constant(0.01)
+    g = BoundarySource(lambda V: np.full(len(V), 0.01), 0.01)
     F, rep = picard_solve(spec, g, grid, _small_rule(), PicardOptions())
     assert rep.converged
     rng = np.random.default_rng(8)

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -46,6 +46,12 @@ FD_CROSSCHECK_TOL = 0.1
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def _write_json(path: str, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _jsonable(obj):
@@ -259,9 +265,8 @@ def stage_linearize(cfg: ExperimentConfig, out: str):
                "errors": list(conv.errors),
                "est_trace": conv.est_trace, "est_quad": conv.est_quad,
                "est_rem": conv.est_rem, "est_total": conv.est_total}
-    with open(os.path.join(out, "linearize_summary.json"), "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "linearize_summary.json"),
+                _jsonable(summary))
     info = {"final_error": conv.errors[-1], "est_total": conv.est_total}
     return ["fd_convergence.csv", "linearize_summary.json"], _jsonable(info)
 
@@ -393,9 +398,8 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
         "winner_per_probe": report.winner_per_probe,
         "winner": report.winner,
     })
-    with open(os.path.join(out, "reconstruct_summary.json"), "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "reconstruct_summary.json"),
+                _jsonable(summary))
     files.append("reconstruct_summary.json")
     info = {"winner": report.winner, "n_probes": len(probes)}
     return files, _jsonable(info)
@@ -424,22 +428,15 @@ class RunManifest:
     files: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"config_hash": self.config_hash, "seed": self.seed,
-                "started": self.started, "finished": self.finished,
-                "stages": self.stages, "files": self.files}
+        return asdict(self)
 
     def write(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
         with open(path) as fh:
-            d = json.load(fh)
-        return cls(config_hash=d["config_hash"], seed=d["seed"],
-                   started=d["started"], finished=d["finished"],
-                   stages=d["stages"], files=d["files"])
+            return cls(**json.load(fh))
 
 
 def run_config(cfg: ExperimentConfig) -> RunManifest:

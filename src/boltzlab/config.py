@@ -5,7 +5,8 @@ Key schema (defaults in DEFAULTS; unknown keys are rejected):
   version        int, must equal CONFIG_VERSION
   seed           int >= 0, master seed recorded for reproducibility
   output_dir     str, run artifacts land here
-  domain         shape ("ball"|"box"), dim, radius / lo, hi
+  domain         shape (must be "ball": the domain is a centred ball), dim,
+                 radius
   kernel         family (see collision.KERNEL_FAMILIES), params
   grid           nx, nv, R_v, v_min (null: 0.05 R_v)
   quadrature     sphere_order, radial_order, angular_order
@@ -95,7 +96,7 @@ def _validate(d: dict):
              "output_dir must be a nonempty string")
 
     dom = d["domain"]
-    _require(dom["shape"] in ("ball", "box"), "domain.shape must be ball or box")
+    _require(dom["shape"] == "ball", "domain.shape must be ball")
     _require(dom["dim"] in (2, 3), "domain.dim must be 2 or 3")
 
     _require(d["kernel"]["family"] in KERNEL_FAMILIES,
@@ -167,7 +168,7 @@ def _normalize(d: dict) -> dict:
                      ("inflow", "amplitude"), ("inflow", "width"),
                      ("linearize", "eps1"), ("linearize", "eps2"),
                      ("linearize", "width"), ("domain", "radius")):
-        if key in d[sec] and d[sec][key] is not None:
+        if d[sec][key] is not None:
             d[sec][key] = float(d[sec][key])
     if d["grid"]["v_min"] is not None:
         d["grid"]["v_min"] = float(d["grid"]["v_min"])
@@ -202,10 +203,7 @@ class ExperimentConfig:
 
     def build_domain(self) -> Domain:
         dom = self.data["domain"]
-        if dom["shape"] == "ball":
-            return Domain(shape="ball", dim=dom["dim"], radius=dom["radius"])
-        return Domain(shape="box", dim=dom["dim"],
-                      lo=tuple(dom["lo"]), hi=tuple(dom["hi"]))
+        return Domain(shape=dom["shape"], dim=dom["dim"], radius=dom["radius"])
 
     def build_kernel(self) -> KernelSpec:
         k = self.data["kernel"]
@@ -240,15 +238,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationError("config document must be a JSON object")
     if "version" not in raw:
         raise ConfigurationError("config is missing the version field")
-    if "domain" in raw and raw["domain"].get("shape") == "box":
-        # boxes carry corners instead of a radius
-        base = copy.deepcopy(DEFAULTS)
-        base["domain"] = {"shape": "box", "dim": 2,
-                          "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
-        merged = _merge(base, raw)
-    else:
-        merged = _merge(DEFAULTS, raw)
-    merged = _normalize(merged)
+    merged = _normalize(_merge(DEFAULTS, raw))
     _validate(merged)
     return ExperimentConfig(data=merged)
 

@@ -1,13 +1,15 @@
-"""Convex spatial domains, exit times, and boundary sampling.
+"""The spatial domain, exit times, and boundary sampling.
 
-The domain is a bounded convex body in R^n (n = 2 or 3): a centered ball or an
-axis-aligned box.  Free transport moves along straight characteristics
-x - s v, so the only geometric quantities the rest of the laboratory needs are
-exit times through the boundary and outward normals.
+The domain is a centred ball in R^n (n = 2 or 3).  Its outward normal
+n(x) = x / |x| is unique at every boundary point, so the incoming and
+outgoing sets Gamma_+- = {(x, v) : +-n(x).v > 0} are well defined.  Free
+transport moves along straight characteristics x - s v, so the only
+geometric quantities the rest of the laboratory needs are exit times
+through the boundary and outward normals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,101 +26,56 @@ GRAZING_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class Domain:
-    """Bounded convex domain: ``ball`` (centered, radius) or ``box`` (lo, hi).
+    """Centred ball of the given radius in R^dim.
 
     Parameters
     ----------
     shape : str
-        Either ``"ball"`` or ``"box"``.
+        Must be ``"ball"``, the only domain.
     dim : int
         Spatial dimension, 2 or 3.
     radius : float
-        Ball radius (ignored for boxes).
-    lo, hi : tuple of float
-        Box corners (ignored for balls).
+        Ball radius.
     """
 
     shape: str
     dim: int
     radius: float = 1.0
-    lo: tuple = field(default=None)
-    hi: tuple = field(default=None)
 
     def __post_init__(self):
-        if self.shape not in ("ball", "box"):
+        if self.shape != "ball":
             raise DomainError("unknown domain shape %r" % (self.shape,))
         if self.dim not in (2, 3):
             raise DomainError("dim must be 2 or 3, got %r" % (self.dim,))
-        if self.shape == "ball":
-            if not self.radius > 0:
-                raise DomainError("ball radius must be positive")
-        else:
-            if self.lo is None or self.hi is None:
-                raise DomainError("box domain needs lo and hi corners")
-            lo = np.asarray(self.lo, dtype=float)
-            hi = np.asarray(self.hi, dtype=float)
-            if lo.shape != (self.dim,) or hi.shape != (self.dim,):
-                raise DomainError("box corners must have length dim")
-            if not np.all(hi > lo):
-                raise DomainError("box needs hi > lo on every axis")
-            object.__setattr__(self, "lo", tuple(float(a) for a in lo))
-            object.__setattr__(self, "hi", tuple(float(a) for a in hi))
+        if not self.radius > 0:
+            raise DomainError("ball radius must be positive")
 
     # -- basic queries ---------------------------------------------------
 
     def bounding_box(self):
-        if self.shape == "ball":
-            r = self.radius
-            return -r * np.ones(self.dim), r * np.ones(self.dim)
-        return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
+        r = self.radius
+        return -r * np.ones(self.dim), r * np.ones(self.dim)
 
     def diameter(self) -> float:
-        if self.shape == "ball":
-            return 2.0 * self.radius
-        lo, hi = self.bounding_box()
-        return float(np.linalg.norm(hi - lo))
+        return 2.0 * self.radius
 
     def contains(self, x, tol: float = 0.0):
         """Boolean mask: points inside the closed domain (inflated by tol)."""
         x = np.asarray(x, dtype=float)
-        if self.shape == "ball":
-            return np.sum(x * x, axis=-1) <= (self.radius + tol) ** 2
-        lo, hi = self.bounding_box()
-        return np.all((x >= lo - tol) & (x <= hi + tol), axis=-1)
+        return np.sum(x * x, axis=-1) <= (self.radius + tol) ** 2
 
     def boundary_distance(self, x):
         """Distance from interior points to the boundary (negative outside)."""
         x = np.asarray(x, dtype=float)
-        if self.shape == "ball":
-            return self.radius - np.sqrt(np.sum(x * x, axis=-1))
-        lo, hi = self.bounding_box()
-        return np.minimum(np.min(x - lo, axis=-1), np.min(hi - x, axis=-1))
+        return self.radius - np.sqrt(np.sum(x * x, axis=-1))
 
     def unit_normal(self, x):
-        """Outward unit normal at boundary points.
-
-        For the box, face membership is decided by the nearest face; edge and
-        corner points get the normal of the lowest-index nearest face (the
-        normal is not unique there, which is why exact-construction checks are
-        run on the ball).
-        """
+        """Outward unit normal x / |x| at boundary points."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.shape == "ball":
-            r = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
-            if np.any(r <= 0):
-                raise DomainError("normal undefined at the center")
-            out = x / r
-        else:
-            lo, hi = self.bounding_box()
-            out = np.zeros_like(x)
-            dist_lo = x - lo
-            dist_hi = hi - x
-            both = np.concatenate([dist_lo, dist_hi], axis=-1)
-            k = np.argmin(both, axis=-1)
-            ax = k % self.dim
-            sign = np.where(k < self.dim, -1.0, 1.0)
-            out[np.arange(x.shape[0]), ax] = sign
-        return out
+        r = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
+        if np.any(r <= 0):
+            raise DomainError("normal undefined at the center")
+        return x / r
 
 
 def exit_times(domain: Domain, x, v, sign: int = 1):
@@ -141,29 +98,17 @@ def exit_times(domain: Domain, x, v, sign: int = 1):
     if np.any(speed2 == 0.0):
         raise DomainError("exit time undefined for zero velocity")
 
-    if domain.shape == "ball":
-        R2 = domain.radius**2
-        b = np.sum(x * w, axis=-1)
-        c = np.sum(x * x, axis=-1) - R2
-        if np.any(c > 1e-12 * max(R2, 1.0)):
-            raise DomainError("point outside the closed ball")
-        c = np.minimum(c, 0.0)
-        disc = np.sqrt(b * b - speed2 * c)
-        # positive quadratic root, written to avoid cancellation for b > 0
-        pos = b > 0.0
-        denom = np.where(pos, b + disc, speed2)
-        tau = np.where(pos, -c, disc - b) / denom
-        return tau
-
-    lo, hi = domain.bounding_box()
-    if np.any((x < lo - 1e-12) | (x > hi + 1e-12)):
-        raise DomainError("point outside the closed box")
-    xc = np.clip(x, lo, hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_hi = (hi - xc) / w
-        t_lo = (lo - xc) / w
-    per_axis = np.where(w > 0, t_hi, np.where(w < 0, t_lo, np.inf))
-    return np.min(per_axis, axis=-1)
+    R2 = domain.radius**2
+    b = np.sum(x * w, axis=-1)
+    c = np.sum(x * x, axis=-1) - R2
+    if np.any(c > 1e-12 * max(R2, 1.0)):
+        raise DomainError("point outside the closed ball")
+    c = np.minimum(c, 0.0)
+    disc = np.sqrt(b * b - speed2 * c)
+    # positive quadratic root, written to avoid cancellation for b > 0
+    pos = b > 0.0
+    denom = np.where(pos, b + disc, speed2)
+    return np.where(pos, -c, disc - b) / denom
 
 
 def classify_boundaries(domain: Domain, X, V, tol: float = 1e-9):
@@ -199,21 +144,14 @@ def classify_boundaries(domain: Domain, X, V, tol: float = 1e-9):
 
 
 def sample_boundary(domain: Domain, count: int, rng) -> np.ndarray:
-    """Draw boundary points (uniform in angle for balls, per-face for boxes)."""
-    if domain.shape == "ball":
-        if domain.dim == 2:
-            th = rng.uniform(0.0, 2 * np.pi, count)
-            return domain.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
-        z = rng.uniform(-1.0, 1.0, count)
-        phi = rng.uniform(0.0, 2 * np.pi, count)
-        s = np.sqrt(1.0 - z * z)
-        return domain.radius * np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-    lo, hi = domain.bounding_box()
-    pts = rng.uniform(lo, hi, size=(count, domain.dim))
-    face = rng.integers(0, 2 * domain.dim, size=count)
-    ax = face % domain.dim
-    pts[np.arange(count), ax] = np.where(face < domain.dim, lo[ax], hi[ax])
-    return pts
+    """Draw boundary points, uniform on the sphere."""
+    if domain.dim == 2:
+        th = rng.uniform(0.0, 2 * np.pi, count)
+        return domain.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
+    z = rng.uniform(-1.0, 1.0, count)
+    phi = rng.uniform(0.0, 2 * np.pi, count)
+    s = np.sqrt(1.0 - z * z)
+    return domain.radius * np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
 def sample_outgoing(domain: Domain, count: int, rng, speed_lo=0.5, speed_hi=2.0,

@@ -116,11 +116,8 @@ class FDConvergence:
 
 def _scaled_source(g1: BoundarySource, g2: BoundarySource, e1: float,
                    e2: float) -> BoundarySource:
-    sup = None
-    if g1.sup_norm is not None and g2.sup_norm is not None:
-        sup = e1 * g1.sup_norm + e2 * g2.sup_norm
     return BoundarySource(func=lambda V: e1 * g1(V) + e2 * g2(V),
-                          sup_norm=sup)
+                          sup_norm=e1 * g1.sup_norm + e2 * g2.sup_norm)
 
 
 def mixed_difference(solver: Solver, g1: BoundarySource, g2: BoundarySource,

@@ -31,7 +31,7 @@ from .collision import (KernelSpec, QuadratureRule, admissibility_check,
 from .errors import ConfigurationError, ConvergenceError, PreconditionError
 from .geometry import OUTGOING, Domain, classify_boundaries, exit_times
 
-FIELD_CACHE_VERSION = 2
+FIELD_CACHE_VERSION = 3
 
 # snap tolerance for interpolation weights, so grid nodes reproduce exactly
 _SNAP = 1e-12
@@ -278,7 +278,6 @@ class PhaseField:
         self.grid = grid
         self.values = values
         self.profile = profile
-        self.oor_count = 0
         self._sup = None
 
     def eval(self, x, v):
@@ -295,7 +294,6 @@ class PhaseField:
         for a in range(1, g.dim):
             base_x = base_x * g.nx + xs[a][0]
         base_v, vfracs = g.v_stencil(V)
-        self.oor_count += int(np.sum(base_v < 0))
         base = np.where(base_v < 0, -1, base_x * g.NVF + base_v)
         strides = [g.nx ** (g.dim - 1 - a) * g.NVF for a in range(g.dim)] + \
                   [g.nv ** (g.dim - 1 - a) for a in range(g.dim)]
@@ -340,28 +338,17 @@ class BoundarySource:
     the same at every boundary point.
 
     func : phi, a callable vectorized over velocities V (N, d).
-    sup_norm : sup |phi|; estimated by sampling when None.
+    sup_norm : sup |phi|, checked against the smallness threshold.
     """
 
     func: callable
-    sup_norm: float | None = None
+    sup_norm: float
 
     def __call__(self, V):
         return np.asarray(self.func(np.asarray(V, float)), dtype=float)
 
-    def estimate_sup(self, dim: int, R_v: float, n: int = 4096,
-                     seed: int = 0) -> float:
-        rng = np.random.default_rng(seed)
-        V = rng.normal(size=(n, dim))
-        V *= (R_v * rng.uniform(0.05, 1.0, n) /
-              np.linalg.norm(V, axis=1))[:, None]
-        est = float(np.max(np.abs(self(V))))
-        if self.sup_norm is None:
-            self.sup_norm = est
-        return est
-
     @classmethod
-    def from_velocity_profile(cls, phi, sup: float | None = None):
+    def from_velocity_profile(cls, phi, sup: float):
         """Data g(x, v) = phi(v); phi vectorized over (N, d)."""
         return cls(func=phi, sup_norm=sup)
 
@@ -765,8 +752,6 @@ class Solver:
 
     def _check_smallness(self, g):
         opts = self.opts
-        if g.sup_norm is None:
-            g.estimate_sup(self.grid.dim, self.grid.R_v)
         if g.sup_norm > opts.smallness_threshold:
             raise PreconditionError(
                 "boundary data sup %.3g exceeds the smallness threshold %.3g"
@@ -871,10 +856,11 @@ def _residual_samples(grid):
     rng = np.random.default_rng(_RESIDUAL_SEED)
     lo, hi = grid.domain.bounding_box()
     # points keep 3 h_x clear of the boundary; where that reaches into the
-    # last tenth of the domain's depth (reached at the box centre) the draws
-    # would rarely or never pass, so those coarse grids use half the depth
+    # last tenth of the domain's depth (its radius, reached at the centre)
+    # the draws would rarely or never pass, so those coarse grids use half
+    # the depth
     margin = 3 * grid.h_x
-    depth = float(grid.domain.boundary_distance(0.5 * (lo + hi)))
+    depth = float(grid.domain.radius)
     if margin > 0.9 * depth:
         margin = 0.5 * depth
     pts = []
@@ -999,10 +985,9 @@ def save_field(field: PhaseField, path: str):
         values = np.zeros((g.NXF, g.NVF))
         values[g.x_active_idx] = field._node_values(np.arange(g.NVF))
         g.fill_fringe(values)
-    header = dict(version=FIELD_CACHE_VERSION, shape=g.domain.shape,
-                  dim=g.dim, radius=getattr(g.domain, "radius", None),
-                  lo=g.domain.lo, hi=g.domain.hi, nx=g.nx, nv=g.nv,
-                  R_v=g.R_v, v_min=g.v_min)
+    header = dict(version=FIELD_CACHE_VERSION, dim=g.dim,
+                  radius=g.domain.radius, nx=g.nx, nv=g.nv, R_v=g.R_v,
+                  v_min=g.v_min)
     np.savez(path, header=np.frombuffer(
         json.dumps(header).encode(), dtype=np.uint8), values=values)
 
@@ -1014,11 +999,7 @@ def load_field(path: str) -> PhaseField:
     if header.get("version") != FIELD_CACHE_VERSION:
         raise ConfigurationError(
             "field cache version %r not supported" % (header.get("version"),))
-    if header["shape"] == "ball":
-        domain = Domain("ball", dim=header["dim"], radius=header["radius"])
-    else:
-        domain = Domain("box", dim=header["dim"], lo=tuple(header["lo"]),
-                        hi=tuple(header["hi"]))
+    domain = Domain("ball", dim=header["dim"], radius=header["radius"])
     grid = PhaseGrid(domain, header["nx"], header["nv"], header["R_v"],
                      header["v_min"])
     return PhaseField(grid, values)

@@ -76,6 +76,9 @@ def test_unknown_keys_rejected_with_path():
                        match=r"unknown config key: reconstruct\.source_route"):
         config_from_dict({"version": 1,
                           "reconstruct": {"source_route": "direct"}})
+    with pytest.raises(ConfigurationError,
+                       match=r"unknown config key: domain\.lo"):
+        config_from_dict({"version": 1, "domain": {"lo": [0.0, 0.0]}})
 
 
 def test_committed_configs_load():
@@ -106,6 +109,7 @@ def test_validation_rejects_bad_values():
         ({"kernel": {"family": "bogus"}}, r"kernel\.family"),
         ({"reconstruct": {"etas": [0.1, 0.4]}}, "decreasing"),
         ({"stages": {"forward": "yes"}}, "boolean"),
+        ({"domain": {"shape": "box"}}, r"domain\.shape must be ball"),
     ]
     for patch, pattern in cases:
         doc = {"version": 1}

@@ -11,7 +11,6 @@ from boltzlab.geometry import (
 
 DISK = Domain("ball", 2, radius=1.0)
 BALL3 = Domain("ball", 3, radius=1.0)
-BOX2 = Domain("box", 2, lo=(0.0, 0.0), hi=(1.0, 1.0))
 
 
 def _random_interior(domain, count, rng):
@@ -39,9 +38,9 @@ def test_exit_time_disk_offset_both_signs():
     assert _tau(DISK, (0.5, 0.0), (2.0, 0.0), sign=-1) == pytest.approx(0.75, abs=1e-14)
 
 
-def test_exit_time_box_min_over_faces():
-    # face hit times are 0.75 (x-face) and 0.5 (y-face); the minimum wins
-    assert _tau(BOX2, (0.25, 0.5), (1.0, 1.0), sign=1) == pytest.approx(0.5, abs=1e-14)
+def test_domain_is_a_ball():
+    with pytest.raises(DomainError, match="box"):
+        Domain("box", 2)
 
 
 def test_exit_time_zero_velocity_rejected():
@@ -56,7 +55,7 @@ def test_exit_time_outside_rejected():
 
 def test_exit_point_lands_on_boundary():
     rng = np.random.default_rng(7)
-    for domain in (DISK, BALL3, BOX2):
+    for domain in (DISK, BALL3):
         X = _random_interior(domain, 200, rng)
         V = rng.normal(size=X.shape)
         tau = exit_times(domain, X, V, sign=1)
@@ -67,7 +66,7 @@ def test_exit_point_lands_on_boundary():
 def test_reversal_identity():
     # tau_-(x, v) equals tau_+(x, -v) through the same code path
     rng = np.random.default_rng(8)
-    for domain in (DISK, BALL3, BOX2):
+    for domain in (DISK, BALL3):
         X = _random_interior(domain, 200, rng)
         V = rng.normal(size=X.shape)
         np.testing.assert_allclose(
@@ -81,7 +80,7 @@ def test_chord_additivity():
     # moving a fraction of the way along the chord shortens tau_+ by exactly
     # that much and lengthens tau_- to the full chord complement
     rng = np.random.default_rng(9)
-    for domain in (DISK, BOX2):
+    for domain in (DISK, BALL3):
         X = _random_interior(domain, 100, rng)
         V = rng.normal(size=X.shape)
         tp = exit_times(domain, X, V, sign=1)
@@ -104,22 +103,17 @@ def test_classify_boundary():
     assert one(DISK, (1.0, 0.0), (1.0, 0.0)) == "outgoing"
     assert one(DISK, (1.0, 0.0), (-1.0, 0.5)) == "incoming"
     assert one(DISK, (1.0, 0.0), (0.0, 1.0)) == "grazing"
-    assert one(BOX2, (1.0, 0.5), (1.0, 0.0)) == "outgoing"
 
 
 def test_classify_boundaries_batch():
     # one call classifies mixed points, each as it would alone
-    for domain, X, V, want in (
-            (DISK, [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, -1.0)],
-             [(1.0, 0.0), (-1.0, 0.5), (0.0, 1.0), (0.3, -2.0)],
-             ["interior", "incoming", "grazing", "outgoing"]),
-            (BOX2, [(1.0, 0.5), (0.5, 0.0), (0.5, 0.5)],
-             [(1.0, 0.0), (0.2, 1.0), (0.0, -1.0)],
-             ["outgoing", "incoming", "interior"])):
-        got = classify_boundaries(domain, np.array(X), np.array(V))
-        assert got.tolist() == want
-        assert [classify_boundaries(domain, np.array([x]), np.array([v]))[0]
-                for x, v in zip(X, V)] == want
+    X = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, -1.0)]
+    V = [(1.0, 0.0), (-1.0, 0.5), (0.0, 1.0), (0.3, -2.0)]
+    want = ["interior", "incoming", "grazing", "outgoing"]
+    got = classify_boundaries(DISK, np.array(X), np.array(V))
+    assert got.tolist() == want
+    assert [classify_boundaries(DISK, np.array([x]), np.array([v]))[0]
+            for x, v in zip(X, V)] == want
     # errors name the first offending point
     X = np.array([(0.0, 0.0), (2.0, 0.0), (0.0, 3.0)])
     with pytest.raises(DomainError, match="point 1 outside"):

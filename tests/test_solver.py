@@ -96,7 +96,6 @@ def test_phase_field_extension_policies():
     v_out = np.array([2.7, 0.0])
     Fz = PhaseField(grid, values=vals)
     assert Fz.eval(x, v_out) == 0.0
-    assert Fz.oor_count == 1
     Fa = PhaseField(grid, values=vals,
                     profile=lambda V: 0.25 * np.ones(V.shape[0]))
     # grid part vanishes outside, the profile remains
@@ -735,8 +734,9 @@ def test_field_cache_roundtrip(tmp_path):
     with np.load(path) as z:
         hdr = json.loads(bytes(z["header"].tobytes()).decode())
         vals = z["values"]
-    # so is a version-1 cache, which carried an extension policy
-    for version in (99, 1):
+    # so is a version-1 cache, which carried an extension policy, and a
+    # version-2 cache, which carried a domain shape and box corners
+    for version in (99, 1, 2):
         hdr["version"] = version
         np.savez(path, header=np.frombuffer(json.dumps(hdr).encode(),
                                             dtype=np.uint8), values=vals)

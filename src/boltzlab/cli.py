@@ -25,14 +25,15 @@ import numpy as np
 
 from . import reconstruct as rc
 from .collision import post_collision, pre_collision
-from .config import ExperimentConfig, load_config, save_config
+from .config import (ExperimentConfig, config_from_dict, load_config,
+                     save_config)
 from .errors import BoltzlabError, ConfigurationError, DependencyError
 from .geometry import (OUTGOING, classify_boundaries, exit_times,
                        sample_outgoing)
 from .linearize import (convergence_to_csv, mixed_difference,
                         w_finite_difference)
 from .solver import (BoundarySource, Solver, boundary_trace, field_to_csv,
-                     picard_solve, save_field, trace_to_csv)
+                     picard_solve, trace_to_csv)
 
 STAGE_ORDER = ("verify_geometry", "verify_collision", "forward",
                "linearize", "reconstruct")
@@ -231,14 +232,13 @@ def stage_forward(cfg: ExperimentConfig, out: str):
     g = _quartic_source(inf["center"], inf["width"], inf["amplitude"])
 
     field_, report = picard_solve(spec, g, grid, rule, opts)
-    files = ["forward_field.csv", "forward_field.npz", "forward_trace.csv"]
+    files = ["forward_field.csv", "forward_trace.csv"]
     field_to_csv(field_, os.path.join(out, files[0]))
-    save_field(field_, os.path.join(out, files[1]))
 
     rng = np.random.default_rng(cfg.seed + 2)
     X, V = sample_outgoing(domain, 64, rng)
     trace = boundary_trace(field_, X, V)
-    trace_to_csv(trace, os.path.join(out, files[2]))
+    trace_to_csv(trace, os.path.join(out, files[1]))
 
     info = {"iterations": report.iterations, "converged": report.converged,
             "ratio": report.ratio, "residual_discrete": report.residual_discrete,
@@ -487,7 +487,6 @@ def _with_stages(cfg: ExperimentConfig, names) -> ExperimentConfig:
         data[key] = key in names
     full = json.loads(cfg.serialize())
     full["stages"] = data
-    from .config import config_from_dict
     return config_from_dict(full)
 
 

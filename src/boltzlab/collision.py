@@ -255,64 +255,27 @@ class AdmissibilityReport:
     M_estimate: float
     threshold: float
     passed: bool
-    max_integral: float      # max over sampled v of int int |B| dw du
-    M_active_bound: float    # worst case over the active speed range, if given
 
 
 def admissibility_check(spec: KernelSpec, domain, rule: QuadratureRule,
-                        threshold: float = np.inf, seed: int = 0,
-                        v_min: float | None = None) -> AdmissibilityReport:
-    """Sampled bound on tau(x, v) * int int |B(v, u, w)| dw du.
+                        threshold: float = np.inf) -> AdmissibilityReport:
+    """Bound on tau(x, v) * int int |B(v, u, w)| dw du over the ball domain.
 
-    Velocities are the sphere rule's directions at unit speed; the 64
-    spatial samples are 32 boundary points paired with inward normals (for
-    balls this captures the full diameter chord exactly) and 32 seeded
-    interior draws.  Passing ``v_min`` additionally reports the worst-case
-    bound diam/v_min * max_v (integral), the slowest active speed the solver
-    grid will use.
+    Velocities are the sphere rule's directions at unit speed, and
+    tau(x, v) = tau_-(x, v) + tau_+(x, v) is the length of the chord
+    through x along v.  In a ball every chord is at most the diameter and
+    the one through the centre attains it, in every direction, so the
+    supremum over x is exact, not sampled:
+
+        M = diam * max over directions v of the (u, w) quadrature of |B|.
     """
-    rng = np.random.default_rng(seed)
-    vs = rule.omega_nodes
-
-    # velocity-dependent collision mass
-    integ = np.empty(vs.shape[0])
-    for i, v in enumerate(vs):
+    integ = np.empty(rule.omega_nodes.shape[0])
+    for i, v in enumerate(rule.omega_nodes):
         B = kernel_eval(spec, v, rule.u_nodes[:, None, :], rule.omega_nodes[None, :, :])
         integ[i] = float(np.sum(np.abs(B) * rule.u_weights[:, None] * rule.omega_weights[None, :]))
-
-    # spatial samples: boundary points moving inward (long chords) + interior
-    from .geometry import exit_times, sample_boundary
-
-    xb = sample_boundary(domain, 32, rng)
-    nb = domain.unit_normal(xb)
-    lo, hi = domain.bounding_box()
-    xi = []
-    while len(xi) < 32:
-        x = rng.uniform(lo, hi)
-        if domain.contains(x):
-            xi.append(x)
-    xi = np.array(xi)
-
-    best = -1.0
-    for j, v in enumerate(vs):
-        sp = float(np.linalg.norm(v))
-        tau_b = exit_times(domain, xb, -sp * nb, sign=1)
-        tau_i = exit_times(domain, xi, np.broadcast_to(v, xi.shape), sign=1) + \
-            exit_times(domain, xi, np.broadcast_to(v, xi.shape), sign=-1)
-        tmax = max(float(np.max(tau_b)), float(np.max(tau_i)))
-        best = max(best, tmax * integ[j])
-
-    max_integral = float(np.max(integ))
-    bound = np.inf
-    if v_min is not None and v_min > 0:
-        bound = domain.diameter() / v_min * max_integral
-    return AdmissibilityReport(
-        M_estimate=float(best),
-        threshold=float(threshold),
-        passed=bool(best < threshold),
-        max_integral=max_integral,
-        M_active_bound=float(bound),
-    )
+    M = domain.diameter() * float(np.max(integ))
+    return AdmissibilityReport(M_estimate=M, threshold=float(threshold),
+                               passed=bool(M < threshold))
 
 
 # ---------------------------------------------------------------------------

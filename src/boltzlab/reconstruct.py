@@ -394,14 +394,21 @@ def mollified_S(probe: Probe, spec: KernelSpec, nr: int = 14, na: int = 28,
 # ---------------------------------------------------------------------------
 
 
+def _kappa_pair(a, b, theta):
+    """Jacobian factors of a data point: kappa1 = |(a-b).theta| and kappa2
+    the length of the part of a-b orthogonal to theta."""
+    d = a - b
+    kap1 = abs(float(d @ theta))
+    return kap1, math.sqrt(max(float(d @ d) - kap1 * kap1, 0.0))
+
+
 def _closed_form_pieces(a, b, theta, spec: KernelSpec):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     theta = np.asarray(theta, dtype=float)
     probe_from_abtheta(a, b, theta)  # validates membership clause by clause
+    kap1, kap2 = _kappa_pair(a, b, theta)
     d = a - b
-    kap1 = abs(float(d @ theta))
-    kap2 = math.sqrt(max(float(d @ d) - kap1 * kap1, 0.0))
     perp = d - float(d @ theta) * theta
     omega2 = perp / np.linalg.norm(perp)
     B1 = float(kernel_eval(spec, a, b, theta))
@@ -454,10 +461,7 @@ def recover_omega_independent_B(S_values, probes, exponent_mode: str,
     groups = {}
     for S, probe in zip(S_values, probes):
         a, b, theta = probe.abtheta()
-        k = probe.u0 - probe.v0
-        w1, w2 = omega_pair(probe.v_star, probe.v0, probe.u0)
-        kap1 = abs(float(k @ w1))
-        kap2 = abs(float(k @ w2))
+        kap1, kap2 = _kappa_pair(a, b, theta)
         if min(kap1, kap2) < DEGENERATE_KAPPA:
             raise PreconditionError(
                 f"near-degenerate Jacobian factor {min(kap1, kap2):.3e}")

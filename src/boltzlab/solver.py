@@ -19,7 +19,6 @@ which is evaluated where it is needed and never gridded.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass
 
@@ -28,10 +27,8 @@ import scipy.sparse as sp
 
 from .collision import (KernelSpec, QuadratureRule, admissibility_check,
                         collision_Q, kernel_eval)
-from .errors import ConfigurationError, ConvergenceError, PreconditionError
+from .errors import ConvergenceError, PreconditionError
 from .geometry import OUTGOING, Domain, classify_boundaries, exit_times
-
-FIELD_CACHE_VERSION = 3
 
 # snap tolerance for interpolation weights, so grid nodes reproduce exactly
 _SNAP = 1e-12
@@ -761,8 +758,7 @@ class Solver:
         if self._admissibility is None:
             self._admissibility = admissibility_check(
                 self.spec, self.grid.domain, self.rule,
-                threshold=1.0 / (4.0 * self.opts.smallness_threshold),
-                v_min=self.grid.v_min)
+                threshold=1.0 / (4.0 * self.opts.smallness_threshold))
         rep = self._admissibility
         if not rep.passed:
             raise PreconditionError(
@@ -937,7 +933,7 @@ def boundary_trace(field: PhaseField, X, V) -> TraceTable:
 
 
 # ---------------------------------------------------------------------------
-# export / cache
+# CSV export
 # ---------------------------------------------------------------------------
 
 
@@ -970,36 +966,3 @@ def trace_to_csv(table: TraceTable, path: str):
                             table.extrap_residual])
     np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(cols),
                comments="")
-
-
-def save_field(field: PhaseField, path: str):
-    """Binary cache with a versioned header.
-
-    Fields with a profile are baked onto the grid first (the cache holds
-    node values only), so reloading reproduces node values exactly and
-    off-node values to interpolation accuracy.
-    """
-    g = field.grid
-    values = field.values
-    if field.profile is not None:
-        values = np.zeros((g.NXF, g.NVF))
-        values[g.x_active_idx] = field._node_values(np.arange(g.NVF))
-        g.fill_fringe(values)
-    header = dict(version=FIELD_CACHE_VERSION, dim=g.dim,
-                  radius=g.domain.radius, nx=g.nx, nv=g.nv, R_v=g.R_v,
-                  v_min=g.v_min)
-    np.savez(path, header=np.frombuffer(
-        json.dumps(header).encode(), dtype=np.uint8), values=values)
-
-
-def load_field(path: str) -> PhaseField:
-    with np.load(path) as z:
-        header = json.loads(bytes(z["header"].tobytes()).decode())
-        values = z["values"]
-    if header.get("version") != FIELD_CACHE_VERSION:
-        raise ConfigurationError(
-            "field cache version %r not supported" % (header.get("version"),))
-    domain = Domain("ball", dim=header["dim"], radius=header["radius"])
-    grid = PhaseGrid(domain, header["nx"], header["nv"], header["R_v"],
-                     header["v_min"])
-    return PhaseField(grid, values)

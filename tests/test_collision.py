@@ -139,20 +139,21 @@ def test_ball_rule_measures():
 
 
 def test_admissibility_constant_kernel_closed_form():
-    # ball domain: the boundary/inward-normal samples realize the diameter
-    # chord exactly, so M = diam * value * |S^1| * |B_Rv| to rounding
-    dom = Domain("ball", dim=2, radius=1.0)
-    rule = QuadratureRule.build(2, sphere_order=16, radial_order=4,
-                                angular_order=16, R_v=1.0)
-    spec = KernelSpec("constant", dim=2, params={"value": 0.1})
-    rep = admissibility_check(spec, dom, rule, threshold=5.0, seed=0)
-    M_exact = 2.0 * 0.1 * 2 * np.pi * np.pi
-    assert abs(rep.M_estimate - M_exact) < 1e-12 * M_exact
-    assert rep.passed
-    assert rep.M_active_bound == np.inf
-    rep2 = admissibility_check(spec, dom, rule, threshold=0.1, seed=0, v_min=0.5)
-    assert not rep2.passed
-    assert abs(rep2.M_active_bound - M_exact / 0.5) < 1e-12 * M_exact
+    # every direction has a chord through the centre, so for a constant
+    # kernel M = diam * value * |S^{d-1}| * |B_Rv| to rounding
+    sphere = {2: 2 * np.pi, 3: 4 * np.pi}
+    ball = {2: np.pi, 3: 4.0 / 3.0 * np.pi}
+    for dim, radius in ((2, 1.0), (3, 1.0), (2, 0.7), (3, 0.7)):
+        dom = Domain("ball", dim=dim, radius=radius)
+        rule = QuadratureRule.build(dim, sphere_order=8, radial_order=4,
+                                    angular_order=8, R_v=1.0)
+        spec = KernelSpec("constant", dim=dim, params={"value": 0.1})
+        M_exact = 2.0 * radius * 0.1 * sphere[dim] * ball[dim]
+        rep = admissibility_check(spec, dom, rule, threshold=1.01 * M_exact)
+        assert abs(rep.M_estimate - M_exact) < 1e-12 * M_exact
+        assert rep.passed
+        rep = admissibility_check(spec, dom, rule, threshold=0.99 * M_exact)
+        assert not rep.passed
 
 
 def test_collision_Q_annihilates_constants_and_maxwellian():

@@ -7,15 +7,13 @@ import scipy.sparse as sp
 
 from boltzlab import solver
 from boltzlab.collision import KernelSpec, QuadratureRule
-from boltzlab.errors import (ConfigurationError, ConvergenceError,
-                             PreconditionError)
+from boltzlab.errors import ConvergenceError, PreconditionError
 from boltzlab.geometry import Domain, exit_times
 from boltzlab.solver import (BoundarySource, PhaseField, PhaseGrid,
                              PicardOptions, Solver, _collision_stage_np,
                              _collision_stage_sparse, _line_stage_np,
                              _PicardTables, boundary_trace,
-                             field_to_csv, load_field,
-                             picard_solve, save_field, trace_to_csv)
+                             field_to_csv, picard_solve, trace_to_csv)
 
 DISK = Domain("ball", dim=2, radius=1.0)
 
@@ -702,7 +700,7 @@ def test_apply_A_operator_norm_batch():
 
 
 # ---------------------------------------------------------------------------
-# export / cache
+# CSV export
 # ---------------------------------------------------------------------------
 
 
@@ -718,35 +716,9 @@ def test_csv_export_deterministic(tmp_path):
     assert header == "x0,x1,v0,v1,value"
 
 
-def test_field_cache_roundtrip(tmp_path):
-    grid = PhaseGrid(DISK, 6, 6, R_v=1.5)
-    rng = np.random.default_rng(14)
-    F = PhaseField(grid, values=rng.normal(size=(grid.NXF, grid.NVF)))
-    path = str(tmp_path / "field.npz")
-    save_field(F, path)
-    F2 = load_field(path)
-    assert np.array_equal(F2.values, F.values)
-    assert F2.grid.nx == 6 and F2.grid.R_v == 1.5
-
-    # tampering with the header version is rejected
-    import json
-
-    with np.load(path) as z:
-        hdr = json.loads(bytes(z["header"].tobytes()).decode())
-        vals = z["values"]
-    # so is a version-1 cache, which carried an extension policy, and a
-    # version-2 cache, which carried a domain shape and box corners
-    for version in (99, 1, 2):
-        hdr["version"] = version
-        np.savez(path, header=np.frombuffer(json.dumps(hdr).encode(),
-                                            dtype=np.uint8), values=vals)
-        with pytest.raises(ConfigurationError, match="version"):
-            load_field(path)
-
-
 def test_exports_of_a_solve_with_a_zero_velocity_node(tmp_path):
     # an odd nv puts a velocity node at v = 0, outside the active nodes but
-    # written by both exports: F0 = phi(0) there, and G stays 0
+    # written by the CSV export: F0 = phi(0) there, and G stays 0
     grid = PhaseGrid(DISK, 9, 9, R_v=2.0)
     zero = np.flatnonzero(np.all(grid.v_nodes == 0.0, axis=1))
     assert zero.size == 1 and zero[0] not in grid.v_active_idx
@@ -760,16 +732,10 @@ def test_exports_of_a_solve_with_a_zero_velocity_node(tmp_path):
     at_zero = np.all(rows[:, 2:4] == 0.0, axis=1)
     assert np.count_nonzero(at_zero) == grid.x_active_idx.size
     assert np.all(rows[at_zero, 4] == g(np.zeros((1, 2)))[0])
-    # the cache bakes the same node values, and the CSV's text round-trips
-    save_field(F, str(tmp_path / "field.npz"))
-    F2 = load_field(str(tmp_path / "field.npz"))
-    assert np.array_equal(F2.values[grid.x_active_idx].ravel(), rows[:, 4])
-    assert F2.eval(grid.x_nodes[grid.x_active_idx[0]], grid.v_nodes[zero[0]]) \
-        == rows[at_zero, 4][0]
 
 
 def test_profile_is_evaluated_once_per_velocity_node(tmp_path):
-    # phi does not depend on x: the sup and both exports call it with at
+    # phi does not depend on x: the sup and the CSV export call it with at
     # most one row per velocity node, not once per (x, v) node
     grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
     g = _bump_profile(0.02)
@@ -784,8 +750,7 @@ def test_profile_is_evaluated_once_per_velocity_node(tmp_path):
                    profile=counting)
     F.sup_norm()
     field_to_csv(F, str(tmp_path / "field.csv"))
-    save_field(F, str(tmp_path / "field.npz"))
-    assert len(rows) >= 3 and max(rows) <= grid.NVF
+    assert rows == [grid.v_active_idx.size, grid.NVF]
 
 
 def test_trace_csv(tmp_path):

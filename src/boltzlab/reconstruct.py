@@ -288,7 +288,11 @@ def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
     windows around +-unit(v_star - target_v), u within 3 eta of the
     collision partner, v within eta of v_star.  Within it, the mollifiers
     and the kernel are evaluated only on the (v, u, omega) triples whose
-    primed pair lands inside both target bumps.
+    primed pair lands inside both target bumps.  Per omega the two landing
+    conditions factor: v' lands iff |(u - target_v).omega| < h_v(v, omega)
+    and u' lands iff |(target_u - v).omega| < h_u(u, omega), so the mask of
+    a block of omega nodes is two outer comparisons of a per-u vector with
+    a per-v one.
     """
     d0 = float(np.linalg.norm(target_v - v_star))
     axis = (v_star - target_v) / d0
@@ -302,20 +306,38 @@ def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
     upts, uw = _shifted_ball(partner, 3.0 * eta, nr, na)
     bvu = ((mollifier(vpts - v_star, eta) * vw)[:, None] * uw[None, :]).ravel()
 
-    # Why dropping pairs changes nothing but the order of summation: the
+    # Why dropping triples changes nothing but the order of summation: the
     # bump exp(-1/(1 - r^2)) is exactly 0.0 once 1 - r^2 < 1.34e-3, where
     # the exponent passes -745 and exp underflows, so every (v, u, omega)
     # summand with v' or u' outside its target bump was exactly 0.0.
     #
-    # With a = v - target_v, |v' - target_v|^2 = |a + c w|^2
-    # = (c + a.w)^2 + |a|^2 - (a.w)^2, so v' lies in the bump iff
-    # |c + a.w| < h = sqrt(eta^2 - |a|^2 + (a.w)^2).  Rounding moves that
-    # test by ~1e-12 eta^2, far inside the 1.34e-3 eta^2 where the bump is
-    # already 0.0.  The u' bump is then read off the mollifier itself.
+    # With c = (u - v).w, v' = v + c w and u' = u - c w.  For a = v - target_v,
+    # |v' - target_v|^2 = (c + a.w)^2 + |a|^2 - (a.w)^2 and
+    # c + a.w = (u - target_v).w, so v' lies in the bump iff
+    # |(u - target_v).w| < h_v = sqrt(eta^2 - |a|^2 + (a.w)^2).  For
+    # b = u - target_u, |u' - target_u|^2 = (c - b.w)^2 + |b|^2 - (b.w)^2 and
+    # c - b.w = (target_u - v).w, so u' lies in the bump iff
+    # |(target_u - v).w| < h_u = sqrt(eta^2 - |b|^2 + (b.w)^2).
+    #
+    # The kept triples are those with |c + a.w| < h_v, computed from the full
+    # product c, and a nonzero u' mollifier, in flat (omega, v, u) order.  The
+    # split tests only select candidates for them and cannot lose one:
+    # - rounding moves the u' test by ~1e-12 eta^2, while a nonzero u' bump
+    #   needs 1 - r^2 >= 1.34e-3, about 6.7e-4 eta inside h_u;
+    # - the v' test runs with a slack of 1e-12 times the velocity scale, far
+    #   above the rounding of either form of (u - target_v).w, and the test
+    #   on c + a.w is then applied to the candidates as it stands.
+    # So every summand and the order of np.sum are those of the test on the
+    # full product, bit for bit.
     nv, nu = vpts.shape[0], upts.shape[0]
     diff = (upts[None, :, :] - vpts[:, None, :]).reshape(nv * nu, -1).T
     a = vpts - target_v
     a2 = np.sum(a * a, axis=1)
+    b = upts - target_u
+    b2 = np.sum(b * b, axis=1)
+    ut, vt = upts - target_v, target_u - vpts
+    slack = 1e-12 * (1.0 + float(np.max(np.abs(ut)))
+                     + float(np.max(np.abs(vt))))
     step = max(1, _TRIPLE_BLOCK // (nv * nu))
     total = 0.0
     # the kinematics stay here rather than in collision.collision_Q, which
@@ -324,19 +346,26 @@ def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
         w = om[s:s + step]
         c = w @ diff                                     # (omega, pair)
         aw = w @ a.T                                     # (omega, v)
-        h = np.sqrt(np.maximum(eta * eta - a2 + aw * aw, 0.0))
-        t = c.reshape(-1, nv, nu) + aw[:, :, None]
-        np.abs(t, out=t)
-        q = np.flatnonzero(t < h[:, :, None])
-        k, p = np.divmod(q, nv * nu)
-        ck = c.ravel()[q][:, None] * w[k]
-        fu = mollifier(upts[p % nu] - ck - target_u, eta)
-        keep = np.flatnonzero(fu)
-        k, p, ck, fu = k[keep], p[keep], ck[keep], fu[keep]
-        iv, iu = np.divmod(p, nu)
-        f = mollifier(vpts[iv] + ck - target_v, eta) * fu
-        B = kernel_eval(spec, vpts[iv], upts[iu], w[k])
-        total += float(np.sum(f * B * bvu[p] * wom[s + k]))
+        bw = w @ b.T                                     # (omega, u)
+        hv = np.sqrt(np.maximum(eta * eta - a2 + aw * aw, 0.0))
+        hu = np.sqrt(np.maximum(eta * eta - b2 + bw * bw, 0.0))
+        # v' lands (per u against per v), then u' lands (per v against per u)
+        m = np.abs(w @ ut.T)[:, None, :] < (hv + slack)[:, :, None]
+        m &= np.abs(w @ vt.T)[:, :, None] < hu[:, None, :]
+        q = np.flatnonzero(m)
+        kv, iu = np.divmod(q, nu)                        # kv = k * nv + iv
+        k = kv // nv
+        cq = c.ravel()[q]
+        ck = cq[:, None] * w[k]
+        fu = mollifier(upts[iu] - ck - target_u, eta)
+        keep = np.flatnonzero((np.abs(cq + aw.ravel()[kv]) < hv.ravel()[kv])
+                              & (fu != 0.0))
+        k, kv, iu, ck, fu = k[keep], kv[keep], iu[keep], ck[keep], fu[keep]
+        iv = kv - k * nv
+        vk = vpts[iv]
+        f = mollifier(vk + ck - target_v, eta) * fu
+        B = kernel_eval(spec, vk, upts[iu], w[k])
+        total += float(np.sum(f * B * bvu[iv * nu + iu] * wom[s + k]))
     return total
 
 

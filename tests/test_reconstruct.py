@@ -326,7 +326,8 @@ def _gain_term_full_product(spec, v_star, target_v, target_u, eta, nr, na,
 
 
 @pytest.mark.parametrize("case", ["2d_eta0.4", "2d_eta0.1", "angular_bump",
-                                  "3d", "off_manifold"])
+                                  "3d", "angular_bump_3d", "off_manifold",
+                                  "off_manifold_3d"])
 def test_gain_term_matches_full_product(case):
     # dropping the pairs outside the bump support only reorders the sum
     u0 = np.array([1.0, 2.0])
@@ -342,13 +343,30 @@ def test_gain_term_matches_full_product(case):
         orders = (4, 6, 6)
         vs, v0 = np.array([1.0, 0.0, 0.0]), np.zeros(3)
         u0 = np.array([1.0, 2.0, 0.0])
+    elif case == "angular_bump_3d":
+        # v - u ~ (1, -1, 0) against omega ~ (1, 0, 0): cos^2 0.5 again
+        spec, eta = KernelSpec(dim=3, family="angular_bump"), 0.25
+        orders = (4, 6, 6)
+        vs, v0 = np.array([1.0, 0.0, 0.0]), np.zeros(3)
+        u0 = np.array([1.0, 1.0, 0.0])
     elif case == "off_manifold":
         u0, eta = np.array([2.0, 0.0]), 0.15
-    pairs = [(v0, u0), (u0, v0)] if case != "3d" else [(v0, u0)]
+    elif case == "off_manifold_3d":
+        # (v* - v0).(v* - u0) = -1; with the targets swapped, many triples
+        # pass the v' test alone, but no u' lands in its bump
+        spec, eta = KernelSpec(dim=3, family="constant"), 0.2
+        orders = (4, 6, 6)
+        vs, v0 = np.array([1.0, 0.0, 0.0]), np.zeros(3)
+        u0 = np.array([2.0, 1.0, 1.0])
+    pairs = [(v0, u0), (u0, v0)]
+    if case in ("3d", "angular_bump_3d"):
+        pairs = pairs[:1]
+    elif case == "off_manifold_3d":
+        pairs = pairs[1:]
     for tv, tu in pairs:
         new = rc._gain_term(spec, vs, tv, tu, eta, *orders)
         ref = _gain_term_full_product(spec, vs, tv, tu, eta, *orders)
-        if case == "off_manifold":
+        if case.startswith("off_manifold"):
             assert new == 0.0 and ref == 0.0
         else:
             assert ref > 0.0

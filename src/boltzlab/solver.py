@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .collision import (KernelSpec, QuadratureRule, admissibility_check,
                         collision_Q, kernel_eval)
@@ -216,6 +215,7 @@ def _stencil_csr(base: np.ndarray, fracs, strides, ncols: int):
     the product's row sums start at +0.0 and never become -0.0, so adding
     the +-0.0 such a corner gives (for finite data) changes no bit.
     """
+    import scipy.sparse as sp  # only use: importing boltzlab loads no scipy
     pairs = list(_corner_weights(fracs, strides))
     data = np.stack([w for w, _ in pairs], axis=-1)
     cols = np.stack([base + off for _, off in pairs], axis=-1)
@@ -368,8 +368,8 @@ _PAIR_BLOCK = 2048
 _CHORD_SPACING = 1.5
 _CHORD_ORDER_MIN = 4
 _CHORD_ORDER_MAX = 24
-# active v-nodes per block of the exit-time and chord-order build; a block's
-# temporaries are a few _TAU_BLOCK * NXa * dim values
+# active v-nodes per block of the exit-time and chord-order build, whose
+# temporaries are a few _TAU_BLOCK * NXa * dim values, and of Q(phi, phi)
 _TAU_BLOCK = 64
 # random interior phase points of the sampled PDE residual, and their seed
 _RESIDUAL_SAMPLES = 64
@@ -562,8 +562,7 @@ def _collision_stage_np(G, tables, F0V, F0U, F0UP, F0VP):
     return Q
 
 
-def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP,
-                            first_iterate=False):
+def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
     """Collision stage on blocks of _X_BLOCK spatial rows.
 
     The velocity stencils are applied as the CSR operators `ops` (see
@@ -578,12 +577,6 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP,
 
     F0V, F0U, F0UP and F0VP are the transported data at v, u and the
     distinct u' and v' points, the tables of _PicardTables.
-
-    first_iterate says G = 0.  F0 does not depend on x, so a block's result
-    then depends on its width only: each width is evaluated once and copied
-    to the other blocks of that width.  (Widths are not merged: the BLAS
-    product of the loss term can round the last columns of a short block
-    differently in the last bit.)
     """
     grid = tables.grid
     NU = tables.shape[1]
@@ -591,26 +584,21 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP,
     vact, xact = grid.v_active_idx, grid.x_active_idx
     F0V, F0U, F0UP, F0VP = (a[:, None] for a in (F0V, F0U, F0UP, F0VP))
     Q = np.zeros((grid.NVF, grid.NXF))
-    by_width = {}
     for start in range(0, xact.size, _X_BLOCK):
         rows = xact[start:start + _X_BLOCK]
-        QT = by_width.get(rows.size)
-        if QT is None:
-            GT = np.ascontiguousarray(G[rows].T)
-            HuT = F0U + Su @ GT
-            QT = -(F0V + GT[vact]) * (tables.Bw_loss @ HuT)
-            # F0 + G at the distinct u' and v' points
-            Hup = Sup @ GT
-            Hvp = Svp @ GT
-            Hup += F0UP
-            Hvp += F0VP
-            shape = (-1, NU, tables.reps.size, rows.size)
-            for js, iu, iv in tiles:
-                gain = np.take(Hup, iu, axis=0).reshape(shape)
-                gain *= np.take(Hvp, iv, axis=0).reshape(shape)
-                QT[js] += np.einsum("vurx,vur->vx", gain, tables.Bw_fold[js])
-            if first_iterate:
-                by_width[rows.size] = QT
+        GT = np.ascontiguousarray(G[rows].T)
+        HuT = F0U + Su @ GT
+        QT = -(F0V + GT[vact]) * (tables.Bw_loss @ HuT)
+        # F0 + G at the distinct u' and v' points
+        Hup = Sup @ GT
+        Hvp = Svp @ GT
+        Hup += F0UP
+        Hvp += F0VP
+        shape = (-1, NU, tables.reps.size, rows.size)
+        for js, iu, iv in tiles:
+            gain = np.take(Hup, iu, axis=0).reshape(shape)
+            gain *= np.take(Hvp, iv, axis=0).reshape(shape)
+            QT[js] += np.einsum("vurx,vur->vx", gain, tables.Bw_fold[js])
         Q[vact[:, None], rows] = QT
     return Q
 
@@ -678,7 +666,7 @@ class Solver:
     _PicardTables, the admissibility verdict, the CSR stencil operators
     (sparsity pattern and corner weights) and the residual sample points.
     Each source keeps its own transported data F0, which its collision
-    stages add after the products, and its own first-iterate shortcut,
+    stages add after the products, and its own closed-form first iterate,
     stopping test and defect application, so a source's iterates do not
     depend on the other sources solved with it.
     """
@@ -700,9 +688,9 @@ class Solver:
         """Solve the sources gs in lockstep; one (PhaseField,
         ConvergenceReport) per source, in order.
 
-        Each round applies the map once to every source that is still
-        iterating or still owes its defect application: the collision stage
-        source by source, the line stage for all of them at once.
+        Round 1 is closed form (_tau_q0); each later round applies the map
+        once to every source still iterating or owing its defect
+        application: a collision stage per source, one line stage for all.
 
         Raises PreconditionError for the first source above the smallness
         threshold, then for a kernel that fails the admissibility check.
@@ -718,19 +706,17 @@ class Solver:
         tables, ops = self._setup()
         grid, opts = self.grid, self.opts
         runs = [_SourceRun(g, grid, tables, opts) for g in gs]
+        for run in runs:
+            run.advance(self._tau_q0(run.g, tables), 1)
 
-        def collision(run, first):
-            Q = _collision_stage_sparse(run.G, tables, ops, *run.f0_tables,
-                                        first_iterate=first)
-            grid.fill_fringe(Q.T)
-            return Q
+        def collision(run):
+            Q = _collision_stage_sparse(run.G, tables, ops, *run.f0_tables)
+            return grid.fill_fringe(Q.T).T
 
-        live = runs
-        k = 0
+        live, k = runs, 1
         while live:
             k += 1
-            Gs = _line_stage_np([collision(run, k == 1) for run in live],
-                                tables)
+            Gs = _line_stage_np([collision(run) for run in live], tables)
             for run, Gn in zip(live, Gs):
                 grid.fill_fringe(Gn)
                 run.advance(Gn, k)
@@ -746,6 +732,20 @@ class Solver:
                     "kernel mass" % (opts.tol, opts.max_iter, run.deltas[-1]),
                     report=report, index=i)
         return results
+
+    def _tau_q0(self, g, tables):
+        """The first iterate from G = 0: F0 = phi does not depend on x, so it
+        is tau_-(x, v) * Q(phi, phi)(v), tau_- scattered back from pair order
+        and Q(phi, phi) taken _TAU_BLOCK velocity nodes at a time."""
+        grid, Vg, phi = self.grid, tables.Vg, (lambda _, P: g(P))
+        TQ = np.empty((Vg.shape[0], grid.x_active_idx.size))
+        TQ.reshape(-1)[tables.pair_order] = tables.pair_tau
+        for j in range(0, Vg.shape[0], _TAU_BLOCK):
+            r = slice(j, j + _TAU_BLOCK)
+            TQ[r] *= collision_Q(phi, phi, Vg[r], self.spec, self.rule)[:, None]
+        G1 = np.zeros((grid.NXF, grid.NVF))
+        G1[np.ix_(grid.x_active_idx, grid.v_active_idx)] = TQ.T
+        return grid.fill_fringe(G1)
 
     def _check_smallness(self, g):
         opts = self.opts

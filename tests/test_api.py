@@ -3,7 +3,10 @@ module imports only the package modules below it in the layering."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -60,3 +63,18 @@ def test_module_layering():
         if extra:
             bad[name] = sorted(extra)
     assert bad == {}
+
+
+def test_import_loads_no_scipy():
+    # scipy.sparse is imported only where the stencil operators are built,
+    # so a run that never solves (probe work, config checks) does not pay
+    # for it
+    src = str(pathlib.Path(boltzlab.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, boltzlab; print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from boltzlab import solver
-from boltzlab.collision import KernelSpec, QuadratureRule
+from boltzlab.collision import KernelSpec, QuadratureRule, collision_Q
 from boltzlab.errors import ConvergenceError, PreconditionError
 from boltzlab.geometry import Domain, exit_times
 from boltzlab.solver import (BoundarySource, PhaseField, PhaseGrid,
@@ -241,22 +241,39 @@ def test_sparse_collision_stage_matches_reference():
         assert np.max(np.abs(Qs - Qr)) < 1e-15
 
 
-def test_first_iterate_block_matches_full_stage():
-    # at G = 0 the first-iterate path reuses one block per block width;
-    # it must reproduce the full block loop bit for bit (the 10x10 disk
-    # has 60 active nodes, so its short last block is 12 rows wide)
-    cases = [c[:4] for c in _stage_cases()]
-    cases.append((KernelSpec("constant", dim=2, params={"value": 0.01}),
-                  PhaseGrid(DISK, 16, 16, R_v=2.0), _small_rule(), (0.3, 0.4)))
-    for spec, grid, rule, center in cases:
-        _, tables, F0, ops = _stage_inputs(spec, grid, rule, center)
-        G = np.zeros((grid.NXF, grid.NVF))
-        full = _collision_stage_sparse(G, tables, ops, *F0)
-        first = _collision_stage_sparse(G, tables, ops, *F0,
-                                        first_iterate=True)
-        assert np.max(np.abs(full)) > 1e-9
-        assert np.array_equal(first, full)
-        assert np.array_equal(np.signbit(first), np.signbit(full))
+class _FirstIterate(Exception):
+    """Raised by the wrapped _SourceRun.advance to stop a solve at k = 1."""
+
+
+def test_first_iterate_is_tau_times_q0(monkeypatch):
+    # F0 = phi does not depend on x, so the first iterate from G = 0 is
+    # tau_-(x, v) * Q(phi, phi)(v); the oracle takes each factor from one
+    # unblocked call (geometry.exit_times, collision.collision_Q) and is
+    # zero off the active nodes but for the filled fringe
+    def capture(run, Gn, k):
+        assert k == 1
+        raise _FirstIterate(Gn.copy())
+
+    monkeypatch.setattr(solver._SourceRun, "advance", capture)
+    # the 3D case's kernel mass (8.42) passes the admissibility threshold
+    # 1 / (4 * 0.01) = 25, not the default 8.33; its data are below 0.01
+    opts = PicardOptions(smallness_threshold=0.01)
+    for spec, grid, rule, center, _ in _stage_cases():
+        g = _bump_profile(3e-3, center=center)
+        with pytest.raises(_FirstIterate) as got:
+            Solver(spec, grid, rule, opts).solve(g)
+        G1 = got.value.args[0]
+        X = grid.x_nodes[grid.x_active_idx]
+        V = grid.v_nodes[grid.v_active_idx]
+        tau = exit_times(grid.domain, X[None, :, :], V[:, None, :], sign=-1)
+        phi = lambda _, P: g(P)
+        Q0 = collision_Q(phi, phi, V, spec, rule)
+        want = np.zeros((grid.NXF, grid.NVF))
+        want[np.ix_(grid.x_active_idx, grid.v_active_idx)] = \
+            (tau * Q0[:, None]).T
+        grid.fill_fringe(want)
+        assert grid.x_fringe_idx.size > 0 and np.max(np.abs(Q0)) > 1e-9
+        assert np.max(np.abs(G1 - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _per_row_operator(tables, P, f0=None):
@@ -473,6 +490,8 @@ def test_picard_solve_peak_memory():
     grid = PhaseGrid(DISK, 24, 24, R_v=2.0)
     spec = KernelSpec("constant", dim=2, params={"value": 0.01})
     g = _bump_profile(1e-2, width=0.7)
+    # scipy.sparse, which the solver imports on first use, is already
+    # loaded by this module (sp), so the traced peak is the solve's alone
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

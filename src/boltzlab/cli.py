@@ -340,8 +340,8 @@ def _probe_value_fd(cfg: ExperimentConfig, solver: Solver, probe: rc.Probe):
     tau_out = exit_times(domain, np.zeros((Vq.shape[0], dim)), Vq, sign=1)
     Xq = tau_out[:, None] * Vq
 
-    W, _, _ = mixed_difference(solver, bump_source(probe.v0),
-                               bump_source(probe.u0), eps1, eps2, Xq, Vq)
+    W, _ = mixed_difference(solver, bump_source(probe.v0),
+                            bump_source(probe.u0), eps1, eps2, Xq, Vq)
     tau_m = exit_times(domain, Xq, Vq, sign=-1)
     return float(np.sum(bump_w * (W / tau_m)))
 

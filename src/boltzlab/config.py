@@ -5,8 +5,7 @@ Key schema (defaults in DEFAULTS; unknown keys are rejected):
   version        int, must equal CONFIG_VERSION
   seed           int >= 0, master seed recorded for reproducibility
   output_dir     str, run artifacts land here
-  domain         shape (must be "ball": the domain is a centred ball), dim,
-                 radius
+  domain         dim, radius of the centred ball
   kernel         family (see collision.KERNEL_FAMILIES), params
   grid           nx, nv, R_v, v_min (null: 0.05 R_v)
   quadrature     sphere_order, radial_order, angular_order
@@ -46,7 +45,7 @@ DEFAULTS = {
     "version": CONFIG_VERSION,
     "seed": 0,
     "output_dir": "run_out",
-    "domain": {"shape": "ball", "dim": 2, "radius": 1.0},
+    "domain": {"dim": 2, "radius": 1.0},
     # amplitude small enough for the contraction admissibility gate
     "kernel": {"family": "constant", "params": {"value": 0.01}},
     "grid": {"nx": 16, "nv": 16, "R_v": 2.0, "v_min": None},
@@ -96,7 +95,6 @@ def _validate(d: dict):
              "output_dir must be a nonempty string")
 
     dom = d["domain"]
-    _require(dom["shape"] == "ball", "domain.shape must be ball")
     _require(dom["dim"] in (2, 3), "domain.dim must be 2 or 3")
 
     _require(d["kernel"]["family"] in KERNEL_FAMILIES,
@@ -203,7 +201,7 @@ class ExperimentConfig:
 
     def build_domain(self) -> Domain:
         dom = self.data["domain"]
-        return Domain(shape=dom["shape"], dim=dom["dim"], radius=dom["radius"])
+        return Domain("ball", dim=dom["dim"], radius=dom["radius"])
 
     def build_kernel(self) -> KernelSpec:
         k = self.data["kernel"]

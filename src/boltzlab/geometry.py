@@ -22,6 +22,8 @@ GRAZING = "grazing"
 
 # |n(x) . v| <= GRAZING_RTOL * |v| counts as tangential.
 GRAZING_RTOL = 1e-12
+# a point within BOUNDARY_TOL of the boundary lies on it
+BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,11 +113,12 @@ def exit_times(domain: Domain, x, v, sign: int = 1):
     return np.where(pos, -c, disc - b) / denom
 
 
-def classify_boundaries(domain: Domain, X, V, tol: float = 1e-9):
+def classify_boundaries(domain: Domain, X, V):
     """Classify phase points (X, V), (N, d) each, as interior / incoming /
     outgoing / grazing; returns an (N,) array of class names.
 
-    A point is interior when its distance to the boundary exceeds ``tol``.
+    A point is interior when its distance to the boundary exceeds
+    ``BOUNDARY_TOL``.
     On the boundary, the sign of n(x).v decides the class; |n.v| below
     ``GRAZING_RTOL * |v|`` is reported as grazing.
 
@@ -127,7 +130,7 @@ def classify_boundaries(domain: Domain, X, V, tol: float = 1e-9):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    outside = np.flatnonzero(~domain.contains(X, tol=tol))
+    outside = np.flatnonzero(~domain.contains(X, tol=BOUNDARY_TOL))
     if outside.size:
         raise DomainError("point %d outside the closed domain" % outside[0])
     speed = np.linalg.norm(V, axis=-1)
@@ -136,7 +139,7 @@ def classify_boundaries(domain: Domain, X, V, tol: float = 1e-9):
         raise DomainError("zero velocity at point %d cannot be classified"
                           % still[0])
     out = np.full(X.shape[0], INTERIOR, dtype=object)
-    on = np.flatnonzero(domain.boundary_distance(X) <= tol)
+    on = np.flatnonzero(domain.boundary_distance(X) <= BOUNDARY_TOL)
     s = np.sum(domain.unit_normal(X[on]) * V[on], axis=-1)
     out[on] = np.where(np.abs(s) <= GRAZING_RTOL * speed[on], GRAZING,
                        np.where(s > 0, OUTGOING, INCOMING))

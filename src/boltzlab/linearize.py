@@ -126,7 +126,7 @@ def mixed_difference(solver: Solver, g1: BoundarySource, g2: BoundarySource,
     W = [A(e1 g1 + e2 g2) - A(e1 g1) - A(e2 g2)] / (e1 e2), with A(0) = 0.
 
     The combined, first and second data are solved in lockstep on
-    `solver`.  Returns (W, traces, reports), the last two in that order.
+    `solver`.  Returns (W, traces), their traces in that order.
     A solve that does not converge raises ConvergenceError naming its data
     and the amplitudes, with its report attached.
     """
@@ -142,7 +142,7 @@ def mixed_difference(solver: Solver, g1: BoundarySource, g2: BoundarySource,
             report=exc.report, index=exc.index) from exc
     traces = [boundary_trace(field_, X, V) for field_, _ in results]
     W = (traces[0].value - traces[1].value - traces[2].value) / (e1 * e2)
-    return W, traces, [report for _, report in results]
+    return W, traces
 
 
 def w_finite_difference(spec: KernelSpec, g1: BoundarySource,
@@ -182,7 +182,7 @@ def w_finite_difference(spec: KernelSpec, g1: BoundarySource,
     tables = np.empty((len(cfg.pairs), X.shape[0]))
     trace_res = 0.0
     for k, (e1, e2) in enumerate(cfg.pairs):
-        tables[k], traces, _ = mixed_difference(solver, g1, g2, e1, e2, X, V)
+        tables[k], traces = mixed_difference(solver, g1, g2, e1, e2, X, V)
         for tab in traces:
             trace_res = max(trace_res,
                             float(np.max(tab.extrap_residual)) / (e1 * e2))

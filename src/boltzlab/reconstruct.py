@@ -29,7 +29,7 @@ from .errors import ConfigurationError, PreconditionError
 
 __all__ = [
     "Probe", "ProbeResult", "RecoveryRow", "CertificateReport",
-    "ExponentReport", "EXPONENT_MODES", "RELATION_TOL",
+    "ExponentReport", "EXPONENT_MODES", "RELATION_TOL", "MATCH_TOL",
     "bump_mass", "mollifier", "check_relations", "omega_pair",
     "probe_from_abtheta", "mollified_S", "closed_form_both",
     "recover_omega_independent_B", "monotonicity_P",
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 RELATION_TOL = 1e-10
+# relative mismatch within which an extrapolated S matches a closed form
+MATCH_TOL = 0.05
 DEGENERATE_KAPPA = 1e-6
 EXPONENT_MODES = ("theorem_minus2", "proposition_minus_n")
 
@@ -109,15 +111,16 @@ def _distinct_or_raise(v_star, v0, u0):
             raise PreconditionError(f"coincident probe velocities: {name}")
 
 
-def check_relations(v_star, v0, u0, tol: float = RELATION_TOL) -> dict:
+def check_relations(v_star, v0, u0) -> dict:
     """The three equivalent probe relations, each tested on its own algebra.
 
     rel1: (v*-v0).(u0-v0) = |v*-v0|^2
     rel2: (v*-u0).(v0-u0) = |v*-u0|^2
     rel3: (v*-v0).(v*-u0) = 0
 
-    Residuals are normalized by the squared probe diameter so one tolerance
-    fits all scales; the three booleans agree for every triple.
+    Residuals are normalized by the squared probe diameter so one tolerance,
+    RELATION_TOL, fits all scales; the three booleans agree for every
+    triple.
     """
     v_star = np.asarray(v_star, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -130,9 +133,9 @@ def check_relations(v_star, v0, u0, tol: float = RELATION_TOL) -> dict:
     r1 = float(p @ (u0 - v0)) - float(p @ p)
     r2 = float(q @ (v0 - u0)) - float(q @ q)
     r3 = float(p @ q)
-    return {"rel1": abs(r1) <= tol * scale,
-            "rel2": abs(r2) <= tol * scale,
-            "rel3": abs(r3) <= tol * scale}
+    tol = RELATION_TOL * scale
+    return {"rel1": abs(r1) <= tol, "rel2": abs(r2) <= tol,
+            "rel3": abs(r3) <= tol}
 
 
 def omega_pair(v_star, v0, u0):
@@ -509,7 +512,7 @@ class RecoveryRow:
 
 
 def recover_omega_independent_B(S_values, probes, exponent_mode: str,
-                                spec: KernelSpec = None):
+                                spec: KernelSpec):
     """Invert the closed-form combination for one unknown B(a, b) per probe.
 
     For omega-independent kernels both closed-form kernel evaluations equal
@@ -519,7 +522,7 @@ def recover_omega_independent_B(S_values, probes, exponent_mode: str,
     """
     if exponent_mode not in EXPONENT_MODES:
         raise ConfigurationError(f"unknown exponent_mode '{exponent_mode}'")
-    if spec is not None and not spec.is_omega_independent():
+    if not spec.is_omega_independent():
         raise PreconditionError(
             "recovery assumes an omega-independent kernel; "
             f"family '{spec.family}' is not")
@@ -670,17 +673,15 @@ class ExponentReport:
     winner_per_probe: list
     winner: str
     results: list
-    rel_tol: float
 
 
-def exponent_verdict(abthetas, etas, S_table, spec: KernelSpec,
-                     rel_tol: float = 0.05):
+def exponent_verdict(abthetas, etas, S_table, spec: KernelSpec):
     """Extrapolate each probe's row of S_table to eta = 0 (the full-degree
     polynomial through the points) and compare it with both closed forms.
 
     Returns (extrapolated, closed_forms, mismatch, winner_per_probe,
     winner).  A convention wins at a probe when it alone matches within
-    rel_tol; the overall winner must win at every probe.
+    MATCH_TOL; the overall winner must win at every probe.
     """
     extrapolated = np.array([
         float(np.polynomial.polynomial.polyfit(etas, row, len(etas) - 1)[0])
@@ -696,7 +697,7 @@ def exponent_verdict(abthetas, etas, S_table, spec: KernelSpec,
 
     winner_per_probe = []
     for i in range(len(abthetas)):
-        ok = [m for m in EXPONENT_MODES if mismatch[m][i] < rel_tol]
+        ok = [m for m in EXPONENT_MODES if mismatch[m][i] < MATCH_TOL]
         winner_per_probe.append(ok[0] if len(ok) == 1 else None)
     first = winner_per_probe[0]
     winner = first if (first is not None
@@ -706,7 +707,7 @@ def exponent_verdict(abthetas, etas, S_table, spec: KernelSpec,
 
 def exponent_experiment(abthetas, spec: KernelSpec,
                         etas=(0.4, 0.2, 0.1), nr: int = 14, na: int = 28,
-                        nw: int = 32, rel_tol: float = 0.05) -> ExponentReport:
+                        nw: int = 32) -> ExponentReport:
     """Discriminate the two Jacobian-exponent conventions empirically.
 
     For each data point (a, b, theta), tabulate S_eta along the shrinking
@@ -729,7 +730,7 @@ def exponent_experiment(abthetas, spec: KernelSpec,
         results.append(per_eta)
 
     extrapolated, closed, mismatch, winner_per_probe, winner = \
-        exponent_verdict(abthetas, etas, S_table, spec, rel_tol)
+        exponent_verdict(abthetas, etas, S_table, spec)
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(S_table))
     slopes = np.array([np.polyfit(np.log(etas), row, 1)[0] for row in logs])
@@ -737,7 +738,7 @@ def exponent_experiment(abthetas, spec: KernelSpec,
         abthetas=list(abthetas), etas=etas, S_table=S_table,
         extrapolated=extrapolated, slopes=slopes, closed_forms=closed,
         mismatch=mismatch, winner_per_probe=winner_per_probe, winner=winner,
-        results=results, rel_tol=rel_tol)
+        results=results)
 
 
 def abtheta_columns(dim: int) -> list:

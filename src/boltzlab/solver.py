@@ -102,14 +102,16 @@ class PhaseGrid:
         self.R_v = float(R_v)
         self.v_min = float(0.05 * R_v if v_min is None else v_min)
 
-        lo, hi = domain.bounding_box()
-        self.x_axes = tuple(np.linspace(lo[a], hi[a], nx) for a in range(self.dim))
-        self.v_axes = tuple(np.linspace(-R_v, R_v, nv) for _ in range(self.dim))
-        self.h_x = float(max(ax[1] - ax[0] for ax in self.x_axes))
-        self.h_v = float(self.v_axes[0][1] - self.v_axes[0][0])
+        # the centred ball's bounding cube and the velocity square have the
+        # same linspace on every axis
+        r = domain.radius
+        self.x_axis = np.linspace(-r, r, nx)
+        self.v_axis = np.linspace(-R_v, R_v, nv)
+        self.h_x = float(self.x_axis[1] - self.x_axis[0])
+        self.h_v = float(self.v_axis[1] - self.v_axis[0])
 
-        self.x_nodes = self._tensor_nodes(self.x_axes)
-        self.v_nodes = self._tensor_nodes(self.v_axes)
+        self.x_nodes = self._tensor_nodes(self.x_axis, self.dim)
+        self.v_nodes = self._tensor_nodes(self.v_axis, self.dim)
         self.NXF = self.x_nodes.shape[0]
         self.NVF = self.v_nodes.shape[0]
 
@@ -123,8 +125,8 @@ class PhaseGrid:
         self._build_fringe()
 
     @staticmethod
-    def _tensor_nodes(axes):
-        mesh = np.meshgrid(*axes, indexing="ij")
+    def _tensor_nodes(axis, dim):
+        mesh = np.meshgrid(*(axis,) * dim, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def _build_fringe(self):
@@ -175,15 +177,13 @@ class PhaseGrid:
         Returns (base, fracs) arrays; base = -1 marks points outside the
         square.
         """
-        parts = [_locate_axis(ax, P[..., a]) for a, ax in enumerate(self.v_axes)]
-        base = parts[0][0]
-        oor = parts[0][2]
+        i, t, oor = _locate_axis(self.v_axis, P)
+        base, out = i[..., 0], oor[..., 0]
         for a in range(1, self.dim):
-            base = base * self.nv + parts[a][0]
-            oor = oor | parts[a][2]
-        base = np.where(oor, -1, base)
-        fracs = [p[1] for p in parts]
-        return base.astype(np.int64), fracs
+            base = base * self.nv + i[..., a]
+            out = out | oor[..., a]
+        base = np.where(out, -1, base)
+        return base.astype(np.int64), [t[..., a] for a in range(self.dim)]
 
 
 def _corner_weights(fracs, strides):
@@ -286,15 +286,15 @@ class PhaseField:
         if X.shape[0] != V.shape[0]:
             X, V = np.broadcast_arrays(X, V)
         g = self.grid
-        xs = [_locate_axis(ax, X[:, a]) for a, ax in enumerate(g.x_axes)]
-        base_x = xs[0][0]
+        ix, tx, _ = _locate_axis(g.x_axis, X)
+        base_x = ix[:, 0]
         for a in range(1, g.dim):
-            base_x = base_x * g.nx + xs[a][0]
+            base_x = base_x * g.nx + ix[:, a]
         base_v, vfracs = g.v_stencil(V)
         base = np.where(base_v < 0, -1, base_x * g.NVF + base_v)
         strides = [g.nx ** (g.dim - 1 - a) * g.NVF for a in range(g.dim)] + \
                   [g.nv ** (g.dim - 1 - a) for a in range(g.dim)]
-        fracs = [s[1] for s in xs] + vfracs
+        fracs = [tx[:, a] for a in range(g.dim)] + vfracs
         out = _interp_flat(self.values.ravel(), base, fracs, strides)
         if self.profile is not None:
             out = np.asarray(self.profile(V), dtype=float) + out
@@ -394,7 +394,6 @@ class ConvergenceReport:
     ratio: float
     residual_discrete: float
     residual_pde: float
-    residual_points: int
     sup_F: float
     sup_G: float
     runtime: float
@@ -424,11 +423,6 @@ class _PicardTables:
         W = rule.omega_nodes
         NVa, NU, NW = vact.size, U.shape[0], W.shape[0]
 
-        self.B = np.ascontiguousarray(
-            kernel_eval(spec, Vg[:, None, None, :], U[None, :, None, :],
-                        W[None, None, :, :]).reshape(-1))
-        self.WU = rule.u_weights
-        self.WW = rule.omega_weights
         self.U = U
         self.W = W
         self.Vg = Vg
@@ -446,12 +440,14 @@ class _PicardTables:
             if hit.size:
                 rep_of[m] = hit[0]
         self.reps = np.unique(rep_of)
-        Bw = self.B.reshape(NVa, NU, NW) * \
-            (self.WU[:, None] * self.WW[None, :])[None, :, :]
+        Bw = kernel_eval(spec, Vg[:, None, None, :], U[None, :, None, :],
+                         W[None, None, :, :])
+        Bw *= (rule.u_weights[:, None] * rule.omega_weights[None, :])[None, :, :]
         self.Bw_fold = np.stack([Bw[:, :, rep_of == r].sum(axis=2)
                                  for r in self.reps], axis=2)
         # loss weights sum_omega B * w_u * w_omega, shape (NVa, NU)
         self.Bw_loss = Bw.sum(axis=2)
+        del Bw
 
         self.ub, self.ufr = grid.v_stencil(U)
         if np.any(self.ub < 0):
@@ -534,31 +530,20 @@ class _PicardTables:
         return g(self.Vg), g(self.U), g(self.up_points), g(self.vp_points)
 
 
-def _collision_stage_np(G, tables, F0V, F0U, F0UP, F0VP):
-    """Reference collision stage: one spatial node at a time, over every
-    omega node, the oracle the sparse stage is checked against.  It builds
-    its own u' and v' stencils, at every (v, u, omega) of
-    _post_collision_velocities; F0UP and F0VP hold the transported data at
-    those points.  Returns Q v-major, (NVF, NXF)."""
+def _collision_stage_np(G, tables, g, spec, rule):
+    """Reference collision stage: collision.collision_Q(F, F) at every
+    active spatial node p, with F(P) = g(P) + G[p] read through the grid's
+    velocity stencil, the oracle the sparse stage is checked against.  It
+    takes nothing from the tables but the grid and the active v-nodes, so
+    its kinematics, kernel values and stencils are its own.  Returns Q
+    v-major, (NVF, NXF)."""
     grid = tables.grid
-    NVa, NU, NW = tables.shape
     strides = [grid.nv ** (grid.dim - 1 - a) for a in range(grid.dim)]
-    UP, VP = _post_collision_velocities(tables.Vg, tables.U, tables.W)
-    upb, upfr = grid.v_stencil(UP.reshape(-1, grid.dim))
-    vpb, vpfr = grid.v_stencil(VP.reshape(-1, grid.dim))
     Q = np.zeros((grid.NVF, grid.NXF))
-    wqm = (tables.WU[:, None] * tables.WW[None, :])[None, :, :]
     for p in grid.x_active_idx:
-        Gr = G[p]
-        gu = _interp_flat(Gr, tables.ub, tables.ufr, strides)
-        gup = _interp_flat(Gr, upb, upfr, strides).reshape(NVa, NU, NW)
-        gvp = _interp_flat(Gr, vpb, vpfr, strides).reshape(NVa, NU, NW)
-        Hu = F0U + gu
-        Hv = F0V + Gr[grid.v_active_idx]
-        gain = (F0UP.reshape(NVa, NU, NW) + gup) * (F0VP.reshape(NVa, NU, NW) + gvp)
-        loss = Hu[None, :, None] * Hv[:, None, None]
-        Q[grid.v_active_idx, p] = np.sum(
-            tables.B.reshape(NVa, NU, NW) * wqm * (gain - loss), axis=(1, 2))
+        def F(_, P, Gr=G[p]):
+            return g(P) + _interp_flat(Gr, *grid.v_stencil(P), strides)
+        Q[grid.v_active_idx, p] = collision_Q(F, F, tables.Vg, spec, rule)
     return Q
 
 
@@ -616,10 +601,10 @@ def _line_stage_np(Qs, tables):
     of a stage run on it alone.
     """
     grid = tables.grid
-    x_lo = np.array([ax[0] for ax in grid.x_axes])
-    h = np.array([ax[1] - ax[0] for ax in grid.x_axes])
-    nxs = [ax.size for ax in grid.x_axes]
-    xstr = [int(np.prod(nxs[a + 1:])) for a in range(grid.dim)]
+    x_lo = grid.x_axis[0]
+    h = grid.x_axis[1] - grid.x_axis[0]
+    nx = grid.nx
+    xstr = [nx ** (grid.dim - 1 - a) for a in range(grid.dim)]
     NXF, NVF = grid.NXF, grid.NVF
     NXa = grid.x_active_idx.size
     Qflats = [Q.ravel() for Q in Qs]
@@ -641,9 +626,9 @@ def _line_stage_np(Qs, tables):
             fracs = []
             for a in range(grid.dim):
                 Y = xp[:, a, None] - S * vj[:, a, None]
-                f = (Y - x_lo[a]) / h[a]
+                f = (Y - x_lo) / h
                 # truncation equals floor wherever the clip leaves i alone
-                i = np.clip(f.astype(np.int64), 0, nxs[a] - 2)
+                i = np.clip(f.astype(np.int64), 0, nx - 2)
                 fracs.append(np.clip(f - i, 0.0, 1.0))
                 base = base + i * xstr[a]
             # _interp_flat's gather; every chord node lies in range
@@ -809,12 +794,12 @@ class _SourceRun:
         field = PhaseField(grid, G, profile=self.g)
         sup_G = _sup_abs(G)
         sup_F = field.sup_norm()
-        resid_pde, n_res = _sample_pde_residual(field, samples, spec, rule)
+        resid_pde = _sample_pde_residual(field, samples, spec, rule)
         report = ConvergenceReport(
             iterations=self.iterations, deltas=np.array(self.deltas),
             converged=self.converged, ratio=_contraction_ratio(self.deltas),
             residual_discrete=self.resid_disc, residual_pde=resid_pde,
-            residual_points=n_res, sup_F=sup_F, sup_G=sup_G,
+            sup_F=sup_F, sup_G=sup_G,
             runtime=time.perf_counter() - t_start)
         return field, report
 
@@ -877,8 +862,7 @@ def _residual_samples(grid):
 
 def _sample_pde_residual(field: PhaseField, samples, spec, rule):
     """|v.grad F - Q(F,F)| at the points of samples (_residual_samples),
-    with Q under the solve's kernel and rule; returns (max, number of
-    points).
+    with Q under the solve's kernel and rule; returns the max.
 
     The directional derivative uses central differences along the
     characteristic, where v is fixed, so the profile phi(v) drops out
@@ -888,7 +872,7 @@ def _sample_pde_residual(field: PhaseField, samples, spec, rule):
     s = samples
     cd = (field.eval(s.X_fwd, s.V) - field.eval(s.X_bwd, s.V)) / s.two_t
     qv = collision_Q(field.eval, field.eval, s.V, spec, rule, s.X)
-    return float(np.max(np.abs(cd - qv))), s.X.shape[0]
+    return float(np.max(np.abs(cd - qv)))
 
 
 # ---------------------------------------------------------------------------

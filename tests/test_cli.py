@@ -79,6 +79,9 @@ def test_unknown_keys_rejected_with_path():
     with pytest.raises(ConfigurationError,
                        match=r"unknown config key: domain\.lo"):
         config_from_dict({"version": 1, "domain": {"lo": [0.0, 0.0]}})
+    with pytest.raises(ConfigurationError,
+                       match=r"unknown config key: domain\.shape"):
+        config_from_dict({"version": 1, "domain": {"shape": "box"}})
 
 
 def test_committed_configs_load():
@@ -109,7 +112,6 @@ def test_validation_rejects_bad_values():
         ({"kernel": {"family": "bogus"}}, r"kernel\.family"),
         ({"reconstruct": {"etas": [0.1, 0.4]}}, "decreasing"),
         ({"stages": {"forward": "yes"}}, "boolean"),
-        ({"domain": {"shape": "box"}}, r"domain\.shape must be ball"),
     ]
     for patch, pattern in cases:
         doc = {"version": 1}

@@ -85,8 +85,6 @@ def test_check_relations_hand_examples():
     assert rels == {"rel1": True, "rel2": True, "rel3": True}
     rels = rc.check_relations(VS, V0, np.array([2.0, 0.0]))
     assert rels == {"rel1": False, "rel2": False, "rel3": False}
-    # residual is -1 on the unit scale, so a huge tolerance flips it
-    assert rc.check_relations(VS, V0, np.array([2.0, 0.0]), tol=2.0)["rel3"]
 
 
 def test_check_relations_three_forms_agree_on_random_triples():
@@ -507,7 +505,7 @@ def test_recovery_pools_probes_sharing_endpoints():
     probes = [rc.Probe.from_abtheta(a, b, th, eta=0.1) for th in thetas]
     S = [rc.closed_form_both(a, b, th, POLY)["theorem_minus2"]
          for th in thetas]
-    rows = rc.recover_omega_independent_B(S, probes, "theorem_minus2")
+    rows = rc.recover_omega_independent_B(S, probes, "theorem_minus2", POLY)
     assert rows[0].estimate == rows[1].estimate
     assert abs(rows[0].estimate - 3.0) < 1e-10
 
@@ -519,14 +517,16 @@ def test_recovery_rejections():
         rc.recover_omega_independent_B([2.0], [probe], "theorem_minus2",
                                        spec=bump)
     with pytest.raises(PreconditionError, match="one S value"):
-        rc.recover_omega_independent_B([1.0, 2.0], [probe], "theorem_minus2")
+        rc.recover_omega_independent_B([1.0, 2.0], [probe], "theorem_minus2",
+                                       CONST)
     with pytest.raises(ConfigurationError, match="exponent_mode"):
-        rc.recover_omega_independent_B([2.0], [probe], "bogus")
+        rc.recover_omega_independent_B([2.0], [probe], "bogus", CONST)
     # v_star a hair away from v0 makes one Jacobian factor vanish
     thin = rc.Probe(np.array([0.0, 1e-7]), V0, np.array([1.0, 0.0]), eta=0.1)
     assert rc.check_relations(thin.v_star, thin.v0, thin.u0)["rel3"]
     with pytest.raises(PreconditionError, match="degenerate"):
-        rc.recover_omega_independent_B([1.0], [thin], "theorem_minus2")
+        rc.recover_omega_independent_B([1.0], [thin], "theorem_minus2",
+                                       CONST)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +618,7 @@ def test_exponent_experiment_reports_divergence_honestly():
     # ... so no finite extrapolation matches either closed form
     for mode in rc.EXPONENT_MODES:
         assert report.closed_forms[mode].shape == (2,)
-        assert np.all(report.mismatch[mode] > report.rel_tol)
+        assert np.all(report.mismatch[mode] > rc.MATCH_TOL)
     assert report.winner_per_probe == [None, None]
     assert report.winner is None
     assert len(report.results) == 2 and len(report.results[0]) == 3

@@ -183,12 +183,6 @@ def _full_points(tables):
     return UP.reshape(-1, tables.grid.dim), VP.reshape(-1, tables.grid.dim)
 
 
-def _full_f0(g, tables):
-    """The oracle stage's tables: F0 at v, u and at u' and v' for every
-    (v, u, omega)."""
-    return (g(tables.Vg), g(tables.U)) + tuple(map(g, _full_points(tables)))
-
-
 def test_picard_engines_agree(monkeypatch):
     grid = PhaseGrid(DISK, 12, 12, R_v=2.0)
     rule = _small_rule()
@@ -196,7 +190,7 @@ def test_picard_engines_agree(monkeypatch):
     Fn, rn = picard_solve(SMALL_KERNEL, g, grid, rule, PicardOptions())
     Fr, rr = _solve_with_oracle_stage(
         monkeypatch,
-        lambda G, t: _collision_stage_np(G, t, *_full_f0(g, t)),
+        lambda G, t: _collision_stage_np(G, t, g, SMALL_KERNEL, rule),
         SMALL_KERNEL, g, grid, rule, PicardOptions())
     assert rn.converged and rr.converged
     assert np.max(np.abs(Fn.values - Fr.values)) < 1e-15
@@ -236,7 +230,7 @@ def test_sparse_collision_stage_matches_reference():
         assert tables.reps.size == n_classes
         G = 1e-3 * rng.standard_normal((grid.NXF, grid.NVF))
         Qs = _collision_stage_sparse(G, tables, ops, *F0)
-        Qr = _collision_stage_np(G, tables, *_full_f0(g, tables))
+        Qr = _collision_stage_np(G, tables, g, spec, rule)
         assert np.max(np.abs(Qr)) > 1e-9
         assert np.max(np.abs(Qs - Qr)) < 1e-15
 
@@ -415,8 +409,8 @@ def test_line_stage_matches_per_pair_chord_loop():
     Q = np.random.default_rng(6).standard_normal((grid.NVF, grid.NXF))
     G = _line_stage_np([Q], tables)[0]
 
-    lo = np.array([ax[0] for ax in grid.x_axes])
-    h = np.array([ax[1] - ax[0] for ax in grid.x_axes])
+    lo = grid.x_axis[0]
+    h = grid.x_axis[1] - grid.x_axis[0]
     expected = np.zeros_like(G)
     for p in grid.x_active_idx:
         x = grid.x_nodes[p]
@@ -525,7 +519,7 @@ def test_picard_residual_sampling_on_coarse_grid_returns():
     F, rep = picard_solve(spec, _bump_profile(3e-3, center=(0.6, 0.0, 0.0)),
                           grid, rule)
     assert 3 * grid.h_x > 1.0
-    assert rep.converged and rep.residual_points == 64
+    assert rep.converged and solver._residual_samples(grid).X.shape[0] == 64
     assert np.isfinite(rep.residual_pde)
 
 

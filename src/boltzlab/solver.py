@@ -160,15 +160,19 @@ class PhaseGrid:
         self.x_fringe_src = np.array(src, dtype=np.int64)
         self.x_fringe_src2 = np.array(src2, dtype=np.int64)
 
-    def fill_fringe(self, A: np.ndarray):
-        """Extend rows of A (NXF, ...) from the domain onto the fringe by
-        linear extrapolation (falls back to copying where no mirror exists)."""
+    def fill_fringe(self, A: np.ndarray, axis: int = 0):
+        """Extend A from the domain onto the fringe along its spatial axis
+        (axis 0 of an (NXF, ...) array, axis 1 of a v-major (NVF, NXF) one)
+        by linear extrapolation (falls back to copying where no mirror
+        exists)."""
         f, s, s2 = self.x_fringe_idx, self.x_fringe_src, self.x_fringe_src2
         if f.size == 0:
             return A
         lin = s2 >= 0
-        A[f[lin]] = 2.0 * A[s[lin]] - A[np.maximum(s2[lin], 0)]
-        A[f[~lin]] = A[s[~lin]]
+        at = (slice(None),) * axis
+        A[at + (f[lin],)] = 2.0 * np.take(A, s[lin], axis=axis) - \
+            np.take(A, s2[lin], axis=axis)
+        A[at + (f[~lin],)] = np.take(A, s[~lin], axis=axis)
         return A
 
     def v_stencil(self, P: np.ndarray):
@@ -355,14 +359,16 @@ class BoundarySource:
 # ---------------------------------------------------------------------------
 
 
-# tile of the collision stage: spatial rows x active velocity nodes; small
-# enough that a tile's _X_BLOCK * _V_BLOCK * NU * (omega classes)
-# temporaries stay in cache
+# tile of the collision stage: _X_BLOCK spatial rows x the active velocity
+# nodes of about _GAIN_ROW_BLOCK gain rows (v, u, omega class), that is
+# max(1, _GAIN_ROW_BLOCK // (NU * classes)) nodes, so a tile's temporaries
+# are about _X_BLOCK * _GAIN_ROW_BLOCK values each and stay in cache
 _X_BLOCK = 16
-_V_BLOCK = 16
-# (x, v) pairs per chunk of the line stage; a chunk's temporaries are
-# _PAIR_BLOCK * (chord order) values each
-_PAIR_BLOCK = 2048
+_GAIN_ROW_BLOCK = 1536
+# chord nodes per chunk of the line stage: a chunk of an order-o group
+# takes max(1, _CHORD_NODE_BLOCK // o) (x, v) pairs, so its temporaries are
+# about _CHORD_NODE_BLOCK values each, whatever the order
+_CHORD_NODE_BLOCK = 16384
 # chord quadrature: nodes every _CHORD_SPACING * h_x, order clipped to
 # [_CHORD_ORDER_MIN, _CHORD_ORDER_MAX]
 _CHORD_SPACING = 1.5
@@ -428,18 +434,24 @@ class _PicardTables:
         self.Vg = Vg
         self.shape = (NVa, NU, NW)
 
-        # omega and -omega give the same (u', v') pair: the collision stage
-        # evaluates the gain once per antipodal class, at its first node,
-        # with the class's summed weights B * w_u * w_omega (any kernel; a
-        # rule without antipodes keeps singleton classes)
-        antipodal = np.max(np.abs(W[:, None, :] + W[None, :, :]), axis=-1) \
+        # omega and -omega give the same (u', v') pair, and in 2D, where
+        # omega omega^T + omega_perp omega_perp^T = I, a quarter turn of
+        # omega gives it swapped, (v', u'): the gain H(u') H(v') is the same
+        # at every node of such a class, so the collision stage evaluates it
+        # once per class, at its first node, with the class's summed
+        # weights B * w_u * w_omega (any kernel; a rule without antipodes
+        # or quarter turns keeps singleton classes)
+        same_pair = np.max(np.abs(W[:, None, :] + W[None, :, :]), axis=-1) \
             <= 1e-12
+        if dim == 2:
+            same_pair |= np.abs(W @ W.T) <= 1e-12
         rep_of = np.arange(NW)
         for m in range(NW):
-            hit = np.flatnonzero(antipodal[m, :m] & (rep_of[:m] == np.arange(m)))
+            hit = np.flatnonzero(same_pair[m, :m] & (rep_of[:m] == np.arange(m)))
             if hit.size:
                 rep_of[m] = hit[0]
         self.reps = np.unique(rep_of)
+        self.v_block = max(1, _GAIN_ROW_BLOCK // (NU * self.reps.size))
         Bw = kernel_eval(spec, Vg[:, None, None, :], U[None, :, None, :],
                          W[None, None, :, :])
         Bw *= (rule.u_weights[:, None] * rule.omega_weights[None, :])[None, :, :]
@@ -506,7 +518,7 @@ class _PicardTables:
         row.  Returns (Su, [(tiles, Sup, Svp)]): Su has one row per u-node;
         Sup and Svp have one row per distinct u' and v' point (up_points,
         vp_points).  tiles cut the gain rows (v, u, representative) into
-        _V_BLOCK velocity nodes, as (slice of active v-nodes, rows of Sup,
+        v_block velocity nodes, as (slice of active v-nodes, rows of Sup,
         rows of Svp), the indices of each row's point.
         """
         NRow = self.shape[1] * self.reps.size
@@ -517,9 +529,10 @@ class _PicardTables:
             return _stencil_csr(base, fracs, self.v_strides, ncols)
 
         tiles = []
-        for j in range(0, self.shape[0], _V_BLOCK):
-            r = slice(j * NRow, (j + _V_BLOCK) * NRow)
-            tiles.append((slice(j, j + _V_BLOCK), self.up_index[r],
+        vb = self.v_block
+        for j in range(0, self.shape[0], vb):
+            r = slice(j * NRow, (j + vb) * NRow)
+            tiles.append((slice(j, j + vb), self.up_index[r],
                           self.vp_index[r]))
         return (_stencil_csr(self.ub, self.ufr, self.v_strides, ncols),
                 [(tiles, csr(self.up_points), csr(self.vp_points))])
@@ -554,7 +567,7 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
     _PicardTables.stencil_operators) to a block's rows of G at once, as
     GT = G[rows].T: Su @ GT gives G at u, and Sup @ GT and Svp @ GT give G
     at every distinct u' and v' point, to which F0 is added after the
-    products.  Tile by tile of _V_BLOCK velocity nodes, the gain gathers its
+    products.  Tile by tile of v_block velocity nodes, the gain gathers its
     rows (v, u, representative) from those two products and is reduced
     against the folded weights; the loss is Hv * ((sum_omega B w) @ Hu).
     Returns Q v-major, (NVF, NXF), the layout the blocks come in.  Agrees
@@ -594,11 +607,12 @@ def _line_stage_np(Qs, tables):
     Each Q of Qs is v-major, (NVF, NXF); the result is one G per Q, (NXF,
     NVF).  Pairs (x node, v node) come grouped by chord quadrature order
     and, within an order, by (v, x) (see _PicardTables), so a chunk gathers
-    from few rows of Q; each group is evaluated in chunks of _PAIR_BLOCK
-    pairs.  The locate is truncation + clip, no node snapping.  A chunk's
-    chord nodes, cells and corner weights depend on the grid only, so they
-    are computed once and serve every Q; each Q's gather and sum are those
-    of a stage run on it alone.
+    from few rows of Q; each group is evaluated in chunks of about
+    _CHORD_NODE_BLOCK chord nodes.  The locate is truncation + clip, no
+    node snapping.  A chunk's chord nodes, cells and corner weights depend
+    on the grid only, so they are computed once and serve every Q; each Q's
+    gather and sum are those of a stage run on it alone, and a pair's sum
+    does not depend on the chunk it falls in.
     """
     grid = tables.grid
     x_lo = grid.x_axis[0]
@@ -611,34 +625,46 @@ def _line_stage_np(Qs, tables):
     Gouts = [np.zeros(NXF * NVF) for _ in Qs]
     for o, first, last in tables.order_groups:
         off = tables.gloff[o]
-        gx = tables.glx[off:off + o]
+        gx1 = 1.0 + tables.glx[off:off + o]
         gw = tables.glw[off:off + o]
-        for start in range(first, last, _PAIR_BLOCK):
-            stop = min(start + _PAIR_BLOCK, last)
-            k = tables.pair_order[start:stop]
-            vi = grid.v_active_idx[k // NXa]
-            xi = grid.x_active_idx[k % NXa]
-            tau = tables.pair_tau[start:stop]
-            S = 0.5 * tau[:, None] * (1.0 + gx[None, :])
-            Wt = 0.5 * tau[:, None] * gw[None, :]
+        step = max(1, _CHORD_NODE_BLOCK // o)
+        for start in range(first, last, step):
+            stop = min(start + step, last)
+            vk, xk = np.divmod(tables.pair_order[start:stop], NXa)
+            vi = grid.v_active_idx[vk]
+            xi = grid.x_active_idx[xk]
+            half_tau = 0.5 * tables.pair_tau[start:stop, None]
+            S = half_tau * gx1
             xp, vj = grid.x_nodes[xi], grid.v_nodes[vi]
             base = (vi * NXF)[:, None]
             fracs = []
             for a in range(grid.dim):
-                Y = xp[:, a, None] - S * vj[:, a, None]
-                f = (Y - x_lo) / h
+                # f = (x - S v - x_lo) / h, one buffer for every step
+                f = S * vj[:, a, None]
+                np.subtract(xp[:, a, None], f, out=f)
+                f -= x_lo
+                f /= h
                 # truncation equals floor wherever the clip leaves i alone
                 i = np.clip(f.astype(np.int64), 0, nx - 2)
-                fracs.append(np.clip(f - i, 0.0, 1.0))
-                base = base + i * xstr[a]
-            # _interp_flat's gather; every chord node lies in range
+                f -= i
+                fracs.append(np.clip(f, 0.0, 1.0, out=f))
+                i *= xstr[a]
+                base = base + i
+            # _interp_flat's gather; np.take buffers `out` in its default
+            # "raise" mode but not in "clip" mode, which clips no index here:
+            # every chord node lies in range
             qvs = [np.zeros(S.shape) for _ in Qs]
+            q = np.empty(S.shape)
             for w, off in _corner_weights(fracs, xstr):
                 idx = base + off
                 for Qflat, qv in zip(Qflats, qvs):
-                    qv += w * Qflat[idx]
+                    np.take(Qflat, idx, out=q, mode="clip")
+                    q *= w
+                    qv += q
+            Wt = half_tau * gw
             for Gout, qv in zip(Gouts, qvs):
-                Gout[xi * NVF + vi] = np.sum(Wt * qv, axis=1)
+                qv *= Wt
+                Gout[xi * NVF + vi] = np.sum(qv, axis=1)
     return [G.reshape(NXF, NVF) for G in Gouts]
 
 
@@ -696,7 +722,7 @@ class Solver:
 
         def collision(run):
             Q = _collision_stage_sparse(run.G, tables, ops, *run.f0_tables)
-            return grid.fill_fringe(Q.T).T
+            return grid.fill_fringe(Q, axis=1)
 
         live, k = runs, 1
         while live:

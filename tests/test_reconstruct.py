@@ -129,6 +129,30 @@ def test_omega_pair_rejects_off_manifold():
         rc.omega_pair(VS, V0, np.array([2.0, 0.0]))
 
 
+def test_relations_and_omega_pair_take_rows():
+    # rows of triples give each row what the triple gives on its own, bit
+    # for bit; one failing or coincident row fails the whole batch
+    rng = np.random.default_rng(23)
+    for dim in (2, 3):
+        v_star, v0, u0 = thales_triples(rng, 300, dim)
+        off = v_star + 0.3 * (v_star - 0.5 * (v0 + u0))
+        rels = rc.check_relations(np.vstack([v_star, off]),
+                                  np.vstack([v0, v0]), np.vstack([u0, u0]))
+        assert all(rels[k].tolist() == [True] * 300 + [False] * 300
+                   for k in rels)
+        w1, w2 = rc.omega_pair(v_star, v0, u0)
+        assert w1.shape == w2.shape == (300, dim)
+        for i in range(300):
+            for got, want in zip((w1[i], w2[i]),
+                                 rc.omega_pair(v_star[i], v0[i], u0[i])):
+                assert np.array_equal(got, want)
+        with pytest.raises(PreconditionError, match="orthogonality"):
+            rc.omega_pair(off, v0, u0)
+        v0[7] = v_star[7]
+        with pytest.raises(PreconditionError, match="coincident"):
+            rc.check_relations(v_star, v0, u0)
+
+
 def test_single_scattering_connects_probe_velocities():
     # one collision along omega1 sends (u0, v0) to (partner, v_star) and one
     # along omega2 sends it to (v_star, partner)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 
@@ -197,22 +198,68 @@ def test_picard_engines_agree(monkeypatch):
 
 
 def _stage_cases():
-    # (spec, grid, rule, source centre, antipodal classes): the sparse stage
-    # folds antipodal omega nodes, so these rules fold 7 -> 7 (odd 2D
-    # order: no antipodes), 8 -> 4 with an omega-dependent kernel, and
-    # 8 -> 4 in 3D
+    # (spec, grid, rule, source centre, omega classes): the sparse stage
+    # folds antipodal omega nodes and, in 2D, quarter turns, so these rules
+    # fold 7 -> 7 (odd 2D order: neither), 8 -> 2 with an omega-dependent
+    # kernel, 8 -> 4 in 3D (antipodes only), and 6 -> 3 (2D order 2 mod 4:
+    # antipodes, no quarter turns)
     ball3 = Domain("ball", dim=3, radius=1.0)
     return [
         (SMALL_KERNEL, PhaseGrid(DISK, 10, 10, R_v=2.0),
          QuadratureRule.build(2, sphere_order=7, radial_order=3,
                               angular_order=8, R_v=2.0), (0.6, 0.0), 7),
         (KernelSpec("angular_bump", dim=2, params={"amplitude": 0.01}),
-         PhaseGrid(DISK, 10, 10, R_v=2.0), _small_rule(), (0.6, 0.0), 4),
+         PhaseGrid(DISK, 10, 10, R_v=2.0), _small_rule(), (0.6, 0.0), 2),
         (KernelSpec("constant", dim=3, params={"value": 0.01}),
          PhaseGrid(ball3, 6, 6, R_v=2.0),
          QuadratureRule.build(3, sphere_order=2, radial_order=2,
                               angular_order=2, R_v=2.0), (0.6, 0.0, 0.0), 4),
+        (SMALL_KERNEL, PhaseGrid(DISK, 10, 10, R_v=2.0),
+         QuadratureRule.build(2, sphere_order=6, radial_order=3,
+                              angular_order=8, R_v=2.0), (0.6, 0.0), 3),
     ]
+
+
+def _n_classes(rule, dim=2):
+    grid = PhaseGrid(Domain("ball", dim=dim, radius=1.0), 4, 4, R_v=rule.R_v)
+    spec = KernelSpec("constant", dim=dim, params={"value": 0.01})
+    return _PicardTables(spec, grid, rule).reps.size
+
+
+def test_omega_classes_fold_quarter_turns_in_2d_only():
+    # 2D orders divisible by 4 fold four nodes (omega, its quarter turns and
+    # -omega) per class; orders 2 mod 4 keep antipodal pairs; odd orders
+    # keep singletons
+    for order, n_classes in ((8, 2), (12, 3), (6, 3), (7, 7)):
+        rule = QuadratureRule.build(2, sphere_order=order, radial_order=2,
+                                    angular_order=4, R_v=2.0)
+        assert _n_classes(rule) == n_classes
+    # in 3D only antipodes fold: +-e_a give 3 classes, though e_0 is
+    # perpendicular to e_1 and e_2
+    rule = QuadratureRule.build(3, sphere_order=2, radial_order=2,
+                                angular_order=2, R_v=2.0)
+    assert _n_classes(rule, 3) == 4
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    rule = dataclasses.replace(rule, omega_nodes=axes,
+                               omega_weights=np.full(6, 4.0 * np.pi / 6))
+    assert _n_classes(rule, 3) == 3
+
+
+def test_quarter_turn_swaps_post_collision_pair():
+    # u'(omega_perp) = v'(omega) and v'(omega_perp) = u'(omega) at every
+    # (v, u) of the 32x32 grid's active nodes and the rule's nodes, to
+    # rounding; node m + order / 4 is node m turned a quarter
+    grid = PhaseGrid(DISK, 32, 32, R_v=2.0)
+    Vg = grid.v_nodes[grid.v_active_idx]
+    for order in (8, 12):
+        rule = QuadratureRule.build(2, sphere_order=order, radial_order=3,
+                                    angular_order=8, R_v=2.0)
+        W = rule.omega_nodes
+        perp = (np.arange(order) + order // 4) % order
+        assert np.max(np.abs(W[perp] - W[:, ::-1] * [-1.0, 1.0])) < 1e-15
+        UP, VP = solver._post_collision_velocities(Vg, rule.u_nodes, W)
+        assert np.max(np.abs(UP[:, :, perp] - VP)) < 1e-14
+        assert np.max(np.abs(VP[:, :, perp] - UP)) < 1e-14
 
 
 def _stage_inputs(spec, grid, rule, center):
@@ -306,7 +353,7 @@ def _rep_points(tables):
 def _per_row_stage(G, tables, g):
     """The collision stage on one operator row per (v, u, representative),
     kept as the bitwise oracle of the stage on distinct points.  Per block
-    of _X_BLOCK spatial rows and tile of _V_BLOCK velocity nodes, the
+    of _X_BLOCK spatial rows and tile of v_block velocity nodes, the
     per-row operators are applied to [G[rows].T; 1], and every row ends
     with F0 in that last column."""
     grid = tables.grid
@@ -328,9 +375,9 @@ def _per_row_stage(G, tables, g):
         HuT = F0U + Su @ GT
         QT = -(F0V + GT[vact]) * (tables.Bw_loss @ HuT)
         shape = (-1, NU, NR, rows.size)
-        for j in range(0, NVa, solver._V_BLOCK):
-            js = slice(j, j + solver._V_BLOCK)
-            r = slice(j * NU * NR, (j + solver._V_BLOCK) * NU * NR)
+        for j in range(0, NVa, tables.v_block):
+            js = slice(j, j + tables.v_block)
+            r = slice(j * NU * NR, (j + tables.v_block) * NU * NR)
             gain = (Sup[r] @ GT).reshape(shape)
             gain *= (Svp[r] @ GT).reshape(shape)
             QT[js] += np.einsum("vurx,vur->vx", gain, tables.Bw_fold[js])

@@ -268,11 +268,21 @@ def admissibility_check(spec: KernelSpec, domain, rule: QuadratureRule,
     supremum over x is exact, not sampled:
 
         M = diam * max over directions v of the (u, w) quadrature of |B|.
+
+    Where B does not depend on w (every family but angular_bump), the
+    quadrature factors as (sum_u |B| w_u) * sum_w w_w, with no (u, w) table.
     """
-    integ = np.empty(rule.omega_nodes.shape[0])
-    for i, v in enumerate(rule.omega_nodes):
-        B = kernel_eval(spec, v, rule.u_nodes[:, None, :], rule.omega_nodes[None, :, :])
-        integ[i] = float(np.sum(np.abs(B) * rule.u_weights[:, None] * rule.omega_weights[None, :]))
+    W = rule.omega_nodes
+    if spec.is_omega_independent():
+        B = kernel_eval(spec, W[:, None, :], rule.u_nodes[None, :, :], W[:1])
+        integ = np.sum(np.abs(B) * rule.u_weights, axis=1) * \
+            np.sum(rule.omega_weights)
+    else:
+        integ = np.empty(W.shape[0])
+        for i, v in enumerate(W):
+            B = kernel_eval(spec, v, rule.u_nodes[:, None, :], W[None, :, :])
+            integ[i] = float(np.sum(np.abs(B) * rule.u_weights[:, None]
+                                    * rule.omega_weights[None, :]))
     M = domain.diameter() * float(np.max(integ))
     return AdmissibilityReport(M_estimate=M, threshold=float(threshold),
                                passed=bool(M < threshold))

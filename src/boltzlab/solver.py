@@ -371,7 +371,7 @@ _GAIN_ROW_BLOCK = 1536
 _CHORD_NODE_BLOCK = 16384
 # chord quadrature: nodes every _CHORD_SPACING * h_x, order clipped to
 # [_CHORD_ORDER_MIN, _CHORD_ORDER_MAX]
-_CHORD_SPACING = 1.5
+_CHORD_SPACING = 3.0
 _CHORD_ORDER_MIN = 4
 _CHORD_ORDER_MAX = 24
 # active v-nodes per block of the exit-time and chord-order build, whose
@@ -601,6 +601,23 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
     return Q
 
 
+def _lerp_cell(Qflat, base, fracs, strides, corner=0):
+    """Multilinear value of the flat tensor Qflat in the cells `base`, at
+    fractional coordinates `fracs` along axes of `strides`, by successive
+    lerps: lo + t (hi - lo) along the first axis, each face read the same
+    way along the others.  Corner c is read as np.take(Qflat[c:], base),
+    with no index add; mode "clip" changes no index, since every base + c
+    is in range."""
+    if not fracs:
+        return np.take(Qflat[corner:], base, mode="clip")
+    lo = _lerp_cell(Qflat, base, fracs[1:], strides[1:], corner)
+    hi = _lerp_cell(Qflat, base, fracs[1:], strides[1:], corner + strides[0])
+    hi -= lo
+    hi *= fracs[0]
+    lo += hi
+    return lo
+
+
 def _line_stage_np(Qs, tables):
     """Characteristic-integral stage of several sources at once.
 
@@ -608,63 +625,68 @@ def _line_stage_np(Qs, tables):
     NVF).  Pairs (x node, v node) come grouped by chord quadrature order
     and, within an order, by (v, x) (see _PicardTables), so a chunk gathers
     from few rows of Q; each group is evaluated in chunks of about
-    _CHORD_NODE_BLOCK chord nodes.  The locate is truncation + clip, no
-    node snapping.  A chunk's chord nodes, cells and corner weights depend
-    on the grid only, so they are computed once and serve every Q; each Q's
-    gather and sum are those of a stage run on it alone, and a pair's sum
-    does not depend on the chunk it falls in.
+    _CHORD_NODE_BLOCK chord nodes, laid out (Gauss node, pair) so that
+    every elementwise step runs along the pairs.  Chord nodes are located
+    in grid units, x^ - s v^ with x^ = (x - x_lo) / h and v^ = v / h, by
+    floor + clip, with no node snapping.  A chunk's cells and fractions
+    depend on the grid only, so they are computed once and serve every Q;
+    each Q's lerps and sum are those of a stage run on it alone.  A pair's
+    sum adds its weighted Gauss nodes one after the other, elementwise with
+    no BLAS and no reduction, so it does not depend on the chunk it falls
+    in.
     """
     grid = tables.grid
-    x_lo = grid.x_axis[0]
-    h = grid.x_axis[1] - grid.x_axis[0]
     nx = grid.nx
     xstr = [nx ** (grid.dim - 1 - a) for a in range(grid.dim)]
     NXF, NVF = grid.NXF, grid.NVF
     NXa = grid.x_active_idx.size
+    h = grid.x_axis[1] - grid.x_axis[0]
+    # (dim, nodes), so a chunk gathers one contiguous row per axis
+    x_hat = ((grid.x_nodes - grid.x_axis[0]) / h).T.copy()
+    v_hat = (grid.v_nodes / h).T.copy()
     Qflats = [Q.ravel() for Q in Qs]
     Gouts = [np.zeros(NXF * NVF) for _ in Qs]
     for o, first, last in tables.order_groups:
         off = tables.gloff[o]
-        gx1 = 1.0 + tables.glx[off:off + o]
-        gw = tables.glw[off:off + o]
+        gx1 = 1.0 + tables.glx[off:off + o, None]
+        gw = tables.glw[off:off + o, None]
         step = max(1, _CHORD_NODE_BLOCK // o)
         for start in range(first, last, step):
             stop = min(start + step, last)
             vk, xk = np.divmod(tables.pair_order[start:stop], NXa)
             vi = grid.v_active_idx[vk]
             xi = grid.x_active_idx[xk]
-            half_tau = 0.5 * tables.pair_tau[start:stop, None]
-            S = half_tau * gx1
-            xp, vj = grid.x_nodes[xi], grid.v_nodes[vi]
-            base = (vi * NXF)[:, None]
+            half_tau = 0.5 * tables.pair_tau[start:stop]
+            S = gx1 * half_tau
+            xp, vp = x_hat[:, xi], v_hat[:, vi]
+            # the flat cell index is summed in floats, exact for integers
+            # below 2**53, and converted once
+            cell = vi * float(NXF)
             fracs = []
             for a in range(grid.dim):
-                # f = (x - S v - x_lo) / h, one buffer for every step
-                f = S * vj[:, a, None]
-                np.subtract(xp[:, a, None], f, out=f)
-                f -= x_lo
-                f /= h
-                # truncation equals floor wherever the clip leaves i alone
-                i = np.clip(f.astype(np.int64), 0, nx - 2)
+                # f = x^ - S v^, one buffer for every step, and its cell
+                # floor(f) clipped to [0, nx - 2]
+                f = S * vp[a]
+                np.subtract(xp[a], f, out=f)
+                i = np.floor(f)
+                np.maximum(i, 0.0, out=i)
+                np.minimum(i, nx - 2.0, out=i)
                 f -= i
-                fracs.append(np.clip(f, 0.0, 1.0, out=f))
+                np.maximum(f, 0.0, out=f)
+                fracs.append(np.minimum(f, 1.0, out=f))
                 i *= xstr[a]
-                base = base + i
-            # _interp_flat's gather; np.take buffers `out` in its default
-            # "raise" mode but not in "clip" mode, which clips no index here:
-            # every chord node lies in range
-            qvs = [np.zeros(S.shape) for _ in Qs]
-            q = np.empty(S.shape)
-            for w, off in _corner_weights(fracs, xstr):
-                idx = base + off
-                for Qflat, qv in zip(Qflats, qvs):
-                    np.take(Qflat, idx, out=q, mode="clip")
-                    q *= w
-                    qv += q
-            Wt = half_tau * gw
-            for Gout, qv in zip(Gouts, qvs):
-                qv *= Wt
-                Gout[xi * NVF + vi] = np.sum(qv, axis=1)
+                i += cell
+                cell = i
+            base = cell.astype(np.int64)
+            dest = xi * NVF + vi
+            for Qflat, Gout in zip(Qflats, Gouts):
+                q = _lerp_cell(Qflat, base, fracs, xstr)
+                q *= gw
+                acc = q[0]
+                for k in range(1, o):
+                    acc += q[k]
+                acc *= half_tau
+                Gout[dest] = acc
     return [G.reshape(NXF, NVF) for G in Gouts]
 
 

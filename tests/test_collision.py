@@ -156,6 +156,36 @@ def test_admissibility_constant_kernel_closed_form():
         assert not rep.passed
 
 
+def test_admissibility_factored_sum_matches_full_table():
+    # the omega-independent families take (sum_u |B| w_u) * sum_w w_w; it
+    # agrees with the sum over the full (u, w) table, and so does every
+    # verdict at thresholds just above and below it
+    specs = {
+        "constant": {"value": 0.1},
+        "omega_independent_poly": {"coeffs": (0.005, 0.0, 0.005)},
+        "hard_potential_like": {"gamma": 0.5, "amplitude": 0.02},
+        "gaussian_compact": {"amplitude": 0.3, "support": 1.5},
+        "angular_bump": {"amplitude": 0.2},
+    }
+    for dim in (2, 3):
+        dom = Domain("ball", dim=dim, radius=0.8)
+        rule = QuadratureRule.build(dim, sphere_order=6, radial_order=3,
+                                    angular_order=6, R_v=2.0)
+        W, U = rule.omega_nodes, rule.u_nodes
+        wt = rule.u_weights[:, None] * rule.omega_weights[None, :]
+        for family, params in specs.items():
+            spec = KernelSpec(family, dim=dim, params=params)
+            full = max(float(np.sum(np.abs(kernel_eval(
+                spec, v, U[:, None, :], W[None, :, :])) * wt)) for v in W)
+            M_full = dom.diameter() * full
+            rep = admissibility_check(spec, dom, rule)
+            assert abs(rep.M_estimate - M_full) <= 1e-14 * M_full, family
+            for f in (1.0 + 1e-9, 1.0 - 1e-9):
+                assert admissibility_check(spec, dom, rule,
+                                           threshold=f * M_full).passed == \
+                    (f > 1.0)
+
+
 def test_collision_Q_annihilates_constants_and_maxwellian():
     rule = QuadratureRule.build(2, sphere_order=12, radial_order=5,
                                 angular_order=12, R_v=2.0)

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import itertools
 import os
 import tracemalloc
 
@@ -448,39 +450,101 @@ def test_distinct_row_products_plus_f0_equal_per_row_products():
         _assert_bitwise((S @ GT + f0[:, None])[index], full @ GT1)
 
 
+def _line_stage_cases():
+    """Picard tables of a 2D 8x8 disk and of a 3D 6x6x6 ball."""
+    ball3 = Domain("ball", dim=3, radius=1.0)
+    return [
+        _PicardTables(SMALL_KERNEL, PhaseGrid(DISK, 8, 8, R_v=2.0),
+                      _small_rule()),
+        _PicardTables(KernelSpec("constant", dim=3, params={"value": 0.004}),
+                      PhaseGrid(ball3, 6, 6, R_v=2.0),
+                      QuadratureRule.build(3, sphere_order=2, radial_order=2,
+                                           angular_order=2, R_v=2.0)),
+    ]
+
+
 def test_line_stage_matches_per_pair_chord_loop():
     # independent evaluation: for each active (x, v), Gauss-Legendre over
-    # the backward chord [0, tau_-] of the bilinear interpolant of Q(., v)
-    grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
-    tables = _PicardTables(SMALL_KERNEL, grid, _small_rule())
-    Q = np.random.default_rng(6).standard_normal((grid.NVF, grid.NXF))
-    G = _line_stage_np([Q], tables)[0]
+    # the backward chord [0, tau_-] of the multilinear interpolant of
+    # Q(., v), written as a sum over the cell's corners
+    for seed, tables in enumerate(_line_stage_cases(), start=6):
+        grid = tables.grid
+        dim, nx = grid.dim, grid.nx
+        Q = np.random.default_rng(seed).standard_normal((grid.NVF, grid.NXF))
+        G = _line_stage_np([Q], tables)[0]
 
-    lo = grid.x_axis[0]
-    h = grid.x_axis[1] - grid.x_axis[0]
-    expected = np.zeros_like(G)
-    for p in grid.x_active_idx:
-        x = grid.x_nodes[p]
-        for j in grid.v_active_idx:
-            v = grid.v_nodes[j]
-            tau = exit_times(DISK, x[None, :], v[None, :], sign=-1)[0]
-            order = int(np.clip(np.ceil(tau * np.linalg.norm(v) /
-                                        (solver._CHORD_SPACING * grid.h_x))
-                                + 2, solver._CHORD_ORDER_MIN,
-                                solver._CHORD_ORDER_MAX))
-            nodes, weights = np.polynomial.legendre.leggauss(order)
-            for s_hat, w in zip(nodes, weights):
-                y = x - 0.5 * tau * (1.0 + s_hat) * v
+        lo = grid.x_axis[0]
+        h = grid.x_axis[1] - grid.x_axis[0]
+        corners = np.array(list(itertools.product((0, 1), repeat=dim)))
+        expected = np.zeros_like(G)
+        for p in grid.x_active_idx:
+            x = grid.x_nodes[p]
+            V = grid.v_nodes[grid.v_active_idx]
+            taus = exit_times(grid.domain, x[None, :], V, sign=-1)
+            for j, v, tau in zip(grid.v_active_idx, V, taus):
+                order = int(np.clip(np.ceil(tau * np.linalg.norm(v) /
+                                            (solver._CHORD_SPACING * grid.h_x))
+                                    + 2, solver._CHORD_ORDER_MIN,
+                                    solver._CHORD_ORDER_MAX))
+                nodes, weights = np.polynomial.legendre.leggauss(order)
+                y = x - 0.5 * tau * (1.0 + nodes[:, None]) * v
                 f = (y - lo) / h
-                i = np.clip(np.floor(f).astype(int), 0, grid.nx - 2)
+                i = np.clip(np.floor(f).astype(int), 0, nx - 2)
                 t = np.clip(f - i, 0.0, 1.0)
-                Qv = Q[j].reshape(grid.nx, grid.nx)
-                q = ((1 - t[0]) * (1 - t[1]) * Qv[i[0], i[1]] +
-                     (1 - t[0]) * t[1] * Qv[i[0], i[1] + 1] +
-                     t[0] * (1 - t[1]) * Qv[i[0] + 1, i[1]] +
-                     t[0] * t[1] * Qv[i[0] + 1, i[1] + 1])
-                expected[p, j] += 0.5 * tau * w * q
-    assert np.max(np.abs(G - expected)) <= 1e-14 * np.max(np.abs(expected))
+                Qv = Q[j].reshape((nx,) * dim)
+                q = 0.0
+                for c in corners:
+                    w = np.prod(np.where(c == 1, t, 1.0 - t), axis=1)
+                    q = q + w * Qv[tuple((i + c).T)]
+                expected[p, j] = 0.5 * tau * np.sum(weights * q)
+        assert np.max(np.abs(G - expected)) <= \
+            1e-14 * np.max(np.abs(expected)), dim
+
+
+def test_line_stage_does_not_depend_on_chunk_size(monkeypatch):
+    # a pair's sum is bitwise the same whatever chunk it falls in, for one
+    # source and for two sources in one call
+    for tables in _line_stage_cases():
+        grid = tables.grid
+        rng = np.random.default_rng(grid.dim)
+        Qs = [rng.standard_normal((grid.NVF, grid.NXF)) for _ in range(2)]
+        assert solver._CHORD_NODE_BLOCK == 16384
+        ref = _line_stage_np(Qs, tables)
+        ref1 = _line_stage_np(Qs[1:], tables)
+        monkeypatch.setattr(solver, "_CHORD_NODE_BLOCK", 1000)
+        for G, Gr in zip(_line_stage_np(Qs, tables) +
+                         _line_stage_np(Qs[1:], tables), ref + ref1):
+            assert G.tobytes() == Gr.tobytes()
+        assert ref[1].tobytes() == ref1[0].tobytes()
+        monkeypatch.undo()
+
+
+def test_chord_rule_accuracy_on_a_smooth_field():
+    # Q(x, v) = cos(k.x + b + 0.3 v0) at every grid node, fringe included.
+    # Its integral along the backward chord, with phi = k.x + b + 0.3 v0, is
+    # (sin phi - sin(phi - tau k.v)) / k.v, written here as
+    # tau cos(phi - a) sin(a) / a with a = tau k.v / 2: the same value,
+    # tau cos phi at k.v = 0, and no cancellation where k.v rounds to a
+    # tiny nonzero (the 32x32 grid has velocities with k.v = 0 in exact
+    # arithmetic).  The error is that of the bilinear interpolant, which
+    # the chord spacing does not reduce; the bounds are 1.05x the errors
+    # at a spacing of 1.5 h_x, which were 0.1191 and 0.02431.
+    k, b = np.array([2.3, -1.7]), 0.4
+    for n, bound in ((16, 0.125), (32, 0.0256)):
+        grid = PhaseGrid(DISK, n, n, R_v=2.0)
+        tables = _PicardTables(SMALL_KERNEL, grid, _small_rule())
+        Q = np.cos((grid.x_nodes @ k)[None, :] + b + 0.3 * grid.v_nodes[:, :1])
+        G = _line_stage_np([Q], tables)[0]
+
+        X = grid.x_nodes[grid.x_active_idx][:, None, :]
+        V = grid.v_nodes[grid.v_active_idx][None, :, :]
+        tau = exit_times(DISK, X, V, sign=-1)
+        phi = X @ k + b + 0.3 * V[..., 0]
+        a = 0.5 * tau * (V @ k)
+        exact = tau * np.cos(phi - a) * np.sinc(a / np.pi)
+        err = np.max(np.abs(G[np.ix_(grid.x_active_idx, grid.v_active_idx)]
+                            - exact))
+        assert err <= bound, (n, err)
 
 
 def _one_call_pair_tables(grid):
@@ -541,6 +605,21 @@ def test_picard_solve_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * grid.NXF * grid.NVF * 8
+
+
+def test_picard_solve_leaves_no_garbage_cycles():
+    # a solve frees its temporaries by reference counting alone: a cycle
+    # per chunk (a recursive closure, say) would hold its arrays until the
+    # collector runs and raise the peak resident size
+    grid = PhaseGrid(DISK, 12, 12, R_v=2.0)
+    spec = KernelSpec("constant", dim=2, params={"value": 0.01})
+    gc.collect()
+    gc.disable()
+    try:
+        picard_solve(spec, _bump_profile(1e-2, width=0.7), grid, _small_rule())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_picard_residuals():

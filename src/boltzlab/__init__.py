@@ -16,7 +16,6 @@ from .reconstruct import (Probe, closed_form_both, exponent_experiment,
                           mollified_S, monotonicity_certificate,
                           monotonicity_P, recover_omega_independent_B)
 from .config import ExperimentConfig, load_config, save_config
-from .cli import RunManifest, run_config
 
 __all__ = [
     "BoltzlabError", "ConfigurationError", "ConvergenceError",
@@ -32,6 +31,5 @@ __all__ = [
     "monotonicity_certificate", "monotonicity_P",
     "recover_omega_independent_B",
     "ExperimentConfig", "load_config", "save_config",
-    "RunManifest", "run_config",
     "__version__",
 ]

@@ -33,7 +33,7 @@ from .geometry import (OUTGOING, classify_boundaries, exit_times,
 from .linearize import (convergence_to_csv, mixed_difference,
                         w_finite_difference)
 from .solver import (BoundarySource, Solver, boundary_trace, field_to_csv,
-                     picard_solve, trace_to_csv)
+                     trace_to_csv)
 
 STAGE_ORDER = ("verify_geometry", "verify_collision", "forward",
                "linearize", "reconstruct")
@@ -50,25 +50,12 @@ def _utc_now() -> str:
 
 
 def _write_json(path: str, obj):
+    """obj as indented JSON; numpy scalars and arrays are written as the
+    Python values their tolist() gives."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True,
+                  default=lambda o: o.tolist())
         fh.write("\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
 
 
 def _write_checks(path: str, rows):
@@ -100,8 +87,8 @@ def _quartic_source(center, width: float, amplitude: float) -> BoundarySource:
 # ---------------------------------------------------------------------------
 
 
-def stage_verify_geometry(cfg: ExperimentConfig, out: str):
-    domain = cfg.build_domain()
+def stage_verify_geometry(cfg: ExperimentConfig, out: str, solver: Solver):
+    domain = solver.grid.domain
     rng = np.random.default_rng(cfg.seed)
     n = 4000
     lo, hi = domain.bounding_box()
@@ -157,8 +144,8 @@ def _thales(rng, count: int, dim: int):
     return mid + r[:, None] * d, v0, u0
 
 
-def stage_verify_collision(cfg: ExperimentConfig, out: str):
-    dim = cfg.section("domain")["dim"]
+def stage_verify_collision(cfg: ExperimentConfig, out: str, solver: Solver):
+    dim = solver.grid.dim
     rng = np.random.default_rng(cfg.seed + 1)
     n = 20000
     U = rng.normal(size=(n, dim))
@@ -216,53 +203,41 @@ def stage_verify_collision(cfg: ExperimentConfig, out: str):
 # ---------------------------------------------------------------------------
 
 
-def stage_forward(cfg: ExperimentConfig, out: str):
-    domain = cfg.build_domain()
-    spec = cfg.build_kernel()
-    grid = cfg.build_grid()
-    rule = cfg.build_rule()
-    opts = cfg.picard_options()
+def stage_forward(cfg: ExperimentConfig, out: str, solver: Solver):
     inf = cfg.section("inflow")
     g = _quartic_source(inf["center"], inf["width"], inf["amplitude"])
 
-    field_, report = picard_solve(spec, g, grid, rule, opts)
+    field_, report = solver.solve(g)
     files = ["forward_field.csv", "forward_trace.csv"]
     field_to_csv(field_, os.path.join(out, files[0]))
 
     rng = np.random.default_rng(cfg.seed + 2)
-    X, V = sample_outgoing(domain, 64, rng)
+    X, V = sample_outgoing(solver.grid.domain, 64, rng)
     trace = boundary_trace(field_, X, V)
     trace_to_csv(trace, os.path.join(out, files[1]))
 
     info = {"iterations": report.iterations, "converged": report.converged,
             "ratio": report.ratio, "residual_discrete": report.residual_discrete,
             "residual_pde": report.residual_pde, "sup_F": report.sup_F}
-    return files, _jsonable(info)
+    return files, info
 
 
-def stage_linearize(cfg: ExperimentConfig, out: str):
-    domain = cfg.build_domain()
-    spec = cfg.build_kernel()
-    grid = cfg.build_grid()
-    rule = cfg.build_rule()
-    opts = cfg.picard_options()
+def stage_linearize(cfg: ExperimentConfig, out: str, solver: Solver):
     lin = cfg.section("linearize")
     g1 = _quartic_source(lin["center1"], lin["width"], 1.0)
     g2 = _quartic_source(lin["center2"], lin["width"], 1.0)
     rng = np.random.default_rng(lin["sample_seed"])
-    X, V = sample_outgoing(domain, lin["n_samples"], rng)
+    X, V = sample_outgoing(solver.grid.domain, lin["n_samples"], rng)
 
-    conv = w_finite_difference(spec, g1, g2, cfg.linearize_config(), X, V,
-                               grid, rule, options=opts)
+    conv = w_finite_difference(solver, g1, g2, cfg.linearize_config(), X, V)
     convergence_to_csv(conv, os.path.join(out, "fd_convergence.csv"))
     summary = {"pairs": [list(p) for p in conv.pairs],
                "errors": list(conv.errors),
                "est_trace": conv.est_trace, "est_quad": conv.est_quad,
                "est_rem": conv.est_rem, "est_total": conv.est_total}
-    _write_json(os.path.join(out, "linearize_summary.json"),
-                _jsonable(summary))
+    _write_json(os.path.join(out, "linearize_summary.json"), summary)
     info = {"final_error": conv.errors[-1], "est_total": conv.est_total}
-    return ["fd_convergence.csv", "linearize_summary.json"], _jsonable(info)
+    return ["fd_convergence.csv", "linearize_summary.json"], info
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +315,13 @@ def _probe_value_fd(cfg: ExperimentConfig, solver: Solver, probe: rc.Probe):
     return float(np.sum(bump_w * (W / tau_m)))
 
 
-def stage_reconstruct(cfg: ExperimentConfig, out: str):
-    domain = cfg.build_domain()
-    spec = cfg.build_kernel()
+def stage_reconstruct(cfg: ExperimentConfig, out: str, solver: Solver):
+    spec, grid = solver.spec, solver.grid
     rec = cfg.section("reconstruct")
     etas = tuple(rec["etas"])
-    grid = cfg.build_grid()
     rng = np.random.default_rng(rec["probe_seed"])
-    probes = _generate_probes(rng, rec["n_probes"], domain.dim, etas[0],
-                              cfg.section("grid")["R_v"], grid.v_min)
+    probes = _generate_probes(rng, rec["n_probes"], grid.dim, etas[0],
+                              grid.R_v, grid.v_min)
     report = rc.exponent_experiment([p.abtheta() for p in probes], spec,
                                     etas=etas, nr=rec["nr"], na=rec["na"],
                                     nw=rec["nw"])
@@ -359,7 +332,6 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
 
     n_cross = min(rec["fd_crosscheck_probes"], len(probes))
     if n_cross > 0:
-        solver = Solver(spec, grid, cfg.build_rule(), cfg.picard_options())
         rows = []
         for i in range(n_cross):
             S_fd = _probe_value_fd(cfg, solver, probes[i])
@@ -375,7 +347,7 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
     if spec.is_omega_independent():
         rows = rc.recover_omega_independent_B(report.extrapolated, probes,
                                               rec["exponent_mode"], spec=spec)
-        cols = [*rc.abtheta_columns(domain.dim), "kappa1", "kappa2",
+        cols = [*rc.abtheta_columns(grid.dim), "kappa1", "kappa2",
                 "S_value", "estimate", "residual"]
         table = [[*row.a, *row.b, *row.theta, row.kappa1, row.kappa2,
                   row.S_value, row.estimate, row.residual] for row in rows]
@@ -392,11 +364,10 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str):
         "winner_per_probe": report.winner_per_probe,
         "winner": report.winner,
     })
-    _write_json(os.path.join(out, "reconstruct_summary.json"),
-                _jsonable(summary))
+    _write_json(os.path.join(out, "reconstruct_summary.json"), summary)
     files.append("reconstruct_summary.json")
     info = {"winner": report.winner, "n_probes": len(probes)}
-    return files, _jsonable(info)
+    return files, info
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +407,11 @@ class RunManifest:
 def run_config(cfg: ExperimentConfig) -> RunManifest:
     """Execute the enabled stages in order and write the manifest last.
 
-    A stage failure stops the run; the manifest records the stages that
-    completed, the failing stage's diagnostic, and the files written so
-    far.  The exception is re-raised for the caller.
+    The config is turned into one Solver before the first stage, and every
+    stage reads its set-up from it and solves on it, so the Picard tables
+    are built once per run.  A failure stops the run; the manifest records
+    the stages that completed, the failing stage's diagnostic, and the
+    files written so far.  The exception is re-raised for the caller.
     """
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -448,6 +421,7 @@ def run_config(cfg: ExperimentConfig) -> RunManifest:
     enabled = cfg.section("stages")
     mpath = os.path.join(out, "manifest.json")
     try:
+        solver = cfg.build_solver()
         for name in STAGE_ORDER:
             if not enabled.get(name, False):
                 manifest.stages.append({"name": name, "status": "skipped",
@@ -456,7 +430,7 @@ def run_config(cfg: ExperimentConfig) -> RunManifest:
                 continue
             t0 = time.perf_counter()
             try:
-                files, info = STAGE_FUNCS[name](cfg, out)
+                files, info = STAGE_FUNCS[name](cfg, out, solver)
             except Exception as exc:
                 manifest.stages.append({
                     "name": name, "status": "failed",
@@ -486,7 +460,7 @@ def _with_stages(cfg: ExperimentConfig, names) -> ExperimentConfig:
 
 def _unresolved_fd_etas(run_dir: str, summary: dict):
     """Warning when the FD cross-check ran at an eta (the first one) below
-    the velocity spacing h_v = 2 R_v / (nv - 1) of the run's config.json: a
+    the velocity spacing h_v of the phase grid of the run's config.json: a
     bump narrower than h_v falls between velocity nodes, and its S_fd can
     read 0."""
     if "fd_crosscheck_probes" not in summary:
@@ -494,9 +468,7 @@ def _unresolved_fd_etas(run_dir: str, summary: dict):
     path = os.path.join(run_dir, "config.json")
     if not os.path.exists(path):
         return []
-    with open(path) as fh:
-        grid = json.load(fh)["grid"]
-    h_v = 2.0 * grid["R_v"] / (grid["nv"] - 1)
+    h_v = load_config(path).build_solver().grid.h_v
     eta = summary["etas"][0]
     if eta >= h_v:
         return []

@@ -34,7 +34,7 @@ from .errors import ConfigurationError
 from .geometry import Domain
 from .linearize import LinearizationConfig
 from .reconstruct import EXPONENT_MODES
-from .solver import PhaseGrid, PicardOptions
+from .solver import PhaseGrid, PicardOptions, Solver
 
 __all__ = ["CONFIG_VERSION", "DEFAULTS", "ExperimentConfig", "load_config",
            "config_from_dict", "save_config"]
@@ -199,31 +199,24 @@ class ExperimentConfig:
 
     # -- factories for the pipeline objects --------------------------------
 
-    def build_domain(self) -> Domain:
-        dom = self.data["domain"]
-        return Domain("ball", dim=dom["dim"], radius=dom["radius"])
-
-    def build_kernel(self) -> KernelSpec:
-        k = self.data["kernel"]
-        return KernelSpec(family=k["family"], dim=self.data["domain"]["dim"],
-                          params=dict(k["params"]))
-
-    def build_grid(self) -> PhaseGrid:
-        g = self.data["grid"]
-        return PhaseGrid(self.build_domain(), nx=g["nx"], nv=g["nv"],
-                         R_v=g["R_v"], v_min=g["v_min"])
-
-    def build_rule(self) -> QuadratureRule:
-        q = self.data["quadrature"]
-        return QuadratureRule.build(
-            dim=self.data["domain"]["dim"], sphere_order=q["sphere_order"],
-            radial_order=q["radial_order"], angular_order=q["angular_order"],
-            R_v=self.data["grid"]["R_v"])
-
-    def picard_options(self) -> PicardOptions:
-        s = self.data["solver"]
-        return PicardOptions(tol=s["tol"], max_iter=s["max_iter"],
-                             smallness_threshold=s["smallness_threshold"])
+    def build_solver(self) -> Solver:
+        """The run's Solver: its domain, kernel, phase grid, quadrature rule
+        and Picard options, all read from this config."""
+        d = self.data
+        dom, k, g, q, s = (d["domain"], d["kernel"], d["grid"],
+                           d["quadrature"], d["solver"])
+        dim = dom["dim"]
+        domain = Domain("ball", dim=dim, radius=dom["radius"])
+        return Solver(
+            KernelSpec(family=k["family"], dim=dim, params=dict(k["params"])),
+            PhaseGrid(domain, nx=g["nx"], nv=g["nv"], R_v=g["R_v"],
+                      v_min=g["v_min"]),
+            QuadratureRule.build(
+                dim=dim, sphere_order=q["sphere_order"],
+                radial_order=q["radial_order"],
+                angular_order=q["angular_order"], R_v=g["R_v"]),
+            PicardOptions(tol=s["tol"], max_iter=s["max_iter"],
+                          smallness_threshold=s["smallness_threshold"]))
 
     def linearize_config(self) -> LinearizationConfig:
         lin = self.data["linearize"]

@@ -23,8 +23,7 @@ import numpy as np
 from .collision import KernelSpec, QuadratureRule, collision_Q
 from .errors import ConvergenceError, PreconditionError
 from .geometry import Domain, exit_times
-from .solver import (BoundarySource, PhaseGrid, PicardOptions, Solver,
-                     boundary_trace)
+from .solver import BoundarySource, Solver, boundary_trace
 
 __all__ = [
     "LinearizationConfig", "SecondOrderSource", "FDConvergence",
@@ -145,21 +144,21 @@ def mixed_difference(solver: Solver, g1: BoundarySource, g2: BoundarySource,
     return W, traces
 
 
-def w_finite_difference(spec: KernelSpec, g1: BoundarySource,
+def w_finite_difference(solver: Solver, g1: BoundarySource,
                         g2: BoundarySource, cfg: LinearizationConfig,
-                        X, V, grid: PhaseGrid, rule: QuadratureRule,
-                        options: PicardOptions = None) -> FDConvergence:
+                        X, V) -> FDConvergence:
     """Recover W on outgoing samples from second differences of the
     boundary operator, one solve triple per amplitude pair
-    (mixed_difference), all on one Solver.
+    (mixed_difference), all on `solver`.
 
     For each pair, W_fd = [A(e1 g1 + e2 g2) - A(e1 g1) - A(e2 g2)] / (e1 e2)
     at the given samples (A(0) = 0).  The quadrature reference is computed
-    once from the first-order fields.  The Solver raises PreconditionError
-    when the first pair's combined data exceeds the smallness threshold; a
-    failed solve names the offending amplitudes.
+    once from the first-order fields, under the solver's kernel and rule.
+    The Solver raises PreconditionError when the first pair's combined data
+    exceeds the smallness threshold; a failed solve names the offending
+    amplitudes.
     """
-    opts = options if options is not None else PicardOptions()
+    spec, rule, domain = solver.spec, solver.rule, solver.grid.domain
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
 
@@ -167,18 +166,17 @@ def w_finite_difference(spec: KernelSpec, g1: BoundarySource,
     # transports of g1 and g2, their velocity profiles (the collision term
     # is quadratic)
     S = SecondOrderSource(spec, rule, g1, g2)
-    ref = w_quadrature(S, grid.domain, X, V)
+    ref = w_quadrature(S, domain, X, V)
 
     # quadrature error estimate: same source under a refined rule
     fine = QuadratureRule.build(
-        grid.domain.dim, sphere_order=2 * rule.sphere_order,
+        domain.dim, sphere_order=2 * rule.sphere_order,
         radial_order=rule.radial_order + 2,
         angular_order=2 * rule.angular_order, R_v=rule.R_v)
     S_fine = SecondOrderSource(spec, fine, g1, g2)
-    ref_fine = w_quadrature(S_fine, grid.domain, X, V)
+    ref_fine = w_quadrature(S_fine, domain, X, V)
     est_quad = float(np.max(np.abs(ref_fine - ref)))
 
-    solver = Solver(spec, grid, rule, opts)
     tables = np.empty((len(cfg.pairs), X.shape[0]))
     trace_res = 0.0
     for k, (e1, e2) in enumerate(cfg.pairs):

@@ -23,7 +23,7 @@ from boltzlab.collision import (KernelSpec, QuadratureRule, collision_Q,
 from boltzlab.geometry import Domain
 from boltzlab.linearize import LinearizationConfig, w_finite_difference
 from boltzlab.solver import (BoundarySource, PhaseGrid, PicardOptions,
-                             picard_solve)
+                             Solver, picard_solve)
 
 DISK = Domain("ball", dim=2, radius=1.0)
 
@@ -257,10 +257,10 @@ def test_criterion_06_linearization_crosscheck():
     X = np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
     t0 = time.perf_counter()
-    conv = w_finite_difference(kern, g1, g2,
+    conv = w_finite_difference(Solver(kern, grid, rule), g1, g2,
                                LinearizationConfig(eps1=1e-2, eps2=1e-2,
                                                    levels=3),
-                               X, V, grid, rule)
+                               X, V)
     dt = time.perf_counter() - t0
 
     decreasing = bool(np.all(conv.errors[1:] < conv.errors[:-1]))

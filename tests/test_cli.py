@@ -8,6 +8,8 @@ not numerical accuracy.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -218,9 +220,8 @@ def test_identical_configs_give_identical_csvs(tmp_path):
     assert hashes[0] == hashes[1]
 
 
-def test_each_solving_stage_builds_its_tables_once(tmp_path, monkeypatch):
-    # the forward, linearize and reconstruct stages each share one set of
-    # Picard tables across all their solves
+def _tables_built_per_stage(monkeypatch, d):
+    """Run the config dict d; Picard table builds per stage name."""
     from boltzlab import cli
     from boltzlab.solver import _PicardTables
 
@@ -231,22 +232,58 @@ def test_each_solving_stage_builds_its_tables_once(tmp_path, monkeypatch):
         built.append(None)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(_PicardTables, "__init__", counting_init)
     per_stage = {}
-    for name, func in list(cli.STAGE_FUNCS.items()):
-        def counted(cfg, out, func=func, name=name):
-            before = len(built)
-            try:
-                return func(cfg, out)
-            finally:
-                per_stage[name] = len(built) - before
-        monkeypatch.setitem(cli.STAGE_FUNCS, name, counted)
+    with monkeypatch.context() as mp:
+        mp.setattr(_PicardTables, "__init__", counting_init)
+        for name, func in list(cli.STAGE_FUNCS.items()):
+            def counted(cfg, out, solver, func=func, name=name):
+                before = len(built)
+                try:
+                    return func(cfg, out, solver)
+                finally:
+                    per_stage[name] = len(built) - before
+            mp.setitem(cli.STAGE_FUNCS, name, counted)
+        run_config(config_from_dict(d))
+    return per_stage
 
+
+def test_run_builds_its_tables_once(tmp_path, monkeypatch):
+    # every stage solves on the run's one Solver: the first stage that
+    # solves builds its Picard tables, and the later ones reuse them
     d = tiny(tmp_path / "run", STAGE_ORDER)
     d["reconstruct"]["fd_crosscheck_probes"] = 2
-    run_config(config_from_dict(d))
-    assert per_stage == {"verify_geometry": 0, "verify_collision": 0,
-                         "forward": 1, "linearize": 1, "reconstruct": 1}
+    assert _tables_built_per_stage(monkeypatch, d) == {
+        "verify_geometry": 0, "verify_collision": 0,
+        "forward": 1, "linearize": 0, "reconstruct": 0}
+
+    d = tiny(tmp_path / "no_forward", ("linearize", "reconstruct"))
+    d["reconstruct"]["fd_crosscheck_probes"] = 2
+    assert _tables_built_per_stage(monkeypatch, d) == {
+        "linearize": 1, "reconstruct": 0}
+
+
+def test_run_matches_separate_subcommands(tmp_path):
+    # a run shares one Solver across its stages, and each subcommand builds
+    # its own: the set-up does not depend on the data, so every CSV and
+    # summary is the same bytes either way
+    doc = tiny(tmp_path / "unused", STAGE_ORDER,
+               reconstruct={"fd_crosscheck_probes": 2})
+    path = write_config(tmp_path / "c.json", doc)
+    whole, parts = tmp_path / "whole", tmp_path / "parts"
+    assert main(["run", path, "--out", str(whole)]) == 0
+    for sub in ("verify", "forward", "linearize", "reconstruct"):
+        assert main([sub, path, "--out", str(parts)]) == 0
+    def outputs(run):
+        return sorted(n for n in os.listdir(run)
+                      if n.endswith((".csv", "_summary.json")))
+
+    names = outputs(whole)
+    assert {"fd_crosscheck.csv", "linearize_summary.json",
+            "reconstruct_summary.json"} <= set(names)
+    assert outputs(parts) == names
+    for name in names:
+        assert (whole / name).read_bytes() == (parts / name).read_bytes(), \
+            name
 
 
 def test_stage_failure_halts_and_is_recorded(tmp_path):
@@ -360,6 +397,20 @@ def test_report_warns_on_unresolved_fd_crosscheck_eta(tmp_path):
 def test_report_needs_a_manifest(tmp_path):
     with pytest.raises(DependencyError, match="manifest"):
         build_report(str(tmp_path))
+
+
+def test_module_entry_point_runs_without_warning():
+    # `python -m boltzlab.cli` runs cli as __main__; importing the package
+    # must not have imported boltzlab.cli already, which runpy warns about
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-m", "boltzlab.cli", "--help"], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "usage: boltzlab" in out.stdout
 
 
 def test_cli_error_paths_exit_nonzero(tmp_path, capsys):

@@ -6,12 +6,12 @@ import pytest
 from boltzlab.collision import KernelSpec, QuadratureRule, kernel_eval
 from boltzlab.errors import ConvergenceError, PreconditionError
 from boltzlab.geometry import Domain, exit_times, sample_outgoing
-from boltzlab.linearize import (FDConvergence, LinearizationConfig,
-                                SecondOrderSource, convergence_to_csv,
-                                w_finite_difference, w_quadrature)
+from boltzlab.linearize import (LinearizationConfig, SecondOrderSource,
+                                convergence_to_csv, w_finite_difference,
+                                w_quadrature)
 from boltzlab.reconstruct import monotonicity_P
 from boltzlab.solver import (BoundarySource, PhaseGrid, PicardOptions,
-                             picard_solve)
+                             Solver, picard_solve)
 
 DISK = Domain("ball", dim=2, radius=1.0)
 POLY = KernelSpec("omega_independent_poly", dim=2,
@@ -191,8 +191,8 @@ def test_fd_zero_kernel_gives_zero():
     grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
     g1, g2 = _two_sources()
     X, V = _outgoing(8, 8)
-    conv = w_finite_difference(spec, g1, g2, LinearizationConfig(),
-                               X, V, grid, _rule())
+    conv = w_finite_difference(Solver(spec, grid, _rule()), g1, g2,
+                               LinearizationConfig(), X, V)
     assert np.max(np.abs(conv.W_fd)) < 1e-12
     assert np.max(np.abs(conv.W_quad)) == 0.0
 
@@ -204,8 +204,8 @@ def test_fd_converges_to_quadrature_route():
                       params={"coeffs": (0.02, 0.0, 0.005)})
     g1, g2 = _two_sources()
     X, V = _outgoing_on_vnodes(grid, 6, 9)
-    conv = w_finite_difference(kern, g1, g2, LinearizationConfig(),
-                               X, V, grid, rule)
+    conv = w_finite_difference(Solver(kern, grid, rule), g1, g2,
+                               LinearizationConfig(), X, V)
     assert conv.errors[1] < conv.errors[0]
     assert conv.errors[2] < conv.errors[1]
     assert conv.errors[2] < conv.est_total
@@ -219,8 +219,9 @@ def test_fd_swap_symmetry():
     g1, g2 = _two_sources()
     X, V = _outgoing(6, 10)
     cfg = LinearizationConfig(levels=1)
-    c12 = w_finite_difference(SMALL, g1, g2, cfg, X, V, grid, rule)
-    c21 = w_finite_difference(SMALL, g2, g1, cfg, X, V, grid, rule)
+    solver = Solver(SMALL, grid, rule)
+    c12 = w_finite_difference(solver, g1, g2, cfg, X, V)
+    c21 = w_finite_difference(solver, g2, g1, cfg, X, V)
     scale = max(1.0, np.max(np.abs(c12.W_fd)))
     assert np.max(np.abs(c12.W_fd - c21.W_fd)) < 1e-12 * scale
     assert np.max(np.abs(c12.W_quad - c21.W_quad)) < 1e-12 * scale
@@ -232,12 +233,12 @@ def test_fd_smallness_guard_and_failure_naming():
     X, V = _outgoing(4, 11)
     big = LinearizationConfig(eps1=0.5, eps2=0.5)
     with pytest.raises(PreconditionError):
-        w_finite_difference(SMALL, g1, g2, big, X, V, grid, _rule())
+        w_finite_difference(Solver(SMALL, grid, _rule()), g1, g2, big, X, V)
     # a solve cut off after one sweep fails and names the amplitudes
     with pytest.raises(ConvergenceError) as ei:
-        w_finite_difference(SMALL, g1, g2, LinearizationConfig(),
-                            X, V, grid, _rule(),
-                            options=PicardOptions(max_iter=1))
+        w_finite_difference(
+            Solver(SMALL, grid, _rule(), PicardOptions(max_iter=1)),
+            g1, g2, LinearizationConfig(), X, V)
     assert "eps1" in str(ei.value)
     # all three fail; the first in input order is named, with its report
     assert "solve failed for the combined data" in str(ei.value)
@@ -249,7 +250,7 @@ def test_convergence_csv(tmp_path):
     g1, g2 = _two_sources()
     X, V = _outgoing(3, 12)
     cfg = LinearizationConfig(levels=2)
-    conv = w_finite_difference(SMALL, g1, g2, cfg, X, V, grid, _rule())
+    conv = w_finite_difference(Solver(SMALL, grid, _rule()), g1, g2, cfg, X, V)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     convergence_to_csv(conv, str(p1))
     convergence_to_csv(conv, str(p2))

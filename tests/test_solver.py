@@ -692,8 +692,7 @@ def _default_setup():
 
     cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "configs", "default.json"))
-    return cfg, (cfg.build_kernel(), cfg.build_grid(), cfg.build_rule(),
-                 cfg.picard_options())
+    return cfg, cfg.build_solver()
 
 
 def test_solve_many_matches_independent_solves_on_default_triple():
@@ -703,17 +702,18 @@ def test_solve_many_matches_independent_solves_on_default_triple():
     from boltzlab.cli import _quartic_source
     from boltzlab.linearize import _scaled_source
 
-    cfg, (spec, grid, rule, opts) = _default_setup()
+    cfg, solver_ = _default_setup()
     lin = cfg.section("linearize")
     g1 = _quartic_source(lin["center1"], lin["width"], 1.0)
     g2 = _quartic_source(lin["center2"], lin["width"], 1.0)
     e1, e2 = lin["eps1"], lin["eps2"]
     triple = [_scaled_source(g1, g2, e1, e2), _scaled_source(g1, g2, e1, 0.0),
               _scaled_source(g1, g2, 0.0, e2)]
-    results = Solver(spec, grid, rule, opts).solve_many(triple)
+    results = solver_.solve_many(triple)
     assert [rep.iterations for _, rep in results] == [4, 3, 3]
     for g, got in zip(triple, results):
-        _assert_same_solve(got, picard_solve(spec, g, grid, rule, opts))
+        _assert_same_solve(got, picard_solve(solver_.spec, g, solver_.grid,
+                                             solver_.rule, solver_.opts))
 
 
 def test_solver_serves_successive_solves():

@@ -10,8 +10,8 @@ from .collision import (KernelSpec, QuadratureRule, kernel_eval,
                         post_collision, pre_collision)
 from .solver import (BoundarySource, PhaseField, PhaseGrid, PicardOptions,
                      boundary_trace, picard_solve)
-from .linearize import (LinearizationConfig, SecondOrderSource,
-                        w_finite_difference, w_quadrature)
+from .linearize import (second_order_source, w_finite_difference,
+                        w_quadrature)
 from .reconstruct import (Probe, closed_form_both, exponent_experiment,
                           mollified_S, monotonicity_certificate,
                           monotonicity_P, recover_omega_independent_B)
@@ -25,8 +25,7 @@ __all__ = [
     "pre_collision",
     "BoundarySource", "PhaseField", "PhaseGrid", "PicardOptions",
     "boundary_trace", "picard_solve",
-    "LinearizationConfig", "SecondOrderSource", "w_finite_difference",
-    "w_quadrature",
+    "second_order_source", "w_finite_difference", "w_quadrature",
     "Probe", "closed_form_both", "exponent_experiment", "mollified_S",
     "monotonicity_certificate", "monotonicity_P",
     "recover_omega_independent_B",

@@ -229,7 +229,9 @@ def stage_linearize(cfg: ExperimentConfig, out: str, solver: Solver):
     rng = np.random.default_rng(lin["sample_seed"])
     X, V = sample_outgoing(solver.grid.domain, lin["n_samples"], rng)
 
-    conv = w_finite_difference(solver, g1, g2, cfg.linearize_config(), X, V)
+    pairs = [(lin["eps1"] * 0.5**k, lin["eps2"] * 0.5**k)
+             for k in range(lin["levels"])]
+    conv = w_finite_difference(solver, g1, g2, pairs, X, V)
     convergence_to_csv(conv, os.path.join(out, "fd_convergence.csv"))
     summary = {"pairs": [list(p) for p in conv.pairs],
                "errors": list(conv.errors),

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from .collision import KERNEL_FAMILIES, KernelSpec, QuadratureRule
 from .errors import ConfigurationError
 from .geometry import Domain
-from .linearize import LinearizationConfig
 from .reconstruct import EXPONENT_MODES
 from .solver import PhaseGrid, PicardOptions, Solver
 
@@ -95,7 +94,8 @@ def _validate(d: dict):
              "output_dir must be a nonempty string")
 
     dom = d["domain"]
-    _require(dom["dim"] in (2, 3), "domain.dim must be 2 or 3")
+    _require(isinstance(dom["dim"], int) and dom["dim"] in (2, 3),
+             "domain.dim must be 2 or 3")
 
     _require(d["kernel"]["family"] in KERNEL_FAMILIES,
              f"kernel.family must be one of {KERNEL_FAMILIES}")
@@ -134,6 +134,8 @@ def _validate(d: dict):
     _require(isinstance(lin["n_samples"], int) and lin["n_samples"] >= 1,
              "linearize.n_samples must be a positive integer")
     _require(lin["width"] > 0, "linearize.width must be positive")
+    _require(isinstance(lin["sample_seed"], int) and lin["sample_seed"] >= 0,
+             "linearize.sample_seed must be a nonnegative integer")
     for key in ("center1", "center2"):
         _require(len(lin[key]) == dom["dim"],
                  f"linearize.{key} length must match domain.dim")
@@ -143,8 +145,11 @@ def _validate(d: dict):
     _require(len(etas) >= 2 and all(e > 0 for e in etas)
              and all(b < a for a, b in zip(etas, etas[1:])),
              "reconstruct.etas must be >= 2 positive, strictly decreasing values")
-    _require(isinstance(r["n_probes"], int) and r["n_probes"] >= 1,
-             "reconstruct.n_probes must be a positive integer")
+    for key in ("n_probes", "nr", "na", "nw"):
+        _require(isinstance(r[key], int) and r[key] >= 1,
+                 f"reconstruct.{key} must be a positive integer")
+    _require(isinstance(r["probe_seed"], int) and r["probe_seed"] >= 0,
+             "reconstruct.probe_seed must be a nonnegative integer")
     _require(r["exponent_mode"] in EXPONENT_MODES,
              f"reconstruct.exponent_mode must be one of {EXPONENT_MODES}")
     _require(isinstance(r["fd_crosscheck_probes"], int)
@@ -155,21 +160,32 @@ def _validate(d: dict):
         _require(isinstance(val, bool), f"stages.{key} must be a boolean")
 
 
+def _to_float(val, where: str) -> float:
+    try:
+        return float(val)
+    except (TypeError, ValueError):
+        msg = f"{where} must be a number, not {val!r}"
+        raise ConfigurationError(msg) from None
+
+
 def _normalize(d: dict) -> dict:
+    """Numbers as floats, through _to_float, so a value that is not a
+    number is a ConfigurationError naming its key."""
     d = copy.deepcopy(d)
     for sec, key in (("inflow", "center"), ("linearize", "center1"),
-                     ("linearize", "center2")):
-        d[sec][key] = [float(c) for c in d[sec][key]]
-    d["reconstruct"]["etas"] = [float(e) for e in d["reconstruct"]["etas"]]
+                     ("linearize", "center2"), ("reconstruct", "etas")):
+        where = f"{sec}.{key}"
+        _require(isinstance(d[sec][key], (list, tuple)),
+                 f"{where} must be a list of numbers")
+        d[sec][key] = [_to_float(c, where) for c in d[sec][key]]
     for sec, key in (("grid", "R_v"), ("solver", "tol"),
                      ("solver", "smallness_threshold"),
                      ("inflow", "amplitude"), ("inflow", "width"),
                      ("linearize", "eps1"), ("linearize", "eps2"),
                      ("linearize", "width"), ("domain", "radius")):
-        if d[sec][key] is not None:
-            d[sec][key] = float(d[sec][key])
+        d[sec][key] = _to_float(d[sec][key], f"{sec}.{key}")
     if d["grid"]["v_min"] is not None:
-        d["grid"]["v_min"] = float(d["grid"]["v_min"])
+        d["grid"]["v_min"] = _to_float(d["grid"]["v_min"], "grid.v_min")
     return d
 
 
@@ -217,11 +233,6 @@ class ExperimentConfig:
                 angular_order=q["angular_order"], R_v=g["R_v"]),
             PicardOptions(tol=s["tol"], max_iter=s["max_iter"],
                           smallness_threshold=s["smallness_threshold"]))
-
-    def linearize_config(self) -> LinearizationConfig:
-        lin = self.data["linearize"]
-        return LinearizationConfig(eps1=lin["eps1"], eps2=lin["eps2"],
-                                   levels=lin["levels"])
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

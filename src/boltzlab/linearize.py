@@ -26,37 +26,15 @@ from .geometry import Domain, exit_times
 from .solver import BoundarySource, Solver, boundary_trace
 
 __all__ = [
-    "LinearizationConfig", "SecondOrderSource", "FDConvergence",
-    "w_quadrature", "mixed_difference", "w_finite_difference",
-    "convergence_to_csv",
+    "second_order_source", "FDConvergence", "w_quadrature",
+    "mixed_difference", "w_finite_difference", "convergence_to_csv",
 ]
 
 
-@dataclass(frozen=True)
-class LinearizationConfig:
-    """Amplitude schedule for the finite-difference route: ``levels``
-    geometric halvings of (eps1, eps2)."""
-
-    eps1: float = 1e-2
-    eps2: float = 1e-2
-    levels: int = 3
-
-    def __post_init__(self):
-        if not (self.eps1 > 0 and self.eps2 > 0):
-            raise PreconditionError("amplitudes must be positive")
-        if self.levels < 1:
-            raise PreconditionError("levels must be at least 1")
-
-    @property
-    def pairs(self) -> tuple:
-        """(eps1, eps2) * 0.5**k for k = 0, ..., levels - 1."""
-        return tuple((self.eps1 * 0.5**k, self.eps2 * 0.5**k)
-                     for k in range(self.levels))
-
-
-class SecondOrderSource:
+def second_order_source(phi1, phi2, V, spec: KernelSpec,
+                        rule: QuadratureRule) -> np.ndarray:
     """Collision-bracket source of two first-order fields, the velocity
-    profiles phi1 and phi2 (callables of v):
+    profiles phi1 and phi2 (callables of v), at the velocities V (N, d):
 
         S(v) = Q(phi1, phi2) + Q(phi2, phi1)
              = sum_u sum_omega B * [phi1(v')phi2(u') + phi1(u')phi2(v')
@@ -64,26 +42,22 @@ class SecondOrderSource:
 
     under the supplied quadrature rule (collision.collision_Q).
     """
-
-    def __init__(self, spec: KernelSpec, rule: QuadratureRule, phi1, phi2):
-        self.spec = spec
-        self.rule = rule
-        self._f1 = lambda _, V: np.asarray(phi1(V), dtype=float)
-        self._f2 = lambda _, V: np.asarray(phi2(V), dtype=float)
-
-    def eval_v(self, V):
-        """S at the velocities V (N, d)."""
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        return (collision_Q(self._f1, self._f2, V, self.spec, self.rule)
-                + collision_Q(self._f2, self._f1, V, self.spec, self.rule))
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    f1 = lambda _, P: np.asarray(phi1(P), dtype=float)
+    f2 = lambda _, P: np.asarray(phi2(P), dtype=float)
+    return (collision_Q(f1, f2, V, spec, rule)
+            + collision_Q(f2, f1, V, spec, rule))
 
 
-def w_quadrature(S, domain: Domain, X, V) -> np.ndarray:
-    """W = tau_-(x, v) * S(v) at the (x, v) samples, the integral of S along
-    each backward characteristic; one value per sample."""
+def w_quadrature(phi1, phi2, spec: KernelSpec, rule: QuadratureRule,
+                 domain: Domain, X, V) -> np.ndarray:
+    """W = tau_-(x, v) * S(v) at the (x, v) samples, the integral of the
+    second-order source S of phi1 and phi2 (second_order_source) along each
+    backward characteristic; one value per sample."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    return exit_times(domain, X, V, sign=-1) * S.eval_v(V)
+    return (exit_times(domain, X, V, sign=-1)
+            * second_order_source(phi1, phi2, V, spec, rule))
 
 
 @dataclass
@@ -145,19 +119,22 @@ def mixed_difference(solver: Solver, g1: BoundarySource, g2: BoundarySource,
 
 
 def w_finite_difference(solver: Solver, g1: BoundarySource,
-                        g2: BoundarySource, cfg: LinearizationConfig,
-                        X, V) -> FDConvergence:
+                        g2: BoundarySource, pairs, X, V) -> FDConvergence:
     """Recover W on outgoing samples from second differences of the
-    boundary operator, one solve triple per amplitude pair
-    (mixed_difference), all on `solver`.
+    boundary operator, one solve triple per amplitude pair (e1, e2) of
+    `pairs` (mixed_difference), all on `solver`.
 
     For each pair, W_fd = [A(e1 g1 + e2 g2) - A(e1 g1) - A(e2 g2)] / (e1 e2)
     at the given samples (A(0) = 0).  The quadrature reference is computed
     once from the first-order fields, under the solver's kernel and rule.
-    The Solver raises PreconditionError when the first pair's combined data
-    exceeds the smallness threshold; a failed solve names the offending
-    amplitudes.
+    An empty `pairs` raises PreconditionError.  The Solver raises
+    PreconditionError when the first pair's combined data exceeds the
+    smallness threshold; a failed solve names the offending amplitudes.
     """
+    pairs = tuple(pairs)
+    if not pairs:
+        raise PreconditionError("w_finite_difference needs at least one "
+                                "amplitude pair")
     spec, rule, domain = solver.spec, solver.rule, solver.grid.domain
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
@@ -165,33 +142,31 @@ def w_finite_difference(solver: Solver, g1: BoundarySource,
     # quadrature reference from the first-order fields, which are the free
     # transports of g1 and g2, their velocity profiles (the collision term
     # is quadratic)
-    S = SecondOrderSource(spec, rule, g1, g2)
-    ref = w_quadrature(S, domain, X, V)
+    ref = w_quadrature(g1, g2, spec, rule, domain, X, V)
 
     # quadrature error estimate: same source under a refined rule
     fine = QuadratureRule.build(
         domain.dim, sphere_order=2 * rule.sphere_order,
         radial_order=rule.radial_order + 2,
         angular_order=2 * rule.angular_order, R_v=rule.R_v)
-    S_fine = SecondOrderSource(spec, fine, g1, g2)
-    ref_fine = w_quadrature(S_fine, domain, X, V)
+    ref_fine = w_quadrature(g1, g2, spec, fine, domain, X, V)
     est_quad = float(np.max(np.abs(ref_fine - ref)))
 
-    tables = np.empty((len(cfg.pairs), X.shape[0]))
+    tables = np.empty((len(pairs), X.shape[0]))
     trace_res = 0.0
-    for k, (e1, e2) in enumerate(cfg.pairs):
+    for k, (e1, e2) in enumerate(pairs):
         tables[k], traces = mixed_difference(solver, g1, g2, e1, e2, X, V)
         for tab in traces:
             trace_res = max(trace_res,
                             float(np.max(tab.extrap_residual)) / (e1 * e2))
 
     errors = np.max(np.abs(tables - ref[None, :]), axis=1)
-    if len(cfg.pairs) >= 2:
+    if len(pairs) >= 2:
         est_rem = float(np.max(np.abs(tables[-1] - tables[-2])))
     else:
         est_rem = float(errors[-1])
     return FDConvergence(
-        pairs=cfg.pairs, x=X, v=V, W_fd=tables, W_quad=ref,
+        pairs=pairs, x=X, v=V, W_fd=tables, W_quad=ref,
         errors=errors, est_trace=trace_res, est_quad=est_quad,
         est_rem=est_rem)
 

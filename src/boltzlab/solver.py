@@ -60,19 +60,6 @@ def _sup_abs(A: np.ndarray) -> float:
     return float(max(A.max(), -A.min())) + 0.0
 
 
-def _gauss_tables(max_order: int):
-    """Packed Gauss-Legendre nodes/weights for all orders up to max_order."""
-    xs, ws, off = [], [], np.zeros(max_order + 1, dtype=np.int64)
-    pos = 0
-    for o in range(1, max_order + 1):
-        x, w = np.polynomial.legendre.leggauss(o)
-        off[o] = pos
-        xs.append(x)
-        ws.append(w)
-        pos += o
-    return np.concatenate(xs), np.concatenate(ws), off
-
-
 # ---------------------------------------------------------------------------
 # phase grid and fields
 # ---------------------------------------------------------------------------
@@ -114,6 +101,12 @@ class PhaseGrid:
         self.v_nodes = self._tensor_nodes(self.v_axis, self.dim)
         self.NXF = self.x_nodes.shape[0]
         self.NVF = self.v_nodes.shape[0]
+        # flat index steps of the spatial and the velocity axes: node
+        # (i_0, ..., i_{d-1}) is sum_a i_a * strides[a] in its own tensor
+        self.x_strides = [self.nx ** (self.dim - 1 - a)
+                          for a in range(self.dim)]
+        self.v_strides = [self.nv ** (self.dim - 1 - a)
+                          for a in range(self.dim)]
 
         self.x_active = domain.contains(self.x_nodes, tol=1e-12)
         self.v_active = np.sqrt(np.sum(self.v_nodes**2, axis=1)) >= self.v_min
@@ -296,8 +289,7 @@ class PhaseField:
             base_x = base_x * g.nx + ix[:, a]
         base_v, vfracs = g.v_stencil(V)
         base = np.where(base_v < 0, -1, base_x * g.NVF + base_v)
-        strides = [g.nx ** (g.dim - 1 - a) * g.NVF for a in range(g.dim)] + \
-                  [g.nv ** (g.dim - 1 - a) for a in range(g.dim)]
+        strides = [s * g.NVF for s in g.x_strides] + g.v_strides
         fracs = [tx[:, a] for a in range(g.dim)] + vfracs
         out = _interp_flat(self.values.ravel(), base, fracs, strides)
         if self.profile is not None:
@@ -464,7 +456,6 @@ class _PicardTables:
         self.ub, self.ufr = grid.v_stencil(U)
         if np.any(self.ub < 0):
             raise PreconditionError("quadrature velocities exceed the grid square")
-        self.v_strides = [grid.nv ** (dim - 1 - a) for a in range(dim)]
 
         # for fixed (v, omega) v' depends on u only through u.omega, and for
         # fixed (u, omega) u' on v only through v.omega, so the rows (v, u,
@@ -499,7 +490,6 @@ class _PicardTables:
             ORD[r] = np.clip(length, _CHORD_ORDER_MIN, _CHORD_ORDER_MAX,
                              out=length)
             counts += np.bincount(ORD[r].ravel(), minlength=counts.size)
-        self.glx, self.glw, self.gloff = _gauss_tables(_CHORD_ORDER_MAX)
         # flat pair indices (v-major) sorted by chord order, so each order
         # runs by (v, x); the (order, start, stop) run of each order in that
         # sequence; and the exit time of each pair in that sequence
@@ -510,6 +500,9 @@ class _PicardTables:
         self.order_groups = [(o, int(stops[o] - counts[o]), int(stops[o]))
                              for o in np.flatnonzero(counts).tolist()]
         self.pair_tau = TAU.ravel()[self.pair_order]
+        # Gauss-Legendre (nodes, weights) of each chord order in use
+        self.gauss = {o: np.polynomial.legendre.leggauss(o)
+                      for o, _, _ in self.order_groups}
 
     def stencil_operators(self):
         """CSR operators of the u, u' and v' velocity stencils.
@@ -526,7 +519,7 @@ class _PicardTables:
 
         def csr(P):
             base, fracs = self.grid.v_stencil(P)
-            return _stencil_csr(base, fracs, self.v_strides, ncols)
+            return _stencil_csr(base, fracs, self.grid.v_strides, ncols)
 
         tiles = []
         vb = self.v_block
@@ -534,7 +527,7 @@ class _PicardTables:
             r = slice(j * NRow, (j + vb) * NRow)
             tiles.append((slice(j, j + vb), self.up_index[r],
                           self.vp_index[r]))
-        return (_stencil_csr(self.ub, self.ufr, self.v_strides, ncols),
+        return (_stencil_csr(self.ub, self.ufr, self.grid.v_strides, ncols),
                 [(tiles, csr(self.up_points), csr(self.vp_points))])
 
     def f0_tables_velocity_only(self, g):
@@ -551,11 +544,11 @@ def _collision_stage_np(G, tables, g, spec, rule):
     its kinematics, kernel values and stencils are its own.  Returns Q
     v-major, (NVF, NXF)."""
     grid = tables.grid
-    strides = [grid.nv ** (grid.dim - 1 - a) for a in range(grid.dim)]
     Q = np.zeros((grid.NVF, grid.NXF))
     for p in grid.x_active_idx:
         def F(_, P, Gr=G[p]):
-            return g(P) + _interp_flat(Gr, *grid.v_stencil(P), strides)
+            return g(P) + _interp_flat(Gr, *grid.v_stencil(P),
+                                       grid.v_strides)
         Q[grid.v_active_idx, p] = collision_Q(F, F, tables.Vg, spec, rule)
     return Q
 
@@ -637,7 +630,6 @@ def _line_stage_np(Qs, tables):
     """
     grid = tables.grid
     nx = grid.nx
-    xstr = [nx ** (grid.dim - 1 - a) for a in range(grid.dim)]
     NXF, NVF = grid.NXF, grid.NVF
     NXa = grid.x_active_idx.size
     h = grid.x_axis[1] - grid.x_axis[0]
@@ -647,9 +639,9 @@ def _line_stage_np(Qs, tables):
     Qflats = [Q.ravel() for Q in Qs]
     Gouts = [np.zeros(NXF * NVF) for _ in Qs]
     for o, first, last in tables.order_groups:
-        off = tables.gloff[o]
-        gx1 = 1.0 + tables.glx[off:off + o, None]
-        gw = tables.glw[off:off + o, None]
+        gx, gw = tables.gauss[o]
+        gx1 = 1.0 + gx[:, None]
+        gw = gw[:, None]
         step = max(1, _CHORD_NODE_BLOCK // o)
         for start in range(first, last, step):
             stop = min(start + step, last)
@@ -674,13 +666,13 @@ def _line_stage_np(Qs, tables):
                 f -= i
                 np.maximum(f, 0.0, out=f)
                 fracs.append(np.minimum(f, 1.0, out=f))
-                i *= xstr[a]
+                i *= grid.x_strides[a]
                 i += cell
                 cell = i
             base = cell.astype(np.int64)
             dest = xi * NVF + vi
             for Qflat, Gout in zip(Qflats, Gouts):
-                q = _lerp_cell(Qflat, base, fracs, xstr)
+                q = _lerp_cell(Qflat, base, fracs, grid.x_strides)
                 q *= gw
                 acc = q[0]
                 for k in range(1, o):

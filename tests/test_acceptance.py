@@ -21,7 +21,7 @@ from boltzlab import reconstruct as rc
 from boltzlab.collision import (KernelSpec, QuadratureRule, collision_Q,
                                 post_collision)
 from boltzlab.geometry import Domain
-from boltzlab.linearize import LinearizationConfig, w_finite_difference
+from boltzlab.linearize import w_finite_difference
 from boltzlab.solver import (BoundarySource, PhaseGrid, PicardOptions,
                              Solver, picard_solve)
 
@@ -257,10 +257,8 @@ def test_criterion_06_linearization_crosscheck():
     X = np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
     t0 = time.perf_counter()
-    conv = w_finite_difference(Solver(kern, grid, rule), g1, g2,
-                               LinearizationConfig(eps1=1e-2, eps2=1e-2,
-                                                   levels=3),
-                               X, V)
+    pairs = [(1e-2, 1e-2), (5e-3, 5e-3), (2.5e-3, 2.5e-3)]
+    conv = w_finite_difference(Solver(kern, grid, rule), g1, g2, pairs, X, V)
     dt = time.perf_counter() - t0
 
     decreasing = bool(np.all(conv.errors[1:] < conv.errors[:-1]))

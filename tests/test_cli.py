@@ -114,6 +114,19 @@ def test_validation_rejects_bad_values():
         ({"kernel": {"family": "bogus"}}, r"kernel\.family"),
         ({"reconstruct": {"etas": [0.1, 0.4]}}, "decreasing"),
         ({"stages": {"forward": "yes"}}, "boolean"),
+        # each of these used to escape as a plain Python error, or pass
+        # until its stage ran
+        ({"reconstruct": {"probe_seed": -1}}, r"reconstruct\.probe_seed"),
+        ({"linearize": {"sample_seed": -3}}, r"linearize\.sample_seed"),
+        ({"reconstruct": {"nw": 2.5}}, r"reconstruct\.nw"),
+        ({"reconstruct": {"nr": 0}}, r"reconstruct\.nr"),
+        ({"reconstruct": {"na": "20"}}, r"reconstruct\.na"),
+        ({"inflow": {"center": ["east", 0.0]}}, r"inflow\.center"),
+        ({"inflow": {"center": 1.0}}, r"inflow\.center"),
+        ({"reconstruct": {"etas": [0.4, "0.2x"]}}, r"reconstruct\.etas"),
+        ({"domain": {"radius": "one"}}, r"domain\.radius"),
+        ({"domain": {"dim": 2.0}}, r"domain\.dim"),
+        ({"solver": {"tol": None}}, r"solver\.tol"),
     ]
     for patch, pattern in cases:
         doc = {"version": 1}

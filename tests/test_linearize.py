@@ -1,14 +1,16 @@
-import types
+import json
 
 import numpy as np
 import pytest
 
+from boltzlab.cli import main
 from boltzlab.collision import KernelSpec, QuadratureRule, kernel_eval
-from boltzlab.errors import ConvergenceError, PreconditionError
+from boltzlab.config import config_from_dict
+from boltzlab.errors import (ConfigurationError, ConvergenceError,
+                             PreconditionError)
 from boltzlab.geometry import Domain, exit_times, sample_outgoing
-from boltzlab.linearize import (LinearizationConfig, SecondOrderSource,
-                                convergence_to_csv, w_finite_difference,
-                                w_quadrature)
+from boltzlab.linearize import (convergence_to_csv, second_order_source,
+                                w_finite_difference, w_quadrature)
 from boltzlab.reconstruct import monotonicity_P
 from boltzlab.solver import (BoundarySource, PhaseGrid, PicardOptions,
                              Solver, picard_solve)
@@ -18,6 +20,8 @@ POLY = KernelSpec("omega_independent_poly", dim=2,
                   params={"coeffs": (1.0, 0.0, 1.0)})
 SMALL = KernelSpec("omega_independent_poly", dim=2,
                    params={"coeffs": (0.005, 0.0, 0.005)})
+# three halvings of (1e-2, 1e-2), the default linearize schedule
+PAIRS = ((1e-2, 1e-2), (5e-3, 5e-3), (2.5e-3, 2.5e-3))
 
 
 def _rule(R_v=2.0, sphere=8, radial=3, angular=8):
@@ -64,19 +68,22 @@ def test_first_linearization_quotient_convergence():
 # ---------------------------------------------------------------------------
 
 
+def _const(c):
+    return lambda V: np.full(len(V), c)
+
+
 def test_source_vanishes_on_constants():
-    S = SecondOrderSource(POLY, _rule(), lambda V: np.full(len(V), 0.7),
-                          lambda V: np.full(len(V), -0.2))
     V = np.array([[0.3, 0.1], [-0.5, 0.4], [0.0, 0.0]])
-    assert np.array_equal(S.eval_v(V), np.zeros(3))
+    S = second_order_source(_const(0.7), _const(-0.2), V, POLY, _rule())
+    assert np.array_equal(S, np.zeros(3))
 
 
 def test_source_vanishes_on_maxwellians():
     phi = lambda V: np.exp(-np.sum(V * V, axis=-1))
-    S = SecondOrderSource(POLY, _rule(), phi, phi)
     rng = np.random.default_rng(1)
     V = rng.uniform(-1.5, 1.5, size=(40, 2))
-    assert np.max(np.abs(S.eval_v(V))) < 1e-12
+    S = second_order_source(phi, phi, V, POLY, _rule())
+    assert np.max(np.abs(S)) < 1e-12
 
 
 def test_source_matches_closed_form_bracket():
@@ -86,8 +93,7 @@ def test_source_matches_closed_form_bracket():
     rule = _rule()
     V1 = lambda V: np.exp(np.sum((V - v0) ** 2, axis=-1))
     V2 = lambda V: np.ones(len(V))
-    S = SecondOrderSource(POLY, rule, V1, V2)
-    got = S.eval_v(v0[None, :])[0]
+    got = second_order_source(V1, V2, v0[None, :], POLY, rule)[0]
 
     B = kernel_eval(POLY, v0[None, None, :], rule.u_nodes[:, None, :],
                     rule.omega_nodes[None, :, :])
@@ -118,11 +124,10 @@ def test_source_symmetry_in_the_two_fields():
     rule = _rule()
     f1 = _quartic(center=(0.5, 0.2))
     f2 = _quartic(center=(-0.4, 0.3), width=0.5)
-    S12 = SecondOrderSource(POLY, rule, f1, f2)
-    S21 = SecondOrderSource(POLY, rule, f2, f1)
     rng = np.random.default_rng(3)
     V = rng.uniform(-1.5, 1.5, size=(30, 2))
-    a, b = S12.eval_v(V), S21.eval_v(V)
+    a = second_order_source(f1, f2, V, POLY, rule)
+    b = second_order_source(f2, f1, V, POLY, rule)
     scale = max(1.0, np.max(np.abs(a)))
     assert np.max(np.abs(a - b)) < 1e-12 * scale
 
@@ -140,13 +145,17 @@ def _outgoing(count, seed):
 
 def test_w_quadrature_trivial_sources():
     X, V = _outgoing(15, 5)
-    # w_quadrature only calls S.eval_v
-    S0 = types.SimpleNamespace(eval_v=lambda V_: np.zeros(len(V_)))
-    assert np.array_equal(w_quadrature(S0, DISK, X, V), np.zeros(15))
-    S1 = types.SimpleNamespace(eval_v=lambda V_: np.ones(len(V_)))
-    W = w_quadrature(S1, DISK, X, V)
-    tau = exit_times(DISK, X, V, sign=-1)
-    assert np.max(np.abs(W - tau)) < 1e-14
+    rule = _rule()
+    # constant profiles have a zero source, so W is zero
+    W0 = w_quadrature(_const(0.7), _const(-0.2), POLY, rule, DISK, X, V)
+    assert np.array_equal(W0, np.zeros(15))
+    # W is the exit time times the source, bit for bit
+    f1, f2 = _quartic(center=(0.5, 0.2)), _quartic(center=(-0.4, 0.3))
+    W = w_quadrature(f1, f2, POLY, rule, DISK, X, V)
+    ref = (exit_times(DISK, X, V, sign=-1)
+           * second_order_source(f1, f2, V, POLY, rule))
+    assert np.any(W != 0.0)
+    assert np.array_equal(W, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +184,34 @@ def _outgoing_on_vnodes(grid, count, seed):
     return X, V
 
 
-def test_config_defaults_and_validation():
-    cfg = LinearizationConfig()
-    assert len(cfg.pairs) == 3
-    assert cfg.pairs[0] == (1e-2, 1e-2)
-    assert cfg.pairs[2] == (2.5e-3, 2.5e-3)
-    with pytest.raises(PreconditionError):
-        LinearizationConfig(eps1=-1e-2)
-    with pytest.raises(PreconditionError):
-        LinearizationConfig(levels=0)
+def test_amplitude_pairs_from_config_and_their_validation(tmp_path):
+    # a run halves (eps1, eps2) `levels` times and records the pairs
+    out = tmp_path / "run"
+    doc = {"version": 1, "output_dir": str(out),
+           "grid": {"nx": 8, "nv": 8},
+           "quadrature": {"sphere_order": 4, "radial_order": 2,
+                          "angular_order": 4},
+           "linearize": {"eps1": 0.01, "eps2": 0.004, "levels": 3,
+                         "n_samples": 2},
+           "stages": {"verify_geometry": False, "verify_collision": False,
+                      "forward": False, "linearize": True,
+                      "reconstruct": False}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 0
+    with open(out / "linearize_summary.json") as fh:
+        pairs = json.load(fh)["pairs"]
+    assert pairs == [[0.01, 0.004], [0.005, 0.002], [0.0025, 0.001]]
+
+    with pytest.raises(ConfigurationError, match=r"amplitudes"):
+        config_from_dict({"version": 1, "linearize": {"eps1": -1e-2}})
+    with pytest.raises(ConfigurationError, match=r"linearize\.levels"):
+        config_from_dict({"version": 1, "linearize": {"levels": 0}})
+    g1, g2 = _two_sources()
+    X, V = _outgoing(2, 13)
+    grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
+    with pytest.raises(PreconditionError, match="amplitude pair"):
+        w_finite_difference(Solver(SMALL, grid, _rule()), g1, g2, [], X, V)
 
 
 def test_fd_zero_kernel_gives_zero():
@@ -191,8 +219,8 @@ def test_fd_zero_kernel_gives_zero():
     grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
     g1, g2 = _two_sources()
     X, V = _outgoing(8, 8)
-    conv = w_finite_difference(Solver(spec, grid, _rule()), g1, g2,
-                               LinearizationConfig(), X, V)
+    conv = w_finite_difference(Solver(spec, grid, _rule()), g1, g2, PAIRS,
+                               X, V)
     assert np.max(np.abs(conv.W_fd)) < 1e-12
     assert np.max(np.abs(conv.W_quad)) == 0.0
 
@@ -204,8 +232,8 @@ def test_fd_converges_to_quadrature_route():
                       params={"coeffs": (0.02, 0.0, 0.005)})
     g1, g2 = _two_sources()
     X, V = _outgoing_on_vnodes(grid, 6, 9)
-    conv = w_finite_difference(Solver(kern, grid, rule), g1, g2,
-                               LinearizationConfig(), X, V)
+    conv = w_finite_difference(Solver(kern, grid, rule), g1, g2, PAIRS,
+                               X, V)
     assert conv.errors[1] < conv.errors[0]
     assert conv.errors[2] < conv.errors[1]
     assert conv.errors[2] < conv.est_total
@@ -218,10 +246,9 @@ def test_fd_swap_symmetry():
     rule = _rule()
     g1, g2 = _two_sources()
     X, V = _outgoing(6, 10)
-    cfg = LinearizationConfig(levels=1)
     solver = Solver(SMALL, grid, rule)
-    c12 = w_finite_difference(solver, g1, g2, cfg, X, V)
-    c21 = w_finite_difference(solver, g2, g1, cfg, X, V)
+    c12 = w_finite_difference(solver, g1, g2, PAIRS[:1], X, V)
+    c21 = w_finite_difference(solver, g2, g1, PAIRS[:1], X, V)
     scale = max(1.0, np.max(np.abs(c12.W_fd)))
     assert np.max(np.abs(c12.W_fd - c21.W_fd)) < 1e-12 * scale
     assert np.max(np.abs(c12.W_quad - c21.W_quad)) < 1e-12 * scale
@@ -231,14 +258,14 @@ def test_fd_smallness_guard_and_failure_naming():
     grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
     g1, g2 = _two_sources()
     X, V = _outgoing(4, 11)
-    big = LinearizationConfig(eps1=0.5, eps2=0.5)
+    big = [(0.5, 0.5)]
     with pytest.raises(PreconditionError):
         w_finite_difference(Solver(SMALL, grid, _rule()), g1, g2, big, X, V)
     # a solve cut off after one sweep fails and names the amplitudes
     with pytest.raises(ConvergenceError) as ei:
         w_finite_difference(
             Solver(SMALL, grid, _rule(), PicardOptions(max_iter=1)),
-            g1, g2, LinearizationConfig(), X, V)
+            g1, g2, PAIRS, X, V)
     assert "eps1" in str(ei.value)
     # all three fail; the first in input order is named, with its report
     assert "solve failed for the combined data" in str(ei.value)
@@ -249,8 +276,8 @@ def test_convergence_csv(tmp_path):
     grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
     g1, g2 = _two_sources()
     X, V = _outgoing(3, 12)
-    cfg = LinearizationConfig(levels=2)
-    conv = w_finite_difference(Solver(SMALL, grid, _rule()), g1, g2, cfg, X, V)
+    conv = w_finite_difference(Solver(SMALL, grid, _rule()), g1, g2,
+                               PAIRS[:2], X, V)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     convergence_to_csv(conv, str(p1))
     convergence_to_csv(conv, str(p2))

@@ -325,7 +325,7 @@ def _per_row_operator(tables, P, f0=None):
     value per point) every row ends with that value in column NVF."""
     NVF = tables.grid.NVF
     base, fracs = tables.grid.v_stencil(P)
-    pairs = list(solver._corner_weights(fracs, tables.v_strides))
+    pairs = list(solver._corner_weights(fracs, tables.grid.v_strides))
     data = [w for w, _ in pairs]
     cols = [base + off for _, off in pairs]
     mask = [base >= 0] * len(pairs)

@@ -18,7 +18,10 @@ source the symmetrized off-diagonal sum.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,14 +71,41 @@ KERNEL_FAMILIES = (
     "angular_bump",
 )
 
+# each family's parameters and their defaults
+KERNEL_PARAMS = {
+    "constant": {"value": 1.0},
+    # coefficients of powers of |v - u|; default 1 + |v-u|^2
+    "omega_independent_poly": {"coeffs": (1.0, 0.0, 1.0)},
+    "hard_potential_like": {"gamma": 0.5, "amplitude": 1.0},
+    "gaussian_compact": {"amplitude": 1.0, "support": 4.0},
+    # bump in the squared cosine between v-u and omega, centered away from
+    # both 0 and 1 so the support avoids the degenerate directions
+    "angular_bump": {"amplitude": 1.0, "center": 0.5, "halfwidth": 0.3},
+}
+
+
+def _is_number(x) -> bool:
+    """A finite real number that is not a bool."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        # an int too large for a float
+        return False
+
 
 @dataclass(frozen=True)
 class KernelSpec:
     """Declarative collision-kernel description.
 
     family : one of ``KERNEL_FAMILIES``
-    params : family-specific parameters (validated on construction)
+    params : family-specific parameters, keys of ``KERNEL_PARAMS[family]``
+             (validated on construction; omitted keys take the defaults)
     dim    : velocity-space dimension (2 or 3)
+
+    A parameter error is a PreconditionError whose message starts with
+    ``params.<key>``.
     """
 
     family: str
@@ -87,31 +117,37 @@ class KernelSpec:
             raise PreconditionError("unknown kernel family %r" % (self.family,))
         if self.dim not in (2, 3):
             raise PreconditionError("kernel dim must be 2 or 3")
-        p = dict(self.params)
-        if self.family == "constant":
-            p.setdefault("value", 1.0)
-        elif self.family == "omega_independent_poly":
-            # coefficients of powers of |v - u|; default 1 + |v-u|^2
-            p.setdefault("coeffs", (1.0, 0.0, 1.0))
-            p["coeffs"] = tuple(float(c) for c in p["coeffs"])
-        elif self.family == "hard_potential_like":
-            p.setdefault("gamma", 0.5)
-            p.setdefault("amplitude", 1.0)
+        known = KERNEL_PARAMS[self.family]
+        p = dict(known)
+        for key, val in dict(self.params).items():
+            if key not in known:
+                raise PreconditionError(
+                    "params.%s is not a parameter of the %s kernel (its "
+                    "parameters: %s)" % (key, self.family, ", ".join(known)))
+            if key == "coeffs":
+                if not (isinstance(val, (list, tuple, np.ndarray))
+                        and all(_is_number(c) for c in val)):
+                    raise PreconditionError(
+                        "params.coeffs must be a list of finite numbers, "
+                        "not %r" % (val,))
+                val = tuple(float(c) for c in val)
+            elif not _is_number(val):
+                raise PreconditionError(
+                    "params.%s must be a finite number, not %r" % (key, val))
+            p[key] = val
+        if self.family == "hard_potential_like":
             if not 0.0 < p["gamma"] <= 1.0:
-                raise PreconditionError("hard_potential_like needs gamma in (0, 1]")
+                raise PreconditionError(
+                    "params.gamma of hard_potential_like must be in (0, 1]")
         elif self.family == "gaussian_compact":
-            p.setdefault("amplitude", 1.0)
-            p.setdefault("support", 4.0)
             if not p["support"] > 0:
-                raise PreconditionError("gaussian_compact needs positive support")
+                raise PreconditionError(
+                    "params.support of gaussian_compact must be positive")
         elif self.family == "angular_bump":
-            # bump in the squared cosine between v-u and omega, centered away
-            # from both 0 and 1 so the support avoids the degenerate directions
-            p.setdefault("amplitude", 1.0)
-            p.setdefault("center", 0.5)
-            p.setdefault("halfwidth", 0.3)
             if not 0 < p["halfwidth"] <= min(p["center"], 1 - p["center"]):
-                raise PreconditionError("angular_bump window must stay inside (0, 1)")
+                raise PreconditionError(
+                    "params.halfwidth of angular_bump must keep the window "
+                    "center +- halfwidth inside (0, 1)")
         object.__setattr__(self, "params", p)
 
     def is_omega_independent(self) -> bool:
@@ -169,6 +205,17 @@ def kernel_eval(spec: KernelSpec, v, u, omega):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre (nodes, weights) on [-1, 1], bitwise
+    np.polynomial.legendre.leggauss(n), built once per n (each build solves
+    an eigenvalue problem).  The arrays are shared, so they are read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def sphere_rule(dim: int, order: int):
     """Nodes / weights on S^{n-1}; weights sum to the sphere measure.
 
@@ -185,7 +232,7 @@ def sphere_rule(dim: int, order: int):
         weights = np.full(order, 2.0 * np.pi / order)
         return nodes, weights
     if dim == 3:
-        mu, wmu = np.polynomial.legendre.leggauss(order)
+        mu, wmu = gauss_legendre(order)
         naz = 2 * order
         phi = 2.0 * np.pi * np.arange(naz) / naz
         s = np.sqrt(1.0 - mu**2)
@@ -211,7 +258,7 @@ def ball_rule(dim: int, radial_order: int, angular_order: int, radius: float):
     """
     if radial_order < 1:
         raise PreconditionError("radial order must be >= 1")
-    r, wr = np.polynomial.legendre.leggauss(radial_order)
+    r, wr = gauss_legendre(radial_order)
     r = 0.5 * (r + 1.0) * radius
     wr = 0.5 * wr * radius
     dirs, wd = sphere_rule(dim, angular_order)

@@ -6,7 +6,10 @@ Key schema (defaults in DEFAULTS; unknown keys are rejected):
   seed           int >= 0, master seed recorded for reproducibility
   output_dir     str, run artifacts land here
   domain         dim, radius of the centred ball
-  kernel         family (see collision.KERNEL_FAMILIES), params
+  kernel         family (see collision.KERNEL_FAMILIES), params (keys of
+                 collision.KERNEL_PARAMS[family]; the default params are the
+                 constant family's, so a config that changes the family sets
+                 its params too)
   grid           nx, nv, R_v, v_min (null: 0.05 R_v)
   quadrature     sphere_order, radial_order, angular_order
   solver         tol, max_iter, smallness_threshold
@@ -29,8 +32,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .collision import KERNEL_FAMILIES, KernelSpec, QuadratureRule
-from .errors import ConfigurationError
+from .collision import KERNEL_FAMILIES, KernelSpec, QuadratureRule, _is_number
+from .errors import ConfigurationError, PreconditionError
 from .geometry import Domain
 from .reconstruct import EXPONENT_MODES
 from .solver import PhaseGrid, PicardOptions, Solver
@@ -84,25 +87,37 @@ def _require(cond, msg):
         raise ConfigurationError(msg)
 
 
+def _is_int(val) -> bool:
+    """An int that is not a bool (JSON true is a Python int)."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _validate(d: dict):
-    _require(d["version"] == CONFIG_VERSION,
+    _require(_is_int(d["version"]) and d["version"] == CONFIG_VERSION,
              f"config version {d['version']!r} unsupported "
              f"(expected {CONFIG_VERSION})")
-    _require(isinstance(d["seed"], int) and d["seed"] >= 0,
+    _require(_is_int(d["seed"]) and d["seed"] >= 0,
              "seed must be a nonnegative integer")
     _require(isinstance(d["output_dir"], str) and d["output_dir"],
              "output_dir must be a nonempty string")
 
     dom = d["domain"]
-    _require(isinstance(dom["dim"], int) and dom["dim"] in (2, 3),
+    _require(_is_int(dom["dim"]) and dom["dim"] in (2, 3),
              "domain.dim must be 2 or 3")
 
-    _require(d["kernel"]["family"] in KERNEL_FAMILIES,
+    k = d["kernel"]
+    _require(k["family"] in KERNEL_FAMILIES,
              f"kernel.family must be one of {KERNEL_FAMILIES}")
+    _require(isinstance(k["params"], dict), "kernel.params must be a table")
+    try:
+        KernelSpec(family=k["family"], dim=dom["dim"], params=k["params"])
+    except PreconditionError as exc:
+        # the spec names the key as params.<key>
+        raise ConfigurationError(f"kernel.{exc}") from None
 
     g = d["grid"]
     for key in ("nx", "nv"):
-        _require(isinstance(g[key], int) and g[key] >= 4,
+        _require(_is_int(g[key]) and g[key] >= 4,
                  f"grid.{key} must be an integer >= 4")
     _require(g["R_v"] > 0, "grid.R_v must be positive")
     _require(g["v_min"] is None or 0 < g["v_min"] < g["R_v"],
@@ -110,12 +125,12 @@ def _validate(d: dict):
 
     q = d["quadrature"]
     for key in ("sphere_order", "radial_order", "angular_order"):
-        _require(isinstance(q[key], int) and q[key] >= 1,
+        _require(_is_int(q[key]) and q[key] >= 1,
                  f"quadrature.{key} must be a positive integer")
 
     s = d["solver"]
     _require(s["tol"] > 0, "solver.tol must be positive")
-    _require(isinstance(s["max_iter"], int) and s["max_iter"] >= 1,
+    _require(_is_int(s["max_iter"]) and s["max_iter"] >= 1,
              "solver.max_iter must be a positive integer")
     _require(s["smallness_threshold"] > 0,
              "solver.smallness_threshold must be positive")
@@ -129,12 +144,12 @@ def _validate(d: dict):
     lin = d["linearize"]
     _require(lin["eps1"] > 0 and lin["eps2"] > 0,
              "linearize amplitudes must be positive")
-    _require(isinstance(lin["levels"], int) and lin["levels"] >= 1,
+    _require(_is_int(lin["levels"]) and lin["levels"] >= 1,
              "linearize.levels must be a positive integer")
-    _require(isinstance(lin["n_samples"], int) and lin["n_samples"] >= 1,
+    _require(_is_int(lin["n_samples"]) and lin["n_samples"] >= 1,
              "linearize.n_samples must be a positive integer")
     _require(lin["width"] > 0, "linearize.width must be positive")
-    _require(isinstance(lin["sample_seed"], int) and lin["sample_seed"] >= 0,
+    _require(_is_int(lin["sample_seed"]) and lin["sample_seed"] >= 0,
              "linearize.sample_seed must be a nonnegative integer")
     for key in ("center1", "center2"):
         _require(len(lin[key]) == dom["dim"],
@@ -146,13 +161,13 @@ def _validate(d: dict):
              and all(b < a for a, b in zip(etas, etas[1:])),
              "reconstruct.etas must be >= 2 positive, strictly decreasing values")
     for key in ("n_probes", "nr", "na", "nw"):
-        _require(isinstance(r[key], int) and r[key] >= 1,
+        _require(_is_int(r[key]) and r[key] >= 1,
                  f"reconstruct.{key} must be a positive integer")
-    _require(isinstance(r["probe_seed"], int) and r["probe_seed"] >= 0,
+    _require(_is_int(r["probe_seed"]) and r["probe_seed"] >= 0,
              "reconstruct.probe_seed must be a nonnegative integer")
     _require(r["exponent_mode"] in EXPONENT_MODES,
              f"reconstruct.exponent_mode must be one of {EXPONENT_MODES}")
-    _require(isinstance(r["fd_crosscheck_probes"], int)
+    _require(_is_int(r["fd_crosscheck_probes"])
              and r["fd_crosscheck_probes"] >= 0,
              "reconstruct.fd_crosscheck_probes must be >= 0")
 
@@ -161,11 +176,9 @@ def _validate(d: dict):
 
 
 def _to_float(val, where: str) -> float:
-    try:
-        return float(val)
-    except (TypeError, ValueError):
-        msg = f"{where} must be a number, not {val!r}"
-        raise ConfigurationError(msg) from None
+    """A finite number, not a bool or a string, as a float."""
+    _require(_is_number(val), f"{where} must be a finite number, not {val!r}")
+    return float(val)
 
 
 def _normalize(d: dict) -> dict:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import KernelSpec, kernel_eval, ball_rule, sphere_rule
+from .collision import (KernelSpec, ball_rule, gauss_legendre, kernel_eval,
+                        sphere_rule)
 from .errors import ConfigurationError, PreconditionError
 
 __all__ = [
@@ -56,7 +57,7 @@ _BUMP_MASS = {}
 def bump_mass(dim: int) -> float:
     """Total mass of exp(-1/(1-|z|^2)) over the unit ball in R^dim."""
     if dim not in _BUMP_MASS:
-        t, w = np.polynomial.legendre.leggauss(200)
+        t, w = gauss_legendre(200)
         t = 0.5 * (t + 1.0)
         w = 0.5 * w
         if dim == 2:
@@ -280,12 +281,12 @@ def _omega_windows(axis, half, nw):
     dim = axis.shape[0]
     if dim == 2:
         base = math.atan2(axis[1], axis[0])
-        g, wg = np.polynomial.legendre.leggauss(nw)
+        g, wg = gauss_legendre(nw)
         ang = np.concatenate([base + half * g, base + np.pi + half * g])
         w = np.concatenate([half * wg, half * wg])
         return np.stack([np.cos(ang), np.sin(ang)], axis=1), w
     # dim 3: GL in the polar cosine on [cos(half), 1], uniform azimuth
-    t, wt = np.polynomial.legendre.leggauss(nw)
+    t, wt = gauss_legendre(nw)
     c0 = math.cos(half)
     t = 0.5 * (t + 1.0) * (1.0 - c0) + c0
     wt = 0.5 * wt * (1.0 - c0)
@@ -311,6 +312,10 @@ def _omega_windows(axis, half, nw):
 # candidate (v, u, omega) triples per block of omega nodes in _gain_term;
 # each per-triple temporary of a block holds about this many values
 _TRIPLE_BLOCK = 1 << 15
+# largest (v, u) kernel table _gain_term evaluates in one kernel_eval call
+# (8 MB, with (v, u, d) temporaries of up to 24 MB); a larger one is left to
+# the per-triple path
+_KERNEL_TABLE_CELLS = 1 << 20
 
 
 def _line_dist2(x, om):
@@ -349,6 +354,12 @@ def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
     with the sum over the full (v, u, omega) product to within 1e-14
     relative (rounding and summation order differ), and an integral that
     is exactly 0.0 there stays exactly 0.0.
+
+    The kept triples read their factors from per-candidate arrays, and
+    a kernel that does not depend on omega is evaluated once, on the
+    (v, u) table of the two balls' nodes, each kept triple reading its
+    cell: B is an elementwise function of the same v and u bits, so every
+    summand, and the sum, is bitwise the per-triple evaluation's.
     """
     dim = v_star.shape[0]
     d0 = float(np.linalg.norm(target_v - v_star))
@@ -396,6 +407,12 @@ def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
     nuk = np.count_nonzero(cand_u.reshape(n_om, nu), axis=1)
     vstart = np.concatenate(([0], np.cumsum(nvk)))
     ustart = np.cumsum(nuk) - nuk
+    # each candidate's omega node, ball node, own scalars and weights, by
+    # its position in jv or ju
+    kc, ivc = np.divmod(jv, nv)
+    iuc = ju % nu
+    lvc, puc, luc, pvc = lv[jv], pu[jv], lu[ju], pv[ju]
+    bvc, womc, uwc = bv[ivc], wom[kc], uw[iuc]
     # blocks of whole omega nodes with about _TRIPLE_BLOCK candidates each
     blocks, k0, size = [], 0, 0
     for k, n in enumerate((nvk * nuk).tolist()):
@@ -404,28 +421,38 @@ def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
             k0, size = k, 0
         size += n
     blocks.append((k0, n_om))
+    Bvu = None
+    if spec.is_omega_independent() and nv * nu <= _KERNEL_TABLE_CELLS:
+        # flat, so a pair reads its cell at iv * nu + iu
+        Bvu = kernel_eval(spec, vpts[:, None, :], upts[None, :, :],
+                          om[0]).ravel()
+        rowc = ivc * nu
     total = 0.0
     # the kinematics stay here rather than in collision.collision_Q, which
     # forms every (v, u, omega) triple: only the kept ones are formed
     for k0, k1 in blocks:
         # each candidate v with every candidate u of its omega, in
-        # (omega, v, u) order: the pairs of a v that start at position p0
-        # take the u of ju[ustart[k]:], so pair p takes ju[ustart[k] + p - p0]
-        kv = jv[vstart[k0]:vstart[k1]]
-        k = kv // nv
-        rep = nuk[k]
-        shift = np.repeat(ustart[k] - (np.cumsum(rep) - rep), rep)
-        kv = np.repeat(kv, rep)
-        ku = ju[np.arange(kv.size) + shift]
-        r2v = pv[ku] + lv[kv]
-        r2u = pu[kv] + lu[ku]
+        # (omega, v, u) order, as positions (qv, qu) in jv and ju: the
+        # pairs of the v at position q start at pair p0 and take the u
+        # from ustart[k] on, so pair p takes the u at ustart[k] + p - p0
+        q = np.arange(vstart[k0], vstart[k1])
+        kq = kc[q]
+        rep = nuk[kq]
+        shift = np.repeat(ustart[kq] - (np.cumsum(rep) - rep), rep)
+        qv = np.repeat(q, rep)
+        qu = np.arange(qv.size) + shift
+        r2v = pvc[qu] + lvc[qv]
+        r2u = puc[qv] + luc[qu]
         keep = np.flatnonzero((r2v < 1.0) & (r2u < 1.0))
-        k, iv = np.divmod(kv[keep], nv)
-        iu = ku[keep] - k * nu
+        qv, qu = qv[keep], qu[keep]
         f = np.exp(_bump_exponent(r2v[keep]) + _bump_exponent(r2u[keep]))
-        B = kernel_eval(spec, np.take(vpts, iv, axis=0),
-                        np.take(upts, iu, axis=0), np.take(om, k, axis=0))
-        total += float(np.sum(f * B * (bv[iv] * uw[iu]) * wom[k]))
+        if Bvu is None:
+            B = kernel_eval(spec, np.take(vpts, ivc[qv], axis=0),
+                            np.take(upts, iuc[qu], axis=0),
+                            np.take(om, kc[qv], axis=0))
+        else:
+            B = Bvu[rowc[qv] + iuc[qu]]
+        total += float(np.sum(f * B * (bvc[qv] * uwc[qu]) * womc[qv]))
     return total / (bump_mass(dim) * eta**dim) ** 2
 
 
@@ -433,7 +460,14 @@ def _loss_term(spec, v_star, center_u, center_v, eta, nr, na, nw):
     """One loss-type integral (sign included by the caller): bump factors
     at the unprimed velocities only.  For separated probes the v-bump at
     v_star and the one at center_v have disjoint supports, so every
-    accumulated summand is exactly zero."""
+    accumulated summand is exactly zero.
+
+    The v-nodes lie strictly within eta of v_star and the mollifier is
+    exactly 0.0 at |z| >= eta, so once |v_star - center_v| > 2 eta every
+    summand is 0.0 and no rule is built.  mollified_S refuses probes with
+    separations <= 2 eta, so it only ever takes that return."""
+    if float(np.linalg.norm(v_star - center_v)) > 2.0 * eta:
+        return 0.0
     dim = v_star.shape[0]
     om, wom = sphere_rule(dim, nw)
     vpts, vw = _shifted_ball(v_star, eta, nr, na)

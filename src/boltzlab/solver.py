@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import (KernelSpec, QuadratureRule, admissibility_check,
-                        collision_Q, kernel_eval)
+                        collision_Q, gauss_legendre, kernel_eval)
 from .errors import ConvergenceError, PreconditionError
 from .geometry import OUTGOING, Domain, classify_boundaries, exit_times
 
@@ -501,8 +501,7 @@ class _PicardTables:
                              for o in np.flatnonzero(counts).tolist()]
         self.pair_tau = TAU.ravel()[self.pair_order]
         # Gauss-Legendre (nodes, weights) of each chord order in use
-        self.gauss = {o: np.polynomial.legendre.leggauss(o)
-                      for o, _, _ in self.order_groups}
+        self.gauss = {o: gauss_legendre(o) for o, _, _ in self.order_groups}
 
     def stencil_operators(self):
         """CSR operators of the u, u' and v' velocity stencils.

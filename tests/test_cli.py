@@ -127,6 +127,25 @@ def test_validation_rejects_bad_values():
         ({"domain": {"radius": "one"}}, r"domain\.radius"),
         ({"domain": {"dim": 2.0}}, r"domain\.dim"),
         ({"solver": {"tol": None}}, r"solver\.tol"),
+        # a JSON true is a Python int, and a string or an infinity is not a
+        # finite number
+        ({"reconstruct": {"nr": True}}, r"reconstruct\.nr"),
+        ({"version": True}, "unsupported"),
+        ({"solver": {"tol": "inf"}}, r"solver\.tol"),
+        ({"solver": {"tol": "1e-8"}}, r"solver\.tol"),
+        (json.loads('{"solver": {"tol": Infinity}}'), r"solver\.tol"),
+        ({"grid": {"R_v": 10**400}}, r"grid\.R_v"),
+        # kernel parameters are checked against their family at parse time
+        ({"kernel": {"params": {"value": "x"}}}, r"kernel\.params\.value"),
+        ({"kernel": {"params": {"valu": 0.5}}}, r"kernel\.params\.valu"),
+        ({"kernel": {"family": "hard_potential_like",
+                     "params": {"gama": 0.9}}}, r"kernel\.params\.gama"),
+        ({"kernel": {"family": "omega_independent_poly",
+                     "params": {"coeffs": [1.0, True]}}},
+         r"kernel\.params\.coeffs"),
+        ({"kernel": {"params": [0.5]}}, r"kernel\.params"),
+        # the default params are the constant family's
+        ({"kernel": {"family": "gaussian_compact"}}, r"kernel\.params\.value"),
     ]
     for patch, pattern in cases:
         doc = {"version": 1}

@@ -7,6 +7,7 @@ from boltzlab.collision import (
     admissibility_check,
     ball_rule,
     collision_Q,
+    gauss_legendre,
     kernel_eval,
     post_collision,
     pre_collision,
@@ -115,6 +116,41 @@ def test_kernel_spec_validation():
         KernelSpec("hard_potential_like", dim=2, params={"gamma": 1.5})
     with pytest.raises(PreconditionError):
         KernelSpec("angular_bump", dim=2, params={"center": 0.9, "halfwidth": 0.3})
+    # a misspelt key, a key of another family, and values that are not
+    # finite numbers, each named as params.<key>
+    for family, params, key in (
+            ("constant", {"valu": 0.5}, "valu"),
+            ("hard_potential_like", {"gama": 0.9}, "gama"),
+            ("gaussian_compact", {"value": 0.5}, "value"),
+            ("constant", {"value": "x"}, "value"),
+            ("constant", {"value": True}, "value"),
+            ("constant", {"value": float("nan")}, "value"),
+            ("angular_bump", {"amplitude": None}, "amplitude"),
+            ("omega_independent_poly", {"coeffs": (1.0, "2")}, "coeffs"),
+            ("omega_independent_poly", {"coeffs": (1.0, False)}, "coeffs"),
+            ("omega_independent_poly", {"coeffs": 1.0}, "coeffs")):
+        with pytest.raises(PreconditionError, match=r"^params\.%s " % key):
+            KernelSpec(family, dim=2, params=params)
+    # omitted keys take their defaults; integers are numbers
+    spec = KernelSpec("hard_potential_like", dim=3, params={"gamma": 1})
+    assert spec.params == {"gamma": 1, "amplitude": 1.0}
+    assert KernelSpec("omega_independent_poly", dim=2,
+                      params={"coeffs": [1, 0, 2]}).params["coeffs"] == \
+        (1.0, 0.0, 2.0)
+
+
+def test_gauss_legendre_is_leggauss_built_once():
+    for n in (1, 4, 20, 64):
+        nodes, weights = gauss_legendre(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+        again = gauss_legendre(n)
+        assert again[0] is nodes and again[1] is weights
+        for arr in (nodes, weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 def test_sphere_rule_measures():

@@ -252,6 +252,19 @@ def test_loss_term_nonzero_for_overlapping_centres():
     assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
+def test_loss_term_vanishes_past_twice_eta():
+    # past |v_star - center_v| = 2 eta, _loss_term returns 0.0 with no
+    # quadrature: every v-node's bump at center_v is then exactly 0.0, also
+    # at the finest radial order and just past the threshold
+    eta = 0.3
+    center_v = VS + np.array([0.0, 2.0 * eta * (1.0 + 1e-15)])
+    assert np.linalg.norm(VS - center_v) > 2.0 * eta
+    for nr in (2, 8, 64):
+        vpts, _ = rc._shifted_ball(VS, eta, nr, 16)
+        assert not np.any(rc.mollifier(vpts - center_v, eta))
+    assert rc._loss_term(CONST, VS, U0, center_v, eta, 8, 16, 16) == 0.0
+
+
 def test_off_manifold_probe_value_is_exactly_zero():
     # orthogonality violated by a margin huge against eta: no scattering
     # direction can connect the bumps, so every quadrature summand is zero
@@ -347,16 +360,39 @@ def _gain_term_full_product(spec, v_star, target_v, target_u, eta, nr, na,
     return total
 
 
+# the omega-independent families, whose gain terms read a (v, u) kernel table
+TABLE_FAMILIES = {
+    "constant": {"value": 1.0},
+    "omega_independent_poly": {"coeffs": (1.0, 0.0, 1.0)},
+    "hard_potential_like": {"gamma": 0.5, "amplitude": 1.0},
+    "gaussian_compact": {"amplitude": 1.0, "support": 4.0},
+}
+
+
 @pytest.mark.parametrize("case", ["2d_eta0.4", "2d_eta0.1", "2d_eta0.03",
                                   "angular_bump", "3d", "angular_bump_3d",
-                                  "off_manifold", "off_manifold_3d"])
+                                  "off_manifold", "off_manifold_3d",
+                                  "omega_independent_poly",
+                                  "hard_potential_like", "gaussian_compact",
+                                  "omega_independent_poly_3d",
+                                  "hard_potential_like_3d",
+                                  "gaussian_compact_3d"])
 def test_gain_term_matches_full_product(case):
     # dropping the triples outside the bump support and summing the bump
     # exponents only reorders and rerounds the sum
     u0 = np.array([1.0, 2.0])
     spec, eta, orders = CONST, 0.4, (10, 20, 20)
     vs, v0 = VS, V0
-    if case == "2d_eta0.1":
+    family = case.removesuffix("_3d")
+    if family in TABLE_FAMILIES and family != "constant":
+        dim = 3 if case.endswith("_3d") else 2
+        spec = KernelSpec(dim=dim, family=family,
+                          params=TABLE_FAMILIES[family])
+        if dim == 3:
+            eta, orders = 0.25, (4, 6, 6)
+            vs, v0 = np.array([1.0, 0.0, 0.0]), np.zeros(3)
+            u0 = np.array([1.0, 2.0, 0.0])
+    elif case == "2d_eta0.1":
         eta = 0.1
     elif case == "2d_eta0.03":
         # the bump radii lose about 1e-12 relative if the line distances
@@ -386,7 +422,7 @@ def test_gain_term_matches_full_product(case):
         vs, v0 = np.array([1.0, 0.0, 0.0]), np.zeros(3)
         u0 = np.array([2.0, 1.0, 1.0])
     pairs = [(v0, u0), (u0, v0)]
-    if case in ("3d", "angular_bump_3d"):
+    if case.endswith("3d") and not case.startswith("off_manifold"):
         pairs = pairs[:1]
     elif case == "off_manifold_3d":
         pairs = pairs[1:]
@@ -398,6 +434,41 @@ def test_gain_term_matches_full_product(case):
         else:
             assert ref > 0.0
             assert abs(new - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gain_term_kernel_table_is_bitwise_per_triple(dim, monkeypatch):
+    # an omega-independent B read from the (v, u) table is the same function
+    # of the same bits as B evaluated per kept triple, so the sums agree
+    # bitwise; the table takes one kernel_eval call per gain term, with one
+    # omega (d,), and the per-triple path takes omega rows (N, d)
+    if dim == 2:
+        vs, tv, tu, eta, orders = VS, V0, np.array([1.0, 2.0]), 0.2, \
+            (10, 20, 20)
+    else:
+        vs, tv = np.array([1.0, 0.0, 0.0]), np.zeros(3)
+        tu, eta, orders = np.array([1.0, 2.0, 0.0]), 0.25, (4, 6, 6)
+    calls = []
+
+    def counted(spec, v, u, omega):
+        calls.append(np.ndim(omega))
+        return kernel_eval(spec, v, u, omega)
+
+    monkeypatch.setattr(rc, "kernel_eval", counted)
+    table = {}
+    for family, params in TABLE_FAMILIES.items():
+        spec = KernelSpec(dim=dim, family=family, params=params)
+        table[family] = rc._gain_term(spec, vs, tv, tu, eta, *orders)
+        assert table[family] > 0.0
+    assert calls == [1] * len(TABLE_FAMILIES)
+    calls.clear()
+    monkeypatch.setattr(KernelSpec, "is_omega_independent",
+                        lambda self: False)
+    for family, params in TABLE_FAMILIES.items():
+        spec = KernelSpec(dim=dim, family=family, params=params)
+        triple = rc._gain_term(spec, vs, tv, tu, eta, *orders)
+        assert triple.hex() == table[family].hex(), family
+    assert calls and set(calls) == {2}
 
 
 def test_gain_terms_swap_under_target_exchange():

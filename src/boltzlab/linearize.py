@@ -89,7 +89,16 @@ class FDConvergence:
 
 def _scaled_source(g1: BoundarySource, g2: BoundarySource, e1: float,
                    e2: float) -> BoundarySource:
-    return BoundarySource(func=lambda V: e1 * g1(V) + e2 * g2(V),
+    """The data e1 g1 + e2 g2.  A profile of amplitude 0.0 is not
+    evaluated: for finite y, x + 0.0 * y equals x but for the sign of a
+    zero x."""
+    if e2 == 0.0:
+        func = lambda V: e1 * g1(V)
+    elif e1 == 0.0:
+        func = lambda V: e2 * g2(V)
+    else:
+        func = lambda V: e1 * g1(V) + e2 * g2(V)
+    return BoundarySource(func=func,
                           sup_norm=e1 * g1.sup_norm + e2 * g2.sup_norm)
 
 

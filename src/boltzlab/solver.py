@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import (KernelSpec, QuadratureRule, admissibility_check,
-                        collision_Q, gauss_legendre, kernel_eval)
+                        collision_Q, gauss_legendre, kernel_eval,
+                        post_collision)
 from .errors import ConvergenceError, PreconditionError
 from .geometry import OUTGOING, Domain, classify_boundaries, exit_times
 
@@ -199,7 +200,7 @@ def _interp_flat(values_row: np.ndarray, base: np.ndarray, fracs, strides):
     b = np.maximum(base, 0)
     out = np.zeros(np.broadcast(b, fracs[0]).shape)
     for w, off in _corner_weights(fracs, strides):
-        out += w * values_row[b + off]
+        out += w * np.take(values_row, b + off)
     return np.where(base < 0, 0.0, out)
 
 
@@ -367,11 +368,15 @@ _CHORD_SPACING = 3.0
 _CHORD_ORDER_MIN = 4
 _CHORD_ORDER_MAX = 24
 # active v-nodes per block of the exit-time and chord-order build, whose
-# temporaries are a few _TAU_BLOCK * NXa * dim values, and of Q(phi, phi)
+# temporaries are a few _TAU_BLOCK * NXa * dim values
 _TAU_BLOCK = 64
 # random interior phase points of the sampled PDE residual, and their seed
 _RESIDUAL_SAMPLES = 64
 _RESIDUAL_SEED = 0
+# collision rows (sample, u, omega) per block of the sampled residual's
+# Q(F, F): a block takes max(1, _RESIDUAL_ROW_BLOCK // (NU * NW)) samples,
+# so its temporaries are about _RESIDUAL_ROW_BLOCK * dim values each
+_RESIDUAL_ROW_BLOCK = 16384
 
 
 @dataclass
@@ -593,6 +598,21 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
     return Q
 
 
+def _collision_q0(tables, ops, F0V, F0U, F0UP, F0VP):
+    """Q(phi, phi) at the active v-nodes, (NVa,): the sum of
+    _collision_stage_sparse at G = 0, where every spatial row reads the
+    transported data F0 = phi alone.  The loss is -F0V * (Bw_loss @ F0U);
+    each tile's gain is F0UP[iu] * F0VP[iv] reduced against the folded
+    weights, on the stage's (v, u, omega class) rows."""
+    _, [(tiles, _, _)] = ops
+    shape = (-1, tables.shape[1], tables.reps.size)
+    Q0 = -F0V * (tables.Bw_loss @ F0U)
+    for js, iu, iv in tiles:
+        gain = (F0UP[iu] * F0VP[iv]).reshape(shape)
+        Q0[js] += np.einsum("vur,vur->v", gain, tables.Bw_fold[js])
+    return Q0
+
+
 def _lerp_cell(Qflat, base, fracs, strides, corner=0):
     """Multilinear value of the flat tensor Qflat in the cells `base`, at
     fractional coordinates `fracs` along axes of `strides`, by successive
@@ -688,9 +708,10 @@ class Solver:
     The set-up that does not depend on the data is built once, on the
     first solve, after the first data have passed the smallness check: the
     _PicardTables, the admissibility verdict, the CSR stencil operators
-    (sparsity pattern and corner weights) and the residual sample points.
-    Each source keeps its own transported data F0, which its collision
-    stages add after the products, and its own closed-form first iterate,
+    (sparsity pattern and corner weights), and the residual sample points
+    with their collision stencils and weights (_ResidualRule).  Each source
+    keeps its own transported data F0, which its collision stages add
+    after the products and its first iterate sums alone, and its own
     stopping test and defect application, so a source's iterates do not
     depend on the other sources solved with it.
     """
@@ -702,7 +723,7 @@ class Solver:
         self.rule = rule
         self.opts = options or PicardOptions()
         self._admissibility = None
-        self._tables = self._ops = self._samples = None
+        self._tables = self._ops = self._residual = None
 
     def solve(self, g: BoundarySource):
         """(PhaseField, ConvergenceReport) of one source; see solve_many."""
@@ -712,7 +733,9 @@ class Solver:
         """Solve the sources gs in lockstep; one (PhaseField,
         ConvergenceReport) per source, in order.
 
-        Round 1 is closed form (_tau_q0); each later round applies the map
+        Round 1 is closed form: tau_- times Q(phi, phi), which
+        _collision_q0 sums from the source's F0 tables on the collision
+        stage's folded rule (_tau_q0).  Each later round applies the map
         once to every source still iterating or owing its defect
         application: a collision stage per source, one line stage for all.
 
@@ -731,7 +754,8 @@ class Solver:
         grid, opts = self.grid, self.opts
         runs = [_SourceRun(g, grid, tables, opts) for g in gs]
         for run in runs:
-            run.advance(self._tau_q0(run.g, tables), 1)
+            Q0 = _collision_q0(tables, ops, *run.f0_tables)
+            run.advance(self._tau_q0(Q0, tables), 1)
 
         def collision(run):
             Q = _collision_stage_sparse(run.G, tables, ops, *run.f0_tables)
@@ -746,8 +770,7 @@ class Solver:
                 run.advance(Gn, k)
             live = [run for run in live if run.resid_disc is None]
 
-        results = [run.result(self._samples, self.spec, self.rule, t_start)
-                   for run in runs]
+        results = [run.result(self._residual, t_start) for run in runs]
         for i, (run, (_, report)) in enumerate(zip(runs, results)):
             if not report.converged:
                 raise ConvergenceError(
@@ -757,16 +780,14 @@ class Solver:
                     report=report, index=i)
         return results
 
-    def _tau_q0(self, g, tables):
+    def _tau_q0(self, Q0, tables):
         """The first iterate from G = 0: F0 = phi does not depend on x, so it
-        is tau_-(x, v) * Q(phi, phi)(v), tau_- scattered back from pair order
-        and Q(phi, phi) taken _TAU_BLOCK velocity nodes at a time."""
-        grid, Vg, phi = self.grid, tables.Vg, (lambda _, P: g(P))
-        TQ = np.empty((Vg.shape[0], grid.x_active_idx.size))
+        is tau_-(x, v) * Q0(v), with Q0 = Q(phi, phi) at the active v-nodes
+        (_collision_q0) and tau_- scattered back from pair order."""
+        grid = self.grid
+        TQ = np.empty((Q0.size, grid.x_active_idx.size))
         TQ.reshape(-1)[tables.pair_order] = tables.pair_tau
-        for j in range(0, Vg.shape[0], _TAU_BLOCK):
-            r = slice(j, j + _TAU_BLOCK)
-            TQ[r] *= collision_Q(phi, phi, Vg[r], self.spec, self.rule)[:, None]
+        TQ *= Q0[:, None]
         G1 = np.zeros((grid.NXF, grid.NVF))
         G1[np.ix_(grid.x_active_idx, grid.v_active_idx)] = TQ.T
         return grid.fill_fringe(G1)
@@ -793,7 +814,8 @@ class Solver:
         if self._tables is None:
             tables = _PicardTables(self.spec, self.grid, self.rule)
             self._ops = tables.stencil_operators()
-            self._samples = _residual_samples(self.grid)
+            self._residual = _ResidualRule(_residual_samples(self.grid),
+                                           self.grid, self.spec, self.rule)
             self._tables = tables
         return self._tables, self._ops
 
@@ -828,12 +850,12 @@ class _SourceRun:
         elif k >= self.opts.max_iter:
             self.iterations = k
 
-    def result(self, samples, spec, rule, t_start):
+    def result(self, residual, t_start):
         grid, G = self.grid, self.G
         field = PhaseField(grid, G, profile=self.g)
         sup_G = _sup_abs(G)
         sup_F = field.sup_norm()
-        resid_pde = _sample_pde_residual(field, samples, spec, rule)
+        resid_pde = _sample_pde_residual(field, residual)
         report = ConvergenceReport(
             iterations=self.iterations, deltas=np.array(self.deltas),
             converged=self.converged, ratio=_contraction_ratio(self.deltas),
@@ -899,19 +921,109 @@ def _residual_samples(grid):
                             X_bwd=X - t[:, None] * V, two_t=2.0 * t)
 
 
-def _sample_pde_residual(field: PhaseField, samples, spec, rule):
-    """|v.grad F - Q(F,F)| at the points of samples (_residual_samples),
-    with Q under the solve's kernel and rule; returns the max.
+class _ResidualRule:
+    """The sampled residual's collision quadrature, built once per Solver
+    for the points of _residual_samples: the samples' bilinear x-stencils;
+    collision_Q's post-collision points u' and v', (n, NU, NW, d); the
+    velocity stencils of those points, of the u-nodes and of each sample's
+    own v into a table of G with one row per sample; and the weights
+    B * w_u * w_omega, (n, NU, NW).
+
+    A velocity stencil is kept as its flat base into that table (int32
+    where it fits, -1 outside the velocity square) and its fractions.  The
+    post-collision arrays are built and read in `blocks`, slices of
+    max(1, _RESIDUAL_ROW_BLOCK // (NU * NW)) samples.
+    """
+
+    def __init__(self, samples, grid, spec, rule):
+        self.samples = samples
+        X, V = samples.X, samples.V
+        n, NVF = V.shape[0], grid.NVF
+        U, W = rule.u_nodes, rule.omega_nodes
+        NU, NW = U.shape[0], W.shape[0]
+        step = max(1, _RESIDUAL_ROW_BLOCK // (NU * NW))
+        self.blocks = [slice(j, j + step) for j in range(0, n, step)]
+        index_type = np.int32 if n * NVF < 2**31 else np.int64
+        row = np.arange(n)[:, None] * NVF
+
+        def flat(P, s):
+            base, fracs = grid.v_stencil(P)
+            base = np.where(base < 0, -1, s + base).astype(index_type)
+            return base, np.stack(fracs)
+
+        ix, tx, _ = _locate_axis(grid.x_axis, X)
+        self.x_base = ix @ np.asarray(grid.x_strides)
+        self.x_corners = list(_corner_weights(tx.T, grid.x_strides))
+        self.U = U
+        self.u_base, self.u_fracs = flat(U, row)
+        self.v_base, self.v_fracs = flat(V, row[:, 0])
+        w = rule.u_weights[:, None] * rule.omega_weights[None, :]
+        self.UP = np.empty((n, NU, NW, grid.dim))
+        self.VP = np.empty((n, NU, NW, grid.dim))
+        self.up_base = np.empty((n, NU, NW), dtype=index_type)
+        self.vp_base = np.empty((n, NU, NW), dtype=index_type)
+        self.up_fracs = np.empty((grid.dim, n, NU, NW))
+        self.vp_fracs = np.empty((grid.dim, n, NU, NW))
+        self.Bw = np.empty((n, NU, NW))
+        for blk in self.blocks:
+            v = V[blk, None, None, :]
+            self.UP[blk], self.VP[blk] = post_collision(
+                U[None, :, None, :], v, W[None, None, :, :])
+            s = row[blk, :, None]
+            self.up_base[blk], self.up_fracs[:, blk] = flat(self.UP[blk], s)
+            self.vp_base[blk], self.vp_fracs[:, blk] = flat(self.VP[blk], s)
+            self.Bw[blk] = kernel_eval(spec, v, U[None, :, None, :],
+                                       W[None, None, :, :]) * w
+
+
+def _residual_collision(field: PhaseField, res: _ResidualRule):
+    """Q(F, F) at the residual samples, (n,): collision_Q(field.eval,
+    field.eval, V, spec, rule, X) to rounding.
+
+    G is read once per sample in x: the samples' x-stencils give a table
+    of G with one row per sample, (n, NVF), and each collision velocity is
+    read from its sample's row through its velocity stencil (2^d corners).
+    The profile is added after the corners, as in PhaseField.eval, and the
+    sum over (u, omega) is collision_Q's.
+    """
+    G, phi, grid = field.values, field.profile, field.grid
+    V = res.samples.V
+    T = np.zeros((V.shape[0], grid.NVF))
+    for w, off in res.x_corners:
+        T += w[:, None] * G[res.x_base + off]
+    T = T.ravel()
+
+    def F(P, base, fracs):
+        out = _interp_flat(T, base, fracs, grid.v_strides)
+        if phi is None:
+            return out
+        P2 = P.reshape(-1, P.shape[-1])
+        return np.asarray(phi(P2), dtype=float).reshape(P.shape[:-1]) + out
+
+    Hu = F(res.U, res.u_base, res.u_fracs)
+    Hv = F(V, res.v_base, res.v_fracs)
+    q = np.empty(V.shape[0])
+    for blk in res.blocks:
+        gain = F(res.UP[blk], res.up_base[blk], res.up_fracs[:, blk]) * \
+            F(res.VP[blk], res.vp_base[blk], res.vp_fracs[:, blk])
+        loss = Hu[blk, :, None] * Hv[blk, None, None]
+        q[blk] = np.sum(res.Bw[blk] * (gain - loss), axis=(1, 2))
+    return q
+
+
+def _sample_pde_residual(field: PhaseField, res: _ResidualRule):
+    """|v.grad F - Q(F,F)| at the points of res.samples (_residual_samples),
+    with Q under the solve's kernel and rule (_residual_collision); returns
+    the max.
 
     The directional derivative uses central differences along the
     characteristic, where v is fixed, so the profile phi(v) drops out
     exactly and the estimate probes the gridded correction plus
     interpolation error.
     """
-    s = samples
+    s = res.samples
     cd = (field.eval(s.X_fwd, s.V) - field.eval(s.X_bwd, s.V)) / s.two_t
-    qv = collision_Q(field.eval, field.eval, s.V, spec, rule, s.X)
-    return float(np.max(np.abs(cd - qv)))
+    return float(np.max(np.abs(cd - _residual_collision(field, res))))
 
 
 # ---------------------------------------------------------------------------
@@ -971,21 +1083,36 @@ def _active_node_values(field: PhaseField):
     return X, V, field._node_values(np.arange(g.NVF)).ravel()
 
 
+# rows per bulk % of the CSV writer, so its template, values and text
+# stay below 1 MiB each
+_CSV_ROW_BLOCK = 4096
+
+
+def _write_csv(path: str, cols, data: np.ndarray):
+    """Write the header cols and the rows of data (n, k), every value as
+    %.17g: bitwise np.savetxt(path, data, fmt="%.17g", delimiter=",",
+    header=",".join(cols), comments=""), but formatted by one % over a
+    template of _CSV_ROW_BLOCK rows rather than row by row."""
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for j in range(0, data.shape[0], _CSV_ROW_BLOCK):
+            part = data[j:j + _CSV_ROW_BLOCK]
+            fh.write((row * part.shape[0]) % tuple(part.ravel().tolist()))
+
+
 def field_to_csv(field: PhaseField, path: str):
     """Write grid values as CSV rows x..., v..., value (full float precision)
     at the in-domain spatial nodes."""
     dim = field.grid.dim
     cols = ["x%d" % a for a in range(dim)] + \
            ["v%d" % a for a in range(dim)] + ["value"]
-    np.savetxt(path, np.column_stack(_active_node_values(field)), fmt="%.17g",
-               delimiter=",", header=",".join(cols), comments="")
+    _write_csv(path, cols, np.column_stack(_active_node_values(field)))
 
 
 def trace_to_csv(table: TraceTable, path: str):
     dim = table.x.shape[1]
     cols = ["x%d" % a for a in range(dim)] + ["v%d" % a for a in range(dim)] + \
            ["value", "extrap_residual"]
-    data = np.column_stack([table.x, table.v, table.value,
-                            table.extrap_residual])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(cols),
-               comments="")
+    _write_csv(path, cols, np.column_stack([table.x, table.v, table.value,
+                                            table.extrap_residual]))

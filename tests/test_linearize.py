@@ -9,8 +9,9 @@ from boltzlab.config import config_from_dict
 from boltzlab.errors import (ConfigurationError, ConvergenceError,
                              PreconditionError)
 from boltzlab.geometry import Domain, exit_times, sample_outgoing
-from boltzlab.linearize import (convergence_to_csv, second_order_source,
-                                w_finite_difference, w_quadrature)
+from boltzlab.linearize import (_scaled_source, convergence_to_csv,
+                                second_order_source, w_finite_difference,
+                                w_quadrature)
 from boltzlab.reconstruct import monotonicity_P
 from boltzlab.solver import (BoundarySource, PhaseGrid, PicardOptions,
                              Solver, picard_solve)
@@ -212,6 +213,30 @@ def test_amplitude_pairs_from_config_and_their_validation(tmp_path):
     grid = PhaseGrid(DISK, 8, 8, R_v=2.0)
     with pytest.raises(PreconditionError, match="amplitude pair"):
         w_finite_difference(Solver(SMALL, grid, _rule()), g1, g2, [], X, V)
+
+
+def test_scaled_source_skips_a_zero_amplitude_profile():
+    # the first and second data of a triple evaluate one profile only, and
+    # give the bits of the two-profile sum e1 g1 + 0.0 g2 on these
+    # non-negative profiles
+    calls = []
+
+    def counted(phi, name):
+        def f(V):
+            calls.append(name)
+            return phi(V)
+        return BoundarySource.from_velocity_profile(f, sup=1.0)
+
+    g1 = counted(_quartic(center=(0.6, 0.0)), "g1")
+    g2 = counted(_quartic(center=(-0.3, 0.5)), "g2")
+    V = np.random.default_rng(23).uniform(-2.0, 2.0, size=(200, 2))
+    for (e1, e2), called in (((1e-2, 0.0), ["g1"]), ((0.0, 1e-2), ["g2"]),
+                             ((1e-2, 5e-3), ["g1", "g2"])):
+        calls.clear()
+        got = _scaled_source(g1, g2, e1, e2)(V)
+        assert calls == called
+        want = e1 * g1(V) + e2 * g2(V)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_fd_zero_kernel_gives_zero():

@@ -319,6 +319,25 @@ def test_first_iterate_is_tau_times_q0(monkeypatch):
         assert np.max(np.abs(G1 - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def test_q0_is_the_collision_stage_at_zero_g():
+    # Q(phi, phi) from the F0 tables is the stage's sum at G = 0, where
+    # every active spatial column reads phi alone.  Gain and loss nearly
+    # cancel (each is 8-14 times Q0 here), and the stage sums a block of
+    # 16 columns in another order than one column (BLAS loss, einsum gain),
+    # so the bound is relative to the loss term: its columns differ from
+    # each other by up to 4e-15 of Q0's sup, and from Q0 by 1e-14 of it
+    for spec, grid, rule, center, _ in _stage_cases():
+        g, tables, F0, ops = _stage_inputs(spec, grid, rule, center)
+        Q0 = solver._collision_q0(tables, ops, *F0)
+        Q = _collision_stage_sparse(np.zeros((grid.NXF, grid.NVF)), tables,
+                                    ops, *F0)
+        got = Q[np.ix_(grid.v_active_idx, grid.x_active_idx)]
+        loss = F0[0] * (tables.Bw_loss @ F0[1])
+        assert np.max(np.abs(Q0)) > 1e-9
+        assert np.max(np.abs(got - Q0[:, None])) <= \
+            1e-14 * np.max(np.abs(loss))
+
+
 def _per_row_operator(tables, P, f0=None):
     """The stencil operator with one row per point of P, all corners kept,
     for a state with a row of ones appended at index NVF; with f0 (one
@@ -649,6 +668,40 @@ def test_picard_residual_sampling_on_coarse_grid_returns():
     assert np.isfinite(rep.residual_pde)
 
 
+def test_residual_collision_matches_collision_q():
+    # the residual's Q(F, F), read through one row of G per sample, against
+    # collision_Q on the field's own eval, at every sample: the central
+    # difference dominates the residual's max, so the Q values are compared
+    rng = np.random.default_rng(17)
+    for spec, grid, rule, center, _ in _stage_cases():
+        g = _bump_profile(3e-3, center=center)
+        res = solver._ResidualRule(solver._residual_samples(grid), grid,
+                                   spec, rule)
+        F = PhaseField(grid, 1e-3 * rng.standard_normal((grid.NXF, grid.NVF)),
+                       profile=g)
+        s = res.samples
+        want = collision_Q(F.eval, F.eval, s.V, spec, rule, s.X)
+        got = solver._residual_collision(F, res)
+        assert np.max(np.abs(want)) > 1e-9
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_residual_blocks_do_not_change_q(monkeypatch):
+    # blocks of samples cut no sample's (u, omega) sum: one sample per
+    # block gives the same bits as all samples in one block
+    spec, grid, rule, center, _ = _stage_cases()[0]
+    F = PhaseField(grid, 1e-3 * np.random.default_rng(18).standard_normal(
+        (grid.NXF, grid.NVF)), profile=_bump_profile(3e-3, center=center))
+    samples = solver._residual_samples(grid)
+    qs = []
+    for rows in (1, 10 ** 6):
+        monkeypatch.setattr(solver, "_RESIDUAL_ROW_BLOCK", rows)
+        res = solver._ResidualRule(samples, grid, spec, rule)
+        assert len(res.blocks) == (64 if rows == 1 else 1)
+        qs.append(solver._residual_collision(F, res))
+    _assert_bitwise(*qs)
+
+
 def test_picard_smallness_and_admissibility_guards():
     grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
     rule = _small_rule()
@@ -853,6 +906,26 @@ def test_csv_export_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "x0,x1,v0,v1,value"
+
+
+def test_csv_writer_matches_savetxt(tmp_path, monkeypatch):
+    # the bulk writer is bitwise np.savetxt's "%.17g" output, across its
+    # row blocks and on signed zeros, subnormals, integers and non-finite
+    # values
+    rng = np.random.default_rng(19)
+    data = rng.standard_normal((23, 5)) * 10.0 ** rng.integers(-300, 300,
+                                                              (23, 5))
+    data[0] = [-0.0, 0.0, 5e-324, 3.0, -1e300]
+    data[1, :3] = [np.inf, -np.inf, np.nan]
+    cols = ["x0", "x1", "v0", "v1", "value"]
+    want = tmp_path / "want.csv"
+    np.savetxt(want, data, fmt="%.17g", delimiter=",", header=",".join(cols),
+               comments="")
+    for rows in (4, 23, 4096):
+        monkeypatch.setattr(solver, "_CSV_ROW_BLOCK", rows)
+        got = tmp_path / ("got%d.csv" % rows)
+        solver._write_csv(str(got), cols, data)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_exports_of_a_solve_with_a_zero_velocity_node(tmp_path):

@@ -557,6 +557,41 @@ def _collision_stage_np(G, tables, g, spec, rule):
     return Q
 
 
+def _live_mask(mask):
+    """mask, or None when all of it is set (the stages' full-support path)."""
+    return None if mask.all() else mask
+
+
+def _gain_live_nodes(G, tables, Sup, Svp, F0UP, F0VP):
+    """Mask of the active v-nodes with a gain row whose H(u') and H(v') can
+    both be nonzero, or None when all can.  A distinct point is live when
+    phi is nonzero there or a corner (all have positive weights) reads a
+    column where G is nonzero; any term added to H must count here too."""
+    col = np.any(G != 0.0, axis=0).astype(float)
+    up = (F0UP != 0.0) | (Sup @ col > 0.0)
+    vp = (F0VP != 0.0) | (Svp @ col > 0.0)
+    rows = up[tables.up_index] & vp[tables.vp_index]
+    return _live_mask(rows.reshape(tables.shape[0], -1).any(axis=1))
+
+
+def _live_tiles(tables, live, Sup, Svp, F0UP, F0VP):
+    """(tiles, Sup, Svp, F0UP, F0VP) as stencil_operators has them, on the
+    live active v-nodes (indices) and the point rows they read, renumbered."""
+    NRow = tables.shape[1] * tables.reps.size
+    picked = []
+    for index, S, f0 in ((tables.up_index, Sup, F0UP),
+                         (tables.vp_index, Svp, F0VP)):
+        rows = index.reshape(-1, NRow)[live].ravel()
+        read = np.zeros(S.shape[0], dtype=bool)
+        read[rows] = True
+        picked.append(((np.cumsum(read) - 1)[rows], S[read], f0[read]))
+    (iu, Sup, F0UP), (iv, Svp, F0VP) = picked
+    vb = tables.v_block
+    tiles = [(live[j:j + vb], iu[j * NRow:(j + vb) * NRow],
+              iv[j * NRow:(j + vb) * NRow]) for j in range(0, live.size, vb)]
+    return tiles, Sup, Svp, F0UP, F0VP
+
+
 def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
     """Collision stage on blocks of _X_BLOCK spatial rows.
 
@@ -570,6 +605,12 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
     Returns Q v-major, (NVF, NXF), the layout the blocks come in.  Agrees
     with _collision_stage_np to rounding.
 
+    The gain skips the v-nodes where every row has H(u') or H(v') +-0.0
+    at every x (_gain_live_nodes) and adds their einsum's +0.0 to the loss;
+    live tiles apply only the Sup and Svp rows they read, each summed as in
+    the full tiles.  The loss stays one BLAS product on every node: its
+    rounding depends on the block's shape.
+
     F0V, F0U, F0UP and F0VP are the transported data at v, u and the
     distinct u' and v' points, the tables of _PicardTables.
     """
@@ -577,6 +618,12 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
     NU = tables.shape[1]
     Su, [(tiles, Sup, Svp)] = ops
     vact, xact = grid.v_active_idx, grid.x_active_idx
+    live = _gain_live_nodes(G, tables, Sup, Svp, F0UP, F0VP)
+    dead = []
+    if live is not None:
+        dead = np.flatnonzero(~live)
+        tiles, Sup, Svp, F0UP, F0VP = _live_tiles(
+            tables, np.flatnonzero(live), Sup, Svp, F0UP, F0VP)
     F0V, F0U, F0UP, F0VP = (a[:, None] for a in (F0V, F0U, F0UP, F0VP))
     Q = np.zeros((grid.NVF, grid.NXF))
     for start in range(0, xact.size, _X_BLOCK):
@@ -584,6 +631,7 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
         GT = np.ascontiguousarray(G[rows].T)
         HuT = F0U + Su @ GT
         QT = -(F0V + GT[vact]) * (tables.Bw_loss @ HuT)
+        QT[dead] += 0.0
         # F0 + G at the distinct u' and v' points
         Hup = Sup @ GT
         Hvp = Svp @ GT
@@ -646,11 +694,18 @@ def _line_stage_np(Qs, tables):
     sum adds its weighted Gauss nodes one after the other, elementwise with
     no BLAS and no reduction, so it does not depend on the chunk it falls
     in.
+
+    A pair whose Q row (v, every x) is +-0.0 in every source would get
+    +0.0 from its lerps and sum, so it is skipped and its G stays +0.0:
+    a selection within its order group, which changes no other pair.
     """
     grid = tables.grid
     nx = grid.nx
     NXF, NVF = grid.NXF, grid.NVF
     NXa = grid.x_active_idx.size
+    live = _live_mask(np.logical_or.reduce(
+        [np.any(Q != 0.0, axis=1)[grid.v_active_idx] for Q in Qs]))
+    keep = None if live is None else live[tables.pair_order // NXa]
     h = grid.x_axis[1] - grid.x_axis[0]
     # (dim, nodes), so a chunk gathers one contiguous row per axis
     x_hat = ((grid.x_nodes - grid.x_axis[0]) / h).T.copy()
@@ -662,12 +717,17 @@ def _line_stage_np(Qs, tables):
         gx1 = 1.0 + gx[:, None]
         gw = gw[:, None]
         step = max(1, _CHORD_NODE_BLOCK // o)
-        for start in range(first, last, step):
-            stop = min(start + step, last)
-            vk, xk = np.divmod(tables.pair_order[start:stop], NXa)
+        if keep is None:
+            chunks = [slice(j, min(j + step, last))
+                      for j in range(first, last, step)]
+        else:
+            at = first + np.flatnonzero(keep[first:last])
+            chunks = [at[j:j + step] for j in range(0, at.size, step)]
+        for chunk in chunks:
+            vk, xk = np.divmod(tables.pair_order[chunk], NXa)
             vi = grid.v_active_idx[vk]
             xi = grid.x_active_idx[xk]
-            half_tau = 0.5 * tables.pair_tau[start:stop]
+            half_tau = 0.5 * tables.pair_tau[chunk]
             S = gx1 * half_tau
             xp, vp = x_hat[:, xi], v_hat[:, vi]
             # the flat cell index is summed in floats, exact for integers
@@ -1072,17 +1132,6 @@ def boundary_trace(field: PhaseField, X, V) -> TraceTable:
 # ---------------------------------------------------------------------------
 
 
-def _active_node_values(field: PhaseField):
-    """(X, V, values) at every in-domain spatial node times every velocity
-    node, x-major; fringe nodes are bookkeeping for interpolation, not
-    field states."""
-    g = field.grid
-    xa = g.x_nodes[g.x_active_idx]
-    X = np.repeat(xa, g.NVF, axis=0)
-    V = np.tile(g.v_nodes, (xa.shape[0], 1))
-    return X, V, field._node_values(np.arange(g.NVF)).ravel()
-
-
 # rows per bulk % of the CSV writer, so its template, values and text
 # stay below 1 MiB each
 _CSV_ROW_BLOCK = 4096
@@ -1102,12 +1151,21 @@ def _write_csv(path: str, cols, data: np.ndarray):
 
 
 def field_to_csv(field: PhaseField, path: str):
-    """Write grid values as CSV rows x..., v..., value (full float precision)
-    at the in-domain spatial nodes."""
-    dim = field.grid.dim
-    cols = ["x%d" % a for a in range(dim)] + \
-           ["v%d" % a for a in range(dim)] + ["value"]
-    _write_csv(path, cols, np.column_stack(_active_node_values(field)))
+    """CSV rows x..., v..., value at every in-domain spatial node (fringe
+    nodes are interpolation bookkeeping) times every velocity node, x-major:
+    bitwise _write_csv, but each node's coordinates are formatted once."""
+    g = field.grid
+    cols = [c + str(a) for c in "xv" for a in range(g.dim)] + ["value"]
+    fmt = ",".join(["%.17g"] * g.dim) + ","
+    rows_v = [fmt % tuple(v) + "%.17g\n" for v in g.v_nodes.tolist()]
+    xs = [fmt % tuple(x) for x in g.x_nodes[g.x_active_idx].tolist()]
+    values = field._node_values(np.arange(g.NVF))
+    step = max(1, _CSV_ROW_BLOCK // g.NVF)
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for j in range(0, len(xs), step):
+            rows = "".join(x + x.join(rows_v) for x in xs[j:j + step])
+            fh.write(rows % tuple(values[j:j + step].ravel().tolist()))
 
 
 def trace_to_csv(table: TraceTable, path: str):

@@ -12,6 +12,7 @@ from boltzlab import solver
 from boltzlab.collision import KernelSpec, QuadratureRule, collision_Q
 from boltzlab.errors import ConvergenceError, PreconditionError
 from boltzlab.geometry import Domain, exit_times
+from boltzlab.reconstruct import mollifier
 from boltzlab.solver import (BoundarySource, PhaseField, PhaseGrid,
                              PicardOptions, Solver, _collision_stage_np,
                              _collision_stage_sparse, _line_stage_np,
@@ -412,8 +413,11 @@ def _assert_bitwise(a, b):
 
 
 def test_distinct_point_stage_matches_per_row_stage_bitwise():
-    # every stage case, on a state with zeros of both signs
-    rng = np.random.default_rng(17)
+    # every stage case, on a state with zeros of both signs, and on
+    # mollifier-bump data with a G that is nonzero only on the velocity
+    # columns near -centre, where the stage skips the v-nodes with no live
+    # gain row (a strict, non-empty subset is live)
+    rng, rng_bump = np.random.default_rng(17), np.random.default_rng(22)
     for spec, grid, rule, center, _ in _stage_cases():
         g, tables, F0, ops = _stage_inputs(spec, grid, rule, center)
         G = 1e-3 * rng.standard_normal((grid.NXF, grid.NVF))
@@ -421,6 +425,24 @@ def test_distinct_point_stage_matches_per_row_stage_bitwise():
         G[:, 3::7] = -0.0
         want = _per_row_stage(G, tables, g)
         assert np.max(np.abs(want)) > 1e-9
+        _assert_bitwise(_collision_stage_sparse(G, tables, ops, *F0), want)
+
+        c = np.asarray(center)
+
+        def bump(V):
+            return 3e-3 * mollifier(V - c, 0.7)
+
+        F0 = tables.f0_tables_velocity_only(bump)
+        near = np.linalg.norm(grid.v_nodes + c, axis=1) < 0.9
+        G = 1e-3 * rng_bump.standard_normal((grid.NXF, grid.NVF))
+        G[:, ~near] = 0.0
+        G[:, ~near & (rng_bump.random(grid.NVF) < 0.5)] = -0.0
+        G[::3, near] = -0.0
+        _, [(_, Sup, Svp)] = ops
+        live = solver._gain_live_nodes(G, tables, Sup, Svp, *F0[2:])
+        assert live is not None and 0 < np.count_nonzero(live) < live.size
+        want = _per_row_stage(G, tables, bump)
+        assert np.max(np.abs(want)) > 1e-8
         _assert_bitwise(_collision_stage_sparse(G, tables, ops, *F0), want)
 
 
@@ -521,21 +543,31 @@ def test_line_stage_matches_per_pair_chord_loop():
 
 
 def test_line_stage_does_not_depend_on_chunk_size(monkeypatch):
-    # a pair's sum is bitwise the same whatever chunk it falls in, for one
-    # source and for two sources in one call
+    # a pair's sum is bitwise the same whatever chunk it falls in and
+    # whichever sources share its call.  Qs[0] has rows of +-0.0: alone it
+    # runs the skip path, which leaves its zero rows +0.0; next to Qs[1:],
+    # which make every row live, it runs the whole order groups
     for tables in _line_stage_cases():
         grid = tables.grid
         rng = np.random.default_rng(grid.dim)
-        Qs = [rng.standard_normal((grid.NVF, grid.NXF)) for _ in range(2)]
+        Qs = [rng.standard_normal((grid.NVF, grid.NXF)) for _ in range(3)]
+        zero = rng.random(grid.NVF) < 0.6
+        Qs[0][zero] = 0.0
+        Qs[0][zero & (rng.random(grid.NVF) < 0.5), ::2] = -0.0
+        assert 0 < np.count_nonzero(zero[grid.v_active_idx]) < \
+            grid.v_active_idx.size
         assert solver._CHORD_NODE_BLOCK == 16384
-        ref = _line_stage_np(Qs, tables)
-        ref1 = _line_stage_np(Qs[1:], tables)
+        calls = (Qs, Qs[:1], Qs[1:], Qs[2:])
+        ref = [_line_stage_np(c, tables) for c in calls]
         monkeypatch.setattr(solver, "_CHORD_NODE_BLOCK", 1000)
-        for G, Gr in zip(_line_stage_np(Qs, tables) +
-                         _line_stage_np(Qs[1:], tables), ref + ref1):
-            assert G.tobytes() == Gr.tobytes()
-        assert ref[1].tobytes() == ref1[0].tobytes()
+        for c, r in zip(calls, ref):
+            for G, Gr in zip(_line_stage_np(c, tables), r):
+                assert G.tobytes() == Gr.tobytes()
         monkeypatch.undo()
+        for G, Gr in zip(ref[0] + ref[2][1:], ref[1] + ref[2] + ref[3]):
+            assert G.tobytes() == Gr.tobytes()
+        _assert_bitwise(ref[1][0][:, zero], np.zeros((grid.NXF, zero.sum())))
+        assert np.count_nonzero(ref[1][0][:, ~zero]) > 0
 
 
 def test_chord_rule_accuracy_on_a_smooth_field():
@@ -769,6 +801,39 @@ def test_solve_many_matches_independent_solves_on_default_triple():
                                              solver_.rule, solver_.opts))
 
 
+def test_skipped_rows_change_no_bit_of_the_default_fd_triple(monkeypatch):
+    # the default run's first FD-probe triple (mollifier bumps at v0 and u0,
+    # amplitudes of cli._probe_value_fd), solved as is and with every row
+    # of both stages live
+    from boltzlab import cli
+
+    cfg, solver_ = _default_setup()
+    rec = cfg.section("reconstruct")
+    probe = cli._generate_probes(np.random.default_rng(rec["probe_seed"]),
+                                 rec["n_probes"], solver_.grid.dim,
+                                 rec["etas"][0], solver_.grid.R_v,
+                                 solver_.grid.v_min)[0]
+    solve_many, live_mask = Solver.solve_many, solver._live_mask
+    results, partial = [], []
+
+    def recording(self, gs):
+        results.append(solve_many(self, gs))
+        return results[-1]
+
+    def counting(mask):
+        partial.append(not mask.all())
+        return live_mask(mask)
+
+    monkeypatch.setattr(Solver, "solve_many", recording)
+    monkeypatch.setattr(solver, "_live_mask", counting)
+    cli._probe_value_fd(cfg, solver_, probe)
+    monkeypatch.setattr(solver, "_live_mask", lambda mask: None)
+    cli._probe_value_fd(cfg, solver_, probe)
+    assert len(results) == 2 and any(partial)
+    for got, want in zip(*results):
+        _assert_same_solve(got, want)
+
+
 def test_solver_serves_successive_solves():
     # the second solve reuses the first one's tables and operators, whose
     # F0 column then holds the other source's data
@@ -925,6 +990,33 @@ def test_csv_writer_matches_savetxt(tmp_path, monkeypatch):
         monkeypatch.setattr(solver, "_CSV_ROW_BLOCK", rows)
         got = tmp_path / ("got%d.csv" % rows)
         solver._write_csv(str(got), cols, data)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_field_csv_matches_savetxt(tmp_path, monkeypatch):
+    # coordinates formatted once per node and values per row give
+    # np.savetxt's "%.17g" rows of (x, v, value), x-major over the active
+    # spatial nodes, in 2D and 3D, on signed zeros and across row blocks
+    ball3 = Domain("ball", dim=3, radius=1.0)
+    rng = np.random.default_rng(23)
+    for grid, rows in itertools.product((PhaseGrid(DISK, 7, 9, R_v=1.5),
+                                         PhaseGrid(ball3, 4, 5, R_v=2.0)),
+                                        (1, 300, 4096)):
+        monkeypatch.setattr(solver, "_CSV_ROW_BLOCK", rows)
+        G = rng.standard_normal((grid.NXF, grid.NVF))
+        G[:, ::4] = -0.0
+        G[::3, 1::4] = 0.0
+        F = PhaseField(grid, G)
+        xa = grid.x_nodes[grid.x_active_idx]
+        data = np.column_stack([np.repeat(xa, grid.NVF, axis=0),
+                                np.tile(grid.v_nodes, (xa.shape[0], 1)),
+                                G[grid.x_active_idx].ravel()])
+        cols = ["x%d" % a for a in range(grid.dim)] + \
+               ["v%d" % a for a in range(grid.dim)] + ["value"]
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        np.savetxt(want, data, fmt="%.17g", delimiter=",",
+                   header=",".join(cols), comments="")
+        field_to_csv(F, str(got))
         assert got.read_bytes() == want.read_bytes()
 
 

@@ -36,7 +36,7 @@ from .collision import KERNEL_FAMILIES, KernelSpec, QuadratureRule, _is_number
 from .errors import ConfigurationError, PreconditionError
 from .geometry import Domain
 from .reconstruct import EXPONENT_MODES
-from .solver import PhaseGrid, PicardOptions, Solver
+from .solver import PhaseGrid, PicardOptions, Solver, _residual_speed_range
 
 __all__ = ["CONFIG_VERSION", "DEFAULTS", "ExperimentConfig", "load_config",
            "config_from_dict", "save_config"]
@@ -104,6 +104,7 @@ def _validate(d: dict):
     dom = d["domain"]
     _require(_is_int(dom["dim"]) and dom["dim"] in (2, 3),
              "domain.dim must be 2 or 3")
+    _require(dom["radius"] > 0, "domain.radius must be positive")
 
     k = d["kernel"]
     _require(k["family"] in KERNEL_FAMILIES,
@@ -122,6 +123,10 @@ def _validate(d: dict):
     _require(g["R_v"] > 0, "grid.R_v must be positive")
     _require(g["v_min"] is None or 0 < g["v_min"] < g["R_v"],
              "grid.v_min must be null or in (0, R_v)")
+    try:
+        _residual_speed_range(g["R_v"], g["nv"], g["v_min"])
+    except PreconditionError as exc:
+        raise ConfigurationError(str(exc)) from None
 
     q = d["quadrature"]
     for key in ("sphere_order", "radial_order", "angular_order"):

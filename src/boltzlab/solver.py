@@ -25,13 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import (KernelSpec, QuadratureRule, admissibility_check,
-                        collision_Q, gauss_legendre, kernel_eval,
-                        post_collision)
+                        collision_Q, gauss_legendre, kernel_eval)
 from .errors import ConvergenceError, PreconditionError
 from .geometry import OUTGOING, Domain, classify_boundaries, exit_times
 
 # snap tolerance for interpolation weights, so grid nodes reproduce exactly
 _SNAP = 1e-12
+# a phase grid's default v_min, as a fraction of R_v
+_V_MIN_FRACTION = 0.05
 
 
 def _locate_axis(axis: np.ndarray, q):
@@ -88,7 +89,7 @@ class PhaseGrid:
         self.nx = int(nx)
         self.nv = int(nv)
         self.R_v = float(R_v)
-        self.v_min = float(0.05 * R_v if v_min is None else v_min)
+        self.v_min = float(_V_MIN_FRACTION * R_v if v_min is None else v_min)
 
         # the centred ball's bounding cube and the velocity square have the
         # same linspace on every axis
@@ -243,8 +244,8 @@ def _distinct_points(P: np.ndarray):
 
 def _post_collision_velocities(Vg, U, W):
     """u' = u - ((u - v).omega) omega and v' = v + ((u - v).omega) omega for
-    every (v, u, omega) of the active v-nodes Vg, the u-nodes U and the
-    omega-nodes W; each (NVa, NU, NW, d)."""
+    every (v, u, omega) of the velocities Vg, the u-nodes U and the
+    omega-nodes W; each (n, NU, NW, d)."""
     # u.omega - v.omega, not (u - v).omega as in collision.post_collision:
     # it rounds repeated points to equal bits, so the distinct-point keying
     # finds them (with (u - v).omega the stencil operators grow)
@@ -373,10 +374,6 @@ _TAU_BLOCK = 64
 # random interior phase points of the sampled PDE residual, and their seed
 _RESIDUAL_SAMPLES = 64
 _RESIDUAL_SEED = 0
-# collision rows (sample, u, omega) per block of the sampled residual's
-# Q(F, F): a block takes max(1, _RESIDUAL_ROW_BLOCK // (NU * NW)) samples,
-# so its temporaries are about _RESIDUAL_ROW_BLOCK * dim values each
-_RESIDUAL_ROW_BLOCK = 16384
 
 
 @dataclass
@@ -413,23 +410,25 @@ def _contraction_ratio(deltas) -> float:
 
 
 class _PicardTables:
-    """Precomputed quantities of the collision and line stages, built once
-    per Solver."""
+    """The collision rule's velocity tables at the velocities Vg (n, d) where
+    Q is evaluated, by default the grid's active v-nodes: the omega classes
+    (reps), the folded gain weights Bw_fold (n, NU, classes), the loss
+    weights Bw_loss (n, NU), the u-nodes' stencil (ub, ufr), and the
+    distinct points u' and v' of the gain rows (v, u, class) with each
+    row's index into them.  Of the grid they read the velocity square."""
 
-    def __init__(self, spec, grid, rule):
+    def __init__(self, spec, grid, rule, V=None):
         self.grid = grid
         dim = grid.dim
-        vact = grid.v_active_idx
-        xact = grid.x_active_idx
-        Vg = grid.v_nodes[vact]
+        Vg = grid.v_nodes[grid.v_active_idx] if V is None else V
         U = rule.u_nodes
         W = rule.omega_nodes
-        NVa, NU, NW = vact.size, U.shape[0], W.shape[0]
+        NV, NU, NW = Vg.shape[0], U.shape[0], W.shape[0]
 
         self.U = U
         self.W = W
         self.Vg = Vg
-        self.shape = (NVa, NU, NW)
+        self.shape = (NV, NU, NW)
 
         # omega and -omega give the same (u', v') pair, and in 2D, where
         # omega omega^T + omega_perp omega_perp^T = I, a quarter turn of
@@ -454,7 +453,7 @@ class _PicardTables:
         Bw *= (rule.u_weights[:, None] * rule.omega_weights[None, :])[None, :, :]
         self.Bw_fold = np.stack([Bw[:, :, rep_of == r].sum(axis=2)
                                  for r in self.reps], axis=2)
-        # loss weights sum_omega B * w_u * w_omega, shape (NVa, NU)
+        # loss weights sum_omega B * w_u * w_omega, shape (n, NU)
         self.Bw_loss = Bw.sum(axis=2)
         del Bw
 
@@ -465,48 +464,12 @@ class _PicardTables:
         # for fixed (v, omega) v' depends on u only through u.omega, and for
         # fixed (u, omega) u' on v only through v.omega, so the rows (v, u,
         # representative) of the gain repeat their points: keep each
-        # distinct u' and v' point once, and the index of every row's point;
-        # the full (NVa, NU, NW, d) arrays are freed before the exit-time
-        # loop, which would otherwise run with them alive
+        # distinct u' and v' point once, and the index of every row's point
         UP, VP = _post_collision_velocities(Vg, U, W)
         UP = UP[:, :, self.reps]
         VP = VP[:, :, self.reps]
         self.up_points, self.up_index = _distinct_points(UP.reshape(-1, dim))
         self.vp_points, self.vp_index = _distinct_points(VP.reshape(-1, dim))
-        del UP, VP
-
-        # exit times and chord quadrature orders for every active pair,
-        # v-major (NVa, NXa) like the collision stage's output, built
-        # _TAU_BLOCK v rows at a time
-        X = grid.x_nodes[xact]
-        NXa = xact.size
-        speed = np.linalg.norm(Vg, axis=1)
-        TAU = np.empty((NVa, NXa))
-        ORD = np.empty((NVa, NXa), dtype=np.int8)
-        counts = np.zeros(_CHORD_ORDER_MAX + 1, dtype=np.int64)
-        for j in range(0, NVa, _TAU_BLOCK):
-            r = slice(j, j + _TAU_BLOCK)
-            TAU[r] = exit_times(grid.domain, X[None, :, :], Vg[r, None, :],
-                                sign=-1)
-            length = TAU[r] * speed[r, None]
-            length /= _CHORD_SPACING * grid.h_x
-            np.ceil(length, out=length)
-            length += 2
-            ORD[r] = np.clip(length, _CHORD_ORDER_MIN, _CHORD_ORDER_MAX,
-                             out=length)
-            counts += np.bincount(ORD[r].ravel(), minlength=counts.size)
-        # flat pair indices (v-major) sorted by chord order, so each order
-        # runs by (v, x); the (order, start, stop) run of each order in that
-        # sequence; and the exit time of each pair in that sequence
-        index_type = np.int32 if ORD.size < 2**31 else np.int64
-        self.pair_order = np.argsort(ORD.ravel(), kind="stable").astype(
-            index_type, copy=False)
-        stops = np.cumsum(counts)
-        self.order_groups = [(o, int(stops[o] - counts[o]), int(stops[o]))
-                             for o in np.flatnonzero(counts).tolist()]
-        self.pair_tau = TAU.ravel()[self.pair_order]
-        # Gauss-Legendre (nodes, weights) of each chord order in use
-        self.gauss = {o: gauss_legendre(o) for o, _, _ in self.order_groups}
 
     def stencil_operators(self):
         """CSR operators of the u, u' and v' velocity stencils.
@@ -538,6 +501,58 @@ class _PicardTables:
         """Transported data F0 = phi at v, u and the distinct u' and v'
         points: (F0V, F0U, F0UP, F0VP)."""
         return g(self.Vg), g(self.U), g(self.up_points), g(self.vp_points)
+
+
+class _ChordTable:
+    """Exit times and chord orders of a grid's active (x, v) pairs, built
+    _TAU_BLOCK v-nodes at a time: pair_order (int32 where it fits), the
+    flat v-major pair indices sorted by chord order, so each order runs by
+    (v, x); order_groups, the (order, start, stop) run of each order in
+    it; pair_tau, each pair's exit time in it; and gauss, the
+    Gauss-Legendre (nodes, weights) of each order in use."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        X = grid.x_nodes[grid.x_active_idx]
+        Vg = grid.v_nodes[grid.v_active_idx]
+        NVa, NXa = Vg.shape[0], X.shape[0]
+        speed = np.linalg.norm(Vg, axis=1)
+        TAU = np.empty((NVa, NXa))
+        ORD = np.empty((NVa, NXa), dtype=np.int8)
+        counts = np.zeros(_CHORD_ORDER_MAX + 1, dtype=np.int64)
+        for j in range(0, NVa, _TAU_BLOCK):
+            r = slice(j, j + _TAU_BLOCK)
+            TAU[r] = exit_times(grid.domain, X[None, :, :], Vg[r, None, :],
+                                sign=-1)
+            length = TAU[r] * speed[r, None]
+            length /= _CHORD_SPACING * grid.h_x
+            np.ceil(length, out=length)
+            length += 2
+            ORD[r] = np.clip(length, _CHORD_ORDER_MIN, _CHORD_ORDER_MAX,
+                             out=length)
+            counts += np.bincount(ORD[r].ravel(), minlength=counts.size)
+        index_type = np.int32 if ORD.size < 2**31 else np.int64
+        self.pair_order = np.argsort(ORD.ravel(), kind="stable").astype(
+            index_type, copy=False)
+        stops = np.cumsum(counts)
+        self.order_groups = [(o, int(stops[o] - counts[o]), int(stops[o]))
+                             for o in np.flatnonzero(counts).tolist()]
+        self.pair_tau = TAU.ravel()[self.pair_order]
+        self.gauss = {o: gauss_legendre(o) for o, _, _ in self.order_groups}
+
+
+def _tau_q0(Q0, chords):
+    """The first iterate from G = 0: F0 = phi does not depend on x, so it
+    is tau_-(x, v) * Q0(v), with Q0 = Q(phi, phi) at the active v-nodes
+    (_collision_q0) and tau_- scattered back from the chord table's pair
+    order."""
+    grid = chords.grid
+    TQ = np.empty((Q0.size, grid.x_active_idx.size))
+    TQ.reshape(-1)[chords.pair_order] = chords.pair_tau
+    TQ *= Q0[:, None]
+    G1 = np.zeros((grid.NXF, grid.NVF))
+    G1[np.ix_(grid.x_active_idx, grid.v_active_idx)] = TQ.T
+    return grid.fill_fringe(G1)
 
 
 def _collision_stage_np(G, tables, g, spec, rule):
@@ -678,12 +693,12 @@ def _lerp_cell(Qflat, base, fracs, strides, corner=0):
     return lo
 
 
-def _line_stage_np(Qs, tables):
+def _line_stage_np(Qs, chords):
     """Characteristic-integral stage of several sources at once.
 
     Each Q of Qs is v-major, (NVF, NXF); the result is one G per Q, (NXF,
     NVF).  Pairs (x node, v node) come grouped by chord quadrature order
-    and, within an order, by (v, x) (see _PicardTables), so a chunk gathers
+    and, within an order, by (v, x) (see _ChordTable), so a chunk gathers
     from few rows of Q; each group is evaluated in chunks of about
     _CHORD_NODE_BLOCK chord nodes, laid out (Gauss node, pair) so that
     every elementwise step runs along the pairs.  Chord nodes are located
@@ -699,21 +714,21 @@ def _line_stage_np(Qs, tables):
     +0.0 from its lerps and sum, so it is skipped and its G stays +0.0:
     a selection within its order group, which changes no other pair.
     """
-    grid = tables.grid
+    grid = chords.grid
     nx = grid.nx
     NXF, NVF = grid.NXF, grid.NVF
     NXa = grid.x_active_idx.size
     live = _live_mask(np.logical_or.reduce(
         [np.any(Q != 0.0, axis=1)[grid.v_active_idx] for Q in Qs]))
-    keep = None if live is None else live[tables.pair_order // NXa]
+    keep = None if live is None else live[chords.pair_order // NXa]
     h = grid.x_axis[1] - grid.x_axis[0]
     # (dim, nodes), so a chunk gathers one contiguous row per axis
     x_hat = ((grid.x_nodes - grid.x_axis[0]) / h).T.copy()
     v_hat = (grid.v_nodes / h).T.copy()
     Qflats = [Q.ravel() for Q in Qs]
     Gouts = [np.zeros(NXF * NVF) for _ in Qs]
-    for o, first, last in tables.order_groups:
-        gx, gw = tables.gauss[o]
+    for o, first, last in chords.order_groups:
+        gx, gw = chords.gauss[o]
         gx1 = 1.0 + gx[:, None]
         gw = gw[:, None]
         step = max(1, _CHORD_NODE_BLOCK // o)
@@ -724,10 +739,10 @@ def _line_stage_np(Qs, tables):
             at = first + np.flatnonzero(keep[first:last])
             chunks = [at[j:j + step] for j in range(0, at.size, step)]
         for chunk in chunks:
-            vk, xk = np.divmod(tables.pair_order[chunk], NXa)
+            vk, xk = np.divmod(chords.pair_order[chunk], NXa)
             vi = grid.v_active_idx[vk]
             xi = grid.x_active_idx[xk]
-            half_tau = 0.5 * tables.pair_tau[chunk]
+            half_tau = 0.5 * chords.pair_tau[chunk]
             S = gx1 * half_tau
             xp, vp = x_hat[:, xi], v_hat[:, vi]
             # the flat cell index is summed in floats, exact for integers
@@ -767,9 +782,11 @@ class Solver:
 
     The set-up that does not depend on the data is built once, on the
     first solve, after the first data have passed the smallness check: the
-    _PicardTables, the admissibility verdict, the CSR stencil operators
-    (sparsity pattern and corner weights), and the residual sample points
-    with their collision stencils and weights (_ResidualRule).  Each source
+    admissibility verdict, the velocity tables of the active v-nodes
+    (_PicardTables) with their CSR stencil operators (sparsity pattern and
+    corner weights), the chord table of the grid (_ChordTable), and the
+    residual sample points with the velocity tables at their velocities
+    (_residual_samples, _sample_pde_residual).  Each source
     keeps its own transported data F0, which its collision stages add
     after the products and its first iterate sums alone, and its own
     stopping test and defect application, so a source's iterates do not
@@ -783,7 +800,7 @@ class Solver:
         self.rule = rule
         self.opts = options or PicardOptions()
         self._admissibility = None
-        self._tables = self._ops = self._residual = None
+        self._tables = self._ops = self._chords = self._residual = None
 
     def solve(self, g: BoundarySource):
         """(PhaseField, ConvergenceReport) of one source; see solve_many."""
@@ -811,11 +828,12 @@ class Solver:
             self._check_smallness(g)
         self._check_admissibility()
         tables, ops = self._setup()
+        chords = self._chords
         grid, opts = self.grid, self.opts
         runs = [_SourceRun(g, grid, tables, opts) for g in gs]
         for run in runs:
             Q0 = _collision_q0(tables, ops, *run.f0_tables)
-            run.advance(self._tau_q0(Q0, tables), 1)
+            run.advance(_tau_q0(Q0, chords), 1)
 
         def collision(run):
             Q = _collision_stage_sparse(run.G, tables, ops, *run.f0_tables)
@@ -824,7 +842,7 @@ class Solver:
         live, k = runs, 1
         while live:
             k += 1
-            Gs = _line_stage_np([collision(run) for run in live], tables)
+            Gs = _line_stage_np([collision(run) for run in live], chords)
             for run, Gn in zip(live, Gs):
                 grid.fill_fringe(Gn)
                 run.advance(Gn, k)
@@ -839,18 +857,6 @@ class Solver:
                     "kernel mass" % (opts.tol, opts.max_iter, run.deltas[-1]),
                     report=report, index=i)
         return results
-
-    def _tau_q0(self, Q0, tables):
-        """The first iterate from G = 0: F0 = phi does not depend on x, so it
-        is tau_-(x, v) * Q0(v), with Q0 = Q(phi, phi) at the active v-nodes
-        (_collision_q0) and tau_- scattered back from pair order."""
-        grid = self.grid
-        TQ = np.empty((Q0.size, grid.x_active_idx.size))
-        TQ.reshape(-1)[tables.pair_order] = tables.pair_tau
-        TQ *= Q0[:, None]
-        G1 = np.zeros((grid.NXF, grid.NVF))
-        G1[np.ix_(grid.x_active_idx, grid.v_active_idx)] = TQ.T
-        return grid.fill_fringe(G1)
 
     def _check_smallness(self, g):
         opts = self.opts
@@ -874,8 +880,10 @@ class Solver:
         if self._tables is None:
             tables = _PicardTables(self.spec, self.grid, self.rule)
             self._ops = tables.stencil_operators()
-            self._residual = _ResidualRule(_residual_samples(self.grid),
-                                           self.grid, self.spec, self.rule)
+            self._chords = _ChordTable(self.grid)
+            samples = _residual_samples(self.grid)
+            self._residual = samples, _PicardTables(
+                self.spec, self.grid, self.rule, V=samples.V)
             self._tables = tables
         return self._tables, self._ops
 
@@ -915,7 +923,7 @@ class _SourceRun:
         field = PhaseField(grid, G, profile=self.g)
         sup_G = _sup_abs(G)
         sup_F = field.sup_norm()
-        resid_pde = _sample_pde_residual(field, residual)
+        resid_pde = _sample_pde_residual(field, *residual)
         report = ConvergenceReport(
             iterations=self.iterations, deltas=np.array(self.deltas),
             converged=self.converged, ratio=_contraction_ratio(self.deltas),
@@ -941,14 +949,24 @@ def picard_solve(spec: KernelSpec, g: BoundarySource, grid: PhaseGrid,
 
 @dataclass
 class _ResidualSamples:
-    """Phase points of the sampled PDE residual and the central-difference
-    points along the characteristic through each."""
+    """Phase points (X, V) of the sampled PDE residual."""
 
     X: np.ndarray
     V: np.ndarray
-    X_fwd: np.ndarray
-    X_bwd: np.ndarray
-    two_t: np.ndarray
+
+
+def _residual_speed_range(R_v, nv, v_min=None):
+    """Speeds (lo, hi) of the residual samples on PhaseGrid(domain, nx, nv,
+    R_v, v_min): from 2 cells above v_min, clear of the nodes the solve
+    leaves out, to 0.9 R_v; a PreconditionError when there are none."""
+    v_min = _V_MIN_FRACTION * R_v if v_min is None else v_min
+    v_axis = np.linspace(-R_v, R_v, nv)
+    lo, hi = v_min + 2 * float(v_axis[1] - v_axis[0]), 0.9 * R_v
+    if not lo < hi:
+        raise PreconditionError(
+            "grid.v_min %.3g leaves the residual samples no speed: v_min + "
+            "2 h_v = %.3g must be below 0.9 R_v = %.3g" % (v_min, lo, hi))
+    return lo, hi
 
 
 def _residual_samples(grid):
@@ -972,118 +990,66 @@ def _residual_samples(grid):
         pts.extend(cand[keep])
     X = np.array(pts[:n])
     V = rng.normal(size=(n, grid.dim))
-    V *= (rng.uniform(grid.v_min + 2 * grid.h_v, 0.9 * grid.R_v, n)
-          / np.linalg.norm(V, axis=1))[:, None]
-
-    # central difference along the characteristic, one step per point
-    t = 0.5 * grid.h_x / np.linalg.norm(V, axis=1)
-    return _ResidualSamples(X=X, V=V, X_fwd=X + t[:, None] * V,
-                            X_bwd=X - t[:, None] * V, two_t=2.0 * t)
+    lo, hi = _residual_speed_range(grid.R_v, grid.nv, grid.v_min)
+    V *= (rng.uniform(lo, hi, n) / np.linalg.norm(V, axis=1))[:, None]
+    return _ResidualSamples(X=X, V=V)
 
 
-class _ResidualRule:
-    """The sampled residual's collision quadrature, built once per Solver
-    for the points of _residual_samples: the samples' bilinear x-stencils;
-    collision_Q's post-collision points u' and v', (n, NU, NW, d); the
-    velocity stencils of those points, of the u-nodes and of each sample's
-    own v into a table of G with one row per sample; and the weights
-    B * w_u * w_omega, (n, NU, NW).
-
-    A velocity stencil is kept as its flat base into that table (int32
-    where it fits, -1 outside the velocity square) and its fractions.  The
-    post-collision arrays are built and read in `blocks`, slices of
-    max(1, _RESIDUAL_ROW_BLOCK // (NU * NW)) samples.
-    """
-
-    def __init__(self, samples, grid, spec, rule):
-        self.samples = samples
-        X, V = samples.X, samples.V
-        n, NVF = V.shape[0], grid.NVF
-        U, W = rule.u_nodes, rule.omega_nodes
-        NU, NW = U.shape[0], W.shape[0]
-        step = max(1, _RESIDUAL_ROW_BLOCK // (NU * NW))
-        self.blocks = [slice(j, j + step) for j in range(0, n, step)]
-        index_type = np.int32 if n * NVF < 2**31 else np.int64
-        row = np.arange(n)[:, None] * NVF
-
-        def flat(P, s):
-            base, fracs = grid.v_stencil(P)
-            base = np.where(base < 0, -1, s + base).astype(index_type)
-            return base, np.stack(fracs)
-
-        ix, tx, _ = _locate_axis(grid.x_axis, X)
-        self.x_base = ix @ np.asarray(grid.x_strides)
-        self.x_corners = list(_corner_weights(tx.T, grid.x_strides))
-        self.U = U
-        self.u_base, self.u_fracs = flat(U, row)
-        self.v_base, self.v_fracs = flat(V, row[:, 0])
-        w = rule.u_weights[:, None] * rule.omega_weights[None, :]
-        self.UP = np.empty((n, NU, NW, grid.dim))
-        self.VP = np.empty((n, NU, NW, grid.dim))
-        self.up_base = np.empty((n, NU, NW), dtype=index_type)
-        self.vp_base = np.empty((n, NU, NW), dtype=index_type)
-        self.up_fracs = np.empty((grid.dim, n, NU, NW))
-        self.vp_fracs = np.empty((grid.dim, n, NU, NW))
-        self.Bw = np.empty((n, NU, NW))
-        for blk in self.blocks:
-            v = V[blk, None, None, :]
-            self.UP[blk], self.VP[blk] = post_collision(
-                U[None, :, None, :], v, W[None, None, :, :])
-            s = row[blk, :, None]
-            self.up_base[blk], self.up_fracs[:, blk] = flat(self.UP[blk], s)
-            self.vp_base[blk], self.vp_fracs[:, blk] = flat(self.VP[blk], s)
-            self.Bw[blk] = kernel_eval(spec, v, U[None, :, None, :],
-                                       W[None, None, :, :]) * w
-
-
-def _residual_collision(field: PhaseField, res: _ResidualRule):
-    """Q(F, F) at the residual samples, (n,): collision_Q(field.eval,
-    field.eval, V, spec, rule, X) to rounding.
-
-    G is read once per sample in x: the samples' x-stencils give a table
-    of G with one row per sample, (n, NVF), and each collision velocity is
-    read from its sample's row through its velocity stencil (2^d corners).
-    The profile is added after the corners, as in PhaseField.eval, and the
-    sum over (u, omega) is collision_Q's.
-    """
-    G, phi, grid = field.values, field.profile, field.grid
-    V = res.samples.V
-    T = np.zeros((V.shape[0], grid.NVF))
-    for w, off in res.x_corners:
-        T += w[:, None] * G[res.x_base + off]
+def _residual_collision(field: PhaseField, samples, tables):
+    """Q(F, F) at the residual samples, (n,), from `tables`, the velocity
+    tables at their velocities: collision_Q(field.eval, field.eval, V,
+    spec, rule, X) to rounding, by _collision_q0's formula with H = F0 + G.
+    G is read once per sample in x, into a table with one row per sample,
+    (n, NVF), and at each collision velocity from its sample's row through
+    the grid's velocity stencil (2^d corners)."""
+    G, grid = field.values, field.grid
+    n, NVF = samples.V.shape[0], grid.NVF
+    ix, tx, _ = _locate_axis(grid.x_axis, samples.X)
+    x_base = ix @ np.asarray(grid.x_strides)
+    T = np.zeros((n, NVF))
+    for w, off in _corner_weights(tx.T, grid.x_strides):
+        T += w[:, None] * G[x_base + off]
     T = T.ravel()
+    phi = field.profile or (lambda P: np.zeros(P.shape[0]))
+    F0V, F0U, F0UP, F0VP = tables.f0_tables_velocity_only(phi)
+    # the first entry of each sample's row of T, per velocity read
+    row = np.arange(n) * NVF
 
-    def F(P, base, fracs):
-        out = _interp_flat(T, base, fracs, grid.v_strides)
-        if phi is None:
-            return out
-        P2 = P.reshape(-1, P.shape[-1])
-        return np.asarray(phi(P2), dtype=float).reshape(P.shape[:-1]) + out
+    def H(f0, P, index, at):
+        """F0 + G at the points P[index], G read at the rows `at` of T."""
+        base, fracs = grid.v_stencil(P)
+        base, fracs = base[index], [f[index] for f in fracs]
+        return f0[index] + _interp_flat(T, np.where(base < 0, -1, base + at),
+                                        fracs, grid.v_strides)
 
-    Hu = F(res.U, res.u_base, res.u_fracs)
-    Hv = F(V, res.v_base, res.v_fracs)
-    q = np.empty(V.shape[0])
-    for blk in res.blocks:
-        gain = F(res.UP[blk], res.up_base[blk], res.up_fracs[:, blk]) * \
-            F(res.VP[blk], res.vp_base[blk], res.vp_fracs[:, blk])
-        loss = Hu[blk, :, None] * Hv[blk, None, None]
-        q[blk] = np.sum(res.Bw[blk] * (gain - loss), axis=(1, 2))
+    Hv = H(F0V, samples.V, np.arange(n), row)
+    Hu = H(F0U, tables.U, np.arange(F0U.size)[None, :], row[:, None])
+    rows = np.repeat(row, tables.up_index.size // n)
+    gain = H(F0UP, tables.up_points, tables.up_index, rows)
+    gain *= H(F0VP, tables.vp_points, tables.vp_index, rows)
+    q = -Hv * np.einsum("vu,vu->v", tables.Bw_loss, Hu)
+    q += np.einsum("vur,vur->v", gain.reshape(tables.Bw_fold.shape),
+                   tables.Bw_fold)
     return q
 
 
-def _sample_pde_residual(field: PhaseField, res: _ResidualRule):
-    """|v.grad F - Q(F,F)| at the points of res.samples (_residual_samples),
-    with Q under the solve's kernel and rule (_residual_collision); returns
-    the max.
+def _sample_pde_residual(field: PhaseField, samples, tables):
+    """|v.grad F - Q(F,F)| at the points of samples (_residual_samples),
+    with Q under the solve's kernel and rule from the velocity tables at
+    their velocities (_residual_collision); returns the max.
 
     The directional derivative uses central differences along the
     characteristic, where v is fixed, so the profile phi(v) drops out
     exactly and the estimate probes the gridded correction plus
     interpolation error.
     """
-    s = res.samples
-    cd = (field.eval(s.X_fwd, s.V) - field.eval(s.X_bwd, s.V)) / s.two_t
-    return float(np.max(np.abs(cd - _residual_collision(field, res))))
+    X, V = samples.X, samples.V
+    # one step along the characteristic each way, half a spatial cell long
+    t = 0.5 * field.grid.h_x / np.linalg.norm(V, axis=1)
+    tV = t[:, None] * V
+    cd = (field.eval(X + tV, V) - field.eval(X - tV, V)) / (2.0 * t)
+    return float(np.max(np.abs(cd - _residual_collision(field, samples,
+                                                        tables))))
 
 
 # ---------------------------------------------------------------------------

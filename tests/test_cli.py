@@ -125,6 +125,10 @@ def test_validation_rejects_bad_values():
         ({"inflow": {"center": 1.0}}, r"inflow\.center"),
         ({"reconstruct": {"etas": [0.4, "0.2x"]}}, r"reconstruct\.etas"),
         ({"domain": {"radius": "one"}}, r"domain\.radius"),
+        ({"domain": {"radius": -1}}, r"domain\.radius"),
+        ({"domain": {"radius": 0}}, r"domain\.radius"),
+        ({"grid": {"v_min": 1.9}}, r"^grid\.v_min "),
+        ({"grid": {"nv": 5}}, r"^grid\.v_min "),
         ({"domain": {"dim": 2.0}}, r"domain\.dim"),
         ({"solver": {"tol": None}}, r"solver\.tol"),
         # a JSON true is a Python int, and a string or an infinity is not a
@@ -152,6 +156,29 @@ def test_validation_rejects_bad_values():
         doc.update(patch)
         with pytest.raises(ConfigurationError, match=pattern):
             config_from_dict(doc)
+
+
+def test_v_min_must_leave_residual_sample_speeds(tmp_path, capsys):
+    # the residual samples draw speeds from [v_min + 2 h_v, 0.9 R_v]; on
+    # the default axis (R_v = 2, 16 nodes, h_v = 4/15) v_min = 1.9 leaves
+    # none, and the run stops at parse time, before any stage, naming the
+    # key and with no traceback
+    from boltzlab import solver
+
+    out = tmp_path / "run"
+    path = write_config(tmp_path / "c.json", {
+        "version": 1, "output_dir": str(out), "grid": {"v_min": 1.9}})
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid.v_min ") and "Traceback" not in err
+    assert not out.exists()
+    # up to the bound the config parses, and its solver draws the samples
+    grid = config_from_dict({"version": 1, "grid": {"v_min": 1.26}}
+                            ).build_solver().grid
+    speeds = np.linalg.norm(solver._residual_samples(grid).V, axis=1)
+    assert 1.26 + 2 * grid.h_v <= speeds.min() and speeds.max() <= 1.8
+    with pytest.raises(ConfigurationError, match=r"^grid\.v_min "):
+        config_from_dict({"version": 1, "grid": {"v_min": 1.27}})
 
 
 def test_probe_generator_rejects_etas_by_scale_not_by_seed():
@@ -281,17 +308,18 @@ def _tables_built_per_stage(monkeypatch, d):
 
 def test_run_builds_its_tables_once(tmp_path, monkeypatch):
     # every stage solves on the run's one Solver: the first stage that
-    # solves builds its Picard tables, and the later ones reuse them
+    # solves builds its two velocity tables (the active v-nodes' and the
+    # residual samples'), and the later ones reuse them
     d = tiny(tmp_path / "run", STAGE_ORDER)
     d["reconstruct"]["fd_crosscheck_probes"] = 2
     assert _tables_built_per_stage(monkeypatch, d) == {
         "verify_geometry": 0, "verify_collision": 0,
-        "forward": 1, "linearize": 0, "reconstruct": 0}
+        "forward": 2, "linearize": 0, "reconstruct": 0}
 
     d = tiny(tmp_path / "no_forward", ("linearize", "reconstruct"))
     d["reconstruct"]["fd_crosscheck_probes"] = 2
     assert _tables_built_per_stage(monkeypatch, d) == {
-        "linearize": 1, "reconstruct": 0}
+        "linearize": 2, "reconstruct": 0}
 
 
 def test_run_matches_separate_subcommands(tmp_path):

@@ -16,7 +16,7 @@ from boltzlab.reconstruct import mollifier
 from boltzlab.solver import (BoundarySource, PhaseField, PhaseGrid,
                              PicardOptions, Solver, _collision_stage_np,
                              _collision_stage_sparse, _line_stage_np,
-                             _PicardTables, boundary_trace,
+                             _ChordTable, _PicardTables, boundary_trace,
                              field_to_csv, picard_solve, trace_to_csv)
 
 DISK = Domain("ball", dim=2, radius=1.0)
@@ -492,27 +492,21 @@ def test_distinct_row_products_plus_f0_equal_per_row_products():
 
 
 def _line_stage_cases():
-    """Picard tables of a 2D 8x8 disk and of a 3D 6x6x6 ball."""
+    """Chord tables of a 2D 8x8 disk and of a 3D 6x6x6 ball."""
     ball3 = Domain("ball", dim=3, radius=1.0)
-    return [
-        _PicardTables(SMALL_KERNEL, PhaseGrid(DISK, 8, 8, R_v=2.0),
-                      _small_rule()),
-        _PicardTables(KernelSpec("constant", dim=3, params={"value": 0.004}),
-                      PhaseGrid(ball3, 6, 6, R_v=2.0),
-                      QuadratureRule.build(3, sphere_order=2, radial_order=2,
-                                           angular_order=2, R_v=2.0)),
-    ]
+    return [_ChordTable(PhaseGrid(DISK, 8, 8, R_v=2.0)),
+            _ChordTable(PhaseGrid(ball3, 6, 6, R_v=2.0))]
 
 
 def test_line_stage_matches_per_pair_chord_loop():
     # independent evaluation: for each active (x, v), Gauss-Legendre over
     # the backward chord [0, tau_-] of the multilinear interpolant of
     # Q(., v), written as a sum over the cell's corners
-    for seed, tables in enumerate(_line_stage_cases(), start=6):
-        grid = tables.grid
+    for seed, chords in enumerate(_line_stage_cases(), start=6):
+        grid = chords.grid
         dim, nx = grid.dim, grid.nx
         Q = np.random.default_rng(seed).standard_normal((grid.NVF, grid.NXF))
-        G = _line_stage_np([Q], tables)[0]
+        G = _line_stage_np([Q], chords)[0]
 
         lo = grid.x_axis[0]
         h = grid.x_axis[1] - grid.x_axis[0]
@@ -547,8 +541,8 @@ def test_line_stage_does_not_depend_on_chunk_size(monkeypatch):
     # whichever sources share its call.  Qs[0] has rows of +-0.0: alone it
     # runs the skip path, which leaves its zero rows +0.0; next to Qs[1:],
     # which make every row live, it runs the whole order groups
-    for tables in _line_stage_cases():
-        grid = tables.grid
+    for chords in _line_stage_cases():
+        grid = chords.grid
         rng = np.random.default_rng(grid.dim)
         Qs = [rng.standard_normal((grid.NVF, grid.NXF)) for _ in range(3)]
         zero = rng.random(grid.NVF) < 0.6
@@ -558,10 +552,10 @@ def test_line_stage_does_not_depend_on_chunk_size(monkeypatch):
             grid.v_active_idx.size
         assert solver._CHORD_NODE_BLOCK == 16384
         calls = (Qs, Qs[:1], Qs[1:], Qs[2:])
-        ref = [_line_stage_np(c, tables) for c in calls]
+        ref = [_line_stage_np(c, chords) for c in calls]
         monkeypatch.setattr(solver, "_CHORD_NODE_BLOCK", 1000)
         for c, r in zip(calls, ref):
-            for G, Gr in zip(_line_stage_np(c, tables), r):
+            for G, Gr in zip(_line_stage_np(c, chords), r):
                 assert G.tobytes() == Gr.tobytes()
         monkeypatch.undo()
         for G, Gr in zip(ref[0] + ref[2][1:], ref[1] + ref[2] + ref[3]):
@@ -583,9 +577,8 @@ def test_chord_rule_accuracy_on_a_smooth_field():
     k, b = np.array([2.3, -1.7]), 0.4
     for n, bound in ((16, 0.125), (32, 0.0256)):
         grid = PhaseGrid(DISK, n, n, R_v=2.0)
-        tables = _PicardTables(SMALL_KERNEL, grid, _small_rule())
         Q = np.cos((grid.x_nodes @ k)[None, :] + b + 0.3 * grid.v_nodes[:, :1])
-        G = _line_stage_np([Q], tables)[0]
+        G = _line_stage_np([Q], _ChordTable(grid))[0]
 
         X = grid.x_nodes[grid.x_active_idx][:, None, :]
         V = grid.v_nodes[grid.v_active_idx][None, :, :]
@@ -617,27 +610,37 @@ def _one_call_pair_tables(grid):
 
 
 def test_blocked_pair_tables_match_one_call_build():
-    # the tables build exit times and chord orders _TAU_BLOCK v-nodes at a
-    # time; the 16x16 disk has 256 active v-nodes (whole blocks), the 32x32
-    # disk 1020 and the 6x6x6 ball 216 (a short last block)
+    # the chord table builds exit times and chord orders _TAU_BLOCK v-nodes
+    # at a time; the 16x16 disk has 256 active v-nodes (whole blocks), the
+    # 32x32 disk 1020 and the 6x6x6 ball 216 (a short last block)
     ball3 = Domain("ball", dim=3, radius=1.0)
-    cases = [
-        (SMALL_KERNEL, PhaseGrid(DISK, 16, 16, R_v=2.0), _small_rule()),
-        (KernelSpec("constant", dim=2, params={"value": 0.01}),
-         PhaseGrid(DISK, 32, 32, R_v=2.0), _small_rule()),
-        (KernelSpec("constant", dim=3, params={"value": 0.004}),
-         PhaseGrid(ball3, 6, 6, R_v=2.0),
-         QuadratureRule.build(3, sphere_order=2, radial_order=2,
-                              angular_order=2, R_v=2.0)),
-    ]
-    for spec, grid, rule in cases:
-        tables = _PicardTables(spec, grid, rule)
+    grids = [PhaseGrid(DISK, 16, 16, R_v=2.0),
+             PhaseGrid(DISK, 32, 32, R_v=2.0), PhaseGrid(ball3, 6, 6, R_v=2.0)]
+    for grid in grids:
+        chords = _ChordTable(grid)
         tau, pair_order, groups = _one_call_pair_tables(grid)
-        assert tables.pair_order.dtype == np.int32
-        assert np.array_equal(tables.pair_order, pair_order)
-        assert tables.pair_tau.tobytes() == tau.tobytes()
-        assert tables.order_groups == groups
+        assert chords.pair_order.dtype == np.int32
+        assert np.array_equal(chords.pair_order, pair_order)
+        assert chords.pair_tau.tobytes() == tau.tobytes()
+        assert chords.order_groups == groups
     assert grid.v_active_idx.size % solver._TAU_BLOCK != 0
+
+
+def test_velocity_tables_build_no_chords_or_stencils(monkeypatch):
+    # the velocity tables of the default grid on the (32, 9, 32) rule:
+    # exit times belong to the chord table, and the CSR stencils are built
+    # only by stencil_operators, which a phi-only user does not call
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(solver, "exit_times", forbidden)
+    monkeypatch.setattr(_PicardTables, "stencil_operators", forbidden)
+    grid = PhaseGrid(DISK, 16, 16, R_v=2.0)
+    rule = QuadratureRule.build(2, sphere_order=32, radial_order=9,
+                                angular_order=32, R_v=2.0)
+    tables = _PicardTables(KernelSpec("constant", dim=2,
+                                      params={"value": 0.01}), grid, rule)
+    assert tables.shape == (grid.v_active_idx.size, 288, 32)
 
 
 def test_picard_solve_peak_memory():
@@ -707,31 +710,14 @@ def test_residual_collision_matches_collision_q():
     rng = np.random.default_rng(17)
     for spec, grid, rule, center, _ in _stage_cases():
         g = _bump_profile(3e-3, center=center)
-        res = solver._ResidualRule(solver._residual_samples(grid), grid,
-                                   spec, rule)
+        s = solver._residual_samples(grid)
+        tables = _PicardTables(spec, grid, rule, V=s.V)
         F = PhaseField(grid, 1e-3 * rng.standard_normal((grid.NXF, grid.NVF)),
                        profile=g)
-        s = res.samples
         want = collision_Q(F.eval, F.eval, s.V, spec, rule, s.X)
-        got = solver._residual_collision(F, res)
+        got = solver._residual_collision(F, s, tables)
         assert np.max(np.abs(want)) > 1e-9
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-def test_residual_blocks_do_not_change_q(monkeypatch):
-    # blocks of samples cut no sample's (u, omega) sum: one sample per
-    # block gives the same bits as all samples in one block
-    spec, grid, rule, center, _ = _stage_cases()[0]
-    F = PhaseField(grid, 1e-3 * np.random.default_rng(18).standard_normal(
-        (grid.NXF, grid.NVF)), profile=_bump_profile(3e-3, center=center))
-    samples = solver._residual_samples(grid)
-    qs = []
-    for rows in (1, 10 ** 6):
-        monkeypatch.setattr(solver, "_RESIDUAL_ROW_BLOCK", rows)
-        res = solver._ResidualRule(samples, grid, spec, rule)
-        assert len(res.blocks) == (64 if rows == 1 else 1)
-        qs.append(solver._residual_collision(F, res))
-    _assert_bitwise(*qs)
 
 
 def test_picard_smallness_and_admissibility_guards():

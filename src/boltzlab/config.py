@@ -75,7 +75,7 @@ def _merge(base, override, path=""):
             raise ConfigurationError(f"unknown config key: {where}")
         if isinstance(base[key], dict) and key != "params":
             if not isinstance(val, dict):
-                raise ConfigurationError(f"config key {where} must be a table")
+                raise ConfigurationError(f"{where} must be a table")
             out[key] = _merge(base[key], val, where)
         else:
             out[key] = copy.deepcopy(val)
@@ -147,8 +147,8 @@ def _validate(d: dict):
              "inflow.center length must match domain.dim")
 
     lin = d["linearize"]
-    _require(lin["eps1"] > 0 and lin["eps2"] > 0,
-             "linearize amplitudes must be positive")
+    for key in ("eps1", "eps2"):
+        _require(lin[key] > 0, f"linearize.{key} must be positive")
     _require(_is_int(lin["levels"]) and lin["levels"] >= 1,
              "linearize.levels must be a positive integer")
     _require(_is_int(lin["n_samples"]) and lin["n_samples"] >= 1,

@@ -40,19 +40,19 @@ def _locate_axis(axis: np.ndarray, q):
 
     Returns (i, t, oor): the cell i is clipped to [0, n-2], t to [0, 1], and
     oor flags queries outside the axis range.  t within 1e-12 of a node is
-    rounded onto it.
+    rounded onto it; t is computed in place, in one copy of the queries.
     """
-    q = np.asarray(q, dtype=float)
     h = axis[1] - axis[0]
-    f = (q - axis[0]) / h
+    t = np.subtract(q, axis[0], dtype=float)
+    t /= h
     n = axis.size
-    oor = (f < -_SNAP) | (f > (n - 1) + _SNAP)
-    i = np.floor(f).astype(np.int64)
+    oor = (t < -_SNAP) | (t > (n - 1) + _SNAP)
+    i = np.floor(t).astype(np.int64)
     np.clip(i, 0, n - 2, out=i)
-    t = f - i
-    t = np.where(np.abs(t) < _SNAP, 0.0, t)
-    t = np.where(np.abs(t - 1.0) < _SNAP, 1.0, t)
-    t = np.clip(t, 0.0, 1.0)
+    t -= i
+    t[np.abs(t) < _SNAP] = 0.0
+    t[np.abs(t - 1.0) < _SNAP] = 1.0
+    np.clip(t, 0.0, 1.0, out=t)
     return i, t, oor
 
 
@@ -413,9 +413,10 @@ class _PicardTables:
     """The collision rule's velocity tables at the velocities Vg (n, d) where
     Q is evaluated, by default the grid's active v-nodes: the omega classes
     (reps), the folded gain weights Bw_fold (n, NU, classes), the loss
-    weights Bw_loss (n, NU), the u-nodes' stencil (ub, ufr), and the
-    distinct points u' and v' of the gain rows (v, u, class) with each
-    row's index into them.  Of the grid they read the velocity square."""
+    weights Bw_loss (n, NU), the u-nodes' stencil (ub, ufr), the distinct
+    points u' and v' of the gain rows (v, u, class) with each row's index
+    into them, and the tiles of those rows (_cut_tiles).  Of the grid they
+    read the velocity square."""
 
     def __init__(self, spec, grid, rule, V=None):
         self.grid = grid
@@ -470,6 +471,7 @@ class _PicardTables:
         VP = VP[:, :, self.reps]
         self.up_points, self.up_index = _distinct_points(UP.reshape(-1, dim))
         self.vp_points, self.vp_index = _distinct_points(VP.reshape(-1, dim))
+        self.tiles = _cut_tiles(self, self.up_index, self.vp_index)
 
     def stencil_operators(self):
         """CSR operators of the u, u' and v' velocity stencils.
@@ -477,25 +479,16 @@ class _PicardTables:
         The stencils do not depend on x, so one set serves every spatial
         row.  Returns (Su, [(tiles, Sup, Svp)]): Su has one row per u-node;
         Sup and Svp have one row per distinct u' and v' point (up_points,
-        vp_points).  tiles cut the gain rows (v, u, representative) into
-        v_block velocity nodes, as (slice of active v-nodes, rows of Sup,
-        rows of Svp), the indices of each row's point.
+        vp_points), the rows the tables' tiles index.
         """
-        NRow = self.shape[1] * self.reps.size
         ncols = self.grid.NVF
 
         def csr(P):
             base, fracs = self.grid.v_stencil(P)
             return _stencil_csr(base, fracs, self.grid.v_strides, ncols)
 
-        tiles = []
-        vb = self.v_block
-        for j in range(0, self.shape[0], vb):
-            r = slice(j * NRow, (j + vb) * NRow)
-            tiles.append((slice(j, j + vb), self.up_index[r],
-                          self.vp_index[r]))
         return (_stencil_csr(self.ub, self.ufr, self.grid.v_strides, ncols),
-                [(tiles, csr(self.up_points), csr(self.vp_points))])
+                [(self.tiles, csr(self.up_points), csr(self.vp_points))])
 
     def f0_tables_velocity_only(self, g):
         """Transported data F0 = phi at v, u and the distinct u' and v'
@@ -503,12 +496,37 @@ class _PicardTables:
         return g(self.Vg), g(self.U), g(self.up_points), g(self.vp_points)
 
 
+def _cut_tiles(tables, iu, iv, nodes=None):
+    """Tiles of v_block velocity nodes, (nodes, iu, iv) with iu and iv the
+    indices of their gain rows (v, u, representative) into the u' and v'
+    points, from the indices of all rows of `nodes` (by default every node
+    of the tables, as slices, which read Bw_fold and Q as views)."""
+    NRow = tables.shape[1] * tables.reps.size
+    vb = tables.v_block
+    n = tables.shape[0] if nodes is None else nodes.size
+    return [(slice(j, j + vb) if nodes is None else nodes[j:j + vb],
+             iu[j * NRow:(j + vb) * NRow], iv[j * NRow:(j + vb) * NRow])
+            for j in range(0, n, vb)]
+
+
+def _add_folded_gain(Q, tables, tiles, Hup, Hvp):
+    """Add the gain to Q at each tile's velocity nodes: the products
+    Hup[iu] * Hvp[iv] of its rows (v, u, representative), reduced against
+    the folded weights Bw_fold.  Hup and Hvp hold H at the distinct u' and
+    v' points, one column (n,) or a block of spatial columns (n, x)."""
+    shape = (-1, tables.shape[1], tables.reps.size) + Hup.shape[1:]
+    for js, iu, iv in tiles:
+        gain = np.take(Hup, iu, axis=0).reshape(shape)
+        gain *= np.take(Hvp, iv, axis=0).reshape(shape)
+        Q[js] += np.einsum("vur...,vur->v...", gain, tables.Bw_fold[js])
+
+
 class _ChordTable:
     """Exit times and chord orders of a grid's active (x, v) pairs, built
-    _TAU_BLOCK v-nodes at a time: pair_order (int32 where it fits), the
-    flat v-major pair indices sorted by chord order, so each order runs by
-    (v, x); order_groups, the (order, start, stop) run of each order in
-    it; pair_tau, each pair's exit time in it; and gauss, the
+    _TAU_BLOCK v-nodes at a time: tau, the exit times, (NVa, NXa);
+    pair_order (int32 where it fits), the flat v-major pair indices sorted
+    by chord order, so each order runs by (v, x); order_groups, the
+    (order, start, stop) run of each order in it; and gauss, the
     Gauss-Legendre (nodes, weights) of each order in use."""
 
     def __init__(self, grid):
@@ -537,21 +555,18 @@ class _ChordTable:
         stops = np.cumsum(counts)
         self.order_groups = [(o, int(stops[o] - counts[o]), int(stops[o]))
                              for o in np.flatnonzero(counts).tolist()]
-        self.pair_tau = TAU.ravel()[self.pair_order]
+        self.tau = TAU
         self.gauss = {o: gauss_legendre(o) for o, _, _ in self.order_groups}
 
 
 def _tau_q0(Q0, chords):
     """The first iterate from G = 0: F0 = phi does not depend on x, so it
     is tau_-(x, v) * Q0(v), with Q0 = Q(phi, phi) at the active v-nodes
-    (_collision_q0) and tau_- scattered back from the chord table's pair
-    order."""
+    (_collision_q0) and tau_- from the chord table."""
     grid = chords.grid
-    TQ = np.empty((Q0.size, grid.x_active_idx.size))
-    TQ.reshape(-1)[chords.pair_order] = chords.pair_tau
-    TQ *= Q0[:, None]
     G1 = np.zeros((grid.NXF, grid.NVF))
-    G1[np.ix_(grid.x_active_idx, grid.v_active_idx)] = TQ.T
+    G1[np.ix_(grid.x_active_idx, grid.v_active_idx)] = \
+        (chords.tau * Q0[:, None]).T
     return grid.fill_fringe(G1)
 
 
@@ -601,10 +616,7 @@ def _live_tiles(tables, live, Sup, Svp, F0UP, F0VP):
         read[rows] = True
         picked.append(((np.cumsum(read) - 1)[rows], S[read], f0[read]))
     (iu, Sup, F0UP), (iv, Svp, F0VP) = picked
-    vb = tables.v_block
-    tiles = [(live[j:j + vb], iu[j * NRow:(j + vb) * NRow],
-              iv[j * NRow:(j + vb) * NRow]) for j in range(0, live.size, vb)]
-    return tiles, Sup, Svp, F0UP, F0VP
+    return _cut_tiles(tables, iu, iv, live), Sup, Svp, F0UP, F0VP
 
 
 def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
@@ -616,7 +628,7 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
     at every distinct u' and v' point, to which F0 is added after the
     products.  Tile by tile of v_block velocity nodes, the gain gathers its
     rows (v, u, representative) from those two products and is reduced
-    against the folded weights; the loss is Hv * ((sum_omega B w) @ Hu).
+    against the folded weights after the loss Hv * ((sum_omega B w) @ Hu).
     Returns Q v-major, (NVF, NXF), the layout the blocks come in.  Agrees
     with _collision_stage_np to rounding.
 
@@ -630,7 +642,6 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
     distinct u' and v' points, the tables of _PicardTables.
     """
     grid = tables.grid
-    NU = tables.shape[1]
     Su, [(tiles, Sup, Svp)] = ops
     vact, xact = grid.v_active_idx, grid.x_active_idx
     live = _gain_live_nodes(G, tables, Sup, Svp, F0UP, F0VP)
@@ -652,27 +663,19 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
         Hvp = Svp @ GT
         Hup += F0UP
         Hvp += F0VP
-        shape = (-1, NU, tables.reps.size, rows.size)
-        for js, iu, iv in tiles:
-            gain = np.take(Hup, iu, axis=0).reshape(shape)
-            gain *= np.take(Hvp, iv, axis=0).reshape(shape)
-            QT[js] += np.einsum("vurx,vur->vx", gain, tables.Bw_fold[js])
+        _add_folded_gain(QT, tables, tiles, Hup, Hvp)
         Q[vact[:, None], rows] = QT
     return Q
 
 
-def _collision_q0(tables, ops, F0V, F0U, F0UP, F0VP):
-    """Q(phi, phi) at the active v-nodes, (NVa,): the sum of
+def _collision_q0(tables, F0V, F0U, F0UP, F0VP):
+    """Q(phi, phi) at the tables' velocities, (n,): the sum of
     _collision_stage_sparse at G = 0, where every spatial row reads the
-    transported data F0 = phi alone.  The loss is -F0V * (Bw_loss @ F0U);
-    each tile's gain is F0UP[iu] * F0VP[iv] reduced against the folded
-    weights, on the stage's (v, u, omega class) rows."""
-    _, [(tiles, _, _)] = ops
-    shape = (-1, tables.shape[1], tables.reps.size)
+    transported data F0 = phi alone.  The loss is -F0V * (Bw_loss @ F0U),
+    then the gain of the tables' tiles on F0 at the distinct u' and v'
+    points; it reads the velocity tables and no stencil operator."""
     Q0 = -F0V * (tables.Bw_loss @ F0U)
-    for js, iu, iv in tiles:
-        gain = (F0UP[iu] * F0VP[iv]).reshape(shape)
-        Q0[js] += np.einsum("vur,vur->v", gain, tables.Bw_fold[js])
+    _add_folded_gain(Q0, tables, tables.tiles, F0UP, F0VP)
     return Q0
 
 
@@ -721,6 +724,7 @@ def _line_stage_np(Qs, chords):
     live = _live_mask(np.logical_or.reduce(
         [np.any(Q != 0.0, axis=1)[grid.v_active_idx] for Q in Qs]))
     keep = None if live is None else live[chords.pair_order // NXa]
+    tau = chords.tau.ravel()
     h = grid.x_axis[1] - grid.x_axis[0]
     # (dim, nodes), so a chunk gathers one contiguous row per axis
     x_hat = ((grid.x_nodes - grid.x_axis[0]) / h).T.copy()
@@ -739,10 +743,11 @@ def _line_stage_np(Qs, chords):
             at = first + np.flatnonzero(keep[first:last])
             chunks = [at[j:j + step] for j in range(0, at.size, step)]
         for chunk in chunks:
-            vk, xk = np.divmod(chords.pair_order[chunk], NXa)
+            pairs = chords.pair_order[chunk]
+            vk, xk = np.divmod(pairs, NXa)
             vi = grid.v_active_idx[vk]
             xi = grid.x_active_idx[xk]
-            half_tau = 0.5 * chords.pair_tau[chunk]
+            half_tau = 0.5 * np.take(tau, pairs)
             S = gx1 * half_tau
             xp, vp = x_hat[:, xi], v_hat[:, vi]
             # the flat cell index is summed in floats, exact for integers
@@ -832,7 +837,7 @@ class Solver:
         grid, opts = self.grid, self.opts
         runs = [_SourceRun(g, grid, tables, opts) for g in gs]
         for run in runs:
-            Q0 = _collision_q0(tables, ops, *run.f0_tables)
+            Q0 = _collision_q0(tables, *run.f0_tables)
             run.advance(_tau_q0(Q0, chords), 1)
 
         def collision(run):
@@ -881,9 +886,9 @@ class Solver:
             tables = _PicardTables(self.spec, self.grid, self.rule)
             self._ops = tables.stencil_operators()
             self._chords = _ChordTable(self.grid)
-            samples = _residual_samples(self.grid)
-            self._residual = samples, _PicardTables(
-                self.spec, self.grid, self.rule, V=samples.V)
+            X, V = _residual_samples(self.grid)
+            self._residual = X, _PicardTables(self.spec, self.grid,
+                                              self.rule, V=V)
             self._tables = tables
         return self._tables, self._ops
 
@@ -947,14 +952,6 @@ def picard_solve(spec: KernelSpec, g: BoundarySource, grid: PhaseGrid,
     return Solver(spec, grid, rule, options).solve(g)
 
 
-@dataclass
-class _ResidualSamples:
-    """Phase points (X, V) of the sampled PDE residual."""
-
-    X: np.ndarray
-    V: np.ndarray
-
-
 def _residual_speed_range(R_v, nv, v_min=None):
     """Speeds (lo, hi) of the residual samples on PhaseGrid(domain, nx, nv,
     R_v, v_min): from 2 cells above v_min, clear of the nodes the solve
@@ -970,8 +967,8 @@ def _residual_speed_range(R_v, nv, v_min=None):
 
 
 def _residual_samples(grid):
-    """The _ResidualSamples of a solver: _RESIDUAL_SAMPLES random interior
-    phase points, drawn from _RESIDUAL_SEED."""
+    """The phase points (X, V) of a solver's sampled PDE residual:
+    _RESIDUAL_SAMPLES random interior points, drawn from _RESIDUAL_SEED."""
     n = _RESIDUAL_SAMPLES
     rng = np.random.default_rng(_RESIDUAL_SEED)
     lo, hi = grid.domain.bounding_box()
@@ -992,19 +989,19 @@ def _residual_samples(grid):
     V = rng.normal(size=(n, grid.dim))
     lo, hi = _residual_speed_range(grid.R_v, grid.nv, grid.v_min)
     V *= (rng.uniform(lo, hi, n) / np.linalg.norm(V, axis=1))[:, None]
-    return _ResidualSamples(X=X, V=V)
+    return X, V
 
 
-def _residual_collision(field: PhaseField, samples, tables):
-    """Q(F, F) at the residual samples, (n,), from `tables`, the velocity
-    tables at their velocities: collision_Q(field.eval, field.eval, V,
+def _residual_collision(field: PhaseField, X, tables):
+    """Q(F, F) at the residual samples (X, V), (n,), from `tables`, the
+    velocity tables at V = tables.Vg: collision_Q(field.eval, field.eval, V,
     spec, rule, X) to rounding, by _collision_q0's formula with H = F0 + G.
     G is read once per sample in x, into a table with one row per sample,
     (n, NVF), and at each collision velocity from its sample's row through
-    the grid's velocity stencil (2^d corners)."""
+    its velocity stencil (2^d corners; the u-nodes' from the tables)."""
     G, grid = field.values, field.grid
-    n, NVF = samples.V.shape[0], grid.NVF
-    ix, tx, _ = _locate_axis(grid.x_axis, samples.X)
+    n, NVF = tables.Vg.shape[0], grid.NVF
+    ix, tx, _ = _locate_axis(grid.x_axis, X)
     x_base = ix @ np.asarray(grid.x_strides)
     T = np.zeros((n, NVF))
     for w, off in _corner_weights(tx.T, grid.x_strides):
@@ -1015,41 +1012,42 @@ def _residual_collision(field: PhaseField, samples, tables):
     # the first entry of each sample's row of T, per velocity read
     row = np.arange(n) * NVF
 
-    def H(f0, P, index, at):
-        """F0 + G at the points P[index], G read at the rows `at` of T."""
-        base, fracs = grid.v_stencil(P)
+    def H(f0, stencil, index, at):
+        """F0 + G at the points of `stencil` (base, fracs) picked by index,
+        G read at the rows `at` of T."""
+        base, fracs = stencil
         base, fracs = base[index], [f[index] for f in fracs]
         return f0[index] + _interp_flat(T, np.where(base < 0, -1, base + at),
                                         fracs, grid.v_strides)
 
-    Hv = H(F0V, samples.V, np.arange(n), row)
-    Hu = H(F0U, tables.U, np.arange(F0U.size)[None, :], row[:, None])
+    Hv = H(F0V, grid.v_stencil(tables.Vg), np.arange(n), row)
+    Hu = H(F0U, (tables.ub, tables.ufr), np.arange(F0U.size)[None, :],
+           row[:, None])
     rows = np.repeat(row, tables.up_index.size // n)
-    gain = H(F0UP, tables.up_points, tables.up_index, rows)
-    gain *= H(F0VP, tables.vp_points, tables.vp_index, rows)
+    gain = H(F0UP, grid.v_stencil(tables.up_points), tables.up_index, rows)
+    gain *= H(F0VP, grid.v_stencil(tables.vp_points), tables.vp_index, rows)
     q = -Hv * np.einsum("vu,vu->v", tables.Bw_loss, Hu)
     q += np.einsum("vur,vur->v", gain.reshape(tables.Bw_fold.shape),
                    tables.Bw_fold)
     return q
 
 
-def _sample_pde_residual(field: PhaseField, samples, tables):
-    """|v.grad F - Q(F,F)| at the points of samples (_residual_samples),
-    with Q under the solve's kernel and rule from the velocity tables at
-    their velocities (_residual_collision); returns the max.
+def _sample_pde_residual(field: PhaseField, X, tables):
+    """|v.grad F - Q(F,F)| at the residual samples (X, tables.Vg), with Q
+    under the solve's kernel and rule from the velocity tables at those
+    velocities (_residual_collision); returns the max.
 
     The directional derivative uses central differences along the
     characteristic, where v is fixed, so the profile phi(v) drops out
     exactly and the estimate probes the gridded correction plus
     interpolation error.
     """
-    X, V = samples.X, samples.V
+    V = tables.Vg
     # one step along the characteristic each way, half a spatial cell long
     t = 0.5 * field.grid.h_x / np.linalg.norm(V, axis=1)
     tV = t[:, None] * V
     cd = (field.eval(X + tV, V) - field.eval(X - tV, V)) / (2.0 * t)
-    return float(np.max(np.abs(cd - _residual_collision(field, samples,
-                                                        tables))))
+    return float(np.max(np.abs(cd - _residual_collision(field, X, tables))))
 
 
 # ---------------------------------------------------------------------------
@@ -1098,28 +1096,17 @@ def boundary_trace(field: PhaseField, X, V) -> TraceTable:
 # ---------------------------------------------------------------------------
 
 
-# rows per bulk % of the CSV writer, so its template, values and text
-# stay below 1 MiB each
+# rows per bulk % of the field CSV writer, so its template, values and
+# text stay below 1 MiB each
 _CSV_ROW_BLOCK = 4096
-
-
-def _write_csv(path: str, cols, data: np.ndarray):
-    """Write the header cols and the rows of data (n, k), every value as
-    %.17g: bitwise np.savetxt(path, data, fmt="%.17g", delimiter=",",
-    header=",".join(cols), comments=""), but formatted by one % over a
-    template of _CSV_ROW_BLOCK rows rather than row by row."""
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for j in range(0, data.shape[0], _CSV_ROW_BLOCK):
-            part = data[j:j + _CSV_ROW_BLOCK]
-            fh.write((row * part.shape[0]) % tuple(part.ravel().tolist()))
 
 
 def field_to_csv(field: PhaseField, path: str):
     """CSV rows x..., v..., value at every in-domain spatial node (fringe
     nodes are interpolation bookkeeping) times every velocity node, x-major:
-    bitwise _write_csv, but each node's coordinates are formatted once."""
+    bitwise np.savetxt(fmt="%.17g", delimiter=","), but each node's
+    coordinates are formatted once and the rows of _CSV_ROW_BLOCK at a
+    time by one %."""
     g = field.grid
     cols = [c + str(a) for c in "xv" for a in range(g.dim)] + ["value"]
     fmt = ",".join(["%.17g"] * g.dim) + ","
@@ -1138,5 +1125,6 @@ def trace_to_csv(table: TraceTable, path: str):
     dim = table.x.shape[1]
     cols = ["x%d" % a for a in range(dim)] + ["v%d" % a for a in range(dim)] + \
            ["value", "extrap_residual"]
-    _write_csv(path, cols, np.column_stack([table.x, table.v, table.value,
-                                            table.extrap_residual]))
+    np.savetxt(path, np.column_stack([table.x, table.v, table.value,
+                                      table.extrap_residual]),
+               fmt="%.17g", delimiter=",", header=",".join(cols), comments="")

@@ -129,6 +129,9 @@ def test_validation_rejects_bad_values():
         ({"domain": {"radius": 0}}, r"domain\.radius"),
         ({"grid": {"v_min": 1.9}}, r"^grid\.v_min "),
         ({"grid": {"nv": 5}}, r"^grid\.v_min "),
+        ({"linearize": {"eps1": -1}}, r"^linearize\.eps1 "),
+        ({"linearize": {"eps2": 0}}, r"^linearize\.eps2 "),
+        ({"grid": 3}, r"^grid "),
         ({"domain": {"dim": 2.0}}, r"domain\.dim"),
         ({"solver": {"tol": None}}, r"solver\.tol"),
         # a JSON true is a Python int, and a string or an infinity is not a
@@ -175,7 +178,7 @@ def test_v_min_must_leave_residual_sample_speeds(tmp_path, capsys):
     # up to the bound the config parses, and its solver draws the samples
     grid = config_from_dict({"version": 1, "grid": {"v_min": 1.26}}
                             ).build_solver().grid
-    speeds = np.linalg.norm(solver._residual_samples(grid).V, axis=1)
+    speeds = np.linalg.norm(solver._residual_samples(grid)[1], axis=1)
     assert 1.26 + 2 * grid.h_v <= speeds.min() and speeds.max() <= 1.8
     with pytest.raises(ConfigurationError, match=r"^grid\.v_min "):
         config_from_dict({"version": 1, "grid": {"v_min": 1.27}})

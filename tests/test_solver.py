@@ -63,6 +63,45 @@ def _profile_field(grid, g):
 # ---------------------------------------------------------------------------
 
 
+def _locate_axis_copying(axis, q):
+    """solver._locate_axis as it was written with a full temporary per
+    step, the oracle of the in-place version."""
+    q = np.asarray(q, dtype=float)
+    h = axis[1] - axis[0]
+    f = (q - axis[0]) / h
+    n = axis.size
+    oor = (f < -solver._SNAP) | (f > (n - 1) + solver._SNAP)
+    i = np.floor(f).astype(np.int64)
+    np.clip(i, 0, n - 2, out=i)
+    t = f - i
+    t = np.where(np.abs(t) < solver._SNAP, 0.0, t)
+    t = np.where(np.abs(t - 1.0) < solver._SNAP, 1.0, t)
+    t = np.clip(t, 0.0, 1.0)
+    return i, t, oor
+
+
+def test_locate_axis_in_place_matches_copying_version():
+    # 3D points on an axis: random ones, some outside it, nodes and nodes
+    # moved by +-1e-13 (inside the snap) and by +-1e-11 (outside it), and
+    # signed zeros; cells, fractions and flags agree bitwise, sign bits
+    # and dtypes included
+    rng = np.random.default_rng(29)
+    axis = np.linspace(-2.0, 2.0, 11)
+    nodes = rng.choice(axis, size=(4000, 3))
+    q = np.concatenate([
+        rng.uniform(-2.5, 2.5, size=(20000, 3)), nodes,
+        nodes + 1e-13, nodes - 1e-13, nodes + 1e-11, nodes - 1e-11,
+        [[-0.0, 0.0, -2.0], [2.0, -0.0, 0.0]]])
+    for query in (q, q.tolist()):
+        got = solver._locate_axis(axis, query)
+        want = _locate_axis_copying(axis, query)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    assert np.any(want[2]) and not np.all(want[2])
+    assert np.any(want[1] == 0.0) and np.any(want[1] == 1.0)
+
+
 def test_phase_field_node_reproduction_and_finiteness():
     grid = PhaseGrid(DISK, 8, 10, R_v=2.0)
     rng = np.random.default_rng(6)
@@ -329,7 +368,7 @@ def test_q0_is_the_collision_stage_at_zero_g():
     # each other by up to 4e-15 of Q0's sup, and from Q0 by 1e-14 of it
     for spec, grid, rule, center, _ in _stage_cases():
         g, tables, F0, ops = _stage_inputs(spec, grid, rule, center)
-        Q0 = solver._collision_q0(tables, ops, *F0)
+        Q0 = solver._collision_q0(tables, *F0)
         Q = _collision_stage_sparse(np.zeros((grid.NXF, grid.NVF)), tables,
                                     ops, *F0)
         got = Q[np.ix_(grid.v_active_idx, grid.x_active_idx)]
@@ -592,7 +631,7 @@ def test_chord_rule_accuracy_on_a_smooth_field():
 
 
 def _one_call_pair_tables(grid):
-    """(tau in pair order, pair order, order groups) of every active pair,
+    """(tau (NVa, NXa), pair order, order groups) of every active pair,
     from one exit_times call over the full (NVa, NXa, dim) broadcast."""
     X = grid.x_nodes[grid.x_active_idx]
     V = grid.v_nodes[grid.v_active_idx]
@@ -605,7 +644,7 @@ def _one_call_pair_tables(grid):
     pair_order = np.argsort(order, kind="stable")
     orders, starts = np.unique(order[pair_order], return_index=True)
     stops = np.append(starts[1:], order.size)
-    return tau.ravel()[pair_order], pair_order, \
+    return tau, pair_order, \
         list(zip(orders.tolist(), starts.tolist(), stops.tolist()))
 
 
@@ -621,7 +660,8 @@ def test_blocked_pair_tables_match_one_call_build():
         tau, pair_order, groups = _one_call_pair_tables(grid)
         assert chords.pair_order.dtype == np.int32
         assert np.array_equal(chords.pair_order, pair_order)
-        assert chords.pair_tau.tobytes() == tau.tobytes()
+        assert chords.tau.shape == tau.shape
+        assert chords.tau.tobytes() == tau.tobytes()
         assert chords.order_groups == groups
     assert grid.v_active_idx.size % solver._TAU_BLOCK != 0
 
@@ -629,7 +669,9 @@ def test_blocked_pair_tables_match_one_call_build():
 def test_velocity_tables_build_no_chords_or_stencils(monkeypatch):
     # the velocity tables of the default grid on the (32, 9, 32) rule:
     # exit times belong to the chord table, and the CSR stencils are built
-    # only by stencil_operators, which a phi-only user does not call
+    # only by stencil_operators, which a phi-only user such as Q(phi, phi)
+    # does not call; Q0 is bitwise the loss plus the per-tile gain sum
+    # over the tables' tiles, cut once with slice node ranges
     def forbidden(*args, **kwargs):
         raise AssertionError("called")
 
@@ -641,6 +683,17 @@ def test_velocity_tables_build_no_chords_or_stencils(monkeypatch):
     tables = _PicardTables(KernelSpec("constant", dim=2,
                                       params={"value": 0.01}), grid, rule)
     assert tables.shape == (grid.v_active_idx.size, 288, 32)
+    F0V, F0U, F0UP, F0VP = F0 = tables.f0_tables_velocity_only(
+        _bump_profile(3e-3))
+    got = solver._collision_q0(tables, *F0)
+    shape = (-1, tables.shape[1], tables.reps.size)
+    want = -F0V * (tables.Bw_loss @ F0U)
+    for js, iu, iv in tables.tiles:
+        assert isinstance(js, slice)
+        gain = (F0UP[iu] * F0VP[iv]).reshape(shape)
+        want[js] += np.einsum("vur,vur->v", gain, tables.Bw_fold[js])
+    assert len(tables.tiles) > 1 and np.max(np.abs(want)) > 1e-9
+    assert got.tobytes() == want.tobytes()
 
 
 def test_picard_solve_peak_memory():
@@ -699,7 +752,7 @@ def test_picard_residual_sampling_on_coarse_grid_returns():
     F, rep = picard_solve(spec, _bump_profile(3e-3, center=(0.6, 0.0, 0.0)),
                           grid, rule)
     assert 3 * grid.h_x > 1.0
-    assert rep.converged and solver._residual_samples(grid).X.shape[0] == 64
+    assert rep.converged and solver._residual_samples(grid)[0].shape[0] == 64
     assert np.isfinite(rep.residual_pde)
 
 
@@ -710,12 +763,12 @@ def test_residual_collision_matches_collision_q():
     rng = np.random.default_rng(17)
     for spec, grid, rule, center, _ in _stage_cases():
         g = _bump_profile(3e-3, center=center)
-        s = solver._residual_samples(grid)
-        tables = _PicardTables(spec, grid, rule, V=s.V)
+        X, V = solver._residual_samples(grid)
+        tables = _PicardTables(spec, grid, rule, V=V)
         F = PhaseField(grid, 1e-3 * rng.standard_normal((grid.NXF, grid.NVF)),
                        profile=g)
-        want = collision_Q(F.eval, F.eval, s.V, spec, rule, s.X)
-        got = solver._residual_collision(F, s, tables)
+        want = collision_Q(F.eval, F.eval, V, spec, rule, X)
+        got = solver._residual_collision(F, X, tables)
         assert np.max(np.abs(want)) > 1e-9
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -957,26 +1010,6 @@ def test_csv_export_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "x0,x1,v0,v1,value"
-
-
-def test_csv_writer_matches_savetxt(tmp_path, monkeypatch):
-    # the bulk writer is bitwise np.savetxt's "%.17g" output, across its
-    # row blocks and on signed zeros, subnormals, integers and non-finite
-    # values
-    rng = np.random.default_rng(19)
-    data = rng.standard_normal((23, 5)) * 10.0 ** rng.integers(-300, 300,
-                                                              (23, 5))
-    data[0] = [-0.0, 0.0, 5e-324, 3.0, -1e300]
-    data[1, :3] = [np.inf, -np.inf, np.nan]
-    cols = ["x0", "x1", "v0", "v1", "value"]
-    want = tmp_path / "want.csv"
-    np.savetxt(want, data, fmt="%.17g", delimiter=",", header=",".join(cols),
-               comments="")
-    for rows in (4, 23, 4096):
-        monkeypatch.setattr(solver, "_CSV_ROW_BLOCK", rows)
-        got = tmp_path / ("got%d.csv" % rows)
-        solver._write_csv(str(got), cols, data)
-        assert got.read_bytes() == want.read_bytes()
 
 
 def test_field_csv_matches_savetxt(tmp_path, monkeypatch):

@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 from .errors import (BoltzlabError, ConfigurationError, ConvergenceError,
                      DependencyError, DomainError, PreconditionError)
 from .geometry import Domain, exit_times
-from .collision import (KernelSpec, QuadratureRule, kernel_eval,
-                        post_collision, pre_collision)
+from .collision import KernelSpec, QuadratureRule, kernel_eval, post_collision
 from .solver import (BoundarySource, PhaseField, PhaseGrid, PicardOptions,
                      boundary_trace, picard_solve)
 from .linearize import (second_order_source, w_finite_difference,
@@ -22,7 +21,6 @@ __all__ = [
     "DependencyError", "DomainError", "PreconditionError",
     "Domain", "exit_times",
     "KernelSpec", "QuadratureRule", "kernel_eval", "post_collision",
-    "pre_collision",
     "BoundarySource", "PhaseField", "PhaseGrid", "PicardOptions",
     "boundary_trace", "picard_solve",
     "second_order_source", "w_finite_difference", "w_quadrature",

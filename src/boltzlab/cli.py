@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import reconstruct as rc
-from .collision import post_collision, pre_collision
+from .collision import post_collision
 from .config import (ExperimentConfig, config_from_dict, load_config,
                      save_config)
 from .errors import BoltzlabError, ConfigurationError, DependencyError
@@ -159,7 +159,7 @@ def stage_verify_collision(cfg: ExperimentConfig, out: str, solver: Solver):
     rows.append(("momentum_conservation", n, res, 1e-12, res <= 1e-12))
     res = float(np.max(np.abs(np.sum(Up**2 + Vp**2 - U**2 - V**2, axis=1))))
     rows.append(("energy_conservation", n, res, 1e-12, res <= 1e-12))
-    U2, V2 = pre_collision(Up, Vp, W)
+    U2, V2 = post_collision(Up, Vp, W)
     res = float(max(np.max(np.abs(U2 - U)), np.max(np.abs(V2 - V))))
     rows.append(("collision_involution", n, res, 1e-12, res <= 1e-12))
     Un, Vn = post_collision(U, V, -W)
@@ -258,7 +258,8 @@ def _generate_probes(rng, count: int, dim: int, eta_max: float, R_v: float,
     # are skipped, and when no draw can be long enough the etas are rejected
     if sep > 1.45 / math.sqrt(2.0):
         raise ConfigurationError(
-            "etas too coarse for the probe scale: need 2.2*eta < d/sqrt(2)")
+            "reconstruct.etas too coarse for the probe scale: need "
+            "2.2*eta < d/sqrt(2)")
     probes = []
     for _ in range(500 * count):
         if len(probes) == count:
@@ -285,8 +286,9 @@ def _generate_probes(rng, count: int, dim: int, eta_max: float, R_v: float,
         probes.append(rc.Probe(v_star, v0, u0, eta=eta_max))
     if len(probes) < count:
         raise ConfigurationError(
-            "could not generate %d admissible probes; loosen R_v, v_min or "
-            "the eta sequence" % count)
+            "reconstruct.n_probes out of reach: could not generate %d "
+            "admissible probes; loosen grid.R_v, grid.v_min or "
+            "reconstruct.etas" % count)
     return probes
 
 

@@ -13,8 +13,8 @@ The collision operator is kept in its two-field (bilinear) form
 
 with Q(F, F) as the diagonal; the linearization machinery needs the
 off-diagonal evaluations.  `collision_Q` evaluates it at a batch of points:
-the solver's sampled PDE residual takes the diagonal, the second-order
-source the symmetrized off-diagonal sum.
+the second-order source takes the symmetrized off-diagonal sum, the
+solver's reference collision stage the diagonal.
 """
 from __future__ import annotations
 
@@ -48,15 +48,6 @@ def post_collision(u, v, omega):
     _check_unit(omega)
     c = np.sum((u - v) * omega, axis=-1, keepdims=True)
     return u - c * omega, v + c * omega
-
-
-def pre_collision(u_prime, v_prime, omega):
-    """Recover incoming velocities from outgoing ones (inverse of post_collision).
-
-    The collision map is an involution, so this is the same reflection applied
-    to the primed pair.
-    """
-    return post_collision(u_prime, v_prime, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +182,8 @@ def kernel_eval(spec: KernelSpec, v, u, omega):
     elif fam == "hard_potential_like":
         # q0 == 1: no angular factor
         out = p["amplitude"] * r ** p["gamma"]
-    elif fam == "gaussian_compact":
+    else:  # gaussian_compact
         out = p["amplitude"] * _smooth_bump(r / p["support"])
-    else:
-        raise PreconditionError("unknown kernel family %r" % (fam,))
     # the omega-independent families repeat over omega's leading axes
     shape = np.broadcast_shapes(np.shape(out), np.shape(omega)[:-1])
     return np.broadcast_to(out, shape).copy()
@@ -315,21 +304,13 @@ def admissibility_check(spec: KernelSpec, domain, rule: QuadratureRule,
     supremum over x is exact, not sampled:
 
         M = diam * max over directions v of the (u, w) quadrature of |B|.
-
-    Where B does not depend on w (every family but angular_bump), the
-    quadrature factors as (sum_u |B| w_u) * sum_w w_w, with no (u, w) table.
     """
     W = rule.omega_nodes
-    if spec.is_omega_independent():
-        B = kernel_eval(spec, W[:, None, :], rule.u_nodes[None, :, :], W[:1])
-        integ = np.sum(np.abs(B) * rule.u_weights, axis=1) * \
-            np.sum(rule.omega_weights)
-    else:
-        integ = np.empty(W.shape[0])
-        for i, v in enumerate(W):
-            B = kernel_eval(spec, v, rule.u_nodes[:, None, :], W[None, :, :])
-            integ[i] = float(np.sum(np.abs(B) * rule.u_weights[:, None]
-                                    * rule.omega_weights[None, :]))
+    integ = np.empty(W.shape[0])
+    for i, v in enumerate(W):
+        B = kernel_eval(spec, v, rule.u_nodes[:, None, :], W[None, :, :])
+        integ[i] = float(np.sum(np.abs(B) * rule.u_weights[:, None]
+                                * rule.omega_weights[None, :]))
     M = domain.diameter() * float(np.max(integ))
     return AdmissibilityReport(M_estimate=M, threshold=float(threshold),
                                passed=bool(M < threshold))

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import (KernelSpec, ball_rule, gauss_legendre, kernel_eval,
-                        sphere_rule)
+from .collision import KernelSpec, ball_rule, gauss_legendre, kernel_eval
 from .errors import ConfigurationError, PreconditionError
 
 __all__ = [
@@ -456,33 +455,18 @@ def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
     return total / (bump_mass(dim) * eta**dim) ** 2
 
 
-def _loss_term(spec, v_star, center_u, center_v, eta, nr, na, nw):
-    """One loss-type integral (sign included by the caller): bump factors
-    at the unprimed velocities only.  For separated probes the v-bump at
-    v_star and the one at center_v have disjoint supports, so every
-    accumulated summand is exactly zero.
-
-    The v-nodes lie strictly within eta of v_star and the mollifier is
-    exactly 0.0 at |z| >= eta, so once |v_star - center_v| > 2 eta every
-    summand is 0.0 and no rule is built.  mollified_S refuses probes with
-    separations <= 2 eta, so it only ever takes that return."""
+def _loss_term(v_star, center_v, eta):
+    """One loss-type integral (sign included by the caller).  Its bump
+    factors sit at the unprimed velocities, so the v-integrand carries the
+    bumps at v_star and at center_v, each exactly 0.0 at distance >= eta:
+    once |v_star - center_v| > 2 eta their supports are disjoint and the
+    integral is exactly 0.0.  mollified_S refuses probes with separations
+    <= 2 eta, so that is the only case it meets; any other raises."""
     if float(np.linalg.norm(v_star - center_v)) > 2.0 * eta:
         return 0.0
-    dim = v_star.shape[0]
-    om, wom = sphere_rule(dim, nw)
-    vpts, vw = _shifted_ball(v_star, eta, nr, na)
-    upts, uw = _shifted_ball(center_u, eta, nr, na)
-    fv = mollifier(vpts - center_v, eta) * mollifier(vpts - v_star, eta) * vw
-    fu = mollifier(upts - center_u, eta) * uw
-    if not (np.any(fv) and np.any(fu)):
-        # every summand below is B * 0.0 = 0.0 (B is finite)
-        return 0.0
-    total = 0.0
-    for i in range(om.shape[0]):
-        B = kernel_eval(spec, vpts[:, None, :], upts[None, :, :],
-                        om[i][None, None, :])
-        total += wom[i] * float(np.sum(B * (fv[:, None] * fu[None, :])))
-    return -total if total != 0.0 else 0.0
+    raise PreconditionError(
+        "loss term of overlapping mollifier supports: |v_star - center_v| "
+        f"must exceed 2*eta = {2.0 * eta:.3g}")
 
 
 def mollified_S(probe: Probe, spec: KernelSpec, nr: int = 14, na: int = 28,
@@ -506,8 +490,8 @@ def mollified_S(probe: Probe, spec: KernelSpec, nr: int = 14, na: int = 28,
     I1 = _gain_term(spec, vs, v0, u0, eta, nr, na, nw)
     I2 = _gain_term(spec, vs, u0, v0, eta, nr, na, nw)
     # I3 carries bumps at (u - v0, v - u0); I4 swaps the two centers.
-    I3 = _loss_term(spec, vs, v0, u0, eta, nr, na, nw)
-    I4 = _loss_term(spec, vs, u0, v0, eta, nr, na, nw)
+    I3 = _loss_term(vs, u0, eta)
+    I4 = _loss_term(vs, v0, eta)
     return ProbeResult(S_eta=I1 + I2 + I3 + I4, I1=I1, I2=I2, I3=I3, I4=I4,
                        eta=eta)
 

@@ -20,6 +20,7 @@ ALLOWED_IMPORTS = {
     "reconstruct": {"collision", "errors"},
     "solver": _BASE,
     "linearize": _BASE | {"solver"},
+    "config": _BASE | {"reconstruct", "solver"},
 }
 
 

@@ -184,16 +184,31 @@ def test_v_min_must_leave_residual_sample_speeds(tmp_path, capsys):
         config_from_dict({"version": 1, "grid": {"v_min": 1.27}})
 
 
-def test_probe_generator_rejects_etas_by_scale_not_by_seed():
+def test_probe_generator_rejects_etas_by_scale_not_by_seed(tmp_path,
+                                                          capsys):
     # at eta_max = 0.43 only some separation draws are long enough, and
-    # those are kept; at 0.47 no draw in [1.3, 1.45] is
+    # those are kept; at 0.47 no draw in [1.3, 1.45] is.  Each refusal
+    # names the config key that would lift it
     for seed in range(8):
         probes = _generate_probes(np.random.default_rng(seed), 5, 2, 0.43,
                                   2.0, 0.1)
         assert len(probes) == 5
-        with pytest.raises(ConfigurationError, match="coarse"):
+        with pytest.raises(ConfigurationError,
+                           match=r"^reconstruct\.etas .*coarse"):
             _generate_probes(np.random.default_rng(seed), 5, 2, 0.47, 2.0,
                              0.1)
+    # v_min = 1.2 leaves a speed annulus no probe of the default etas fits
+    with pytest.raises(ConfigurationError, match=r"^reconstruct\.n_probes "):
+        _generate_probes(np.random.default_rng(0), 5, 2, 0.4, 2.0, 1.2)
+    # through the CLI: the run stops at the reconstruct stage with the key
+    # on stderr and no traceback
+    path = write_config(tmp_path / "c.json", {
+        "version": 1, "output_dir": str(tmp_path / "run"),
+        "reconstruct": {"etas": [0.5, 0.2]}})
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: reconstruct.etas ") and "coarse" in err
+    assert "Traceback" not in err
 
 
 def test_file_round_trip_and_overrides(tmp_path):

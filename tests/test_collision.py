@@ -10,7 +10,6 @@ from boltzlab.collision import (
     gauss_legendre,
     kernel_eval,
     post_collision,
-    pre_collision,
     sphere_rule,
 )
 from boltzlab.errors import PreconditionError
@@ -25,7 +24,8 @@ def test_post_collision_example():
     assert np.allclose(vp, [0.0, 1.0], atol=1e-15)
 
 
-def test_pre_collision_inverts():
+def test_post_collision_is_an_involution():
+    # the inverse map is the same formula applied to the primed pair
     rng = np.random.default_rng(3)
     for _ in range(200):
         u = rng.normal(size=3)
@@ -33,7 +33,7 @@ def test_pre_collision_inverts():
         w = rng.normal(size=3)
         w /= np.linalg.norm(w)
         up, vp = post_collision(u, v, w)
-        u2, v2 = pre_collision(up, vp, w)
+        u2, v2 = post_collision(up, vp, w)
         assert np.max(np.abs(u2 - u)) < 1e-13
         assert np.max(np.abs(v2 - v)) < 1e-13
 
@@ -192,10 +192,9 @@ def test_admissibility_constant_kernel_closed_form():
         assert not rep.passed
 
 
-def test_admissibility_factored_sum_matches_full_table():
-    # the omega-independent families take (sum_u |B| w_u) * sum_w w_w; it
-    # agrees with the sum over the full (u, w) table, and so does every
-    # verdict at thresholds just above and below it
+def test_admissibility_sum_matches_full_table():
+    # every family's kernel mass agrees with the sum over the full (u, w)
+    # table, and so does every verdict at thresholds just above and below it
     specs = {
         "constant": {"value": 0.1},
         "omega_independent_poly": {"coeffs": (0.005, 0.0, 0.005)},

@@ -236,20 +236,15 @@ def test_loss_terms_are_bitwise_zero():
     assert res.S_eta == res.I1 + res.I2
 
 
-def test_loss_term_nonzero_for_overlapping_centres():
-    # the early return for disjoint supports must not hide a genuine loss
-    # integral: with the v-bump centre inside the v_star bump, a constant
-    # kernel gives -|S^1| * sum(f_v) * sum(f_u) on the same nodes
+def test_loss_term_refuses_overlapping_centres():
+    # at |v_star - center_v| <= 2 eta the bumps overlap and the loss
+    # integral need not vanish; mollified_S never asks for it, and
+    # _loss_term raises rather than return a 0.0 it has not shown
     eta = 0.3
-    center_v = VS + np.array([0.5 * eta, 0.0])
-    value = rc._loss_term(CONST, VS, U0, center_v, eta, 8, 16, 16)
-    vpts, vw = rc._shifted_ball(VS, eta, 8, 16)
-    upts, uw = rc._shifted_ball(U0, eta, 8, 16)
-    fv = rc.mollifier(vpts - center_v, eta) * rc.mollifier(vpts - VS, eta) * vw
-    fu = rc.mollifier(upts - U0, eta) * uw
-    expected = -2.0 * math.pi * CONST.params["value"] * fv.sum() * fu.sum()
-    assert value < 0.0
-    assert abs(value - expected) <= 1e-12 * abs(expected)
+    for dist in (0.0, 0.5 * eta, 1.99 * eta):
+        center_v = VS + np.array([dist, 0.0])
+        with pytest.raises(PreconditionError, match="overlapping"):
+            rc._loss_term(VS, center_v, eta)
 
 
 def test_loss_term_vanishes_past_twice_eta():
@@ -262,7 +257,7 @@ def test_loss_term_vanishes_past_twice_eta():
     for nr in (2, 8, 64):
         vpts, _ = rc._shifted_ball(VS, eta, nr, 16)
         assert not np.any(rc.mollifier(vpts - center_v, eta))
-    assert rc._loss_term(CONST, VS, U0, center_v, eta, 8, 16, 16) == 0.0
+    assert rc._loss_term(VS, center_v, eta) == 0.0
 
 
 def test_off_manifold_probe_value_is_exactly_zero():

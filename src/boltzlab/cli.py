@@ -25,8 +25,8 @@ import numpy as np
 
 from . import reconstruct as rc
 from .collision import post_collision
-from .config import (ExperimentConfig, config_from_dict, load_config,
-                     save_config)
+from .config import (_PROBE_SEPARATION, ExperimentConfig, _check_probe_scale,
+                     config_from_dict, load_config, save_config)
 from .errors import BoltzlabError, ConfigurationError, DependencyError
 from .geometry import (OUTGOING, classify_boundaries, exit_times,
                        sample_outgoing)
@@ -217,7 +217,7 @@ def stage_forward(cfg: ExperimentConfig, out: str, solver: Solver):
     trace_to_csv(trace, os.path.join(out, files[1]))
 
     info = {"iterations": report.iterations, "converged": report.converged,
-            "ratio": report.ratio, "residual_discrete": report.residual_discrete,
+            "ratio": report.ratio, "residual_discrete": solver.defect(field_),
             "residual_pde": report.residual_pde, "sup_F": report.sup_F}
     return files, info
 
@@ -254,12 +254,10 @@ def _generate_probes(rng, count: int, dim: int, eta_max: float, R_v: float,
     sep = 2.2 * eta_max
     lo_speed = v_min + eta_max + 0.05
     hi_speed = 0.9 * R_v
-    # the separation d is drawn from [1.3, 1.45]; draws too short for sep
-    # are skipped, and when no draw can be long enough the etas are rejected
-    if sep > 1.45 / math.sqrt(2.0):
-        raise ConfigurationError(
-            "reconstruct.etas too coarse for the probe scale: need "
-            "2.2*eta < d/sqrt(2)")
+    # the separation d is drawn from _PROBE_SEPARATION; draws too short for
+    # sep are skipped, and when no draw can be long enough the etas are
+    # rejected, as the config's validation rejects them
+    _check_probe_scale(eta_max)
     probes = []
     for _ in range(500 * count):
         if len(probes) == count:
@@ -267,7 +265,7 @@ def _generate_probes(rng, count: int, dim: int, eta_max: float, R_v: float,
         mid = rng.uniform(-0.25, 0.25, size=dim)
         axis = rng.normal(size=dim)
         axis /= np.linalg.norm(axis)
-        d = rng.uniform(1.3, 1.45)
+        d = rng.uniform(*_PROBE_SEPARATION)
         if sep > d / math.sqrt(2.0):
             continue
         r = 0.5 * d

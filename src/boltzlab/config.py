@@ -30,6 +30,7 @@ stable identity for the run.
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .collision import KERNEL_FAMILIES, KernelSpec, QuadratureRule, _is_number
@@ -90,6 +91,19 @@ def _require(cond, msg):
 def _is_int(val) -> bool:
     """An int that is not a bool (JSON true is a Python int)."""
     return isinstance(val, int) and not isinstance(val, bool)
+
+
+# a reconstruction probe's pre-collision pair (v0, u0) is drawn at a
+# separation d in this range
+_PROBE_SEPARATION = (1.3, 1.45)
+
+
+def _check_probe_scale(eta_max: float):
+    """ConfigurationError when the coarsest probe width eta_max is too wide
+    for every probe separation: a probe needs 2.2 eta_max <= d / sqrt(2)."""
+    _require(2.2 * eta_max <= _PROBE_SEPARATION[1] / math.sqrt(2.0),
+             "reconstruct.etas too coarse for the probe scale: need "
+             "2.2*eta < d/sqrt(2)")
 
 
 def _validate(d: dict):
@@ -165,6 +179,7 @@ def _validate(d: dict):
     _require(len(etas) >= 2 and all(e > 0 for e in etas)
              and all(b < a for a, b in zip(etas, etas[1:])),
              "reconstruct.etas must be >= 2 positive, strictly decreasing values")
+    _check_probe_scale(etas[0])
     for key in ("n_probes", "nr", "na", "nw"):
         _require(_is_int(r[key]) and r[key] >= 1,
                  f"reconstruct.{key} must be a positive integer")

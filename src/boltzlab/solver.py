@@ -322,6 +322,11 @@ class PhaseField:
         return self._sup
 
 
+def _profile_or_zero(field: PhaseField):
+    """A field's profile phi, or phi = 0 for a field without one."""
+    return field.profile or (lambda P: np.zeros(P.shape[0]))
+
+
 # ---------------------------------------------------------------------------
 # boundary data
 # ---------------------------------------------------------------------------
@@ -388,11 +393,16 @@ class PicardOptions:
 
 @dataclass
 class ConvergenceReport:
+    """A solve's iteration record and residuals: deltas[k - 1] = sup|G_k -
+    G_{k-1}| of each round k, their contraction ratio, the sampled PDE
+    residual and the sups of F and G.  The discrete fixed-point defect
+    sup|T(G) - G| is not part of it: it costs one more map application,
+    which Solver.defect makes on request."""
+
     iterations: int
     deltas: np.ndarray
     converged: bool
     ratio: float
-    residual_discrete: float
     residual_pde: float
     sup_F: float
     sup_G: float
@@ -785,17 +795,18 @@ class Solver:
     """Picard solves of any number of boundary data under one (spec, grid,
     rule, options).
 
-    The set-up that does not depend on the data is built once, on the
-    first solve, after the first data have passed the smallness check: the
-    admissibility verdict, the velocity tables of the active v-nodes
-    (_PicardTables) with their CSR stencil operators (sparsity pattern and
-    corner weights), the chord table of the grid (_ChordTable), and the
-    residual sample points with the velocity tables at their velocities
-    (_residual_samples, _sample_pde_residual).  Each source
-    keeps its own transported data F0, which its collision stages add
-    after the products and its first iterate sums alone, and its own
-    stopping test and defect application, so a source's iterates do not
-    depend on the other sources solved with it.
+    The set-up that does not depend on the data is built once, on first
+    use (for a solve, after the first data have passed the smallness
+    check): the admissibility verdict, the velocity tables of the active
+    v-nodes (_PicardTables) with their CSR stencil operators (sparsity
+    pattern and corner weights), the chord table of the grid
+    (_ChordTable), and the residual sample points with the velocity tables
+    at their velocities (_residual_samples, _sample_pde_residual).  Each
+    source keeps its own transported data F0, which its collision stages
+    add after the products and its first iterate sums alone, and its own
+    stopping test, at which it stops, so a source's iterates do not depend
+    on the other sources solved with it.  The discrete fixed-point defect
+    of a field is one more map application, made on request (defect).
     """
 
     def __init__(self, spec: KernelSpec, grid: PhaseGrid,
@@ -818,8 +829,10 @@ class Solver:
         Round 1 is closed form: tau_- times Q(phi, phi), which
         _collision_q0 sums from the source's F0 tables on the collision
         stage's folded rule (_tau_q0).  Each later round applies the map
-        once to every source still iterating or owing its defect
-        application: a collision stage per source, one line stage for all.
+        once to every source still iterating (_apply_map); a source leaves
+        the rounds at its stopping test, so a source that stops at round k
+        costs k - 1 map applications.  Every report keeps the deltas and
+        their ratio; the fixed-point defect of a result is defect(field).
 
         Raises PreconditionError for the first source above the smallness
         threshold, then for a kernel that fails the admissibility check.
@@ -832,26 +845,19 @@ class Solver:
         for g in gs:
             self._check_smallness(g)
         self._check_admissibility()
-        tables, ops = self._setup()
-        chords = self._chords
-        grid, opts = self.grid, self.opts
-        runs = [_SourceRun(g, grid, tables, opts) for g in gs]
+        tables, _ = self._setup()
+        opts = self.opts
+        runs = [_SourceRun(g, self.grid, tables, opts) for g in gs]
         for run in runs:
             Q0 = _collision_q0(tables, *run.f0_tables)
-            run.advance(_tau_q0(Q0, chords), 1)
-
-        def collision(run):
-            Q = _collision_stage_sparse(run.G, tables, ops, *run.f0_tables)
-            return grid.fill_fringe(Q, axis=1)
+            run.advance(_tau_q0(Q0, self._chords), 1)
 
         live, k = runs, 1
-        while live:
+        while live := [run for run in live if run.iterations is None]:
             k += 1
-            Gs = _line_stage_np([collision(run) for run in live], chords)
+            Gs = self._apply_map([(run.G, run.f0_tables) for run in live])
             for run, Gn in zip(live, Gs):
-                grid.fill_fringe(Gn)
                 run.advance(Gn, k)
-            live = [run for run in live if run.resid_disc is None]
 
         results = [run.result(self._residual, t_start) for run in runs]
         for i, (run, (_, report)) in enumerate(zip(runs, results)):
@@ -862,6 +868,29 @@ class Solver:
                     "kernel mass" % (opts.tol, opts.max_iter, run.deltas[-1]),
                     report=report, index=i)
         return results
+
+    def defect(self, field: PhaseField) -> float:
+        """The discrete fixed-point defect sup|T(G) - G| of a field on this
+        solver's grid, G its values and phi its profile (none: phi = 0),
+        from one map application (_apply_map)."""
+        if field.grid is not self.grid:
+            raise PreconditionError("the field is not on this solver's grid")
+        tables, _ = self._setup()
+        f0_tables = tables.f0_tables_velocity_only(_profile_or_zero(field))
+        (Gn,) = self._apply_map([(field.values, f0_tables)])
+        return _sup_abs(Gn - field.values)
+
+    def _apply_map(self, fields):
+        """The Picard map T at each (G, F0 tables) of `fields`: a collision
+        stage per field and one line stage for all, each Q and each output
+        filled onto the fringe; returns the outputs in order."""
+        grid, tables, ops = self.grid, self._tables, self._ops
+        Qs = [grid.fill_fringe(_collision_stage_sparse(G, tables, ops, *f0),
+                               axis=1) for G, f0 in fields]
+        Gs = _line_stage_np(Qs, self._chords)
+        for Gn in Gs:
+            grid.fill_fringe(Gn)
+        return Gs
 
     def _check_smallness(self, g):
         opts = self.opts
@@ -906,14 +935,9 @@ class _SourceRun:
         self.deltas = []
         self.iterations = None
         self.converged = False
-        self.resid_disc = None
 
     def advance(self, Gn, k):
-        """Take the map's output of round k: an iterate until the source
-        stops, then its discrete fixed-point defect."""
-        if self.iterations is not None:
-            self.resid_disc = _sup_abs(Gn - self.G)
-            return
+        """Take the iterate of round k and apply the stopping test."""
         delta = _sup_abs(Gn - self.G)
         self.deltas.append(delta)
         self.G = Gn
@@ -932,7 +956,7 @@ class _SourceRun:
         report = ConvergenceReport(
             iterations=self.iterations, deltas=np.array(self.deltas),
             converged=self.converged, ratio=_contraction_ratio(self.deltas),
-            residual_discrete=self.resid_disc, residual_pde=resid_pde,
+            residual_pde=resid_pde,
             sup_F=sup_F, sup_G=sup_G,
             runtime=time.perf_counter() - t_start)
         return field, report
@@ -1007,8 +1031,8 @@ def _residual_collision(field: PhaseField, X, tables):
     for w, off in _corner_weights(tx.T, grid.x_strides):
         T += w[:, None] * G[x_base + off]
     T = T.ravel()
-    phi = field.profile or (lambda P: np.zeros(P.shape[0]))
-    F0V, F0U, F0UP, F0VP = tables.f0_tables_velocity_only(phi)
+    F0V, F0U, F0UP, F0VP = tables.f0_tables_velocity_only(
+        _profile_or_zero(field))
     # the first entry of each sample's row of T, per velocity read
     row = np.arange(n) * NVF
 

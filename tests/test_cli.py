@@ -124,6 +124,7 @@ def test_validation_rejects_bad_values():
         ({"inflow": {"center": ["east", 0.0]}}, r"inflow\.center"),
         ({"inflow": {"center": 1.0}}, r"inflow\.center"),
         ({"reconstruct": {"etas": [0.4, "0.2x"]}}, r"reconstruct\.etas"),
+        ({"reconstruct": {"etas": [0.5, 0.2]}}, r"^reconstruct\.etas .*coarse"),
         ({"domain": {"radius": "one"}}, r"domain\.radius"),
         ({"domain": {"radius": -1}}, r"domain\.radius"),
         ({"domain": {"radius": 0}}, r"domain\.radius"),
@@ -200,15 +201,17 @@ def test_probe_generator_rejects_etas_by_scale_not_by_seed(tmp_path,
     # v_min = 1.2 leaves a speed annulus no probe of the default etas fits
     with pytest.raises(ConfigurationError, match=r"^reconstruct\.n_probes "):
         _generate_probes(np.random.default_rng(0), 5, 2, 0.4, 2.0, 1.2)
-    # through the CLI: the run stops at the reconstruct stage with the key
-    # on stderr and no traceback
+    # through the CLI: the config is refused at load, before any stage
+    # runs or the --out directory is made, with the key on stderr and no
+    # traceback
     path = write_config(tmp_path / "c.json", {
-        "version": 1, "output_dir": str(tmp_path / "run"),
-        "reconstruct": {"etas": [0.5, 0.2]}})
-    assert main(["run", path]) == 1
+        "version": 1, "reconstruct": {"etas": [0.5, 0.2]}})
+    out = tmp_path / "run"
+    assert main(["run", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: reconstruct.etas ") and "coarse" in err
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_file_round_trip_and_overrides(tmp_path):

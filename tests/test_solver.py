@@ -3,6 +3,7 @@ import gc
 import itertools
 import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -732,10 +733,13 @@ def test_picard_solve_leaves_no_garbage_cycles():
 def test_picard_residuals():
     grid = PhaseGrid(DISK, 12, 12, R_v=2.0)
     g = _bump_profile(3e-3)
-    F, rep = picard_solve(SMALL_KERNEL, g, grid, _small_rule(),
-                          PicardOptions())
+    solver_ = Solver(SMALL_KERNEL, grid, _small_rule(), PicardOptions())
+    F, rep = solver_.solve(g)
     scale = max(1.0, rep.sup_F)
-    assert rep.residual_discrete < 10 * 1e-12 * scale
+    assert solver_.defect(F) < 10 * 1e-12 * scale
+    with pytest.raises(PreconditionError, match="grid"):
+        Solver(SMALL_KERNEL, PhaseGrid(DISK, 12, 12, R_v=2.0),
+               _small_rule()).defect(F)
     # the sampled transport residual probes interpolation error of the
     # gridded correction; it is small relative to the data, not to tol
     assert rep.residual_pde < 1e-3
@@ -806,8 +810,7 @@ def _assert_same_solve(got, want):
     assert rep.iterations == repw.iterations
     assert rep.converged == repw.converged
     assert np.array_equal(rep.deltas, repw.deltas)
-    for name in ("residual_discrete", "residual_pde", "sup_F", "sup_G",
-                 "ratio"):
+    for name in ("residual_pde", "sup_F", "sup_G", "ratio"):
         assert getattr(rep, name) == getattr(repw, name), name
 
 
@@ -819,10 +822,12 @@ def _default_setup():
     return cfg, cfg.build_solver()
 
 
-def test_solve_many_matches_independent_solves_on_default_triple():
+def test_solve_many_matches_independent_solves_on_default_triple(
+        monkeypatch):
     # the default run's first linearize triple: combined, first and second
-    # data at eps = (1e-2, 1e-2) need 4, 3 and 3 iterations, so the rounds
-    # run three, then one source, plus the defect applications
+    # data at eps = (1e-2, 1e-2) need 4, 3 and 3 iterations; round 1 is
+    # closed form, rounds 2 and 3 apply the map to all three sources and
+    # round 4 to the first alone: 7 collision stages in 3 line stages
     from boltzlab.cli import _quartic_source
     from boltzlab.linearize import _scaled_source
 
@@ -833,8 +838,15 @@ def test_solve_many_matches_independent_solves_on_default_triple():
     e1, e2 = lin["eps1"], lin["eps2"]
     triple = [_scaled_source(g1, g2, e1, e2), _scaled_source(g1, g2, e1, 0.0),
               _scaled_source(g1, g2, 0.0, e2)]
+    calls = Counter()
+    for name in ("_collision_stage_sparse", "_line_stage_np"):
+        def counted(*args, _name=name, _stage=getattr(solver, name)):
+            calls[_name] += 1
+            return _stage(*args)
+        monkeypatch.setattr(solver, name, counted)
     results = solver_.solve_many(triple)
     assert [rep.iterations for _, rep in results] == [4, 3, 3]
+    assert calls == {"_collision_stage_sparse": 7, "_line_stage_np": 3}
     for g, got in zip(triple, results):
         _assert_same_solve(got, picard_solve(solver_.spec, g, solver_.grid,
                                              solver_.rule, solver_.opts))
@@ -905,8 +917,6 @@ def test_solve_many_error_order():
         picard_solve(SMALL_KERNEL, large, grid, rule, opts)
     assert str(ei.value) == str(ref.value)
     assert np.array_equal(ei.value.report.deltas, ref.value.report.deltas)
-    assert ei.value.report.residual_discrete == \
-        ref.value.report.residual_discrete
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,10 @@ def test_nnz_hook_accepts_stencil_operators():
 
 def test_one_solve_reaches_solver_spans():
     tracing = _tracing()
-    phi = lambda V: 3e-3 * np.exp(-np.sum((V - 0.5) ** 2, axis=-1))
+    # a quartic exponent, not a Gaussian: a Maxwellian's Q(M, M) vanishes,
+    # so a Gaussian's solve stops at its closed-form first round and never
+    # reaches the collision and line stages
+    phi = lambda V: 3e-3 * np.exp(-(np.sum((V - 0.5) ** 2, axis=-1) ** 2))
     g = BoundarySource.from_velocity_profile(phi, sup=3e-3)
     mocks = {}
     with contextlib.ExitStack() as stack:
@@ -82,5 +85,6 @@ def test_one_solve_reaches_solver_spans():
                 owner, attr, autospec=True, side_effect=getattr(owner, attr)))
         _, report = _small_solver().solve(g)
     assert report.converged and report.residual_pde > 0.0
+    assert report.iterations >= 2
     for name, spy in mocks.items():
         assert spy.called, name

@@ -12,9 +12,10 @@ The collision operator is kept in its two-field (bilinear) form
     Q(H1, H2)(v) = int int B(v, u, w) [H1(u') H2(v') - H1(u) H2(v)] dw du,
 
 with Q(F, F) as the diagonal; the linearization machinery needs the
-off-diagonal evaluations.  `collision_Q` evaluates it at a batch of points:
-the second-order source takes the symmetrized off-diagonal sum, the
-solver's reference collision stage the diagonal.
+off-diagonal evaluations.  `collision_Q` evaluates it for fields of
+velocity at a batch of velocities: the second-order source takes the
+symmetrized off-diagonal sum, the solver's reference collision stage the
+diagonal at each spatial node, with F read at that node.
 """
 from __future__ import annotations
 
@@ -266,9 +267,9 @@ class QuadratureRule:
     omega_weights: np.ndarray
     u_nodes: np.ndarray
     u_weights: np.ndarray
-    sphere_order: int = 0
-    radial_order: int = 0
-    angular_order: int = 0
+    sphere_order: int
+    radial_order: int
+    angular_order: int
 
     @classmethod
     def build(cls, dim: int, sphere_order: int, radial_order: int,
@@ -321,16 +322,13 @@ def admissibility_check(spec: KernelSpec, domain, rule: QuadratureRule,
 # ---------------------------------------------------------------------------
 
 
-def collision_Q(H1, H2, V, spec: KernelSpec, rule: QuadratureRule, X=None):
+def collision_Q(H1, H2, V, spec: KernelSpec, rule: QuadratureRule):
     """Two-field collision integral Q(H1, H2) at a batch of velocities V
     (N, dim), under the rule's (u, omega) quadrature; returns (N,).
 
-    ``H1`` / ``H2`` are callables (X, P) -> arrays of values at paired
-    points.  ``X`` (N, dim) holds the spatial point of each velocity, which
-    each field is evaluated at, or is None for fields of v alone (the
-    callables then receive None).  The fields must be evaluable at every
-    post-collision velocity the rule generates (up to sqrt(2) times the
-    largest speed).
+    ``H1`` / ``H2`` are fields of velocity: callables P (M, dim) -> (M,)
+    values, any array-like, evaluable at every post-collision velocity the
+    rule generates (up to sqrt(2) times the largest speed).
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     n, d = V.shape
@@ -340,15 +338,13 @@ def collision_Q(H1, H2, V, spec: KernelSpec, rule: QuadratureRule, X=None):
     om = rule.omega_nodes[None, None, :, :]
     v = V[:, None, None, :]
     up, vp = post_collision(u, v, om)
-    if X is None:
-        X_uw = X_u = None
-    else:
-        X_uw = np.repeat(X, nu * nw, axis=0)
-        X_u = np.repeat(X, nu, axis=0)
-    gain = (H1(X_uw, up.reshape(-1, d)).reshape(n, nu, nw)
-            * H2(X_uw, vp.reshape(-1, d)).reshape(n, nu, nw))
-    U_n = np.broadcast_to(U, (n, nu, d)).reshape(-1, d)
-    loss = H1(X_u, U_n).reshape(n, nu, 1) * H2(X, V).reshape(n, 1, 1)
+
+    def at(H, P, shape):
+        return np.asarray(H(P), dtype=float).reshape(shape)
+
+    gain = (at(H1, up.reshape(-1, d), (n, nu, nw))
+            * at(H2, vp.reshape(-1, d), (n, nu, nw)))
+    loss = at(H1, U, (1, nu, 1)) * at(H2, V, (n, 1, 1))
     B = kernel_eval(spec, v, u, om)
     w = rule.u_weights[:, None] * rule.omega_weights[None, :]
     return np.sum(B * w * (gain - loss), axis=(1, 2))

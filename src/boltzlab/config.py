@@ -174,6 +174,17 @@ def _validate(d: dict):
         _require(len(lin[key]) == dom["dim"],
                  f"linearize.{key} length must match domain.dim")
 
+    # the Solver's smallness check, at load: the forward stage's data have
+    # sup amplitude, the first FD pair's combined data sup eps1 + eps2
+    small = s["smallness_threshold"]
+    _require(inf["amplitude"] <= small,
+             f"inflow.amplitude {inf['amplitude']:.3g} exceeds "
+             f"solver.smallness_threshold {small:.3g}")
+    _require(lin["eps1"] + lin["eps2"] <= small,
+             f"linearize.eps1 + linearize.eps2 = "
+             f"{lin['eps1'] + lin['eps2']:.3g} exceeds "
+             f"solver.smallness_threshold {small:.3g}")
+
     r = d["reconstruct"]
     etas = r["etas"]
     _require(len(etas) >= 2 and all(e > 0 for e in etas)

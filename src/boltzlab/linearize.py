@@ -42,11 +42,8 @@ def second_order_source(phi1, phi2, V, spec: KernelSpec,
 
     under the supplied quadrature rule (collision.collision_Q).
     """
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    f1 = lambda _, P: np.asarray(phi1(P), dtype=float)
-    f2 = lambda _, P: np.asarray(phi2(P), dtype=float)
-    return (collision_Q(f1, f2, V, spec, rule)
-            + collision_Q(f2, f1, V, spec, rule))
+    return (collision_Q(phi1, phi2, V, spec, rule)
+            + collision_Q(phi2, phi1, V, spec, rule))
 
 
 def w_quadrature(phi1, phi2, spec: KernelSpec, rule: QuadratureRule,

@@ -19,7 +19,6 @@ which is evaluated where it is needed and never gridded.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,14 +273,12 @@ class PhaseField:
         self.grid = grid
         self.values = values
         self.profile = profile
-        self._sup = None
 
     def eval(self, x, v):
-        """Evaluate at points; x and v broadcast ((d,) or (N,d))."""
+        """Evaluate at points; x and v broadcast ((d,) or (N,d)).  Returns
+        an (N,) array, (1,) for a single point."""
         X = np.atleast_2d(np.asarray(x, dtype=float))
         V = np.atleast_2d(np.asarray(v, dtype=float))
-        scalar = X.shape[0] == 1 and V.shape[0] == 1 and \
-            np.asarray(x).ndim == 1 and np.asarray(v).ndim == 1
         if X.shape[0] != V.shape[0]:
             X, V = np.broadcast_arrays(X, V)
         g = self.grid
@@ -296,8 +293,6 @@ class PhaseField:
         out = _interp_flat(self.values.ravel(), base, fracs, strides)
         if self.profile is not None:
             out = np.asarray(self.profile(V), dtype=float) + out
-        if scalar:
-            return float(out[0])
         return out
 
     def _node_values(self, v_idx):
@@ -316,10 +311,8 @@ class PhaseField:
         return F
 
     def sup_norm(self) -> float:
-        """Sup of |F| over the active grid nodes (cached)."""
-        if self._sup is None:
-            self._sup = _sup_abs(self._node_values(self.grid.v_active_idx))
-        return self._sup
+        """Sup of |F| over the active grid nodes."""
+        return _sup_abs(self._node_values(self.grid.v_active_idx))
 
 
 def _profile_or_zero(field: PhaseField):
@@ -395,7 +388,7 @@ class PicardOptions:
 class ConvergenceReport:
     """A solve's iteration record and residuals: deltas[k - 1] = sup|G_k -
     G_{k-1}| of each round k, their contraction ratio, the sampled PDE
-    residual and the sups of F and G.  The discrete fixed-point defect
+    residual and the sup of F.  The discrete fixed-point defect
     sup|T(G) - G| is not part of it: it costs one more map application,
     which Solver.defect makes on request."""
 
@@ -405,8 +398,6 @@ class ConvergenceReport:
     ratio: float
     residual_pde: float
     sup_F: float
-    sup_G: float
-    runtime: float
 
 
 def _contraction_ratio(deltas) -> float:
@@ -590,7 +581,7 @@ def _collision_stage_np(G, tables, g, spec, rule):
     grid = tables.grid
     Q = np.zeros((grid.NVF, grid.NXF))
     for p in grid.x_active_idx:
-        def F(_, P, Gr=G[p]):
+        def F(P, Gr=G[p]):
             return g(P) + _interp_flat(Gr, *grid.v_stencil(P),
                                        grid.v_strides)
         Q[grid.v_active_idx, p] = collision_Q(F, F, tables.Vg, spec, rule)
@@ -840,7 +831,6 @@ class Solver:
         and ConvergenceError is raised for the first of them in input order,
         with its report attached and its position in `index`.
         """
-        t_start = time.perf_counter()
         gs = list(gs)
         for g in gs:
             self._check_smallness(g)
@@ -859,7 +849,7 @@ class Solver:
             for run, Gn in zip(live, Gs):
                 run.advance(Gn, k)
 
-        results = [run.result(self._residual, t_start) for run in runs]
+        results = [run.result(self._residual) for run in runs]
         for i, (run, (_, report)) in enumerate(zip(runs, results)):
             if not report.converged:
                 raise ConvergenceError(
@@ -947,18 +937,13 @@ class _SourceRun:
         elif k >= self.opts.max_iter:
             self.iterations = k
 
-    def result(self, residual, t_start):
-        grid, G = self.grid, self.G
-        field = PhaseField(grid, G, profile=self.g)
-        sup_G = _sup_abs(G)
-        sup_F = field.sup_norm()
-        resid_pde = _sample_pde_residual(field, *residual)
+    def result(self, residual):
+        field = PhaseField(self.grid, self.G, profile=self.g)
         report = ConvergenceReport(
             iterations=self.iterations, deltas=np.array(self.deltas),
             converged=self.converged, ratio=_contraction_ratio(self.deltas),
-            residual_pde=resid_pde,
-            sup_F=sup_F, sup_G=sup_G,
-            runtime=time.perf_counter() - t_start)
+            residual_pde=_sample_pde_residual(field, *residual),
+            sup_F=field.sup_norm())
         return field, report
 
 
@@ -1018,11 +1003,12 @@ def _residual_samples(grid):
 
 def _residual_collision(field: PhaseField, X, tables):
     """Q(F, F) at the residual samples (X, V), (n,), from `tables`, the
-    velocity tables at V = tables.Vg: collision_Q(field.eval, field.eval, V,
-    spec, rule, X) to rounding, by _collision_q0's formula with H = F0 + G.
-    G is read once per sample in x, into a table with one row per sample,
-    (n, NVF), and at each collision velocity from its sample's row through
-    its velocity stencil (2^d corners; the u-nodes' from the tables)."""
+    velocity tables at V = tables.Vg: per sample (x, v), collision_Q at v
+    on the field P -> field.eval(x, P), to rounding, by _collision_q0's
+    formula with H = F0 + G.  G is read once per sample in x, into a table
+    with one row per sample, (n, NVF), and at each collision velocity from
+    its sample's row through its velocity stencil (2^d corners; the
+    u-nodes' from the tables)."""
     G, grid = field.values, field.grid
     n, NVF = tables.Vg.shape[0], grid.NVF
     ix, tx, _ = _locate_axis(grid.x_axis, X)

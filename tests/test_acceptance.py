@@ -159,8 +159,8 @@ def test_criterion_03_collision_invariant_exactness():
     mesh = np.meshgrid(ax, ax, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
 
-    const = lambda X, P: np.full(P.shape[0], 0.7)
-    maxw = lambda X, P: np.exp(-np.sum(P * P, axis=-1))
+    const = lambda P: np.full(P.shape[0], 0.7)
+    maxw = lambda P: np.exp(-np.sum(P * P, axis=-1))
     # blocks of at most 64 velocities bound the (v, u, omega) temporaries
     blocks = [nodes[i:i + 64] for i in range(0, len(nodes), 64)]
     q_const = np.concatenate([collision_Q(const, const, V, spec, rule)

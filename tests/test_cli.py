@@ -132,6 +132,9 @@ def test_validation_rejects_bad_values():
         ({"grid": {"nv": 5}}, r"^grid\.v_min "),
         ({"linearize": {"eps1": -1}}, r"^linearize\.eps1 "),
         ({"linearize": {"eps2": 0}}, r"^linearize\.eps2 "),
+        # data the solver's smallness check would refuse mid-run
+        ({"inflow": {"amplitude": 0.5}}, r"^inflow\.amplitude "),
+        ({"linearize": {"eps1": 0.02, "eps2": 0.02}}, r"^linearize\.eps1 "),
         ({"grid": 3}, r"^grid "),
         ({"domain": {"dim": 2.0}}, r"domain\.dim"),
         ({"solver": {"tol": None}}, r"solver\.tol"),
@@ -160,6 +163,9 @@ def test_validation_rejects_bad_values():
         doc.update(patch)
         with pytest.raises(ConfigurationError, match=pattern):
             config_from_dict(doc)
+    # data at the smallness threshold pass, as in the solver
+    config_from_dict({"version": 1, "inflow": {"amplitude": 0.03},
+                      "linearize": {"eps1": 0.015, "eps2": 0.015}})
 
 
 def test_v_min_must_leave_residual_sample_speeds(tmp_path, capsys):
@@ -501,6 +507,19 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
     bad = write_config(tmp_path / "bad.json",
                        {"version": 1, "grid": {"nx": 1}})
     assert main(["run", bad]) == 1
+    assert capsys.readouterr().err.startswith("error: grid.nx ")
+
+    # data the solver's smallness check would refuse are refused at load,
+    # before any stage runs or the --out directory is made, naming the key
+    for patch, key in (({"inflow": {"amplitude": 0.5}}, "inflow.amplitude"),
+                       ({"linearize": {"eps1": 0.02, "eps2": 0.02}},
+                        "linearize.eps1")):
+        bad = write_config(tmp_path / "bad.json", {"version": 1, **patch})
+        out = tmp_path / "run"
+        assert main(["run", bad, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s " % key) and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_subcommands_enable_only_their_stages(tmp_path):

@@ -226,10 +226,10 @@ def test_collision_Q_annihilates_constants_and_maxwellian():
                                 angular_order=12, R_v=2.0)
     spec = KernelSpec("omega_independent_poly", dim=2)
     V = np.array([[0.4, -0.1], [-1.2, 0.7], [0.0, 1.5]])
-    const = lambda X, P: np.full(P.shape[0], 0.7)
+    const = lambda P: np.full(P.shape[0], 0.7)
     assert np.array_equal(collision_Q(const, const, V, spec, rule),
                           np.zeros(3))
-    maxw = lambda X, P: np.exp(-np.sum(P * P, axis=-1))
+    maxw = lambda P: np.exp(-np.sum(P * P, axis=-1))
     assert np.max(np.abs(collision_Q(maxw, maxw, V, spec, rule))) < 1e-12
 
 
@@ -240,33 +240,14 @@ def test_collision_Q_bilinear_closed_form():
     rule = QuadratureRule.build(2, sphere_order=8, radial_order=3,
                                 angular_order=8, R_v=1.0)
     spec = KernelSpec("constant", dim=2, params={"value": 1.0})
-    H1 = lambda X, P: 1.0 + P[..., 0]
-    H2 = lambda X, P: np.ones(P.shape[0])
+    H1 = lambda P: 1.0 + P[..., 0]
+    H2 = lambda P: np.ones(P.shape[0])
     V = np.array([[0.3, -0.2], [-0.5, 0.1]])
     q = collision_Q(H1, H2, V, spec, rule)
     assert np.max(np.abs(q - np.pi**2 * V[:, 0])) < 1e-12
 
     # bilinearity in the first slot
-    H1s = lambda X, P: 2.5 * (1.0 + P[..., 0])
+    H1s = lambda P: 2.5 * (1.0 + P[..., 0])
     assert np.max(np.abs(collision_Q(H1s, H2, V, spec, rule) - 2.5 * q)) \
         < 1e-12
 
-
-def test_collision_Q_evaluates_fields_at_their_own_x():
-    # H(x, v) = (1 + x0) phi(v) gives Q(H, H)(x, v) = (1 + x0)^2 Q(phi, phi)(v)
-    rule = QuadratureRule.build(2, sphere_order=8, radial_order=3,
-                                angular_order=8, R_v=2.0)
-    spec = KernelSpec("omega_independent_poly", dim=2)
-    # not a Maxwellian, so Q(phi, phi) does not vanish
-    phi = lambda P: np.exp(-np.sum((P - 0.3) ** 2, axis=-1) ** 2 / 0.25)
-    rng = np.random.default_rng(4)
-    V = rng.uniform(-1.0, 1.0, (7, 2))
-    X = np.column_stack([np.linspace(-0.9, 0.9, 7), rng.uniform(-1, 1, 7)])
-
-    H = lambda Xq, P: (1.0 + Xq[:, 0]) * phi(P)
-    got = collision_Q(H, H, V, spec, rule, X)
-    q_phi = collision_Q(lambda _, P: phi(P), lambda _, P: phi(P), V, spec,
-                        rule)
-    want = (1.0 + X[:, 0]) ** 2 * q_phi
-    assert np.max(np.abs(q_phi)) > 1e-2
-    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))

@@ -350,8 +350,7 @@ def test_first_iterate_is_tau_times_q0(monkeypatch):
         X = grid.x_nodes[grid.x_active_idx]
         V = grid.v_nodes[grid.v_active_idx]
         tau = exit_times(grid.domain, X[None, :, :], V[:, None, :], sign=-1)
-        phi = lambda _, P: g(P)
-        Q0 = collision_Q(phi, phi, V, spec, rule)
+        Q0 = collision_Q(g, g, V, spec, rule)
         want = np.zeros((grid.NXF, grid.NVF))
         want[np.ix_(grid.x_active_idx, grid.v_active_idx)] = \
             (tau * Q0[:, None]).T
@@ -762,8 +761,9 @@ def test_picard_residual_sampling_on_coarse_grid_returns():
 
 def test_residual_collision_matches_collision_q():
     # the residual's Q(F, F), read through one row of G per sample, against
-    # collision_Q on the field's own eval, at every sample: the central
-    # difference dominates the residual's max, so the Q values are compared
+    # collision_Q at each sample (x, v) on the field P -> F.eval(x, P): the
+    # central difference dominates the residual's max, so the Q values are
+    # compared
     rng = np.random.default_rng(17)
     for spec, grid, rule, center, _ in _stage_cases():
         g = _bump_profile(3e-3, center=center)
@@ -771,7 +771,10 @@ def test_residual_collision_matches_collision_q():
         tables = _PicardTables(spec, grid, rule, V=V)
         F = PhaseField(grid, 1e-3 * rng.standard_normal((grid.NXF, grid.NVF)),
                        profile=g)
-        want = collision_Q(F.eval, F.eval, V, spec, rule, X)
+        want = np.empty(len(V))
+        for i, (x, v) in enumerate(zip(X, V)):
+            H = lambda P: F.eval(x, P)
+            want[i] = collision_Q(H, H, v, spec, rule)[0]
         got = solver._residual_collision(F, X, tables)
         assert np.max(np.abs(want)) > 1e-9
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -810,7 +813,7 @@ def _assert_same_solve(got, want):
     assert rep.iterations == repw.iterations
     assert rep.converged == repw.converged
     assert np.array_equal(rep.deltas, repw.deltas)
-    for name in ("residual_pde", "sup_F", "sup_G", "ratio"):
+    for name in ("residual_pde", "sup_F", "ratio"):
         assert getattr(rep, name) == getattr(repw, name), name
 
 

@@ -310,8 +310,7 @@ def admissibility_check(spec: KernelSpec, domain, rule: QuadratureRule,
     integ = np.empty(W.shape[0])
     for i, v in enumerate(W):
         B = kernel_eval(spec, v, rule.u_nodes[:, None, :], W[None, :, :])
-        integ[i] = float(np.sum(np.abs(B) * rule.u_weights[:, None]
-                                * rule.omega_weights[None, :]))
+        integ[i] = rule.u_weights @ np.abs(B) @ rule.omega_weights
     M = domain.diameter() * float(np.max(integ))
     return AdmissibilityReport(M_estimate=M, threshold=float(threshold),
                                passed=bool(M < threshold))

@@ -308,12 +308,9 @@ def _omega_windows(axis, half, nw):
     return np.concatenate(caps), np.concatenate(ws)
 
 
-# candidate (v, u, omega) triples per block of omega nodes in _gain_term;
-# each per-triple temporary of a block holds about this many values
-_TRIPLE_BLOCK = 1 << 15
 # largest (v, u) kernel table _gain_term evaluates in one kernel_eval call
 # (8 MB, with (v, u, d) temporaries of up to 24 MB); a larger one is left to
-# the per-triple path
+# the per-omega evaluation
 _KERNEL_TABLE_CELLS = 1 << 20
 
 
@@ -331,9 +328,8 @@ def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
 
     Support analysis fixes the quadrature region: omega within computable
     windows around +-unit(v_star - target_v), u within 3 eta of the
-    collision partner, v within eta of v_star.  Within it, the kernel is
-    evaluated only on the (v, u, omega) triples whose primed pair lands
-    inside both target bumps.
+    collision partner, v within eta of v_star.  Within it, the integrand
+    is formed only on each omega node's candidate table.
 
     Both bump radii are sums of a per-(omega, v) and a per-(omega, u)
     scalar.  With v' = v + c w, u' = u - c w, c = (u - v).w,
@@ -343,22 +339,23 @@ def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
         |u' - target_u|^2 = ((target_u - v).w)^2 + |b - (b.w) w|^2
 
     The second terms are the squared distances of target_v from the line
-    v + t w and of target_u from the line u + t w.  So the landing test
-    needs no (v, u, omega) product: per omega, a v can be in a landing
-    triple only if both of its scalars are below eta^2, and so can a u;
-    the test pairs those v with those u and compares the sums on these
-    pairs only.  The kept triples gather scalars, take one exp of the
-    summed bump exponents each, and the bump normalisation
-    (bump_mass eta^d)^2 is applied once at the end.  The result agrees
-    with the sum over the full (v, u, omega) product to within 1e-14
-    relative (rounding and summation order differ), and an integral that
-    is exactly 0.0 there stays exactly 0.0.
+    v + t w and of target_u from the line u + t w.  So per omega, a v can
+    be in a landing triple only if both of its scalars are below eta^2,
+    and so can a u.  Each omega node with candidates on both sides gets
+    one dense table, candidate v rows by candidate u columns: the two
+    bump radii are outer sums of the candidates' scalars, one exp of the
+    summed bump exponents per cell gives the bump product, and the table
+    times B reduces as bv @ (f * B) @ uw, times the omega weight.  The
+    bump normalisation (bump_mass eta^d)^2 is applied once at the end.
+    The result agrees with the sum over the full (v, u, omega) product to
+    within 1e-14 relative (rounding and summation order differ), and an
+    integral that is exactly 0.0 there stays exactly 0.0.
 
-    The kept triples read their factors from per-candidate arrays, and
-    a kernel that does not depend on omega is evaluated once, on the
-    (v, u) table of the two balls' nodes, each kept triple reading its
-    cell: B is an elementwise function of the same v and u bits, so every
-    summand, and the sum, is bitwise the per-triple evaluation's.
+    A kernel that does not depend on omega is evaluated once, on the
+    (v, u) table of the two balls' nodes, and each candidate table reads
+    its cells from it; any other kernel is evaluated per omega node on the
+    candidate table.  B is an elementwise function of the same v and u
+    bits either way, so every cell, and the sum, is bitwise the same.
     """
     dim = v_star.shape[0]
     d0 = float(np.linalg.norm(target_v - v_star))
@@ -373,14 +370,12 @@ def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
     upts, uw = _shifted_ball(partner, 3.0 * eta, nr, na)
     bv = mollifier(vpts - v_star, eta) * vw
 
-    # Why dropping triples changes nothing but rounding and the order of
-    # summation: the bump exp(-1/(1 - r^2)) is exactly 0.0 once
-    # 1 - r^2 < 1.34e-3, where the exponent passes -745 and exp underflows,
-    # so every (v, u, omega) summand with v' or u' outside its target bump
-    # is exactly 0.0.  The test keeps r^2 < 1 for both bumps, so the triples
-    # in the shell 1 - 1.34e-3 <= r^2 < 1 (a squared distance within
-    # 1.34e-3 eta^2 of the rim) are kept and reach the sum as exact 0.0
-    # summands; the sum of their two exponents underflows too.
+    # Why a table cell outside the landing set changes nothing but rounding
+    # and the order of summation: the bump exp(-1/(1 - r^2)) is exactly 0.0
+    # once 1 - r^2 < 1.34e-3, where the exponent passes -745 and exp
+    # underflows, and the clamped exponent is -1e300 for r^2 >= 1, so every
+    # cell whose v' or u' is outside its target bump holds exactly 0.0, and
+    # so does every (v, u, omega) summand the tables leave out.
     #
     # The line distances come from the perpendicular vectors a - (a.w) w,
     # not from |a|^2 - (a.w)^2, which cancels: |a| is of the order of the
@@ -397,61 +392,38 @@ def _gain_term(spec, v_star, target_v, target_u, eta, nr, na, nw):
     lu = (_line_dist2(b, om) / eta2).ravel()
     pv = ((om @ (upts - target_v).T) ** 2 / eta2).ravel()
     pu = ((om @ (target_u - vpts).T) ** 2 / eta2).ravel()
-    # per omega, the v and the u that can be part of a landing triple,
-    # as flat indices k * nv + iv and k * nu + iu in ascending order
-    cand_v = (lv < 1.0) & (pu < 1.0)
-    cand_u = (lu < 1.0) & (pv < 1.0)
-    jv, ju = np.flatnonzero(cand_v), np.flatnonzero(cand_u)
-    nvk = np.count_nonzero(cand_v.reshape(n_om, nv), axis=1)
-    nuk = np.count_nonzero(cand_u.reshape(n_om, nu), axis=1)
-    vstart = np.concatenate(([0], np.cumsum(nvk)))
-    ustart = np.cumsum(nuk) - nuk
-    # each candidate's omega node, ball node, own scalars and weights, by
-    # its position in jv or ju
-    kc, ivc = np.divmod(jv, nv)
-    iuc = ju % nu
+    # per omega, the v and the u that can be part of a landing triple, as
+    # flat indices k * nv + iv and k * nu + iu in ascending order; the
+    # candidates of omega node k sit at positions vb[k]:vb[k + 1] of jv
+    # and ub[k]:ub[k + 1] of ju
+    jv = np.flatnonzero((lv < 1.0) & (pu < 1.0))
+    ju = np.flatnonzero((lu < 1.0) & (pv < 1.0))
+    kv, ivc = np.divmod(jv, nv)
+    ku, iuc = np.divmod(ju, nu)
+    vb = np.searchsorted(kv, np.arange(n_om + 1))
+    ub = np.searchsorted(ku, np.arange(n_om + 1))
     lvc, puc, luc, pvc = lv[jv], pu[jv], lu[ju], pv[ju]
-    bvc, womc, uwc = bv[ivc], wom[kc], uw[iuc]
-    # blocks of whole omega nodes with about _TRIPLE_BLOCK candidates each
-    blocks, k0, size = [], 0, 0
-    for k, n in enumerate((nvk * nuk).tolist()):
-        if size and size + n > _TRIPLE_BLOCK:
-            blocks.append((k0, k))
-            k0, size = k, 0
-        size += n
-    blocks.append((k0, n_om))
+    bvc, uwc = bv[ivc], uw[iuc]
     Bvu = None
     if spec.is_omega_independent() and nv * nu <= _KERNEL_TABLE_CELLS:
-        # flat, so a pair reads its cell at iv * nu + iu
+        # flat, so a cell (iv, iu) reads iv * nu + iu
         Bvu = kernel_eval(spec, vpts[:, None, :], upts[None, :, :],
                           om[0]).ravel()
         rowc = ivc * nu
     total = 0.0
     # the kinematics stay here rather than in collision.collision_Q, which
-    # forms every (v, u, omega) triple: only the kept ones are formed
-    for k0, k1 in blocks:
-        # each candidate v with every candidate u of its omega, in
-        # (omega, v, u) order, as positions (qv, qu) in jv and ju: the
-        # pairs of the v at position q start at pair p0 and take the u
-        # from ustart[k] on, so pair p takes the u at ustart[k] + p - p0
-        q = np.arange(vstart[k0], vstart[k1])
-        kq = kc[q]
-        rep = nuk[kq]
-        shift = np.repeat(ustart[kq] - (np.cumsum(rep) - rep), rep)
-        qv = np.repeat(q, rep)
-        qu = np.arange(qv.size) + shift
-        r2v = pvc[qu] + lvc[qv]
-        r2u = puc[qv] + luc[qu]
-        keep = np.flatnonzero((r2v < 1.0) & (r2u < 1.0))
-        qv, qu = qv[keep], qu[keep]
-        f = np.exp(_bump_exponent(r2v[keep]) + _bump_exponent(r2u[keep]))
+    # forms every (v, u, omega) triple: only the candidate tables are formed
+    for k in np.flatnonzero((np.diff(vb) > 0) & (np.diff(ub) > 0)).tolist():
+        sv, su = slice(vb[k], vb[k + 1]), slice(ub[k], ub[k + 1])
+        r2v = pvc[su][None, :] + lvc[sv][:, None]
+        r2u = puc[sv][:, None] + luc[su][None, :]
+        f = np.exp(_bump_exponent(r2v) + _bump_exponent(r2u))
         if Bvu is None:
-            B = kernel_eval(spec, np.take(vpts, ivc[qv], axis=0),
-                            np.take(upts, iuc[qu], axis=0),
-                            np.take(om, kc[qv], axis=0))
+            B = kernel_eval(spec, vpts[ivc[sv], None, :],
+                            upts[None, iuc[su], :], om[k:k + 1])
         else:
-            B = Bvu[rowc[qv] + iuc[qu]]
-        total += float(np.sum(f * B * (bvc[qv] * uwc[qu]) * womc[qv]))
+            B = np.take(Bvu, rowc[sv][:, None] + iuc[su][None, :])
+        total += float(bvc[sv] @ (f * B) @ uwc[su] * wom[k])
     return total / (bump_mass(dim) * eta**dim) ** 2
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,8 +366,9 @@ TABLE_FAMILIES = {
 
 
 @pytest.mark.parametrize("case", ["2d_eta0.4", "2d_eta0.1", "2d_eta0.03",
-                                  "angular_bump", "3d", "angular_bump_3d",
-                                  "off_manifold", "off_manifold_3d",
+                                  "2d_resolved", "angular_bump", "3d",
+                                  "angular_bump_3d", "off_manifold",
+                                  "off_manifold_3d",
                                   "omega_independent_poly",
                                   "hard_potential_like", "gaussian_compact",
                                   "omega_independent_poly_3d",
@@ -393,6 +395,10 @@ def test_gain_term_matches_full_product(case):
         # the bump radii lose about 1e-12 relative if the line distances
         # are formed as |a|^2 - (a.w)^2 rather than from perpendicular vectors
         eta = 0.03
+    elif case == "2d_resolved":
+        # the orders that resolve eta * S_eta at the default config's etas,
+        # with 512 nodes per ball and the largest candidate tables
+        eta, orders = 0.1, (16, 32, 32)
     elif case == "angular_bump":
         # cos^2 between v0 - u0 and omega1 is 0.5, the centre of the bump
         spec, u0, eta = KernelSpec(dim=2, family="angular_bump"), U0, 0.2
@@ -464,6 +470,29 @@ def test_gain_term_kernel_table_is_bitwise_per_triple(dim, monkeypatch):
         triple = rc._gain_term(spec, vs, tv, tu, eta, *orders)
         assert triple.hex() == table[family].hex(), family
     assert calls and set(calls) == {2}
+
+
+@pytest.mark.parametrize("dim, orders, bound_mib", [(2, (16, 32, 32), 12.5),
+                                                    (3, (4, 6, 6), 5.18)],
+                         ids=["2d", "3d"])
+def test_mollified_S_temporary_memory(dim, orders, bound_mib):
+    # each bound is the peak of the flat (v, u, omega) pair arrays that the
+    # per-omega candidate tables replaced (13,102,150 and 5,428,364 bytes);
+    # the first call fills the quadrature caches and is not traced
+    if dim == 2:
+        probe = rc.Probe(VS, V0, U0, eta=0.2)
+    else:
+        probe = rc.Probe(np.array([1.0, 0.0, 0.0]), np.zeros(3),
+                         np.array([1.0, 2.0, 0.0]), eta=0.25)
+    spec = KernelSpec(dim=dim, family="constant", params={"value": 1.0})
+    rc.mollified_S(probe, spec, *orders)
+    tracemalloc.start()
+    try:
+        rc.mollified_S(probe, spec, *orders)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
 
 
 def test_gain_terms_swap_under_target_exchange():

@@ -12,10 +12,9 @@ The collision operator is kept in its two-field (bilinear) form
     Q(H1, H2)(v) = int int B(v, u, w) [H1(u') H2(v') - H1(u) H2(v)] dw du,
 
 with Q(F, F) as the diagonal; the linearization machinery needs the
-off-diagonal evaluations.  `collision_Q` evaluates it for fields of
-velocity at a batch of velocities: the second-order source takes the
-symmetrized off-diagonal sum, the solver's reference collision stage the
-diagonal at each spatial node, with F read at that node.
+off-diagonal sum.  The program sums Q on the solver's folded velocity
+tables; `collision_Q`, the sum over the full (v, u, w) product, is their
+reference, called only by the solver's reference collision stage.
 """
 from __future__ import annotations
 

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import KernelSpec, QuadratureRule, collision_Q
+from .collision import KernelSpec, QuadratureRule
 from .errors import ConvergenceError, PreconditionError
 from .geometry import Domain, exit_times
-from .solver import BoundarySource, Solver, boundary_trace
+from .solver import (BoundarySource, Solver, _collision_pair, _PicardTables,
+                     boundary_trace)
 
 __all__ = [
     "second_order_source", "FDConvergence", "w_quadrature",
@@ -33,17 +34,16 @@ __all__ = [
 
 def second_order_source(phi1, phi2, V, spec: KernelSpec,
                         rule: QuadratureRule) -> np.ndarray:
-    """Collision-bracket source of two first-order fields, the velocity
-    profiles phi1 and phi2 (callables of v), at the velocities V (N, d):
-
-        S(v) = Q(phi1, phi2) + Q(phi2, phi1)
-             = sum_u sum_omega B * [phi1(v')phi2(u') + phi1(u')phi2(v')
-                                    - phi1(u)phi2(v) - phi1(v)phi2(u)]
-
-    under the supplied quadrature rule (collision.collision_Q).
-    """
-    return (collision_Q(phi1, phi2, V, spec, rule)
-            + collision_Q(phi2, phi1, V, spec, rule))
+    """Collision-bracket source S = Q(phi1, phi2) + Q(phi2, phi1) of two
+    first-order fields, the velocity profiles phi1 and phi2 (callables of
+    v), at the velocities V (N, d) under the supplied quadrature rule: B
+    times phi1(u')phi2(v') + phi2(u')phi1(v') - phi1(u)phi2(v) -
+    phi2(u)phi1(v), summed on the velocity tables at V that the solver's Q
+    uses (solver._collision_pair)."""
+    tables = _PicardTables(spec, rule,
+                           np.atleast_2d(np.asarray(V, dtype=float)))
+    return _collision_pair(tables, tables.f0_tables_velocity_only(phi1),
+                           tables.f0_tables_velocity_only(phi2))
 
 
 def w_quadrature(phi1, phi2, spec: KernelSpec, rule: QuadratureRule,
@@ -99,16 +99,24 @@ def _scaled_source(g1: BoundarySource, g2: BoundarySource, e1: float,
                           sup_norm=e1 * g1.sup_norm + e2 * g2.sup_norm)
 
 
+def _check_pair(e1: float, e2: float):
+    """The mixed difference divides by e1 * e2, which must not be 0."""
+    if e1 * e2 == 0.0:
+        raise PreconditionError(f"amplitude pair {(e1, e2)}: e1 * e2 == 0")
+
+
 def mixed_difference(solver: Solver, g1: BoundarySource, g2: BoundarySource,
                      e1: float, e2: float, X, V):
     """Second mixed difference of the boundary map at outgoing samples:
     W = [A(e1 g1 + e2 g2) - A(e1 g1) - A(e2 g2)] / (e1 e2), with A(0) = 0.
 
     The combined, first and second data are solved in lockstep on
-    `solver`.  Returns (W, traces), their traces in that order.
-    A solve that does not converge raises ConvergenceError naming its data
-    and the amplitudes, with its report attached.
+    `solver`.  Returns (W, traces), their traces in that order.  A pair
+    with e1 * e2 == 0 raises PreconditionError before any solve; a solve
+    that does not converge raises ConvergenceError naming its data and the
+    amplitudes, with its report attached.
     """
+    _check_pair(e1, e2)
     labels = ("combined", "first", "second")
     sources = (_scaled_source(g1, g2, e1, e2), _scaled_source(g1, g2, e1, 0.0),
                _scaled_source(g1, g2, 0.0, e2))
@@ -133,7 +141,8 @@ def w_finite_difference(solver: Solver, g1: BoundarySource,
     For each pair, W_fd = [A(e1 g1 + e2 g2) - A(e1 g1) - A(e2 g2)] / (e1 e2)
     at the given samples (A(0) = 0).  The quadrature reference is computed
     once from the first-order fields, under the solver's kernel and rule.
-    An empty `pairs` raises PreconditionError.  The Solver raises
+    An empty `pairs`, or a pair with e1 * e2 == 0, raises PreconditionError
+    before any solve.  The Solver raises
     PreconditionError when the first pair's combined data exceeds the
     smallness threshold; a failed solve names the offending amplitudes.
     """
@@ -141,6 +150,8 @@ def w_finite_difference(solver: Solver, g1: BoundarySource,
     if not pairs:
         raise PreconditionError("w_finite_difference needs at least one "
                                 "amplitude pair")
+    for pair in pairs:
+        _check_pair(*pair)
     spec, rule, domain = solver.spec, solver.rule, solver.grid.domain
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))

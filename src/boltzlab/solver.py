@@ -411,26 +411,19 @@ def _contraction_ratio(deltas) -> float:
 
 
 class _PicardTables:
-    """The collision rule's velocity tables at the velocities Vg (n, d) where
-    Q is evaluated, by default the grid's active v-nodes: the omega classes
-    (reps), the folded gain weights Bw_fold (n, NU, classes), the loss
-    weights Bw_loss (n, NU), the u-nodes' stencil (ub, ufr), the distinct
-    points u' and v' of the gain rows (v, u, class) with each row's index
-    into them, and the tiles of those rows (_cut_tiles).  Of the grid they
-    read the velocity square."""
+    """The collision rule's velocity tables at the velocities V (n, d) where
+    Q is evaluated, kept as Vg: the omega classes (reps), the folded gain
+    weights Bw_fold (n, NU, classes), the loss weights Bw_loss (n, NU), the
+    distinct points u' and v' of the gain rows (v, u, class) with each
+    row's index into them, and the tiles of those rows (_cut_tiles).  They
+    read the kernel, the rule and V, and no grid."""
 
-    def __init__(self, spec, grid, rule, V=None):
-        self.grid = grid
-        dim = grid.dim
-        Vg = grid.v_nodes[grid.v_active_idx] if V is None else V
-        U = rule.u_nodes
-        W = rule.omega_nodes
-        NV, NU, NW = Vg.shape[0], U.shape[0], W.shape[0]
-
-        self.U = U
-        self.W = W
-        self.Vg = Vg
-        self.shape = (NV, NU, NW)
+    def __init__(self, spec, rule, V):
+        dim = rule.dim
+        self.U = U = rule.u_nodes
+        self.W = W = rule.omega_nodes
+        self.Vg = V
+        NV, NU, NW = self.shape = (V.shape[0], U.shape[0], W.shape[0])
 
         # omega and -omega give the same (u', v') pair, and in 2D, where
         # omega omega^T + omega_perp omega_perp^T = I, a quarter turn of
@@ -450,7 +443,7 @@ class _PicardTables:
                 rep_of[m] = hit[0]
         self.reps = np.unique(rep_of)
         self.v_block = max(1, _GAIN_ROW_BLOCK // (NU * self.reps.size))
-        Bw = kernel_eval(spec, Vg[:, None, None, :], U[None, :, None, :],
+        Bw = kernel_eval(spec, V[:, None, None, :], U[None, :, None, :],
                          W[None, None, :, :])
         Bw *= (rule.u_weights[:, None] * rule.omega_weights[None, :])[None, :, :]
         self.Bw_fold = np.stack([Bw[:, :, rep_of == r].sum(axis=2)
@@ -459,42 +452,37 @@ class _PicardTables:
         self.Bw_loss = Bw.sum(axis=2)
         del Bw
 
-        self.ub, self.ufr = grid.v_stencil(U)
-        if np.any(self.ub < 0):
-            raise PreconditionError("quadrature velocities exceed the grid square")
-
         # for fixed (v, omega) v' depends on u only through u.omega, and for
         # fixed (u, omega) u' on v only through v.omega, so the rows (v, u,
         # representative) of the gain repeat their points: keep each
         # distinct u' and v' point once, and the index of every row's point
-        UP, VP = _post_collision_velocities(Vg, U, W)
+        UP, VP = _post_collision_velocities(V, U, W)
         UP = UP[:, :, self.reps]
         VP = VP[:, :, self.reps]
         self.up_points, self.up_index = _distinct_points(UP.reshape(-1, dim))
         self.vp_points, self.vp_index = _distinct_points(VP.reshape(-1, dim))
         self.tiles = _cut_tiles(self, self.up_index, self.vp_index)
 
-    def stencil_operators(self):
-        """CSR operators of the u, u' and v' velocity stencils.
-
-        The stencils do not depend on x, so one set serves every spatial
-        row.  Returns (Su, [(tiles, Sup, Svp)]): Su has one row per u-node;
-        Sup and Svp have one row per distinct u' and v' point (up_points,
-        vp_points), the rows the tables' tiles index.
-        """
-        ncols = self.grid.NVF
-
+    def stencil_operators(self, grid):
+        """CSR operators of the u, u' and v' velocity stencils into the
+        grid's velocity square, which must hold every u-node.  The stencils
+        do not depend on x, so one set serves every spatial row.  Returns
+        (Su, [(tiles, Sup, Svp)]): Su has one row per u-node; Sup and Svp
+        have one row per distinct u' and v' point (up_points, vp_points),
+        the rows the tables' tiles index."""
         def csr(P):
-            base, fracs = self.grid.v_stencil(P)
-            return _stencil_csr(base, fracs, self.grid.v_strides, ncols)
+            return _stencil_csr(*grid.v_stencil(P), grid.v_strides, grid.NVF)
 
-        return (_stencil_csr(self.ub, self.ufr, self.grid.v_strides, ncols),
+        if np.any(grid.v_stencil(self.U)[0] < 0):
+            raise PreconditionError("quadrature velocities exceed the grid square")
+        return (csr(self.U),
                 [(self.tiles, csr(self.up_points), csr(self.vp_points))])
 
     def f0_tables_velocity_only(self, g):
         """Transported data F0 = phi at v, u and the distinct u' and v'
-        points: (F0V, F0U, F0UP, F0VP)."""
-        return g(self.Vg), g(self.U), g(self.up_points), g(self.vp_points)
+        points, as float arrays: (F0V, F0U, F0UP, F0VP)."""
+        return tuple(np.asarray(g(P), dtype=float) for P in
+                     (self.Vg, self.U, self.up_points, self.vp_points))
 
 
 def _cut_tiles(tables, iu, iv, nodes=None):
@@ -571,20 +559,19 @@ def _tau_q0(Q0, chords):
     return grid.fill_fringe(G1)
 
 
-def _collision_stage_np(G, tables, g, spec, rule):
+def _collision_stage_np(G, grid, g, spec, rule):
     """Reference collision stage: collision.collision_Q(F, F) at every
-    active spatial node p, with F(P) = g(P) + G[p] read through the grid's
+    active (x, v) node, with F(P) = g(P) + G[p] read through the grid's
     velocity stencil, the oracle the sparse stage is checked against.  It
-    takes nothing from the tables but the grid and the active v-nodes, so
-    its kinematics, kernel values and stencils are its own.  Returns Q
-    v-major, (NVF, NXF)."""
-    grid = tables.grid
+    takes no velocity table: its kinematics, kernel values and stencils
+    are its own.  Returns Q v-major, (NVF, NXF)."""
+    V = grid.v_nodes[grid.v_active_idx]
     Q = np.zeros((grid.NVF, grid.NXF))
     for p in grid.x_active_idx:
         def F(P, Gr=G[p]):
             return g(P) + _interp_flat(Gr, *grid.v_stencil(P),
                                        grid.v_strides)
-        Q[grid.v_active_idx, p] = collision_Q(F, F, tables.Vg, spec, rule)
+        Q[grid.v_active_idx, p] = collision_Q(F, F, V, spec, rule)
     return Q
 
 
@@ -620,8 +607,8 @@ def _live_tiles(tables, live, Sup, Svp, F0UP, F0VP):
     return _cut_tiles(tables, iu, iv, live), Sup, Svp, F0UP, F0VP
 
 
-def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
-    """Collision stage on blocks of _X_BLOCK spatial rows.
+def _collision_stage_sparse(G, grid, tables, ops, F0V, F0U, F0UP, F0VP):
+    """Collision stage on blocks of _X_BLOCK spatial rows of the grid.
 
     The velocity stencils are applied as the CSR operators `ops` (see
     _PicardTables.stencil_operators) to a block's rows of G at once, as
@@ -642,7 +629,6 @@ def _collision_stage_sparse(G, tables, ops, F0V, F0U, F0UP, F0VP):
     F0V, F0U, F0UP and F0VP are the transported data at v, u and the
     distinct u' and v' points, the tables of _PicardTables.
     """
-    grid = tables.grid
     Su, [(tiles, Sup, Svp)] = ops
     vact, xact = grid.v_active_idx, grid.x_active_idx
     live = _gain_live_nodes(G, tables, Sup, Svp, F0UP, F0VP)
@@ -678,6 +664,19 @@ def _collision_q0(tables, F0V, F0U, F0UP, F0VP):
     Q0 = -F0V * (tables.Bw_loss @ F0U)
     _add_folded_gain(Q0, tables, tables.tiles, F0UP, F0VP)
     return Q0
+
+
+def _collision_pair(tables, A, B):
+    """Q(a, b) + Q(b, a) at the tables' velocities, (n,), from the F0
+    tables A and B of two profiles: per gain row (v, u, class), Bw_fold
+    times a(u')b(v') + b(u')a(v') - a(u)b(v) - b(u)a(v), a bracket that a
+    swap of u' and v' keeps, with the loss inside so constants give 0.0."""
+    (AV, AU, AUP, AVP), (BV, BU, BUP, BVP) = A, B
+    iu, iv = tables.up_index, tables.vp_index
+    gain = AUP[iu] * BVP[iv] + BUP[iu] * AVP[iv]
+    loss = AU[None, :] * BV[:, None] + BU[None, :] * AV[:, None]
+    bracket = gain.reshape(tables.Bw_fold.shape) - loss[:, :, None]
+    return np.einsum("vur,vur->v", tables.Bw_fold, bracket)
 
 
 def _lerp_cell(Qflat, base, fracs, strides, corner=0):
@@ -875,8 +874,9 @@ class Solver:
         stage per field and one line stage for all, each Q and each output
         filled onto the fringe; returns the outputs in order."""
         grid, tables, ops = self.grid, self._tables, self._ops
-        Qs = [grid.fill_fringe(_collision_stage_sparse(G, tables, ops, *f0),
-                               axis=1) for G, f0 in fields]
+        Qs = [grid.fill_fringe(
+            _collision_stage_sparse(G, grid, tables, ops, *f0), axis=1)
+            for G, f0 in fields]
         Gs = _line_stage_np(Qs, self._chords)
         for Gn in Gs:
             grid.fill_fringe(Gn)
@@ -902,12 +902,13 @@ class Solver:
 
     def _setup(self):
         if self._tables is None:
-            tables = _PicardTables(self.spec, self.grid, self.rule)
-            self._ops = tables.stencil_operators()
-            self._chords = _ChordTable(self.grid)
-            X, V = _residual_samples(self.grid)
-            self._residual = X, _PicardTables(self.spec, self.grid,
-                                              self.rule, V=V)
+            grid = self.grid
+            tables = _PicardTables(self.spec, self.rule,
+                                   grid.v_nodes[grid.v_active_idx])
+            self._ops = tables.stencil_operators(grid)
+            self._chords = _ChordTable(grid)
+            X, V = _residual_samples(grid)
+            self._residual = X, _PicardTables(self.spec, self.rule, V)
             self._tables = tables
         return self._tables, self._ops
 
@@ -1007,8 +1008,7 @@ def _residual_collision(field: PhaseField, X, tables):
     on the field P -> field.eval(x, P), to rounding, by _collision_q0's
     formula with H = F0 + G.  G is read once per sample in x, into a table
     with one row per sample, (n, NVF), and at each collision velocity from
-    its sample's row through its velocity stencil (2^d corners; the
-    u-nodes' from the tables)."""
+    its sample's row through its velocity stencil (2^d corners)."""
     G, grid = field.values, field.grid
     n, NVF = tables.Vg.shape[0], grid.NVF
     ix, tx, _ = _locate_axis(grid.x_axis, X)
@@ -1031,7 +1031,7 @@ def _residual_collision(field: PhaseField, X, tables):
                                         fracs, grid.v_strides)
 
     Hv = H(F0V, grid.v_stencil(tables.Vg), np.arange(n), row)
-    Hu = H(F0U, (tables.ub, tables.ufr), np.arange(F0U.size)[None, :],
+    Hu = H(F0U, grid.v_stencil(tables.U), np.arange(F0U.size)[None, :],
            row[:, None])
     rows = np.repeat(row, tables.up_index.size // n)
     gain = H(F0UP, grid.v_stencil(tables.up_points), tables.up_index, rows)

@@ -307,16 +307,17 @@ def test_identical_configs_give_identical_csvs(tmp_path):
 
 
 def _tables_built_per_stage(monkeypatch, d):
-    """Run the config dict d; Picard table builds per stage name."""
+    """Run the config dict d; per stage name, the number of velocities of
+    each velocity table it builds, in order."""
     from boltzlab import cli
     from boltzlab.solver import _PicardTables
 
     built = []
     init = _PicardTables.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(None)
-        init(self, *args, **kwargs)
+    def counting_init(self, spec, rule, V):
+        built.append(V.shape[0])
+        init(self, spec, rule, V)
 
     per_stage = {}
     with monkeypatch.context() as mp:
@@ -327,7 +328,7 @@ def _tables_built_per_stage(monkeypatch, d):
                 try:
                     return func(cfg, out, solver)
                 finally:
-                    per_stage[name] = len(built) - before
+                    per_stage[name] = built[before:]
             mp.setitem(cli.STAGE_FUNCS, name, counted)
         run_config(config_from_dict(d))
     return per_stage
@@ -336,17 +337,22 @@ def _tables_built_per_stage(monkeypatch, d):
 def test_run_builds_its_tables_once(tmp_path, monkeypatch):
     # every stage solves on the run's one Solver: the first stage that
     # solves builds its two velocity tables (the active v-nodes' and the
-    # residual samples'), and the later ones reuse them
+    # 64 residual samples'), and the later ones reuse them; the linearize
+    # stage adds only the second-order source's tables at its 3 samples,
+    # under the solver's rule and the refined one
     d = tiny(tmp_path / "run", STAGE_ORDER)
     d["reconstruct"]["fd_crosscheck_probes"] = 2
+    n_active = config_from_dict(d).build_solver().grid.v_active_idx.size
     assert _tables_built_per_stage(monkeypatch, d) == {
-        "verify_geometry": 0, "verify_collision": 0,
-        "forward": 2, "linearize": 0, "reconstruct": 0}
+        "verify_geometry": [], "verify_collision": [],
+        "forward": [n_active, 64], "linearize": [3, 3], "reconstruct": []}
 
+    # without a forward stage the linearize stage builds the S tables
+    # first, then the Solver's two on its first solve
     d = tiny(tmp_path / "no_forward", ("linearize", "reconstruct"))
     d["reconstruct"]["fd_crosscheck_probes"] = 2
     assert _tables_built_per_stage(monkeypatch, d) == {
-        "linearize": 2, "reconstruct": 0}
+        "linearize": [3, 3, n_active, 64], "reconstruct": []}
 
 
 def test_run_matches_separate_subcommands(tmp_path):

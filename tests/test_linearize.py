@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from boltzlab.cli import main
-from boltzlab.collision import KernelSpec, QuadratureRule, kernel_eval
+from boltzlab.collision import (KernelSpec, QuadratureRule, collision_Q,
+                                kernel_eval)
 from boltzlab.config import config_from_dict
 from boltzlab.errors import (ConfigurationError, ConvergenceError,
                              PreconditionError)
 from boltzlab.geometry import Domain, exit_times, sample_outgoing
 from boltzlab.linearize import (_scaled_source, convergence_to_csv,
-                                second_order_source, w_finite_difference,
-                                w_quadrature)
+                                mixed_difference, second_order_source,
+                                w_finite_difference, w_quadrature)
 from boltzlab.reconstruct import monotonicity_P
 from boltzlab.solver import (BoundarySource, PhaseGrid, PicardOptions,
                              Solver, picard_solve)
@@ -73,10 +74,43 @@ def _const(c):
     return lambda V: np.full(len(V), c)
 
 
+def _rule3():
+    return QuadratureRule.build(3, sphere_order=4, radial_order=3,
+                                angular_order=4, R_v=2.0)
+
+
 def test_source_vanishes_on_constants():
     V = np.array([[0.3, 0.1], [-0.5, 0.4], [0.0, 0.0]])
     S = second_order_source(_const(0.7), _const(-0.2), V, POLY, _rule())
     assert np.array_equal(S, np.zeros(3))
+    V3 = np.array([[0.3, 0.1, -0.4], [-0.5, 0.4, 0.2], [0.0, 0.0, 0.0]])
+    poly3 = KernelSpec("omega_independent_poly", dim=3,
+                       params={"coeffs": (1.0, 0.0, 1.0)})
+    S = second_order_source(_const(0.7), _const(-0.2), V3, poly3, _rule3())
+    assert np.array_equal(S, np.zeros(3))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("family", ["constant", "angular_bump"])
+def test_source_matches_collision_q_reference(dim, family):
+    # S from the folded velocity tables against the unfolded reference
+    # Q(phi1, phi2) + Q(phi2, phi1) of collision.collision_Q, for a pair of
+    # quartics with different centres and widths (so S has no symmetry the
+    # folding could lean on), within 1e-14 of sup |S|
+    spec = KernelSpec(family, dim=dim)
+    rule = _rule(sphere=16, radial=5, angular=16) if dim == 2 else _rule3()
+    c1, c2 = np.zeros(dim), np.zeros(dim)
+    c1[0], c2[0], c2[-1] = 0.5, 0.2, -0.4
+    f1, f2 = _quartic(center=c1), _quartic(center=c2, width=0.5)
+    V = np.random.default_rng(4).uniform(-1.4, 1.4, size=(30, dim))
+    got = second_order_source(f1, f2, V, spec, rule)
+    want = (collision_Q(f1, f2, V, spec, rule)
+            + collision_Q(f2, f1, V, spec, rule))
+    assert np.max(np.abs(want)) > 1e-3
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # a profile may return any array-like, as collision_Q's fields may
+    assert np.array_equal(
+        second_order_source(lambda P: f1(P).tolist(), f2, V, spec, rule), got)
 
 
 def test_source_vanishes_on_maxwellians():
@@ -277,6 +311,25 @@ def test_fd_swap_symmetry():
     scale = max(1.0, np.max(np.abs(c12.W_fd)))
     assert np.max(np.abs(c12.W_fd - c21.W_fd)) < 1e-12 * scale
     assert np.max(np.abs(c12.W_quad - c21.W_quad)) < 1e-12 * scale
+
+
+def test_zero_amplitude_is_rejected_before_any_solve(monkeypatch):
+    # the mixed difference divides by e1 * e2, so a pair with a zero
+    # amplitude is refused, naming the pair, before any solve: unchecked it
+    # gives all-NaN W, or a ZeroDivisionError after the solves
+    solver_ = Solver(SMALL, PhaseGrid(DISK, 10, 10, R_v=2.0), _rule())
+    g1, g2 = _two_sources()
+    X, V = _outgoing(3, 13)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(solver_, "solve_many", forbidden)
+    with pytest.raises(PreconditionError, match=r"pair \(0\.0, 0\.01\)"):
+        mixed_difference(solver_, g1, g2, 0.0, 0.01, X, V)
+    with pytest.raises(PreconditionError, match=r"pair \(0\.01, 0\.0\)"):
+        w_finite_difference(solver_, g1, g2, [(0.02, 0.01), (0.01, 0.0)],
+                            X, V)
 
 
 def test_fd_smallness_guard_and_failure_naming():

@@ -212,19 +212,26 @@ def test_picard_contraction_and_solution_bound():
 
 
 def _solve_with_oracle_stage(monkeypatch, oracle, *args):
-    """picard_solve with oracle(G, tables), a call of the per-node stage, in
-    place of the sparse stage, so both solves share the tables, the line
-    stage and the fringe fills."""
+    """picard_solve with oracle(G, grid), a call of the per-node stage, in
+    place of the sparse stage, so both solves share the line stage and the
+    fringe fills."""
     with monkeypatch.context() as m:
         m.setattr(solver, "_collision_stage_sparse",
-                  lambda G, tables, *a, **kw: oracle(G, tables))
+                  lambda G, grid, *a, **kw: oracle(G, grid))
         return picard_solve(*args)
+
+
+def _tables(spec, grid, rule):
+    """The velocity tables of the grid's active v-nodes, as a Solver has
+    them."""
+    return _PicardTables(spec, rule, grid.v_nodes[grid.v_active_idx])
 
 
 def _full_points(tables):
     """u' and v' at every (v, u, omega), one row each."""
     UP, VP = solver._post_collision_velocities(tables.Vg, tables.U, tables.W)
-    return UP.reshape(-1, tables.grid.dim), VP.reshape(-1, tables.grid.dim)
+    dim = tables.Vg.shape[1]
+    return UP.reshape(-1, dim), VP.reshape(-1, dim)
 
 
 def test_picard_engines_agree(monkeypatch):
@@ -234,7 +241,7 @@ def test_picard_engines_agree(monkeypatch):
     Fn, rn = picard_solve(SMALL_KERNEL, g, grid, rule, PicardOptions())
     Fr, rr = _solve_with_oracle_stage(
         monkeypatch,
-        lambda G, t: _collision_stage_np(G, t, g, SMALL_KERNEL, rule),
+        lambda G, grid: _collision_stage_np(G, grid, g, SMALL_KERNEL, rule),
         SMALL_KERNEL, g, grid, rule, PicardOptions())
     assert rn.converged and rr.converged
     assert np.max(np.abs(Fn.values - Fr.values)) < 1e-15
@@ -266,7 +273,7 @@ def _stage_cases():
 def _n_classes(rule, dim=2):
     grid = PhaseGrid(Domain("ball", dim=dim, radius=1.0), 4, 4, R_v=rule.R_v)
     spec = KernelSpec("constant", dim=dim, params={"value": 0.01})
-    return _PicardTables(spec, grid, rule).reps.size
+    return _tables(spec, grid, rule).reps.size
 
 
 def test_omega_classes_fold_quarter_turns_in_2d_only():
@@ -307,9 +314,9 @@ def test_quarter_turn_swaps_post_collision_pair():
 
 def _stage_inputs(spec, grid, rule, center):
     g = _bump_profile(3e-3, center=center)
-    tables = _PicardTables(spec, grid, rule)
+    tables = _tables(spec, grid, rule)
     return g, tables, tables.f0_tables_velocity_only(g), \
-        tables.stencil_operators()
+        tables.stencil_operators(grid)
 
 
 def test_sparse_collision_stage_matches_reference():
@@ -319,8 +326,8 @@ def test_sparse_collision_stage_matches_reference():
         g, tables, F0, ops = _stage_inputs(spec, grid, rule, center)
         assert tables.reps.size == n_classes
         G = 1e-3 * rng.standard_normal((grid.NXF, grid.NVF))
-        Qs = _collision_stage_sparse(G, tables, ops, *F0)
-        Qr = _collision_stage_np(G, tables, g, spec, rule)
+        Qs = _collision_stage_sparse(G, grid, tables, ops, *F0)
+        Qr = _collision_stage_np(G, grid, g, spec, rule)
         assert np.max(np.abs(Qr)) > 1e-9
         assert np.max(np.abs(Qs - Qr)) < 1e-15
 
@@ -369,8 +376,8 @@ def test_q0_is_the_collision_stage_at_zero_g():
     for spec, grid, rule, center, _ in _stage_cases():
         g, tables, F0, ops = _stage_inputs(spec, grid, rule, center)
         Q0 = solver._collision_q0(tables, *F0)
-        Q = _collision_stage_sparse(np.zeros((grid.NXF, grid.NVF)), tables,
-                                    ops, *F0)
+        Q = _collision_stage_sparse(np.zeros((grid.NXF, grid.NVF)), grid,
+                                    tables, ops, *F0)
         got = Q[np.ix_(grid.v_active_idx, grid.x_active_idx)]
         loss = F0[0] * (tables.Bw_loss @ F0[1])
         assert np.max(np.abs(Q0)) > 1e-9
@@ -378,13 +385,13 @@ def test_q0_is_the_collision_stage_at_zero_g():
             1e-14 * np.max(np.abs(loss))
 
 
-def _per_row_operator(tables, P, f0=None):
+def _per_row_operator(grid, P, f0=None):
     """The stencil operator with one row per point of P, all corners kept,
     for a state with a row of ones appended at index NVF; with f0 (one
     value per point) every row ends with that value in column NVF."""
-    NVF = tables.grid.NVF
-    base, fracs = tables.grid.v_stencil(P)
-    pairs = list(solver._corner_weights(fracs, tables.grid.v_strides))
+    NVF = grid.NVF
+    base, fracs = grid.v_stencil(P)
+    pairs = list(solver._corner_weights(fracs, grid.v_strides))
     data = [w for w, _ in pairs]
     cols = [base + off for _, off in pairs]
     mask = [base >= 0] * len(pairs)
@@ -411,20 +418,19 @@ def _rep_points(tables):
     return tuple(_at_reps(tables, P) for P in _full_points(tables))
 
 
-def _per_row_stage(G, tables, g):
+def _per_row_stage(G, grid, tables, g):
     """The collision stage on one operator row per (v, u, representative),
     kept as the bitwise oracle of the stage on distinct points.  Per block
     of _X_BLOCK spatial rows and tile of v_block velocity nodes, the
     per-row operators are applied to [G[rows].T; 1], and every row ends
     with F0 in that last column."""
-    grid = tables.grid
     NVa, NU, NW = tables.shape
     NR = tables.reps.size
     NVF = grid.NVF
     vact, xact = grid.v_active_idx, grid.x_active_idx
     UP, VP = _full_points(tables)
-    Su = _per_row_operator(tables, tables.U)
-    Sup, Svp = (_per_row_operator(tables, _at_reps(tables, P),
+    Su = _per_row_operator(grid, tables.U)
+    Sup, Svp = (_per_row_operator(grid, _at_reps(tables, P),
                                   _at_reps(tables, g(P))) for P in (UP, VP))
     F0V, F0U = g(tables.Vg)[:, None], g(tables.U)[:, None]
     Q = np.zeros((NVF, grid.NXF))
@@ -462,9 +468,10 @@ def test_distinct_point_stage_matches_per_row_stage_bitwise():
         G = 1e-3 * rng.standard_normal((grid.NXF, grid.NVF))
         G[:, ::7] = 0.0
         G[:, 3::7] = -0.0
-        want = _per_row_stage(G, tables, g)
+        want = _per_row_stage(G, grid, tables, g)
         assert np.max(np.abs(want)) > 1e-9
-        _assert_bitwise(_collision_stage_sparse(G, tables, ops, *F0), want)
+        _assert_bitwise(_collision_stage_sparse(G, grid, tables, ops, *F0),
+                        want)
 
         c = np.asarray(center)
 
@@ -480,9 +487,10 @@ def test_distinct_point_stage_matches_per_row_stage_bitwise():
         _, [(_, Sup, Svp)] = ops
         live = solver._gain_live_nodes(G, tables, Sup, Svp, *F0[2:])
         assert live is not None and 0 < np.count_nonzero(live) < live.size
-        want = _per_row_stage(G, tables, bump)
+        want = _per_row_stage(G, grid, tables, bump)
         assert np.max(np.abs(want)) > 1e-8
-        _assert_bitwise(_collision_stage_sparse(G, tables, ops, *F0), want)
+        _assert_bitwise(_collision_stage_sparse(G, grid, tables, ops, *F0),
+                        want)
 
 
 def test_distinct_points_index_every_gain_row():
@@ -524,7 +532,7 @@ def test_distinct_row_products_plus_f0_equal_per_row_products():
     GT1 = np.vstack([GT, np.ones((1, GT.shape[1]))])
     for P, S, f0, index in zip(_rep_points(tables), (Sup, Svp), F0[2:],
                                (tables.up_index, tables.vp_index)):
-        full = _per_row_operator(tables, P, g(P))
+        full = _per_row_operator(grid, P, g(P))
         assert np.count_nonzero(S.data == 0.0) == 0
         assert np.count_nonzero(full.data == 0.0) > 0
         _assert_bitwise((S @ GT + f0[:, None])[index], full @ GT1)
@@ -680,8 +688,8 @@ def test_velocity_tables_build_no_chords_or_stencils(monkeypatch):
     grid = PhaseGrid(DISK, 16, 16, R_v=2.0)
     rule = QuadratureRule.build(2, sphere_order=32, radial_order=9,
                                 angular_order=32, R_v=2.0)
-    tables = _PicardTables(KernelSpec("constant", dim=2,
-                                      params={"value": 0.01}), grid, rule)
+    tables = _tables(KernelSpec("constant", dim=2, params={"value": 0.01}),
+                     grid, rule)
     assert tables.shape == (grid.v_active_idx.size, 288, 32)
     F0V, F0U, F0UP, F0VP = F0 = tables.f0_tables_velocity_only(
         _bump_profile(3e-3))
@@ -768,7 +776,7 @@ def test_residual_collision_matches_collision_q():
     for spec, grid, rule, center, _ in _stage_cases():
         g = _bump_profile(3e-3, center=center)
         X, V = solver._residual_samples(grid)
-        tables = _PicardTables(spec, grid, rule, V=V)
+        tables = _PicardTables(spec, rule, V)
         F = PhaseField(grid, 1e-3 * rng.standard_normal((grid.NXF, grid.NVF)),
                        profile=g)
         want = np.empty(len(V))
@@ -788,6 +796,17 @@ def test_picard_smallness_and_admissibility_guards():
     big = KernelSpec("constant", dim=2, params={"value": 10.0})
     with pytest.raises(PreconditionError):
         picard_solve(big, _bump_profile(0.01), grid, rule)
+
+
+def test_rule_beyond_the_grid_square_is_rejected_at_first_solve():
+    # the rule's u-nodes reach past the grid's velocity square [-2, 2]^2:
+    # the Solver builds, and its first solve raises
+    wide = _small_rule(R_v=3.0)
+    assert np.max(np.abs(wide.u_nodes)) > 2.0
+    spec = KernelSpec("constant", dim=2, params={"value": 0.002})
+    solver_ = Solver(spec, PhaseGrid(DISK, 10, 10, R_v=2.0), wide)
+    with pytest.raises(PreconditionError, match="exceed the grid square"):
+        solver_.solve(_bump_profile(3e-3))
 
 
 def test_picard_nonconvergence_carries_report():

@@ -394,11 +394,8 @@ class RunManifest:
     stages: list = field(default_factory=list)
     files: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def write(self, path: str):
-        _write_json(path, self.to_dict())
+        _write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":

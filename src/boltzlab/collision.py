@@ -54,14 +54,6 @@ def post_collision(u, v, omega):
 # kernel families
 # ---------------------------------------------------------------------------
 
-KERNEL_FAMILIES = (
-    "constant",
-    "omega_independent_poly",
-    "hard_potential_like",
-    "gaussian_compact",
-    "angular_bump",
-)
-
 # each family's parameters and their defaults
 KERNEL_PARAMS = {
     "constant": {"value": 1.0},
@@ -73,6 +65,7 @@ KERNEL_PARAMS = {
     # both 0 and 1 so the support avoids the degenerate directions
     "angular_bump": {"amplitude": 1.0, "center": 0.5, "halfwidth": 0.3},
 }
+KERNEL_FAMILIES = tuple(KERNEL_PARAMS)
 
 
 def _is_number(x) -> bool:
@@ -146,13 +139,17 @@ class KernelSpec:
                                "hard_potential_like", "gaussian_compact")
 
 
+def _bump_exponent(r2):
+    """The exponent -1/(1 - r^2) of the unit bump at squared radius r2,
+    clamped so that its exp is exactly 0.0 for r2 >= 1."""
+    return -1.0 / np.maximum(1.0 - r2, 1e-300)
+
+
 def _smooth_bump(t):
-    """exp(1 - 1/(1 - t^2)) on |t| < 1, zero outside; peak value 1 at t = 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    m = np.abs(t) < 1.0
-    out[m] = np.exp(1.0 - 1.0 / (1.0 - t[m] ** 2))
-    return out
+    """exp(1 - 1/(1 - t^2)) on |t| < 1, exactly zero outside; peak value 1
+    at t = 0."""
+    a = np.minimum(np.abs(t), 1.0)  # so that t * t cannot overflow
+    return np.exp(1.0 + _bump_exponent(a * a))
 
 
 def kernel_eval(spec: KernelSpec, v, u, omega):

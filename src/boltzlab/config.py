@@ -83,6 +83,14 @@ def _merge(base, override, path=""):
     return out
 
 
+# the values that must be positive numbers: _normalize makes each a float,
+# naming its key when it is not a number, and _validate checks its sign
+_POSITIVE = (("domain", "radius"), ("grid", "R_v"), ("solver", "tol"),
+             ("solver", "smallness_threshold"), ("inflow", "amplitude"),
+             ("inflow", "width"), ("linearize", "eps1"), ("linearize", "eps2"),
+             ("linearize", "width"))
+
+
 def _require(cond, msg):
     if not cond:
         raise ConfigurationError(msg)
@@ -114,11 +122,12 @@ def _validate(d: dict):
              "seed must be a nonnegative integer")
     _require(isinstance(d["output_dir"], str) and d["output_dir"],
              "output_dir must be a nonempty string")
+    for sec, key in _POSITIVE:
+        _require(d[sec][key] > 0, f"{sec}.{key} must be positive")
 
     dom = d["domain"]
     _require(_is_int(dom["dim"]) and dom["dim"] in (2, 3),
              "domain.dim must be 2 or 3")
-    _require(dom["radius"] > 0, "domain.radius must be positive")
 
     k = d["kernel"]
     _require(k["family"] in KERNEL_FAMILIES,
@@ -134,7 +143,6 @@ def _validate(d: dict):
     for key in ("nx", "nv"):
         _require(_is_int(g[key]) and g[key] >= 4,
                  f"grid.{key} must be an integer >= 4")
-    _require(g["R_v"] > 0, "grid.R_v must be positive")
     _require(g["v_min"] is None or 0 < g["v_min"] < g["R_v"],
              "grid.v_min must be null or in (0, R_v)")
     try:
@@ -148,26 +156,18 @@ def _validate(d: dict):
                  f"quadrature.{key} must be a positive integer")
 
     s = d["solver"]
-    _require(s["tol"] > 0, "solver.tol must be positive")
     _require(_is_int(s["max_iter"]) and s["max_iter"] >= 1,
              "solver.max_iter must be a positive integer")
-    _require(s["smallness_threshold"] > 0,
-             "solver.smallness_threshold must be positive")
 
     inf = d["inflow"]
-    _require(inf["amplitude"] > 0, "inflow.amplitude must be positive")
-    _require(inf["width"] > 0, "inflow.width must be positive")
     _require(len(inf["center"]) == dom["dim"],
              "inflow.center length must match domain.dim")
 
     lin = d["linearize"]
-    for key in ("eps1", "eps2"):
-        _require(lin[key] > 0, f"linearize.{key} must be positive")
     _require(_is_int(lin["levels"]) and lin["levels"] >= 1,
              "linearize.levels must be a positive integer")
     _require(_is_int(lin["n_samples"]) and lin["n_samples"] >= 1,
              "linearize.n_samples must be a positive integer")
-    _require(lin["width"] > 0, "linearize.width must be positive")
     _require(_is_int(lin["sample_seed"]) and lin["sample_seed"] >= 0,
              "linearize.sample_seed must be a nonnegative integer")
     for key in ("center1", "center2"):
@@ -222,11 +222,7 @@ def _normalize(d: dict) -> dict:
         _require(isinstance(d[sec][key], (list, tuple)),
                  f"{where} must be a list of numbers")
         d[sec][key] = [_to_float(c, where) for c in d[sec][key]]
-    for sec, key in (("grid", "R_v"), ("solver", "tol"),
-                     ("solver", "smallness_threshold"),
-                     ("inflow", "amplitude"), ("inflow", "width"),
-                     ("linearize", "eps1"), ("linearize", "eps2"),
-                     ("linearize", "width"), ("domain", "radius")):
+    for sec, key in _POSITIVE:
         d[sec][key] = _to_float(d[sec][key], f"{sec}.{key}")
     if d["grid"]["v_min"] is not None:
         d["grid"]["v_min"] = _to_float(d["grid"]["v_min"], "grid.v_min")
@@ -293,15 +289,18 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse and validate a config file; overrides (seed, output_dir) are
     applied before validation."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            raw[key] = val
+        raise ConfigurationError(f"config file not found: {path}") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        # a directory, non-UTF-8 bytes, bad JSON, or past Python's limits
+        raise ConfigurationError(
+            f"config file {path} cannot be read as JSON: {exc}") from None
+    if isinstance(raw, dict):
+        for key, val in (overrides or {}).items():
+            if val is not None:
+                raw[key] = val
     return config_from_dict(raw)
 
 

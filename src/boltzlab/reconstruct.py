@@ -21,10 +21,12 @@ directions.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .collision import KernelSpec, ball_rule, gauss_legendre, kernel_eval
+from .collision import (KernelSpec, _bump_exponent, ball_rule, gauss_legendre,
+                        kernel_eval)
 from .errors import ConfigurationError, PreconditionError
 
 __all__ = [
@@ -50,25 +52,19 @@ def _jacobian_exponent(mode: str, dim: int) -> float:
     return 2.0 if mode == "theorem_minus2" else float(dim)
 
 
-_BUMP_MASS = {}
-
-
+@lru_cache(maxsize=None)
 def bump_mass(dim: int) -> float:
     """Total mass of exp(-1/(1-|z|^2)) over the unit ball in R^dim."""
-    if dim not in _BUMP_MASS:
-        t, w = gauss_legendre(200)
-        t = 0.5 * (t + 1.0)
-        w = 0.5 * w
-        if dim == 2:
-            # 2 pi int_0^1 r e^{-1/(1-r^2)} dr = pi int_0^1 e^{-1/s} ds
-            _BUMP_MASS[2] = float(np.pi * np.sum(w * np.exp(-1.0 / t)))
-        elif dim == 3:
-            r2 = t * t
-            _BUMP_MASS[3] = float(
-                4.0 * np.pi * np.sum(w * r2 * np.exp(-1.0 / (1.0 - r2))))
-        else:
-            raise ConfigurationError("bump mass implemented for dim 2 and 3")
-    return _BUMP_MASS[dim]
+    t, w = gauss_legendre(200)
+    t = 0.5 * (t + 1.0)
+    w = 0.5 * w
+    if dim == 2:
+        # 2 pi int_0^1 r e^{-1/(1-r^2)} dr = pi int_0^1 e^{-1/s} ds
+        return float(np.pi * np.sum(w * np.exp(-1.0 / t)))
+    if dim == 3:
+        r2 = t * t
+        return float(4.0 * np.pi * np.sum(w * r2 * np.exp(-1.0 / (1.0 - r2))))
+    raise ConfigurationError("bump mass implemented for dim 2 and 3")
 
 
 def _dot(a, b):
@@ -84,12 +80,6 @@ def _dot(a, b):
 def _sq_norm(z):
     """|z|^2 over the last axis (see _dot)."""
     return _dot(z, z)
-
-
-def _bump_exponent(r2):
-    """The exponent -1/(1 - r^2) of the unit bump at squared radius r2,
-    clamped so that its exp is exactly 0.0 for r2 >= 1."""
-    return -1.0 / np.maximum(1.0 - r2, 1e-300)
 
 
 def mollifier(z, eta: float):
@@ -452,6 +442,8 @@ def mollified_S(probe: Probe, spec: KernelSpec, nr: int = 14, na: int = 28,
     """
     if spec.dim != probe.dim:
         raise PreconditionError("kernel and probe dimensions differ")
+    if nw < 1:
+        raise PreconditionError("omega window order nw must be >= 1")
     eta = probe.eta
     if min(probe.separations()) <= 2.0 * eta:
         raise PreconditionError(

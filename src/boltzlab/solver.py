@@ -130,26 +130,25 @@ class PhaseGrid:
         act = self.x_active.reshape(shape)
         idx_grid = np.arange(self.NXF).reshape(shape)
         fringe, src, src2 = [], [], []
-        if not np.all(act):
-            coords = np.argwhere(~act)
-            active_coords = np.argwhere(act)
-            for c in coords:
-                window = 2
-                lo = np.maximum(c - window, 0)
-                hi = np.minimum(c + window, self.nx - 1)
-                sel = active_coords
-                for a in range(self.dim):
-                    sel = sel[(sel[:, a] >= lo[a]) & (sel[:, a] <= hi[a])]
-                if sel.shape[0] == 0:
-                    continue
-                d2 = np.sum((sel - c) ** 2, axis=1)
-                best = sel[np.argmin(d2)]
-                mirror = 2 * best - c
-                ok = np.all(mirror >= 0) and np.all(mirror <= self.nx - 1) \
-                    and act[tuple(mirror)]
-                fringe.append(idx_grid[tuple(c)])
-                src.append(idx_grid[tuple(best)])
-                src2.append(idx_grid[tuple(mirror)] if ok else -1)
+        coords = np.argwhere(~act)
+        active_coords = np.argwhere(act)
+        for c in coords:
+            window = 2
+            lo = np.maximum(c - window, 0)
+            hi = np.minimum(c + window, self.nx - 1)
+            sel = active_coords
+            for a in range(self.dim):
+                sel = sel[(sel[:, a] >= lo[a]) & (sel[:, a] <= hi[a])]
+            if sel.shape[0] == 0:
+                continue
+            d2 = np.sum((sel - c) ** 2, axis=1)
+            best = sel[np.argmin(d2)]
+            mirror = 2 * best - c
+            ok = np.all(mirror >= 0) and np.all(mirror <= self.nx - 1) \
+                and act[tuple(mirror)]
+            fringe.append(idx_grid[tuple(c)])
+            src.append(idx_grid[tuple(best)])
+            src2.append(idx_grid[tuple(mirror)] if ok else -1)
         self.x_fringe_idx = np.array(fringe, dtype=np.int64)
         self.x_fringe_src = np.array(src, dtype=np.int64)
         self.x_fringe_src2 = np.array(src2, dtype=np.int64)
@@ -160,8 +159,6 @@ class PhaseGrid:
         by linear extrapolation (falls back to copying where no mirror
         exists)."""
         f, s, s2 = self.x_fringe_idx, self.x_fringe_src, self.x_fringe_src2
-        if f.size == 0:
-            return A
         lin = s2 >= 0
         at = (slice(None),) * axis
         A[at + (f[lin],)] = 2.0 * np.take(A, s[lin], axis=axis) - \
@@ -279,8 +276,6 @@ class PhaseField:
         an (N,) array, (1,) for a single point."""
         X = np.atleast_2d(np.asarray(x, dtype=float))
         V = np.atleast_2d(np.asarray(v, dtype=float))
-        if X.shape[0] != V.shape[0]:
-            X, V = np.broadcast_arrays(X, V)
         g = self.grid
         ix, tx, _ = _locate_axis(g.x_axis, X)
         base_x = ix[:, 0]
@@ -801,11 +796,13 @@ class Solver:
 
     def __init__(self, spec: KernelSpec, grid: PhaseGrid,
                  rule: QuadratureRule, options: PicardOptions | None = None):
+        if not spec.dim == grid.dim == rule.dim:
+            raise PreconditionError("kernel dim %d, grid dim %d and rule dim "
+                                    "%d differ" % (spec.dim, grid.dim, rule.dim))
         self.spec = spec
         self.grid = grid
         self.rule = rule
         self.opts = options or PicardOptions()
-        self._admissibility = None
         self._tables = self._ops = self._chords = self._residual = None
 
     def solve(self, g: BoundarySource):
@@ -833,7 +830,6 @@ class Solver:
         gs = list(gs)
         for g in gs:
             self._check_smallness(g)
-        self._check_admissibility()
         tables, _ = self._setup()
         opts = self.opts
         runs = [_SourceRun(g, self.grid, tables, opts) for g in gs]
@@ -889,20 +885,16 @@ class Solver:
                 "boundary data sup %.3g exceeds the smallness threshold %.3g"
                 % (g.sup_norm, opts.smallness_threshold))
 
-    def _check_admissibility(self):
-        if self._admissibility is None:
-            self._admissibility = admissibility_check(
-                self.spec, self.grid.domain, self.rule,
-                threshold=1.0 / (4.0 * self.opts.smallness_threshold))
-        rep = self._admissibility
-        if not rep.passed:
-            raise PreconditionError(
-                "kernel mass estimate %.3g fails the admissibility threshold %.3g"
-                % (rep.M_estimate, rep.threshold))
-
     def _setup(self):
         if self._tables is None:
             grid = self.grid
+            rep = admissibility_check(
+                self.spec, grid.domain, self.rule,
+                threshold=1.0 / (4.0 * self.opts.smallness_threshold))
+            if not rep.passed:
+                raise PreconditionError(
+                    "kernel mass estimate %.3g fails the admissibility "
+                    "threshold %.3g" % (rep.M_estimate, rep.threshold))
             tables = _PicardTables(self.spec, self.rule,
                                    grid.v_nodes[grid.v_active_idx])
             self._ops = tables.stencil_operators(grid)

@@ -8,6 +8,7 @@ not numerical accuracy.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -240,6 +241,21 @@ def test_load_config_failure_modes(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigurationError, match="JSON"):
         load_config(str(bad))
+    # a directory and bytes that are not UTF-8 are named, not raised as
+    # IsADirectoryError or UnicodeDecodeError
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b'{"version": 1, "output_dir": "\xff\xfe"}')
+    for path in (tmp_path, raw):
+        with pytest.raises(ConfigurationError,
+                           match="^config file %s " % re.escape(str(path))):
+            load_config(str(path))
+    # a document that is not an object takes no override
+    arr = tmp_path / "arr.json"
+    for doc in ("[1, 2]", '"x"'):
+        arr.write_text(doc)
+        for overrides in ({"output_dir": "o"}, {"seed": 3}, None):
+            with pytest.raises(ConfigurationError, match="JSON object"):
+                load_config(str(arr), overrides=overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +542,21 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: %s " % key) and "Traceback" not in err
         assert not out.exists()
+
+    # a file that is not a readable JSON object: one error line, no
+    # traceback, and no --out directory, with or without override flags
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe{}")
+    arr = tmp_path / "arr.json"
+    arr.write_text("[1, 2]")
+    out = tmp_path / "run"
+    for path in (tmp_path, raw, arr):
+        for flags in (["--out", str(out)], ["--seed", "5"], []):
+            assert main(["run", str(path), *flags]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: config ") and err.count("\n") == 1
+            assert "Traceback" not in err
+            assert not out.exists()
 
 
 def test_subcommands_enable_only_their_stages(tmp_path):

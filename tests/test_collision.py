@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,23 @@ def test_angular_bump_support():
     assert kernel_eval(spec, v, u, np.array([0.0, 1.0])) == 0.0
     # c^2 = 0.5 at 45 degrees: center of the window
     assert kernel_eval(spec, v, u, np.array([RT2, RT2])) == pytest.approx(1.0)
+
+
+def test_gaussian_compact_values_and_support():
+    amp, support = 0.7, 1.5
+    spec = KernelSpec("gaussian_compact", dim=2,
+                      params={"amplitude": amp, "support": support})
+    u = np.array([0.2, -0.1])
+    om = np.array([1.0, 0.0])
+    # the peak, at v = u
+    assert kernel_eval(spec, u, u, om) == amp
+    # exactly zero at and beyond |v - u| = support
+    for r in (support, np.nextafter(support, np.inf), 1.2 * support, 50.0):
+        assert kernel_eval(spec, u + np.array([0.0, r]), u, om) == 0.0
+    # amplitude * exp(1 - 1/(1 - t^2)) at t = |v - u| / support = 0.5
+    got = kernel_eval(spec, u + np.array([0.5 * support, 0.0]), u, om)
+    want = amp * math.exp(1.0 - 1.0 / (1.0 - 0.25))
+    assert abs(got - want) <= 1e-15 * want
 
 
 def test_kernel_spec_validation():

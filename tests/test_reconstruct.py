@@ -534,6 +534,17 @@ def test_mollified_preconditions():
         rc.mollified_S(rc.Probe(VS, V0, U0, eta=0.1), spec3)
 
 
+def test_mollified_S_refuses_an_empty_omega_window_rule():
+    # nr = 0 and na = 0 are refused by the ball rules; nw = 0 by name too
+    # (not by numpy's Gauss-Legendre builder)
+    probe = rc.Probe(VS, V0, U0, eta=0.2)
+    for orders in ((0, 8, 8), (8, 0, 8), (8, 8, 0)):
+        with pytest.raises(PreconditionError, match="must be >= 1"):
+            rc.mollified_S(probe, CONST, *orders)
+    with pytest.raises(PreconditionError, match=r"nw must be >= 1"):
+        rc.mollified_S(probe, CONST, nw=0)
+
+
 def test_mollified_3d_smoke():
     spec3 = KernelSpec(dim=3, family="constant")
     vs = np.array([1.0, 0.0, 0.0])

@@ -798,6 +798,21 @@ def test_picard_smallness_and_admissibility_guards():
         picard_solve(big, _bump_profile(0.01), grid, rule)
 
 
+def test_solver_refuses_mixed_dimensions_by_name():
+    # a 3D rule on a 2D grid used to fail at the first solve with numpy's
+    # shape mismatch, and a 3D kernel on a 2D grid and rule solved silently
+    grid = PhaseGrid(DISK, 10, 10, R_v=2.0)
+    rule3 = QuadratureRule.build(3, sphere_order=4, radial_order=2,
+                                 angular_order=4, R_v=2.0)
+    spec3 = KernelSpec("constant", dim=3, params={"value": 0.002})
+    for spec, rule, dims in ((SMALL_KERNEL, rule3, (2, 2, 3)),
+                             (spec3, _small_rule(), (3, 2, 2))):
+        with pytest.raises(PreconditionError,
+                           match="kernel dim %d, grid dim %d and rule dim %d "
+                                 "differ" % dims):
+            Solver(spec, grid, rule)
+
+
 def test_rule_beyond_the_grid_square_is_rejected_at_first_solve():
     # the rule's u-nodes reach past the grid's velocity square [-2, 2]^2:
     # the Solver builds, and its first solve raises

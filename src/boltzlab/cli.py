@@ -35,9 +35,6 @@ from .linearize import (convergence_to_csv, mixed_difference,
 from .solver import (BoundarySource, Solver, boundary_trace, field_to_csv,
                      trace_to_csv)
 
-STAGE_ORDER = ("verify_geometry", "verify_collision", "forward",
-               "linearize", "reconstruct")
-
 CHECKS_HEADER = "check,samples,max_residual,tolerance,status"
 
 # rel_delta above which `report` warns that the FD route and the direct
@@ -383,6 +380,20 @@ STAGE_FUNCS = {
     "linearize": stage_linearize,
     "reconstruct": stage_reconstruct,
 }
+STAGE_ORDER = tuple(STAGE_FUNCS)
+
+# subcommand -> (help text, the stages it runs); None runs the stages the
+# config enables
+COMMANDS = {
+    "run": ("execute all enabled stages", None),
+    "verify": ("geometry and collision verification suites",
+               ("verify_geometry", "verify_collision")),
+    "forward": ("nonlinear forward solve and boundary trace", ("forward",)),
+    "linearize": ("finite-difference second-order cross-check",
+                  ("linearize",)),
+    "reconstruct": ("mollified probe sweep and recovery tables",
+                    ("reconstruct",)),
+}
 
 
 @dataclass
@@ -413,8 +424,12 @@ def run_config(cfg: ExperimentConfig) -> RunManifest:
     files written so far.  The exception is re-raised for the caller.
     """
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    save_config(cfg, os.path.join(out, "config.json"))
+    try:
+        os.makedirs(out, exist_ok=True)
+        save_config(cfg, os.path.join(out, "config.json"))
+    except OSError as exc:
+        raise ConfigurationError(
+            f"output_dir {out} cannot be written: {exc}") from None
     manifest = RunManifest(config_hash=cfg.hash(), seed=cfg.seed,
                            started=_utc_now(), files=["config.json"])
     enabled = cfg.section("stages")
@@ -422,25 +437,22 @@ def run_config(cfg: ExperimentConfig) -> RunManifest:
     try:
         solver = cfg.build_solver()
         for name in STAGE_ORDER:
-            if not enabled.get(name, False):
-                manifest.stages.append({"name": name, "status": "skipped",
-                                        "runtime_s": 0.0, "files": [],
-                                        "diagnostic": "", "info": {}})
-                continue
-            t0 = time.perf_counter()
-            try:
-                files, info = STAGE_FUNCS[name](cfg, out, solver)
-            except Exception as exc:
-                manifest.stages.append({
-                    "name": name, "status": "failed",
-                    "runtime_s": time.perf_counter() - t0, "files": [],
-                    "diagnostic": "%s: %s" % (type(exc).__name__, exc),
-                    "info": {}})
-                raise
-            manifest.stages.append({"name": name, "status": "ok",
-                                    "runtime_s": time.perf_counter() - t0,
-                                    "files": files, "diagnostic": "",
-                                    "info": info})
+            status, runtime, files, info = "skipped", 0.0, [], {}
+            diagnostic, failure = "", None
+            if enabled[name]:
+                t0 = time.perf_counter()
+                try:
+                    files, info = STAGE_FUNCS[name](cfg, out, solver)
+                    status = "ok"
+                except Exception as exc:
+                    status, failure = "failed", exc
+                    diagnostic = "%s: %s" % (type(exc).__name__, exc)
+                runtime = time.perf_counter() - t0
+            manifest.stages.append({
+                "name": name, "status": status, "runtime_s": runtime,
+                "files": files, "diagnostic": diagnostic, "info": info})
+            if failure is not None:
+                raise failure
             manifest.files.extend(files)
     finally:
         manifest.finished = _utc_now()
@@ -449,12 +461,8 @@ def run_config(cfg: ExperimentConfig) -> RunManifest:
 
 
 def _with_stages(cfg: ExperimentConfig, names) -> ExperimentConfig:
-    data = cfg.section("stages")
-    for key in data:
-        data[key] = key in names
-    full = json.loads(cfg.serialize())
-    full["stages"] = data
-    return config_from_dict(full)
+    return config_from_dict({**cfg.data, "stages": {
+        key: key in names for key in cfg.data["stages"]}})
 
 
 def _unresolved_fd_etas(run_dir: str, summary: dict):
@@ -481,7 +489,12 @@ def build_report(run_dir: str) -> str:
     if not os.path.exists(mpath):
         raise DependencyError("report", "run",
                               f"no manifest.json under {run_dir}")
-    manifest = RunManifest.load(mpath)
+    try:
+        manifest = RunManifest.load(mpath)
+    except (OSError, ValueError, TypeError) as exc:
+        # a run killed while writing its manifest leaves such a file
+        raise DependencyError("report", "run",
+                              f"{mpath} is not a run manifest: {exc}") from None
     lines = [f"run {manifest.config_hash[:12]} seed={manifest.seed}",
              f"started {manifest.started}  finished {manifest.finished}", ""]
     n_fail = 0
@@ -562,26 +575,13 @@ def build_report(run_dir: str) -> str:
     return text
 
 
-SUBCOMMAND_STAGES = {
-    "verify": ("verify_geometry", "verify_collision"),
-    "forward": ("forward",),
-    "linearize": ("linearize",),
-    "reconstruct": ("reconstruct",),
-}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="boltzlab",
         description="config-driven pipeline for the kinetic inverse-problem "
                     "laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("run", "execute all enabled stages"),
-            ("verify", "geometry and collision verification suites"),
-            ("forward", "nonlinear forward solve and boundary trace"),
-            ("linearize", "finite-difference second-order cross-check"),
-            ("reconstruct", "mollified probe sweep and recovery tables")):
+    for name, (helptext, _) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("config", help="path to a JSON config")
         p.add_argument("--seed", type=int, default=None)
@@ -597,8 +597,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config,
                           overrides={"seed": args.seed,
                                      "output_dir": args.out})
-        if args.command != "run":
-            cfg = _with_stages(cfg, SUBCOMMAND_STAGES[args.command])
+        stages = COMMANDS[args.command][1]
+        if stages is not None:
+            cfg = _with_stages(cfg, stages)
         manifest = run_config(cfg)
     except BoltzlabError as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -125,33 +125,30 @@ class PhaseGrid:
 
     def _build_fringe(self):
         """Out-of-domain nodes within two cells of the domain, paired with an
-        interior source node (and its mirror for linear extrapolation)."""
-        shape = (self.nx,) * self.dim
-        act = self.x_active.reshape(shape)
-        idx_grid = np.arange(self.NXF).reshape(shape)
-        fringe, src, src2 = [], [], []
-        coords = np.argwhere(~act)
-        active_coords = np.argwhere(act)
-        for c in coords:
-            window = 2
-            lo = np.maximum(c - window, 0)
-            hi = np.minimum(c + window, self.nx - 1)
-            sel = active_coords
-            for a in range(self.dim):
-                sel = sel[(sel[:, a] >= lo[a]) & (sel[:, a] <= hi[a])]
-            if sel.shape[0] == 0:
-                continue
-            d2 = np.sum((sel - c) ** 2, axis=1)
-            best = sel[np.argmin(d2)]
-            mirror = 2 * best - c
-            ok = np.all(mirror >= 0) and np.all(mirror <= self.nx - 1) \
-                and act[tuple(mirror)]
-            fringe.append(idx_grid[tuple(c)])
-            src.append(idx_grid[tuple(best)])
-            src2.append(idx_grid[tuple(mirror)] if ok else -1)
-        self.x_fringe_idx = np.array(fringe, dtype=np.int64)
-        self.x_fringe_src = np.array(src, dtype=np.int64)
-        self.x_fringe_src2 = np.array(src2, dtype=np.int64)
+        interior source node, the nearest in-domain node of the 5^d window
+        and the first in C order among equals (the window's offsets are
+        walked by length, then in C order, which is the neighbours' C
+        order), and the source's mirror for linear extrapolation."""
+        act = self.x_active.reshape((self.nx,) * self.dim)
+        cells = np.argwhere(~act)
+        best = np.empty_like(cells)
+        found = np.zeros(cells.shape[0], dtype=bool)
+        offsets = np.array(list(itertools.product(range(-2, 3),
+                                                  repeat=self.dim)))
+        for o in offsets[np.argsort(np.sum(offsets**2, axis=1),
+                                    kind="stable")]:
+            n = cells + o
+            hit = ~found & np.all((n >= 0) & (n < self.nx), axis=1)
+            hit[hit] = act[tuple(n[hit].T)]
+            best[hit] = n[hit]
+            found |= hit
+        cells, best = cells[found], best[found]
+        mirror = 2 * best - cells
+        ok = np.all((mirror >= 0) & (mirror < self.nx), axis=1)
+        ok[ok] = act[tuple(mirror[ok].T)]
+        self.x_fringe_idx = cells @ self.x_strides
+        self.x_fringe_src = best @ self.x_strides
+        self.x_fringe_src2 = np.where(ok, mirror @ self.x_strides, -1)
 
     def fill_fringe(self, A: np.ndarray, axis: int = 0):
         """Extend A from the domain onto the fringe along its spatial axis
@@ -173,12 +170,8 @@ class PhaseGrid:
         square.
         """
         i, t, oor = _locate_axis(self.v_axis, P)
-        base, out = i[..., 0], oor[..., 0]
-        for a in range(1, self.dim):
-            base = base * self.nv + i[..., a]
-            out = out | oor[..., a]
-        base = np.where(out, -1, base)
-        return base.astype(np.int64), [t[..., a] for a in range(self.dim)]
+        base = np.where(oor.any(axis=-1), -1, i @ self.v_strides)
+        return base, [t[..., a] for a in range(self.dim)]
 
 
 def _corner_weights(fracs, strides):
@@ -278,11 +271,8 @@ class PhaseField:
         V = np.atleast_2d(np.asarray(v, dtype=float))
         g = self.grid
         ix, tx, _ = _locate_axis(g.x_axis, X)
-        base_x = ix[:, 0]
-        for a in range(1, g.dim):
-            base_x = base_x * g.nx + ix[:, a]
         base_v, vfracs = g.v_stencil(V)
-        base = np.where(base_v < 0, -1, base_x * g.NVF + base_v)
+        base = np.where(base_v < 0, -1, (ix @ g.x_strides) * g.NVF + base_v)
         strides = [s * g.NVF for s in g.x_strides] + g.v_strides
         fracs = [tx[:, a] for a in range(g.dim)] + vfracs
         out = _interp_flat(self.values.ravel(), base, fracs, strides)
@@ -431,11 +421,9 @@ class _PicardTables:
             <= 1e-12
         if dim == 2:
             same_pair |= np.abs(W @ W.T) <= 1e-12
-        rep_of = np.arange(NW)
-        for m in range(NW):
-            hit = np.flatnonzero(same_pair[m, :m] & (rep_of[:m] == np.arange(m)))
-            if hit.size:
-                rep_of[m] = hit[0]
+        # same_pair is an orbit relation, so each node's class is
+        # represented by the first node of its orbit
+        rep_of = np.argmax(same_pair | np.eye(NW, dtype=bool), axis=1)
         self.reps = np.unique(rep_of)
         self.v_block = max(1, _GAIN_ROW_BLOCK // (NU * self.reps.size))
         Bw = kernel_eval(spec, V[:, None, None, :], U[None, :, None, :],
@@ -1004,7 +992,7 @@ def _residual_collision(field: PhaseField, X, tables):
     G, grid = field.values, field.grid
     n, NVF = tables.Vg.shape[0], grid.NVF
     ix, tx, _ = _locate_axis(grid.x_axis, X)
-    x_base = ix @ np.asarray(grid.x_strides)
+    x_base = ix @ grid.x_strides
     T = np.zeros((n, NVF))
     for w, off in _corner_weights(tx.T, grid.x_strides):
         T += w[:, None] * G[x_base + off]

@@ -15,9 +15,10 @@ import sys
 import numpy as np
 import pytest
 
-from boltzlab.cli import (STAGE_ORDER, _generate_probes, build_report, main,
-                          run_config)
-from boltzlab.config import (config_from_dict, load_config, save_config)
+from boltzlab.cli import (COMMANDS, STAGE_ORDER, _generate_probes,
+                          build_report, main, run_config)
+from boltzlab.config import (DEFAULTS, config_from_dict, load_config,
+                             save_config)
 from boltzlab.errors import (BoltzlabError, ConfigurationError,
                              DependencyError)
 
@@ -506,6 +507,13 @@ def test_report_warns_on_unresolved_fd_crosscheck_eta(tmp_path):
 def test_report_needs_a_manifest(tmp_path):
     with pytest.raises(DependencyError, match="manifest"):
         build_report(str(tmp_path))
+    # what a run killed while writing its manifest leaves: the error names
+    # the file, with no JSON or TypeError traceback
+    mpath = tmp_path / "manifest.json"
+    for text in ("{", "[]"):
+        mpath.write_text(text)
+        with pytest.raises(DependencyError, match=re.escape(str(mpath))):
+            build_report(str(tmp_path))
 
 
 def test_module_entry_point_runs_without_warning():
@@ -557,6 +565,24 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
             assert err.startswith("error: config ") and err.count("\n") == 1
             assert "Traceback" not in err
             assert not out.exists()
+
+    # an --out that is a regular file, or lies under one, cannot hold the
+    # run: one error line naming output_dir
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    good = write_config(tmp_path / "good.json", tiny(out, ()))
+    for target in (afile, afile / "run"):
+        assert main(["run", good, "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output_dir ") and err.count("\n") == 1
+
+
+def test_stage_lists_agree():
+    # config cannot import cli, so the stage names are written in both;
+    # each subcommand runs known stages
+    assert tuple(DEFAULTS["stages"]) == STAGE_ORDER
+    for _, stages in COMMANDS.values():
+        assert stages is None or set(stages) <= set(STAGE_ORDER)
 
 
 def test_subcommands_enable_only_their_stages(tmp_path):

@@ -10,7 +10,8 @@ import pytest
 import scipy.sparse as sp
 
 from boltzlab import solver
-from boltzlab.collision import KernelSpec, QuadratureRule, collision_Q
+from boltzlab.collision import (KernelSpec, QuadratureRule, collision_Q,
+                                kernel_eval)
 from boltzlab.errors import ConvergenceError, PreconditionError
 from boltzlab.geometry import Domain, exit_times
 from boltzlab.reconstruct import mollifier
@@ -143,6 +144,47 @@ def test_phase_field_extension_policies():
     # grid part vanishes outside, the profile remains
     assert Fa.eval(x, v_out) == 0.25
     assert Fa.eval(x, np.array([0.5, 0.0])) == 1.25
+
+
+def _fringe_per_node(grid):
+    """PhaseGrid's fringe as a search per out-of-domain node: the nearest
+    in-domain node of its 5^d window, the first in C order among equals,
+    and that node's mirror when it lies in the domain; the oracle of the
+    pass over window offsets."""
+    shape = (grid.nx,) * grid.dim
+    act = grid.x_active.reshape(shape)
+    idx_grid = np.arange(grid.NXF).reshape(shape)
+    fringe, src, src2 = [], [], []
+    active_coords = np.argwhere(act)
+    for c in np.argwhere(~act):
+        lo = np.maximum(c - 2, 0)
+        hi = np.minimum(c + 2, grid.nx - 1)
+        sel = active_coords
+        for a in range(grid.dim):
+            sel = sel[(sel[:, a] >= lo[a]) & (sel[:, a] <= hi[a])]
+        if sel.shape[0] == 0:
+            continue
+        best = sel[np.argmin(np.sum((sel - c) ** 2, axis=1))]
+        mirror = 2 * best - c
+        ok = np.all(mirror >= 0) and np.all(mirror <= grid.nx - 1) \
+            and act[tuple(mirror)]
+        fringe.append(idx_grid[tuple(c)])
+        src.append(idx_grid[tuple(best)])
+        src2.append(idx_grid[tuple(mirror)] if ok else -1)
+    return [np.array(a, dtype=np.int64) for a in (fringe, src, src2)]
+
+
+def test_fringe_matches_per_node_search():
+    cases = [(DISK, nx) for nx in range(4, 41)] + \
+        [(Domain("ball", dim=3, radius=1.0), nx) for nx in range(4, 17)]
+    for domain, nx in cases:
+        grid = PhaseGrid(domain, nx, 4, R_v=2.0)
+        want = _fringe_per_node(grid)
+        got = (grid.x_fringe_idx, grid.x_fringe_src, grid.x_fringe_src2)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+                (domain.dim, nx)
+        assert np.any(want[2] >= 0) and want[0].size > 0
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +335,46 @@ def test_omega_classes_fold_quarter_turns_in_2d_only():
     rule = dataclasses.replace(rule, omega_nodes=axes,
                                omega_weights=np.full(6, 4.0 * np.pi / 6))
     assert _n_classes(rule, 3) == 3
+
+
+def _omega_classes_by_scan(W):
+    """The omega nodes' class representatives found one node at a time:
+    each node joins the first earlier representative it shares a (u', v')
+    pair with; the oracle of _PicardTables' orbit expression."""
+    same_pair = np.max(np.abs(W[:, None, :] + W[None, :, :]), axis=-1) \
+        <= 1e-12
+    if W.shape[1] == 2:
+        same_pair |= np.abs(W @ W.T) <= 1e-12
+    rep_of = np.arange(W.shape[0])
+    for m in range(W.shape[0]):
+        hit = np.flatnonzero(same_pair[m, :m] & (rep_of[:m] == np.arange(m)))
+        if hit.size:
+            rep_of[m] = hit[0]
+    return rep_of
+
+
+def test_omega_classes_match_sequential_scan():
+    # an omega-dependent kernel, so a node folded into the wrong class
+    # changes Bw_fold
+    rng = np.random.default_rng(43)
+    for dim, orders in ((2, range(1, 65)), (3, range(1, 13))):
+        spec = KernelSpec("angular_bump", dim=dim, params={"amplitude": 0.01})
+        V = rng.uniform(-1.5, 1.5, size=(3, dim))
+        for order in orders:
+            rule = QuadratureRule.build(dim, sphere_order=order,
+                                        radial_order=2, angular_order=2,
+                                        R_v=2.0)
+            tables = _PicardTables(spec, rule, V)
+            rep_of = _omega_classes_by_scan(rule.omega_nodes)
+            reps = np.unique(rep_of)
+            Bw = kernel_eval(spec, V[:, None, None, :],
+                             rule.u_nodes[None, :, None, :],
+                             rule.omega_nodes[None, None, :, :])
+            Bw *= (rule.u_weights[:, None] * rule.omega_weights[None, :])
+            Bw_fold = np.stack([Bw[:, :, rep_of == r].sum(axis=2)
+                                for r in reps], axis=2)
+            assert tables.reps.tobytes() == reps.tobytes(), (dim, order)
+            assert tables.Bw_fold.tobytes() == Bw_fold.tobytes(), (dim, order)
 
 
 def test_quarter_turn_swaps_post_collision_pair():

@@ -18,7 +18,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -321,9 +322,8 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str, solver: Solver):
     rng = np.random.default_rng(rec["probe_seed"])
     probes = _generate_probes(rng, rec["n_probes"], grid.dim, etas[0],
                               grid.R_v, grid.v_min)
-    report = rc.exponent_experiment([p.abtheta() for p in probes], spec,
-                                    etas=etas, nr=rec["nr"], na=rec["na"],
-                                    nw=rec["nw"])
+    report = rc.exponent_experiment(probes, spec, etas=etas, nr=rec["nr"],
+                                    na=rec["na"], nw=rec["nw"])
     rc.experiment_to_csv(report, os.path.join(out, "probes.csv"))
     files = ["probes.csv"]
     summary = {"etas": list(etas), "n_probes": len(probes),
@@ -346,13 +346,7 @@ def stage_reconstruct(cfg: ExperimentConfig, out: str, solver: Solver):
     if spec.is_omega_independent():
         rows = rc.recover_omega_independent_B(report.extrapolated, probes,
                                               rec["exponent_mode"], spec=spec)
-        cols = [*rc.abtheta_columns(grid.dim), "kappa1", "kappa2",
-                "S_value", "estimate", "residual"]
-        table = [[*row.a, *row.b, *row.theta, row.kappa1, row.kappa2,
-                  row.S_value, row.estimate, row.residual] for row in rows]
-        np.savetxt(os.path.join(out, "recovery_table.csv"), table,
-                   fmt="%.17g", delimiter=",", header=",".join(cols),
-                   comments="")
+        rc.recovery_to_csv(rows, os.path.join(out, "recovery_table.csv"))
         files.append("recovery_table.csv")
 
     summary.update({
@@ -411,7 +405,11 @@ class RunManifest:
     @classmethod
     def load(cls, path: str) -> "RunManifest":
         with open(path) as fh:
-            return cls(**json.load(fh))
+            manifest = cls(**json.load(fh))
+        for f in fields(cls):
+            if not isinstance(getattr(manifest, f.name), f.type):
+                raise TypeError(f"{f.name} is not a {f.type.__name__}")
+        return manifest
 
 
 def run_config(cfg: ExperimentConfig) -> RunManifest:
@@ -483,35 +481,48 @@ def _unresolved_fd_etas(run_dir: str, summary: dict):
             "the FD route does not resolve it" % (eta, h_v)]
 
 
+@contextmanager
+def _run_file(path: str):
+    """Turn what reading a run file that is cut, or that parses but has the
+    wrong shape (a missing key, a value of the wrong type), raises into one
+    DependencyError naming the file; a run killed while writing leaves such
+    files.  A package error (a bad config.json, say) names its own cause."""
+    try:
+        yield
+    except BoltzlabError:
+        raise
+    except (OSError, LookupError, TypeError, ValueError) as exc:
+        raise DependencyError("report", "run", f"{path} is not a readable "
+                              f"run file: {type(exc).__name__}: {exc}") \
+            from None
+
+
 def build_report(run_dir: str) -> str:
     """Aggregate a run directory into one human-readable summary."""
     mpath = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(mpath):
         raise DependencyError("report", "run",
                               f"no manifest.json under {run_dir}")
-    try:
-        manifest = RunManifest.load(mpath)
-    except (OSError, ValueError, TypeError) as exc:
-        # a run killed while writing its manifest leaves such a file
-        raise DependencyError("report", "run",
-                              f"{mpath} is not a run manifest: {exc}") from None
-    lines = [f"run {manifest.config_hash[:12]} seed={manifest.seed}",
-             f"started {manifest.started}  finished {manifest.finished}", ""]
     n_fail = 0
     warnings = []
-    for st in manifest.stages:
-        lines.append("stage %-17s %-8s %6.1fs" % (st["name"], st["status"],
-                                                  st["runtime_s"]))
-        if st["status"] == "failed":
-            n_fail += 1
-            lines.append("  diagnostic: " + st["diagnostic"])
+    with _run_file(mpath):
+        manifest = RunManifest.load(mpath)
+        lines = [f"run {manifest.config_hash[:12]} seed={manifest.seed}",
+                 f"started {manifest.started}  finished {manifest.finished}",
+                 ""]
+        for st in manifest.stages:
+            lines.append("stage %-17s %-8s %6.1fs"
+                         % (st["name"], st["status"], st["runtime_s"]))
+            if st["status"] == "failed":
+                n_fail += 1
+                lines.append("  diagnostic: " + st["diagnostic"])
     lines.append("")
     for fname in ("geometry_checks.csv", "collision_checks.csv"):
         path = os.path.join(run_dir, fname)
         if not os.path.exists(path):
             continue
         lines.append(fname)
-        with open(path) as fh:
+        with _run_file(path), open(path) as fh:
             next(fh)
             for raw in fh:
                 name, n, res, tol, status = raw.strip().split(",")
@@ -522,36 +533,37 @@ def build_report(run_dir: str) -> str:
         lines.append("")
     lin = os.path.join(run_dir, "linearize_summary.json")
     if os.path.exists(lin):
-        with open(lin) as fh:
+        with _run_file(lin), open(lin) as fh:
             sm = json.load(fh)
-        lines.append("finite-difference convergence:")
-        for pair, err in zip(sm["pairs"], sm["errors"]):
-            lines.append("  eps=(%.3g, %.3g)  max_err %.6g"
-                         % (pair[0], pair[1], err))
-        lines.append("  error estimate %.6g" % sm["est_total"])
+            lines.append("finite-difference convergence:")
+            for pair, err in zip(sm["pairs"], sm["errors"]):
+                lines.append("  eps=(%.3g, %.3g)  max_err %.6g"
+                             % (pair[0], pair[1], err))
+            lines.append("  error estimate %.6g" % sm["est_total"])
         lines.append("")
     recs = os.path.join(run_dir, "reconstruct_summary.json")
     if os.path.exists(recs):
-        with open(recs) as fh:
+        with _run_file(recs), open(recs) as fh:
             sm = json.load(fh)
-        lines.append("reconstruction (%d probes):" % sm["n_probes"])
-        lines.append("  exponent winner: %s" % (sm["winner"],))
-        if sm["winner"] is None:
-            warnings.append("no exponent mode matches the extrapolated "
-                            "values (winner None)")
-        for mode in rc.EXPONENT_MODES:
-            worst = max(sm["mismatch"][mode])
-            lines.append("  mode %-20s worst relative mismatch %.3g"
-                         % (mode, worst))
+            lines.append("reconstruction (%d probes):" % sm["n_probes"])
+            lines.append("  exponent winner: %s" % (sm["winner"],))
+            if sm["winner"] is None:
+                warnings.append("no exponent mode matches the extrapolated "
+                                "values (winner None)")
+            for mode in rc.EXPONENT_MODES:
+                worst = max(sm["mismatch"][mode])
+                lines.append("  mode %-20s worst relative mismatch %.3g"
+                             % (mode, worst))
+            warnings.extend(_unresolved_fd_etas(run_dir, sm))
         lines.append("")
-        warnings.extend(_unresolved_fd_etas(run_dir, sm))
     cross = os.path.join(run_dir, "fd_crosscheck.csv")
     if os.path.exists(cross):
-        rows = np.loadtxt(cross, delimiter=",", skiprows=1, ndmin=2)
-        rel = rows[:, 4]
-        lines.append("fd_crosscheck.csv (%d probes): rel_delta %.3g to %.3g"
-                     % (rows.shape[0], rel.min(), rel.max()))
-        bad = rows[rel > FD_CROSSCHECK_TOL, 0].astype(int)
+        with _run_file(cross):
+            rows = np.loadtxt(cross, delimiter=",", skiprows=1, ndmin=2)
+            rel = rows[:, 4]
+            lines.append("fd_crosscheck.csv (%d probes): rel_delta %.3g to "
+                         "%.3g" % (rows.shape[0], rel.min(), rel.max()))
+            bad = rows[rel > FD_CROSSCHECK_TOL, 0].astype(int)
         if bad.size:
             warnings.append("FD and direct routes disagree by more than %g "
                             "(rel_delta) on probe(s) %s" % (

@@ -20,7 +20,7 @@ directions.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -35,8 +35,8 @@ __all__ = [
     "bump_mass", "mollifier", "check_relations", "omega_pair",
     "probe_from_abtheta", "mollified_S", "closed_form_both",
     "recover_omega_independent_B", "monotonicity_P",
-    "monotonicity_certificate", "exponent_verdict", "exponent_experiment",
-    "experiment_to_csv",
+    "monotonicity_certificate", "exponent_experiment", "experiment_to_csv",
+    "recovery_to_csv",
 ]
 
 RELATION_TOL = 1e-10
@@ -218,11 +218,6 @@ class Probe:
         object.__setattr__(self, "v0", v0)
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "eta", float(self.eta))
-
-    @classmethod
-    def from_abtheta(cls, a, b, theta, eta: float) -> "Probe":
-        v_star, v0, u0 = probe_from_abtheta(a, b, theta)
-        return cls(v_star, v0, u0, eta)
 
     @property
     def dim(self) -> int:
@@ -473,7 +468,8 @@ def _kappa_pair(a, b, theta):
     return kap1, math.sqrt(max(float(d @ d) - kap1 * kap1, 0.0))
 
 
-def _closed_form_pieces(a, b, theta, spec: KernelSpec):
+def closed_form_both(a, b, theta, spec: KernelSpec) -> dict:
+    """Both candidate combinations of the kernel with Jacobian factors."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -481,20 +477,10 @@ def _closed_form_pieces(a, b, theta, spec: KernelSpec):
     kap1, kap2 = _kappa_pair(a, b, theta)
     d = a - b
     perp = d - float(d @ theta) * theta
-    omega2 = perp / np.linalg.norm(perp)
     B1 = float(kernel_eval(spec, a, b, theta))
-    B2 = float(kernel_eval(spec, a, b, omega2))
-    return kap1, kap2, B1, B2
-
-
-def closed_form_both(a, b, theta, spec: KernelSpec) -> dict:
-    """Both candidate combinations of the kernel with Jacobian factors."""
-    kap1, kap2, B1, B2 = _closed_form_pieces(a, b, theta, spec)
-    out = {}
-    for mode in EXPONENT_MODES:
-        e = _jacobian_exponent(mode, spec.dim)
-        out[mode] = kap1 ** -e * B1 + kap2 ** -e * B2
-    return out
+    B2 = float(kernel_eval(spec, a, b, perp / np.linalg.norm(perp)))
+    e = {m: _jacobian_exponent(m, spec.dim) for m in EXPONENT_MODES}
+    return {m: kap1 ** -e[m] * B1 + kap2 ** -e[m] * B2 for m in EXPONENT_MODES}
 
 
 @dataclass
@@ -661,7 +647,7 @@ def monotonicity_certificate(spec1: KernelSpec, spec2: KernelSpec, rule,
 
 @dataclass
 class ExponentReport:
-    abthetas: list
+    probes: list
     etas: tuple
     S_table: np.ndarray          # (n_probes, n_etas)
     extrapolated: np.ndarray     # polynomial extrapolation to eta = 0
@@ -673,67 +659,46 @@ class ExponentReport:
     results: list
 
 
-def exponent_verdict(abthetas, etas, S_table, spec: KernelSpec):
-    """Extrapolate each probe's row of S_table to eta = 0 (the full-degree
-    polynomial through the points) and compare it with both closed forms.
-
-    Returns (extrapolated, closed_forms, mismatch, winner_per_probe,
-    winner).  A convention wins at a probe when it alone matches within
-    MATCH_TOL; the overall winner must win at every probe.
-    """
-    extrapolated = np.array([
-        float(np.polynomial.polynomial.polyfit(etas, row, len(etas) - 1)[0])
-        for row in S_table])
-    closed = {m: np.empty(len(abthetas)) for m in EXPONENT_MODES}
-    for i, (a, b, theta) in enumerate(abthetas):
-        both = closed_form_both(a, b, theta, spec)
-        for m in EXPONENT_MODES:
-            closed[m][i] = both[m]
-    mismatch = {m: np.abs(extrapolated - closed[m])
-                / np.maximum(np.abs(closed[m]), 1e-300)
-                for m in EXPONENT_MODES}
-
-    winner_per_probe = []
-    for i in range(len(abthetas)):
-        ok = [m for m in EXPONENT_MODES if mismatch[m][i] < MATCH_TOL]
-        winner_per_probe.append(ok[0] if len(ok) == 1 else None)
-    first = winner_per_probe[0]
-    winner = first if (first is not None
-                       and all(w == first for w in winner_per_probe)) else None
-    return extrapolated, closed, mismatch, winner_per_probe, winner
-
-
-def exponent_experiment(abthetas, spec: KernelSpec,
+def exponent_experiment(probes, spec: KernelSpec,
                         etas=(0.4, 0.2, 0.1), nr: int = 14, na: int = 28,
                         nw: int = 32) -> ExponentReport:
     """Discriminate the two Jacobian-exponent conventions empirically.
 
-    For each data point (a, b, theta), tabulate S_eta along the shrinking
-    eta sequence, extrapolate to eta = 0, and compare against both closed
-    forms (exponent_verdict).  The raw table, the log-log slopes, and the
-    per-probe outcomes are all retained so the evidence stays inspectable.
+    For each probe, tabulate S_eta along the shrinking eta sequence (the
+    probe's own velocities at each eta; its own eta is not used),
+    extrapolate to eta = 0 with the full-degree polynomial through the
+    points, and compare it with both closed forms at the probe's data
+    point.  A convention wins at a probe when it alone matches within
+    MATCH_TOL; the overall winner must win at every probe.  The raw table,
+    the log-log slopes, and the per-probe outcomes are all retained so the
+    evidence stays inspectable.
     """
     etas = tuple(float(e) for e in etas)
     if len(etas) < 2 or any(b >= a for a, b in zip(etas, etas[1:])):
         raise PreconditionError("etas must be strictly decreasing")
-    S_table = np.empty((len(abthetas), len(etas)))
-    results = []
-    for i, (a, b, theta) in enumerate(abthetas):
-        per_eta = []
-        for j, eta in enumerate(etas):
-            res = mollified_S(Probe.from_abtheta(a, b, theta, eta), spec,
-                              nr=nr, na=na, nw=nw)
-            S_table[i, j] = res.S_eta
-            per_eta.append(res)
-        results.append(per_eta)
+    results = [[mollified_S(replace(p, eta=eta), spec, nr=nr, na=na, nw=nw)
+                for eta in etas] for p in probes]
+    S_table = np.array([[res.S_eta for res in row] for row in results])
 
-    extrapolated, closed, mismatch, winner_per_probe, winner = \
-        exponent_verdict(abthetas, etas, S_table, spec)
+    extrapolated = np.array([
+        float(np.polynomial.polynomial.polyfit(etas, row, len(etas) - 1)[0])
+        for row in S_table])
+    both = [closed_form_both(*p.abtheta(), spec) for p in probes]
+    closed = {m: np.array([c[m] for c in both]) for m in EXPONENT_MODES}
+    mismatch = {m: np.abs(extrapolated - closed[m])
+                / np.maximum(np.abs(closed[m]), 1e-300)
+                for m in EXPONENT_MODES}
+    winner_per_probe = []
+    for i in range(len(probes)):
+        ok = [m for m in EXPONENT_MODES if mismatch[m][i] < MATCH_TOL]
+        winner_per_probe.append(ok[0] if len(ok) == 1 else None)
+    winner = winner_per_probe[0] if len(set(winner_per_probe)) == 1 else None
+
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(S_table))
     slopes = np.array([np.polyfit(np.log(etas), row, 1)[0] for row in logs])
     return ExponentReport(
-        abthetas=list(abthetas), etas=etas, S_table=S_table,
+        probes=list(probes), etas=etas, S_table=S_table,
         extrapolated=extrapolated, slopes=slopes, closed_forms=closed,
         mismatch=mismatch, winner_per_probe=winner_per_probe, winner=winner,
         results=results)
@@ -746,13 +711,13 @@ def abtheta_columns(dim: int) -> list:
 
 def experiment_to_csv(report: ExponentReport, path: str):
     """One row per (probe, eta) with the closed forms and residuals."""
-    dim = np.asarray(report.abthetas[0][0]).shape[0]
-    cols = ["probe", "eta", *abtheta_columns(dim), "S_eta", "I1", "I2", "I3",
-            "I4"]
+    cols = ["probe", "eta", *abtheta_columns(report.probes[0].dim), "S_eta",
+            "I1", "I2", "I3", "I4"]
     cols += [f"closed_{m}" for m in EXPONENT_MODES]
     cols += [f"resid_{m}" for m in EXPONENT_MODES]
     rows = []
-    for i, (a, b, theta) in enumerate(report.abthetas):
+    for i, probe in enumerate(report.probes):
+        a, b, theta = probe.abtheta()
         closed = [report.closed_forms[m][i] for m in EXPONENT_MODES]
         for j, eta in enumerate(report.etas):
             res = report.results[i][j]
@@ -760,4 +725,15 @@ def experiment_to_csv(report: ExponentReport, path: str):
                          res.I3, res.I4, *closed,
                          *(res.S_eta - c for c in closed)])
     np.savetxt(path, rows, fmt="%.17g", delimiter=",",
+               header=",".join(cols), comments="")
+
+
+def recovery_to_csv(rows, path: str):
+    """One row per RecoveryRow: the data point, the Jacobian factors, the S
+    value, the pooled estimate of B and the residual."""
+    cols = [*abtheta_columns(rows[0].a.shape[0]), "kappa1", "kappa2",
+            "S_value", "estimate", "residual"]
+    table = [[*r.a, *r.b, *r.theta, r.kappa1, r.kappa2, r.S_value,
+              r.estimate, r.residual] for r in rows]
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
                header=",".join(cols), comments="")

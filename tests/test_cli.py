@@ -11,10 +11,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from boltzlab import reconstruct as rc
 from boltzlab.cli import (COMMANDS, STAGE_ORDER, _generate_probes,
                           build_report, main, run_config)
 from boltzlab.config import (DEFAULTS, config_from_dict, load_config,
@@ -396,6 +398,46 @@ def test_run_matches_separate_subcommands(tmp_path):
             name
 
 
+def test_reconstruct_stage_evaluates_the_probes_it_draws(tmp_path):
+    # the default run's probes go into the experiment as drawn, with no
+    # round trip through their data points (a, b, theta): each table entry
+    # is bitwise mollified_S of the drawn velocities at that eta, the eta
+    # the probes carry does not matter, and the FD cross-check's S_direct
+    # is the direct value of the very probe the FD route solves on
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "default.json")
+    cfg = load_config(path)
+    solver = cfg.build_solver()
+    rec = cfg.section("reconstruct")
+    etas = tuple(rec["etas"])
+    probes = _generate_probes(np.random.default_rng(rec["probe_seed"]),
+                              rec["n_probes"], solver.grid.dim, etas[0],
+                              solver.grid.R_v, solver.grid.v_min)
+    assert len(probes) == 5
+    orders = {"nr": rec["nr"], "na": rec["na"], "nw": rec["nw"]}
+    report = rc.exponent_experiment(probes, solver.spec, etas=etas, **orders)
+    for i, p in enumerate(probes):
+        for j, eta in enumerate(etas):
+            assert report.S_table[i, j] == rc.mollified_S(
+                replace(p, eta=eta), solver.spec, **orders).S_eta
+    other = rc.exponent_experiment([replace(p, eta=0.05) for p in probes],
+                                   solver.spec, etas=etas, **orders)
+    for name in ("S_table", "extrapolated", "slopes"):
+        assert np.array_equal(getattr(other, name), getattr(report, name))
+    for m in rc.EXPONENT_MODES:
+        assert np.array_equal(other.closed_forms[m], report.closed_forms[m])
+        assert np.array_equal(other.mismatch[m], report.mismatch[m])
+    assert other.results == report.results
+    assert other.winner_per_probe == report.winner_per_probe
+    assert other.winner == report.winner
+
+    out = tmp_path / "run"
+    assert main(["reconstruct", path, "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "fd_crosscheck.csv", delimiter=",", skiprows=1)
+    direct = [rc.mollified_S(p, solver.spec, **orders).S_eta for p in probes]
+    assert rows[:, 2].tolist() == direct
+
+
 def test_stage_failure_halts_and_is_recorded(tmp_path):
     # a unit-amplitude constant kernel violates the well-posedness gate on
     # this velocity box, so the forward stage must refuse to run
@@ -502,6 +544,11 @@ def test_report_warns_on_unresolved_fd_crosscheck_eta(tmp_path):
                         "default.json")
     text = _run_dir_with_crosscheck(tmp_path / "default", load_config(path))
     assert "warning:" not in text
+    # a config.json the check cannot load is named as such, not as the
+    # summary that sent the report to it
+    (tmp_path / "default" / "config.json").write_text("{")
+    with pytest.raises(ConfigurationError, match="^config "):
+        build_report(str(tmp_path / "default"))
 
 
 def test_report_needs_a_manifest(tmp_path):
@@ -514,6 +561,18 @@ def test_report_needs_a_manifest(tmp_path):
         mpath.write_text(text)
         with pytest.raises(DependencyError, match=re.escape(str(mpath))):
             build_report(str(tmp_path))
+    # files that parse but have the wrong shape: a stage record or a field
+    # of the wrong type, and a summary without a key the report reads
+    head = {"config_hash": "abc", "seed": 0, "started": ""}
+    for doc in ({**head, "stages": [1]}, {**head, "config_hash": 5}):
+        mpath.write_text(json.dumps(doc))
+        with pytest.raises(DependencyError, match=re.escape(str(mpath))):
+            build_report(str(tmp_path))
+    mpath.write_text(json.dumps(head))
+    lin = tmp_path / "linearize_summary.json"
+    lin.write_text(json.dumps({"pairs": [[0.01, 0.01]], "est_total": 0.0}))
+    with pytest.raises(DependencyError, match=re.escape(str(lin))):
+        build_report(str(tmp_path))
 
 
 def test_module_entry_point_runs_without_warning():

@@ -632,7 +632,8 @@ def test_recovery_pools_probes_sharing_endpoints():
     a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     thetas = [np.array([1.0, 0.0]),
               np.array([1.0, -2.0]) / np.sqrt(5.0)]
-    probes = [rc.Probe.from_abtheta(a, b, th, eta=0.1) for th in thetas]
+    probes = [rc.Probe(*rc.probe_from_abtheta(a, b, th), eta=0.1)
+              for th in thetas]
     S = [rc.closed_form_both(a, b, th, POLY)["theorem_minus2"]
          for th in thetas]
     rows = rc.recover_omega_independent_B(S, probes, "theorem_minus2", POLY)
@@ -729,16 +730,18 @@ def test_certificate_rejects_unordered_pair():
 # ---------------------------------------------------------------------------
 
 
-def _two_datapoints():
-    return [
-        (VS, np.array([0.0, 1.0]), np.array([1.0, 0.0])),
-        (np.array([0.5, -0.5]), np.array([-1.0, 0.5]),
-         np.array([0.0, 1.0])),
-    ]
+def _two_probes():
+    """Probes at two data points (a, b, theta); exponent_experiment sets
+    their eta."""
+    return [rc.Probe(*rc.probe_from_abtheta(a, b, theta), eta=0.4)
+            for a, b, theta in (
+                (VS, np.array([0.0, 1.0]), np.array([1.0, 0.0])),
+                (np.array([0.5, -0.5]), np.array([-1.0, 0.5]),
+                 np.array([0.0, 1.0])))]
 
 
 def test_exponent_experiment_reports_divergence_honestly():
-    report = rc.exponent_experiment(_two_datapoints(), CONST,
+    report = rc.exponent_experiment(_two_probes(), CONST,
                                     etas=(0.4, 0.2, 0.1),
                                     nr=8, na=16, nw=16)
     assert report.S_table.shape == (2, 3)
@@ -756,11 +759,11 @@ def test_exponent_experiment_reports_divergence_honestly():
 
 def test_exponent_experiment_validates_etas():
     with pytest.raises(PreconditionError, match="decreasing"):
-        rc.exponent_experiment(_two_datapoints(), CONST, etas=(0.1, 0.2))
+        rc.exponent_experiment(_two_probes(), CONST, etas=(0.1, 0.2))
 
 
 def test_experiment_csv_deterministic(tmp_path):
-    report = rc.exponent_experiment(_two_datapoints()[:1], CONST,
+    report = rc.exponent_experiment(_two_probes()[:1], CONST,
                                     etas=(0.4, 0.2), nr=6, na=12, nw=12)
     p1 = tmp_path / "probes1.csv"
     p2 = tmp_path / "probes2.csv"
